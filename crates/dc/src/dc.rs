@@ -197,6 +197,9 @@ pub struct DataConcentrator {
     /// Reused DLI feature set and its spectral workspaces.
     features: SpectralFeatures,
     survey_scratch: SurveyScratch,
+    /// Waveform statistics of the live blocks from the channel
+    /// self-check, in block order, handed on to feature extraction.
+    block_stats: Vec<WaveformStats>,
     /// Reused WNN feature buffer.
     wnn_features: Vec<f64>,
     /// DSP totals already published to telemetry (delta basis).
@@ -263,6 +266,7 @@ impl DataConcentrator {
             spare_blocks: Vec::new(),
             features: SpectralFeatures::default(),
             survey_scratch: SurveyScratch::default(),
+            block_stats: Vec::new(),
             wnn_features: Vec::new(),
             dsp_published: DspStats::default(),
         })
@@ -427,6 +431,7 @@ impl DataConcentrator {
         // compacted in place (order preserved); dead blocks return their
         // allocations to the spare pool.
         self.suspect_channels.clear();
+        self.block_stats.clear();
         let blocks = &mut survey.blocks;
         let mut live = 0usize;
         for read in 0..blocks.len() {
@@ -450,15 +455,17 @@ impl DataConcentrator {
                 self.spare_blocks.push(std::mem::take(&mut blocks[read].1));
             } else {
                 blocks.swap(live, read);
+                self.block_stats.push(stats);
                 live += 1;
             }
         }
         blocks.truncate(live);
         // DLI: shared feature extraction, rule evaluation.
         let timer = WallTimer::start();
-        SpectralFeatures::extract_into(
+        SpectralFeatures::extract_with_stats_into(
             &mut self.ctx,
             &survey,
+            &self.block_stats,
             &mut self.survey_scratch,
             &mut self.features,
         )?;

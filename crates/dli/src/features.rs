@@ -7,7 +7,7 @@
 
 use mpros_chiller::vibration::AccelLocation;
 use mpros_chiller::MachineTrain;
-use mpros_core::Result;
+use mpros_core::{Error, Result};
 use mpros_signal::features::WaveformStats;
 use mpros_signal::spectrum::Spectrum;
 use mpros_signal::window::Window;
@@ -99,6 +99,37 @@ impl SpectralFeatures {
         scratch: &mut SurveyScratch,
         out: &mut SpectralFeatures,
     ) -> Result<()> {
+        Self::extract_impl(ctx, survey, None, scratch, out)
+    }
+
+    /// [`SpectralFeatures::extract_into`] for a caller that already holds
+    /// the [`WaveformStats`] of every block (`stats[i]` for
+    /// `survey.blocks[i]`), as the DC's channel self-check does. The
+    /// result is bit-identical; each block's statistics pass is skipped.
+    pub fn extract_with_stats_into(
+        ctx: &mut DspContext,
+        survey: &VibrationSurvey,
+        stats: &[WaveformStats],
+        scratch: &mut SurveyScratch,
+        out: &mut SpectralFeatures,
+    ) -> Result<()> {
+        if stats.len() != survey.blocks.len() {
+            return Err(Error::invalid(format!(
+                "{} waveform stats for {} survey blocks",
+                stats.len(),
+                survey.blocks.len()
+            )));
+        }
+        Self::extract_impl(ctx, survey, Some(stats), scratch, out)
+    }
+
+    fn extract_impl(
+        ctx: &mut DspContext,
+        survey: &VibrationSurvey,
+        stats: Option<&[WaveformStats]>,
+        scratch: &mut SurveyScratch,
+        out: &mut SpectralFeatures,
+    ) -> Result<()> {
         let f = out;
         f.motor_half_x = 0.0;
         f.motor_1x = 0.0;
@@ -118,10 +149,10 @@ impl SpectralFeatures {
         let gmf = survey.train.gear_mesh_hz(survey.load);
         let pole_pass = survey.train.pole_pass_hz(survey.load);
 
-        for (loc, block) in &survey.blocks {
+        for (i, (loc, block)) in survey.blocks.iter().enumerate() {
             ctx.spectrum_into(block, survey.sample_rate, Window::Hann, &mut scratch.spec)?;
             let spec = &scratch.spec;
-            let stats = WaveformStats::of(block);
+            let stats = stats.map_or_else(|| WaveformStats::of(block), |s| s[i]);
             f.kurtosis.insert(*loc, stats.kurtosis);
             f.rms.insert(*loc, stats.rms);
             match loc {
@@ -395,5 +426,30 @@ mod tests {
         s.blocks.retain(|(l, _)| *l == AccelLocation::GearCase);
         let f = SpectralFeatures::extract(&s).unwrap();
         assert_eq!(f.motor_1x, 0.0, "no motor channel, no motor feature");
+    }
+
+    #[test]
+    fn passed_through_stats_give_identical_features() {
+        let s = survey_with(Some(MachineCondition::MotorBearingDefect), 0.7, 0.9);
+        let own = SpectralFeatures::extract(&s).unwrap();
+        let stats: Vec<WaveformStats> =
+            s.blocks.iter().map(|(_, b)| WaveformStats::of(b)).collect();
+        let mut ctx = DspContext::new();
+        let mut scratch = SurveyScratch::default();
+        let mut passed = SpectralFeatures::default();
+        SpectralFeatures::extract_with_stats_into(&mut ctx, &s, &stats, &mut scratch, &mut passed)
+            .unwrap();
+        assert_eq!(own.kurtosis, passed.kurtosis);
+        assert_eq!(own.rms, passed.rms);
+        assert_eq!(own.motor_bpfo_envelope, passed.motor_bpfo_envelope);
+        assert_eq!(own.motor_1x, passed.motor_1x);
+        assert!(SpectralFeatures::extract_with_stats_into(
+            &mut ctx,
+            &s,
+            &stats[1..],
+            &mut scratch,
+            &mut passed
+        )
+        .is_err());
     }
 }

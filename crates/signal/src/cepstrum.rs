@@ -5,7 +5,7 @@
 //! sidebands — the signature of gear wear and rotor-bar faults — onto
 //! single peaks at the corresponding *quefrency* (period).
 
-use crate::fft::{Complex, FftPlan};
+use crate::DspContext;
 use mpros_core::Result;
 
 /// Floor applied inside the log to avoid `log(0)` (shared with the
@@ -14,17 +14,12 @@ pub(crate) const LOG_FLOOR: f64 = 1e-12;
 
 /// Compute the real cepstrum of `signal` (power-of-two length).
 /// Returns `n` quefrency coefficients; index `q` corresponds to a period
-/// of `q / sample_rate` seconds.
+/// of `q / sample_rate` seconds. Runs [`DspContext::cepstrum_into`] on a
+/// one-shot context.
 pub fn real_cepstrum(signal: &[f64]) -> Result<Vec<f64>> {
-    let n = signal.len();
-    let plan = FftPlan::new(n)?;
-    let mut buf: Vec<Complex> = signal.iter().map(|&x| Complex::real(x)).collect();
-    plan.forward(&mut buf)?;
-    for z in buf.iter_mut() {
-        *z = Complex::real(z.abs().max(LOG_FLOOR).ln());
-    }
-    plan.inverse(&mut buf)?;
-    Ok(buf.into_iter().map(|z| z.re).collect())
+    let mut out = Vec::new();
+    DspContext::new().cepstrum_into(signal, &mut out)?;
+    Ok(out)
 }
 
 /// The quefrency (in samples) of the largest cepstral peak within

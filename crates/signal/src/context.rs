@@ -12,18 +12,24 @@
 //! * **Window cache** — materialized coefficient tables plus the
 //!   coherent gain per `(window, size)`, replacing the per-sample
 //!   `coefficient()` calls and the per-call `coherent_gain()` vector.
-//! * **Scratch arena** — [`DspScratch`]: windowed-input, spectrum,
-//!   real-valued and DWT ping-pong buffers that are cleared (capacity
+//! * **Scratch arena** — [`DspScratch`]: half-spectrum, full complex,
+//!   real-valued, cepstrum and DWT buffers that are cleared (capacity
 //!   retained) and refilled on every call.
 //!
-//! Every `*_into` operation produces results **bit-identical** to its
-//! allocating counterpart (`fft_real`, `ifft_real`,
-//! [`crate::Spectrum::compute`], `real_cepstrum`, `hilbert_envelope`,
-//! `bandpass_envelope`, [`crate::features::FeatureVector::extract`]):
-//! the floating-point operations and their order are unchanged, only the
-//! storage is recycled. That property is what lets the per-DC context
-//! ride inside the deterministic simulation without perturbing a single
-//! fingerprint.
+//! The context holds the only implementation of each transform. The
+//! allocating APIs (`fft_real`, `ifft_real`, [`crate::Spectrum::compute`],
+//! `real_cepstrum`, `hilbert_envelope`, `bandpass_envelope`,
+//! [`crate::features::FeatureVector::extract`]) run their `*_into`
+//! counterpart on a one-shot context, so the two agree bit for bit.
+//!
+//! Real blocks take the plan's real-input transform: one half-size
+//! complex FFT plus a split post-twiddle. The band-pass envelope takes
+//! one real forward and one complex inverse transform. Against a plain
+//! complex DFT of the same data these results agree to within 1e-12 of
+//! the peak magnitude, not bit for bit (DESIGN.md §10.5). Each call is a
+//! fixed sequence of f64 operations on the context's own buffers, so the
+//! per-DC context rides inside the deterministic simulation and
+//! reproduces exactly across execution modes.
 
 use crate::cepstrum::{dominant_quefrency, LOG_FLOOR};
 use crate::dct::dct_features_into;
@@ -100,17 +106,13 @@ impl DspCache {
 /// only provide the *output* buffers of each `*_into` call.
 #[derive(Debug, Default)]
 pub struct DspScratch {
-    /// Windowed input samples for spectrum computation.
-    windowed: Vec<f64>,
-    /// Primary frequency-domain buffer.
-    freq: Vec<Complex>,
-    /// Secondary frequency-domain buffer (inverse-transform output).
-    freq2: Vec<Complex>,
-    /// Real-valued stage buffer (band-passed signal, AC-coupled
-    /// envelope).
-    real_a: Vec<f64>,
-    /// Second real-valued stage buffer (envelope).
-    real_b: Vec<f64>,
+    /// Bins `0..=n/2` of a real block's spectrum.
+    half: Vec<Complex>,
+    /// Full-length complex buffer: the analytic signal, or the half-size
+    /// work buffer of a real inverse transform.
+    full: Vec<Complex>,
+    /// Real-valued stage buffer (the envelope before its spectrum).
+    real: Vec<f64>,
     /// Cepstrum workspace for feature extraction.
     cep: Vec<f64>,
     /// Reusable multi-level DWT pyramid.
@@ -148,104 +150,80 @@ fn prep_complex(stats: &mut DspStats, buf: &mut Vec<Complex>, n: usize) {
     buf.clear();
 }
 
-/// Fill `out` with the real cepstrum of `signal` (mirror of
-/// `real_cepstrum`).
+/// Fill `out` with the real cepstrum of `signal`: one real forward
+/// transform, the log magnitude, one real inverse transform.
 fn cepstrum_fill(
     plan: &FftPlan,
     signal: &[f64],
-    freq: &mut Vec<Complex>,
+    half: &mut Vec<Complex>,
     work: &mut Vec<Complex>,
     out: &mut Vec<f64>,
 ) -> Result<()> {
-    plan.forward_real_into(signal, freq)?;
-    for z in freq.iter_mut() {
-        *z = Complex::real(z.abs().max(LOG_FLOOR).ln());
+    plan.real_forward_with(|i| signal[i], half);
+    for z in half.iter_mut() {
+        *z = Complex::real(z.norm_sq().sqrt().max(LOG_FLOOR).ln());
     }
-    plan.inverse_into(freq, work)?;
-    out.extend(work.iter().map(|z| z.re));
-    Ok(())
+    plan.inverse_real_into(half, work, out)
 }
 
-/// Fill `out` with the Hilbert envelope of `signal` (mirror of
-/// `hilbert_envelope`).
-fn hilbert_fill(
+/// Fill `out` with the envelope of `signal`: the magnitude of its
+/// analytic signal, after a brick-wall band-pass when `band` is
+/// `Some((lo_hz, hi_hz, df))`. One real forward transform yields the
+/// half spectrum; the band mask and the analytic weights (DC and Nyquist
+/// ×1, positive frequencies ×2, negative frequencies 0) apply to it
+/// together, and one complex inverse transform follows.
+fn envelope_fill(
     plan: &FftPlan,
     signal: &[f64],
-    freq: &mut Vec<Complex>,
-    work: &mut Vec<Complex>,
+    band: Option<(f64, f64, f64)>,
+    half: &mut Vec<Complex>,
+    full: &mut Vec<Complex>,
     out: &mut Vec<f64>,
 ) -> Result<()> {
-    plan.forward_real_into(signal, freq)?;
-    let half = plan.len() / 2;
-    for (k, z) in freq.iter_mut().enumerate() {
-        if k == 0 || k == half {
-            // unchanged
-        } else if k < half {
+    plan.real_forward_with(|i| signal[i], half);
+    let h = plan.len() / 2;
+    for (k, z) in half.iter_mut().enumerate() {
+        let out_of_band = band.is_some_and(|(lo_hz, hi_hz, df)| {
+            let f = k as f64 * df;
+            f < lo_hz || f > hi_hz
+        });
+        if out_of_band {
+            *z = Complex::ZERO;
+        } else if k != 0 && k != h {
             *z = z.scale(2.0);
-        } else {
-            *z = Complex::ZERO;
         }
     }
-    plan.inverse_into(freq, work)?;
-    out.extend(work.iter().map(|z| z.abs()));
+    let half = &*half;
+    plan.inverse_unscaled_with(|k| half.get(k).copied().unwrap_or(Complex::ZERO), full);
+    let inv = 1.0 / plan.len() as f64;
+    out.extend(full.iter().map(|z| z.norm_sq().sqrt() * inv));
     Ok(())
 }
 
-/// Fill `filtered` with `signal` brick-wall band-passed to
-/// `[lo_hz, hi_hz]` (mirror of the filter half of `bandpass_envelope`).
-#[allow(clippy::too_many_arguments)]
-fn bandpass_fill(
-    plan: &FftPlan,
-    signal: &[f64],
-    sample_rate: f64,
-    lo_hz: f64,
-    hi_hz: f64,
-    freq: &mut Vec<Complex>,
-    work: &mut Vec<Complex>,
-    filtered: &mut Vec<f64>,
-) -> Result<()> {
-    plan.forward_real_into(signal, freq)?;
-    let n = plan.len();
-    let df = sample_rate / n as f64;
-    let half = n / 2;
-    for (k, z) in freq.iter_mut().enumerate() {
-        // Frequency of bin k (mirrored for the upper half).
-        let f = if k <= half {
-            k as f64 * df
-        } else {
-            (n - k) as f64 * df
-        };
-        if f < lo_hz || f > hi_hz {
-            *z = Complex::ZERO;
-        }
-    }
-    plan.inverse_into(freq, work)?;
-    filtered.extend(work.iter().map(|z| z.re));
-    Ok(())
-}
-
-/// Fill `out` from an already-windowed block (mirror of the
-/// normalization half of [`Spectrum::compute`]).
+/// Fill `out` with the single-sided amplitude spectrum of the real block
+/// `sample(0..n)` (already windowed by the caller's closure), using the
+/// half spectrum buffer `half`.
 fn spectrum_fill(
     plan: &FftPlan,
-    windowed: &[f64],
+    sample: impl Fn(usize) -> f64,
     gain: f64,
     sample_rate: f64,
-    freq: &mut Vec<Complex>,
+    half: &mut Vec<Complex>,
     out: &mut Spectrum,
-) -> Result<()> {
-    plan.forward_real_into(windowed, freq)?;
+) {
+    plan.real_forward_with(sample, half);
     let n = plan.len();
-    let half = n / 2;
+    let h = n / 2;
+    // Single-sided amplitude: 2|X[k]| / (N · gain) for 0 < k < N/2,
+    // |X[k]| / (N · gain) at DC and Nyquist.
     let norm = 1.0 / (n as f64 * gain);
-    out.amplitudes.push(freq[0].abs() * norm);
-    for z in freq.iter().take(half).skip(1) {
-        out.amplitudes.push(2.0 * z.abs() * norm);
-    }
-    out.amplitudes.push(freq[half].abs() * norm);
+    out.amplitudes.reserve_exact(h + 1);
+    out.amplitudes.push(half[0].norm_sq().sqrt() * norm);
+    out.amplitudes
+        .extend(half[1..h].iter().map(|z| 2.0 * z.norm_sq().sqrt() * norm));
+    out.amplitudes.push(half[h].norm_sq().sqrt() * norm);
     out.df = sample_rate / n as f64;
     out.sample_rate = sample_rate;
-    Ok(())
 }
 
 impl DspContext {
@@ -265,29 +243,28 @@ impl DspContext {
         self.cache.plan(n, &mut self.stats)
     }
 
-    /// Forward FFT of a real signal into `out`. Bit-identical to
-    /// [`crate::fft::fft_real`], allocation-free once `out` has
-    /// capacity.
+    /// Forward FFT of a real signal into `out` (all `n` bins).
+    /// [`crate::fft::fft_real`] runs this on a one-shot context;
+    /// allocation-free once `out` has capacity.
     pub fn fft_real_into(&mut self, signal: &[f64], out: &mut Vec<Complex>) -> Result<()> {
         let plan = self.plan(signal.len())?;
         prep_complex(&mut self.stats, out, signal.len());
         plan.forward_real_into(signal, out)
     }
 
-    /// Inverse FFT of a conjugate-symmetric spectrum into `out` (real
-    /// parts). Bit-identical to [`crate::fft::ifft_real`].
+    /// Inverse FFT of the spectrum of a real signal into `out`. Reads
+    /// bins `0..=n/2` only, the upper half being their conjugate mirror.
+    /// [`crate::fft::ifft_real`] runs this on a one-shot context.
     pub fn ifft_real_into(&mut self, spectrum: &[Complex], out: &mut Vec<f64>) -> Result<()> {
-        let plan = self.plan(spectrum.len())?;
         let n = spectrum.len();
-        prep_complex(&mut self.stats, &mut self.scratch.freq2, n);
-        plan.inverse_into(spectrum, &mut self.scratch.freq2)?;
+        let plan = self.plan(n)?;
+        prep_complex(&mut self.stats, &mut self.scratch.full, n / 2);
         prep_f64(&mut self.stats, out, n);
-        out.extend(self.scratch.freq2.iter().map(|z| z.re));
-        Ok(())
+        plan.inverse_real_into(&spectrum[..=n / 2], &mut self.scratch.full, out)
     }
 
     /// Windowed single-sided amplitude spectrum of `block` into `out`.
-    /// Bit-identical to [`Spectrum::compute`].
+    /// [`Spectrum::compute`] runs this on a one-shot context.
     pub fn spectrum_into(
         &mut self,
         block: &[f64],
@@ -302,52 +279,44 @@ impl DspContext {
         let plan = self.plan(n)?;
         let table = self.cache.window(window, n, &mut self.stats);
         let scratch = &mut self.scratch;
-        let stats = &mut self.stats;
-        prep_f64(stats, &mut scratch.windowed, n);
-        scratch
-            .windowed
-            .extend(block.iter().zip(&table.coeffs).map(|(&x, &w)| x * w));
-        prep_complex(stats, &mut scratch.freq, n);
-        prep_f64(stats, &mut out.amplitudes, n / 2 + 1);
+        prep_complex(&mut self.stats, &mut scratch.half, n / 2 + 1);
+        prep_f64(&mut self.stats, &mut out.amplitudes, n / 2 + 1);
+        let coeffs = &table.coeffs;
         spectrum_fill(
             &plan,
-            &scratch.windowed,
+            |i| block[i] * coeffs[i],
             table.gain,
             sample_rate,
-            &mut scratch.freq,
+            &mut scratch.half,
             out,
-        )
+        );
+        Ok(())
     }
 
-    /// Real cepstrum of `signal` into `out`. Bit-identical to
-    /// [`crate::cepstrum::real_cepstrum`].
+    /// Real cepstrum of `signal` into `out`.
+    /// [`crate::cepstrum::real_cepstrum`] runs this on a one-shot
+    /// context.
     pub fn cepstrum_into(&mut self, signal: &[f64], out: &mut Vec<f64>) -> Result<()> {
         let plan = self.plan(signal.len())?;
         let n = signal.len();
         let scratch = &mut self.scratch;
         let stats = &mut self.stats;
-        prep_complex(stats, &mut scratch.freq, n);
-        prep_complex(stats, &mut scratch.freq2, n);
+        prep_complex(stats, &mut scratch.half, n / 2 + 1);
+        prep_complex(stats, &mut scratch.full, n / 2);
         prep_f64(stats, out, n);
-        cepstrum_fill(&plan, signal, &mut scratch.freq, &mut scratch.freq2, out)
+        cepstrum_fill(&plan, signal, &mut scratch.half, &mut scratch.full, out)
     }
 
     /// Hilbert (analytic-signal) envelope of `signal` into `out`.
-    /// Bit-identical to [`crate::envelope::hilbert_envelope`].
+    /// [`crate::envelope::hilbert_envelope`] runs this on a one-shot
+    /// context.
     pub fn hilbert_envelope_into(&mut self, signal: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        let plan = self.plan(signal.len())?;
-        let n = signal.len();
-        let scratch = &mut self.scratch;
-        let stats = &mut self.stats;
-        prep_complex(stats, &mut scratch.freq, n);
-        prep_complex(stats, &mut scratch.freq2, n);
-        prep_f64(stats, out, n);
-        hilbert_fill(&plan, signal, &mut scratch.freq, &mut scratch.freq2, out)
+        self.envelope_into(signal, None, out)
     }
 
     /// Brick-wall band-pass to `[lo_hz, hi_hz]` followed by the Hilbert
-    /// envelope, into `out`. Bit-identical to
-    /// [`crate::envelope::bandpass_envelope`].
+    /// envelope, into `out`. [`crate::envelope::bandpass_envelope`] runs
+    /// this on a one-shot context.
     pub fn bandpass_envelope_into(
         &mut self,
         signal: &[f64],
@@ -356,40 +325,39 @@ impl DspContext {
         hi_hz: f64,
         out: &mut Vec<f64>,
     ) -> Result<()> {
+        let df = sample_rate / signal.len() as f64;
+        self.envelope_into(signal, Some((lo_hz, hi_hz, df)), out)
+    }
+
+    fn envelope_into(
+        &mut self,
+        signal: &[f64],
+        band: Option<(f64, f64, f64)>,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
         let plan = self.plan(signal.len())?;
         let n = signal.len();
         let scratch = &mut self.scratch;
         let stats = &mut self.stats;
-        prep_complex(stats, &mut scratch.freq, n);
-        prep_complex(stats, &mut scratch.freq2, n);
-        prep_f64(stats, &mut scratch.real_a, n);
-        bandpass_fill(
+        prep_complex(stats, &mut scratch.half, n / 2 + 1);
+        prep_complex(stats, &mut scratch.full, n);
+        prep_f64(stats, out, n);
+        envelope_fill(
             &plan,
             signal,
-            sample_rate,
-            lo_hz,
-            hi_hz,
-            &mut scratch.freq,
-            &mut scratch.freq2,
-            &mut scratch.real_a,
-        )?;
-        prep_complex(stats, &mut scratch.freq, n);
-        prep_complex(stats, &mut scratch.freq2, n);
-        prep_f64(stats, out, n);
-        hilbert_fill(
-            &plan,
-            &scratch.real_a,
-            &mut scratch.freq,
-            &mut scratch.freq2,
+            band,
+            &mut scratch.half,
+            &mut scratch.full,
             out,
         )
     }
 
-    /// The bearing-demodulation chain fused end to end: band-pass
-    /// envelope of `block`, mean (DC) removal, then the windowed
-    /// spectrum of the AC-coupled envelope into `out`. Matches the
-    /// arithmetic of running [`crate::envelope::bandpass_envelope`],
-    /// subtracting the mean, and calling [`Spectrum::compute`].
+    /// The bearing-demodulation chain end to end: band-pass envelope of
+    /// `block`, mean (DC) removal, then the windowed spectrum of the
+    /// AC-coupled envelope into `out`. Bit-identical to running
+    /// [`crate::envelope::bandpass_envelope`], subtracting the mean, and
+    /// calling [`Spectrum::compute`]; the mean removal and the window
+    /// ride in the second transform's packing pass.
     #[allow(clippy::too_many_arguments)]
     pub fn envelope_spectrum_into(
         &mut self,
@@ -408,58 +376,34 @@ impl DspContext {
         {
             let scratch = &mut self.scratch;
             let stats = &mut self.stats;
-            prep_complex(stats, &mut scratch.freq, n);
-            prep_complex(stats, &mut scratch.freq2, n);
-            prep_f64(stats, &mut scratch.real_a, n);
-            bandpass_fill(
+            prep_complex(stats, &mut scratch.half, n / 2 + 1);
+            prep_complex(stats, &mut scratch.full, n);
+            prep_f64(stats, &mut scratch.real, n);
+            let df = sample_rate / n as f64;
+            envelope_fill(
                 &plan,
                 block,
-                sample_rate,
-                lo_hz,
-                hi_hz,
-                &mut scratch.freq,
-                &mut scratch.freq2,
-                &mut scratch.real_a,
+                Some((lo_hz, hi_hz, df)),
+                &mut scratch.half,
+                &mut scratch.full,
+                &mut scratch.real,
             )?;
-            prep_complex(stats, &mut scratch.freq, n);
-            prep_complex(stats, &mut scratch.freq2, n);
-            prep_f64(stats, &mut scratch.real_b, n);
-            hilbert_fill(
-                &plan,
-                &scratch.real_a,
-                &mut scratch.freq,
-                &mut scratch.freq2,
-                &mut scratch.real_b,
-            )?;
-            // AC-couple the envelope: subtract its mean.
-            let mean = scratch.real_b.iter().sum::<f64>() / scratch.real_b.len() as f64;
-            prep_f64(stats, &mut scratch.real_a, n);
-            let (real_a, real_b) = (&mut scratch.real_a, &scratch.real_b);
-            real_a.extend(real_b.iter().map(|e| e - mean));
         }
-        // Spectrum of the AC-coupled envelope (same window path as
-        // `spectrum_into`).
         let table = self.cache.window(window, n, &mut self.stats);
         let scratch = &mut self.scratch;
-        let stats = &mut self.stats;
-        prep_f64(stats, &mut scratch.windowed, n);
-        scratch.windowed.extend(
-            scratch
-                .real_a
-                .iter()
-                .zip(&table.coeffs)
-                .map(|(&x, &w)| x * w),
-        );
-        prep_complex(stats, &mut scratch.freq, n);
-        prep_f64(stats, &mut out.amplitudes, n / 2 + 1);
+        prep_complex(&mut self.stats, &mut scratch.half, n / 2 + 1);
+        prep_f64(&mut self.stats, &mut out.amplitudes, n / 2 + 1);
+        let (env, coeffs) = (&scratch.real, &table.coeffs);
+        let mean = env.iter().sum::<f64>() / env.len() as f64;
         spectrum_fill(
             &plan,
-            &scratch.windowed,
+            |i| (env[i] - mean) * coeffs[i],
             table.gain,
             sample_rate,
-            &mut scratch.freq,
+            &mut scratch.half,
             out,
-        )
+        );
+        Ok(())
     }
 
     /// Append the §6.2 feature values of `block` (plus `process_scalars`)
@@ -481,14 +425,14 @@ impl DspContext {
         {
             let scratch = &mut self.scratch;
             let st = &mut self.stats;
-            prep_complex(st, &mut scratch.freq, n);
-            prep_complex(st, &mut scratch.freq2, n);
+            prep_complex(st, &mut scratch.half, n / 2 + 1);
+            prep_complex(st, &mut scratch.full, n / 2);
             prep_f64(st, &mut scratch.cep, n);
             cepstrum_fill(
                 &plan,
                 block,
-                &mut scratch.freq,
-                &mut scratch.freq2,
+                &mut scratch.half,
+                &mut scratch.full,
                 &mut scratch.cep,
             )?;
         }
@@ -517,7 +461,7 @@ impl DspContext {
     }
 
     /// Refill `out` with the §6.2 feature vector of `block`.
-    /// Bit-identical to [`FeatureVector::extract`].
+    /// [`FeatureVector::extract`] runs this on a one-shot context.
     pub fn feature_vector_into(
         &mut self,
         block: &[f64],

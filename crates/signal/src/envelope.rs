@@ -8,62 +8,33 @@
 //! frequency in the envelope spectrum. The analytic-signal envelope is
 //! computed here with an FFT-based Hilbert transform.
 
-use crate::fft::{Complex, FftPlan};
+use crate::DspContext;
 use mpros_core::Result;
 
 /// The amplitude envelope of `signal` via the analytic signal
 /// (FFT → zero negative frequencies, double positive → IFFT → |·|).
-/// Length must be a power of two.
+/// Length must be a power of two. Runs
+/// [`DspContext::hilbert_envelope_into`] on a one-shot context.
 pub fn hilbert_envelope(signal: &[f64]) -> Result<Vec<f64>> {
-    let n = signal.len();
-    let plan = FftPlan::new(n)?;
-    let mut buf: Vec<Complex> = signal.iter().map(|&x| Complex::real(x)).collect();
-    plan.forward(&mut buf)?;
-    // Analytic signal weights: keep DC and Nyquist, double 1..n/2-1,
-    // zero the negative-frequency half.
-    let half = n / 2;
-    for (k, z) in buf.iter_mut().enumerate() {
-        if k == 0 || k == half {
-            // unchanged
-        } else if k < half {
-            *z = z.scale(2.0);
-        } else {
-            *z = Complex::ZERO;
-        }
-    }
-    plan.inverse(&mut buf)?;
-    Ok(buf.into_iter().map(|z| z.abs()).collect())
+    let mut out = Vec::new();
+    DspContext::new().hilbert_envelope_into(signal, &mut out)?;
+    Ok(out)
 }
 
 /// Band-pass `signal` to `[lo_hz, hi_hz]` in the frequency domain (ideal
 /// brick-wall filter), then return the envelope. This is the classic
-/// bearing-demodulation chain.
+/// bearing-demodulation chain. Both steps act on one spectrum, so it
+/// costs one forward and one inverse transform. Runs
+/// [`DspContext::bandpass_envelope_into`] on a one-shot context.
 pub fn bandpass_envelope(
     signal: &[f64],
     sample_rate: f64,
     lo_hz: f64,
     hi_hz: f64,
 ) -> Result<Vec<f64>> {
-    let n = signal.len();
-    let plan = FftPlan::new(n)?;
-    let mut buf: Vec<Complex> = signal.iter().map(|&x| Complex::real(x)).collect();
-    plan.forward(&mut buf)?;
-    let df = sample_rate / n as f64;
-    let half = n / 2;
-    for (k, z) in buf.iter_mut().enumerate() {
-        // Frequency of bin k (mirrored for the upper half).
-        let f = if k <= half {
-            k as f64 * df
-        } else {
-            (n - k) as f64 * df
-        };
-        if f < lo_hz || f > hi_hz {
-            *z = Complex::ZERO;
-        }
-    }
-    plan.inverse(&mut buf)?;
-    let filtered: Vec<f64> = buf.into_iter().map(|z| z.re).collect();
-    hilbert_envelope(&filtered)
+    let mut out = Vec::new();
+    DspContext::new().bandpass_envelope_into(signal, sample_rate, lo_hz, hi_hz, &mut out)?;
+    Ok(out)
 }
 
 #[cfg(test)]

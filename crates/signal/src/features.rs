@@ -9,9 +9,8 @@
 //! summary, leading DCT coefficients, the wavelet energy map, and optional
 //! scalar process values, in a fixed layout the WNN can train on.
 
-use crate::cepstrum::{dominant_quefrency, real_cepstrum};
-use crate::dct::dct_features;
-use crate::dwt::{Wavelet, WaveletDecomposition};
+use crate::dwt::Wavelet;
+use crate::DspContext;
 use mpros_core::Result;
 use serde::{Deserialize, Serialize};
 
@@ -110,32 +109,11 @@ pub struct FeatureVector {
 impl FeatureVector {
     /// Extract features from a waveform block (power-of-two length) plus
     /// optional scalar process values (temperature, speed, load, ...).
+    /// Runs [`DspContext::feature_vector_into`] on a one-shot context.
     pub fn extract(block: &[f64], config: &FeatureConfig, process_scalars: &[f64]) -> Result<Self> {
-        let stats = WaveformStats::of(block);
-        let cep = real_cepstrum(block)?;
-        let max_q = block.len() / 2;
-        let q = dominant_quefrency(&cep, 2, max_q).unwrap_or(0);
-        let cep_peak = cep.get(q).copied().unwrap_or(0.0);
-        let dct = dct_features(block, config.dct_coefficients);
-        let wmap = WaveletDecomposition::analyze(block, config.wavelet, config.wavelet_levels)?
-            .energy_map();
-
-        let mut values = Vec::with_capacity(7 + 2 + dct.len() + wmap.len() + process_scalars.len());
-        values.extend_from_slice(&[
-            stats.mean,
-            stats.rms,
-            stats.peak,
-            stats.std_dev,
-            stats.crest_factor,
-            stats.kurtosis,
-            stats.skewness,
-        ]);
-        values.push(q as f64 / block.len() as f64); // normalized quefrency
-        values.push(cep_peak);
-        values.extend_from_slice(&dct);
-        values.extend_from_slice(&wmap);
-        values.extend_from_slice(process_scalars);
-        Ok(FeatureVector { values })
+        let mut fv = FeatureVector::default();
+        DspContext::new().feature_vector_into(block, config, process_scalars, &mut fv)?;
+        Ok(fv)
     }
 
     /// The flat feature values.

@@ -1,10 +1,13 @@
-//! Complex numbers and the radix-2 Cooley–Tukey FFT.
+//! Complex numbers and the Cooley–Tukey FFT.
 //!
 //! Implemented from scratch (no external numerics crates): an iterative
-//! in-place decimation-in-time FFT with bit-reversal permutation and
-//! precomputable twiddle tables. Sizes must be powers of two, which is
-//! what the DC's spectrum analyzer card produces anyway.
+//! decimation-in-time FFT with bit-reversal permutation and precomputed
+//! twiddle tables, taking its radix-2 stages two at a time, plus a
+//! real-input transform that runs at half size on the same tables
+//! (DESIGN.md §10.5). Sizes must be powers of two, which is what the
+//! DC's spectrum analyzer card produces anyway.
 
+use crate::DspContext;
 use mpros_core::{Error, Result};
 use std::f64::consts::PI;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
@@ -116,13 +119,19 @@ impl Neg for Complex {
 ///
 /// Precomputes the bit-reversal permutation and twiddle factors once; the
 /// DC pipeline runs thousands of transforms per second at a fixed block
-/// size, so plan reuse keeps the hot path allocation-free.
+/// size, so plan reuse keeps the hot path allocation-free. One plan of
+/// size `n` serves both the `n`-point complex transform and the
+/// `n`-point real-input transform, which runs an `n/2`-point complex
+/// transform over a prefix of the same tables (DESIGN.md §10.5).
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     n: usize,
-    log2n: u32,
-    /// Twiddles for each butterfly stage, forward direction.
+    /// Forward twiddles per radix-2 stage: the stage of length `len`
+    /// holds `e^{-2πij/len}` for `j < len/2` at offset `len/2 - 1`, so
+    /// the stages of every smaller power of two form a prefix.
     twiddles: Vec<Complex>,
+    /// `bitrev[i]` is `i` with its `log2 n` bits reversed. For `i < n/2`
+    /// it is even, and half of it is the `n/2`-point permutation.
     bitrev: Vec<u32>,
 }
 
@@ -135,8 +144,6 @@ impl FftPlan {
             )));
         }
         let log2n = n.trailing_zeros();
-        // Stage s (len = 2^s) uses twiddles w^j for j in 0..len/2 with
-        // w = e^{-2πi/len}; store them contiguously per stage.
         let mut twiddles = Vec::with_capacity(n - 1);
         let mut len = 2usize;
         while len <= n {
@@ -152,7 +159,6 @@ impl FftPlan {
         }
         Ok(FftPlan {
             n,
-            log2n,
             twiddles,
             bitrev,
         })
@@ -171,12 +177,17 @@ impl FftPlan {
 
     /// In-place forward FFT.
     pub fn forward(&self, data: &mut [Complex]) -> Result<()> {
-        self.transform(data, false)
+        self.check(data.len())?;
+        self.permute(data);
+        butterflies::<false>(&self.twiddles, data);
+        Ok(())
     }
 
     /// In-place inverse FFT (including the 1/n normalization).
     pub fn inverse(&self, data: &mut [Complex]) -> Result<()> {
-        self.transform(data, true)?;
+        self.check(data.len())?;
+        self.permute(data);
+        butterflies::<true>(&self.twiddles, data);
         let inv = 1.0 / self.n as f64;
         for z in data.iter_mut() {
             *z = z.scale(inv);
@@ -184,115 +195,236 @@ impl FftPlan {
         Ok(())
     }
 
-    /// Out-of-place forward FFT of a real signal into a caller-provided
-    /// buffer. `dst` is cleared and refilled; with sufficient capacity
-    /// this performs **zero allocations**, which is what the DC's
-    /// steady-state survey loop relies on. Bit-identical to
-    /// [`fft_real`]: the bit-reversal permutation is an involution, so
-    /// scattering `signal[bitrev[i]]` into slot `i` produces exactly the
-    /// buffer the in-place swap pass would.
+    /// Forward FFT of a real signal into a caller-provided buffer: all
+    /// `n` bins, computed by the real-input transform (bins `0..=n/2`)
+    /// with the upper half filled in as their conjugate mirror. `dst` is
+    /// cleared and refilled; with capacity for `n` bins this performs
+    /// **zero allocations**, which is what the DC's steady-state survey
+    /// loop relies on.
     pub fn forward_real_into(&self, signal: &[f64], dst: &mut Vec<Complex>) -> Result<()> {
-        if signal.len() != self.n {
-            return Err(Error::invalid(format!(
-                "buffer length {} does not match plan size {}",
-                signal.len(),
-                self.n
-            )));
-        }
+        self.check(signal.len())?;
         dst.clear();
-        dst.extend(
-            self.bitrev
-                .iter()
-                .map(|&r| Complex::real(signal[r as usize])),
-        );
-        self.butterflies(dst, false);
-        Ok(())
-    }
-
-    /// Out-of-place inverse FFT (including the 1/n normalization) into a
-    /// caller-provided buffer, leaving `spectrum` untouched. `dst` is
-    /// cleared and refilled; with sufficient capacity this performs zero
-    /// allocations. Bit-identical to copying the spectrum and calling
-    /// [`FftPlan::inverse`].
-    pub fn inverse_into(&self, spectrum: &[Complex], dst: &mut Vec<Complex>) -> Result<()> {
-        if spectrum.len() != self.n {
-            return Err(Error::invalid(format!(
-                "buffer length {} does not match plan size {}",
-                spectrum.len(),
-                self.n
-            )));
-        }
-        dst.clear();
-        dst.extend(self.bitrev.iter().map(|&r| spectrum[r as usize]));
-        self.butterflies(dst, true);
-        let inv = 1.0 / self.n as f64;
-        for z in dst.iter_mut() {
-            *z = z.scale(inv);
+        dst.reserve_exact(self.n);
+        self.real_forward_with(|i| signal[i], dst);
+        for k in (1..self.n / 2).rev() {
+            let z = dst[k].conj();
+            dst.push(z);
         }
         Ok(())
     }
 
-    fn transform(&self, data: &mut [Complex], inverse: bool) -> Result<()> {
-        if data.len() != self.n {
+    /// Bins `0..=n/2` of the spectrum of the real samples `sample(0..n)`,
+    /// computed as one `n/2`-point complex transform of the packed
+    /// samples plus a split post-twiddle; the bins above `n/2` are their
+    /// conjugate mirror and are not stored. `dst` is cleared and
+    /// refilled. Taking the samples through a closure lets callers fuse a
+    /// window or an offset into the packing pass.
+    pub(crate) fn real_forward_with(&self, sample: impl Fn(usize) -> f64, dst: &mut Vec<Complex>) {
+        let half = self.n / 2;
+        dst.clear();
+        dst.reserve_exact(half + 1);
+        // z[m] = x[2m] + i·x[2m+1], scattered straight into the
+        // bit-reversed order of the half-size transform: bitrev[i] for
+        // i < n/2 is 2·bitrev_{n/2}[i].
+        dst.extend(self.bitrev[..half].iter().map(|&r| {
+            let m = r as usize;
+            Complex::new(sample(m), sample(m + 1))
+        }));
+        butterflies::<false>(&self.twiddles, dst);
+        dst.push(Complex::ZERO);
+        split_forward(&self.twiddles[half - 1..], dst);
+    }
+
+    /// Inverse of [`FftPlan::real_forward_with`], including the 1/n
+    /// normalization: the real signal whose spectrum has bins
+    /// `half_spectrum` (`n/2 + 1` of them; the upper half is taken to be
+    /// their conjugate mirror). `work` holds the `n/2`-point complex
+    /// transform; `dst` is cleared and refilled with `n` samples.
+    pub(crate) fn inverse_real_into(
+        &self,
+        half_spectrum: &[Complex],
+        work: &mut Vec<Complex>,
+        dst: &mut Vec<f64>,
+    ) -> Result<()> {
+        let half = self.n / 2;
+        if half_spectrum.len() != half + 1 {
             return Err(Error::invalid(format!(
-                "buffer length {} does not match plan size {}",
-                data.len(),
+                "half spectrum has {} bins, plan size {} needs {}",
+                half_spectrum.len(),
+                self.n,
+                half + 1
+            )));
+        }
+        let w = &self.twiddles[half - 1..];
+        work.clear();
+        work.extend(self.bitrev[..half].iter().map(|&r| {
+            let k = (r >> 1) as usize;
+            let (a, b) = (half_spectrum[k], half_spectrum[half - k]);
+            // Even and odd sub-spectra E = (a + b*)/2, O = (a − b*)·w̄ᵏ/2,
+            // repacked as Z = E + i·O.
+            let e = Complex::new(0.5 * (a.re + b.re), 0.5 * (a.im - b.im));
+            let o = Complex::new(0.5 * (a.re - b.re), 0.5 * (a.im + b.im)) * w[k].conj();
+            Complex::new(e.re - o.im, e.im + o.re)
+        }));
+        butterflies::<true>(&self.twiddles, work);
+        let inv = 1.0 / half as f64;
+        dst.clear();
+        dst.reserve_exact(self.n);
+        for z in work.iter() {
+            dst.push(z.re * inv);
+            dst.push(z.im * inv);
+        }
+        Ok(())
+    }
+
+    /// The inverse transform of bins `bin(0..n)` into `dst`, without the
+    /// 1/n normalization (callers fold it into their own output pass).
+    pub(crate) fn inverse_unscaled_with(
+        &self,
+        bin: impl Fn(usize) -> Complex,
+        dst: &mut Vec<Complex>,
+    ) {
+        dst.clear();
+        dst.extend(self.bitrev.iter().map(|&r| bin(r as usize)));
+        butterflies::<true>(&self.twiddles, dst);
+    }
+
+    fn check(&self, len: usize) -> Result<()> {
+        if len != self.n {
+            return Err(Error::invalid(format!(
+                "buffer length {len} does not match plan size {}",
                 self.n
             )));
         }
-        // Bit-reversal permutation.
-        for i in 0..self.n {
-            let j = self.bitrev[i] as usize;
+        Ok(())
+    }
+
+    /// In-place bit-reversal permutation.
+    fn permute(&self, data: &mut [Complex]) {
+        for (i, &r) in self.bitrev.iter().enumerate() {
+            let j = r as usize;
             if i < j {
                 data.swap(i, j);
             }
         }
-        self.butterflies(data, inverse);
-        Ok(())
     }
+}
 
-    /// Iterative radix-2 butterflies over an already bit-reversed buffer
-    /// of exactly `self.n` elements.
-    fn butterflies(&self, data: &mut [Complex], inverse: bool) {
-        let mut stage_base = 0usize;
-        for s in 1..=self.log2n {
-            let len = 1usize << s;
-            let half = len / 2;
-            let stage = &self.twiddles[stage_base..stage_base + half];
-            let mut start = 0;
-            while start < self.n {
-                for j in 0..half {
-                    let w = if inverse { stage[j].conj() } else { stage[j] };
-                    let a = data[start + j];
-                    let b = data[start + j + half] * w;
-                    data[start + j] = a + b;
-                    data[start + j + half] = a - b;
-                }
-                start += len;
-            }
-            stage_base += half;
+/// The twiddle `w`, conjugated for the inverse direction.
+#[inline(always)]
+fn twiddle<const INV: bool>(w: Complex) -> Complex {
+    if INV {
+        w.conj()
+    } else {
+        w
+    }
+}
+
+/// Decimation-in-time butterflies over a bit-reversed buffer whose length
+/// is a power of two no larger than the plan, taking the radix-2 stages
+/// two at a time. The first one or two stages have twiddles 1 and ∓i and
+/// run without multiplies.
+fn butterflies<const INV: bool>(twiddles: &[Complex], data: &mut [Complex]) {
+    let n = data.len();
+    if n < 2 {
+        return;
+    }
+    let mut len = if n.trailing_zeros() % 2 == 1 {
+        for pair in data.chunks_exact_mut(2) {
+            let (a, b) = (pair[0], pair[1]);
+            pair[0] = a + b;
+            pair[1] = a - b;
+        }
+        2
+    } else {
+        for quad in data.chunks_exact_mut(4) {
+            let (b0, b1) = (quad[0] + quad[1], quad[0] - quad[1]);
+            let (b2, b3) = (quad[2] + quad[3], quad[2] - quad[3]);
+            // b3 · (∓i): −i forward, +i inverse.
+            let r = if INV {
+                Complex::new(-b3.im, b3.re)
+            } else {
+                Complex::new(b3.im, -b3.re)
+            };
+            quad[0] = b0 + b2;
+            quad[2] = b0 - b2;
+            quad[1] = b1 + r;
+            quad[3] = b1 - r;
+        }
+        4
+    };
+    while len < n {
+        len *= 4;
+        radix4_pass::<INV>(twiddles, data, len);
+    }
+}
+
+/// Radix-2 stages `len/2` and `len` in one pass over the buffer. Each
+/// block of `len` holds quarters `x0..x3`; stage `len/2` pairs
+/// `(x0, x1)` and `(x2, x3)` under `w_{len/2}^j`, then stage `len` pairs
+/// `(x0, x2)` under `w_len^j` and `(x1, x3)` under `w_len^{j+len/4}`.
+fn radix4_pass<const INV: bool>(twiddles: &[Complex], data: &mut [Complex], len: usize) {
+    let q = len / 4;
+    let lo = &twiddles[q - 1..2 * q - 1];
+    let (hi_a, hi_b) = twiddles[2 * q - 1..4 * q - 1].split_at(q);
+    for block in data.chunks_exact_mut(len) {
+        let (left, right) = block.split_at_mut(2 * q);
+        let (x0, x1) = left.split_at_mut(q);
+        let (x2, x3) = right.split_at_mut(q);
+        for j in 0..q {
+            let w1 = twiddle::<INV>(lo[j]);
+            let t = x1[j] * w1;
+            let (b0, b1) = (x0[j] + t, x0[j] - t);
+            let t = x3[j] * w1;
+            let (b2, b3) = (x2[j] + t, x2[j] - t);
+            let t = b2 * twiddle::<INV>(hi_a[j]);
+            x0[j] = b0 + t;
+            x2[j] = b0 - t;
+            let t = b3 * twiddle::<INV>(hi_b[j]);
+            x1[j] = b1 + t;
+            x3[j] = b1 - t;
         }
     }
 }
 
-/// Forward FFT of a real signal; returns the full complex spectrum.
-/// Convenience wrapper that builds a one-shot plan.
-pub fn fft_real(signal: &[f64]) -> Result<Vec<Complex>> {
-    let plan = FftPlan::new(signal.len())?;
-    let mut buf = Vec::with_capacity(signal.len());
-    plan.forward_real_into(signal, &mut buf)?;
-    Ok(buf)
+/// Split post-twiddle of the real-input transform, in place: `x` holds
+/// the `h`-point transform `Z` of the packed samples in `x[..h]` (plus
+/// one spare slot) and leaves with bins `0..=h` of the `2h`-point real
+/// spectrum. `w` is the plan's last stage, `w[k] = e^{-2πik/2h}`. Bins
+/// `k` and `h − k` share one pair of reads:
+/// `X[k] = E + wᵏ·O`, `X[h−k] = (E − wᵏ·O)*` with
+/// `E = (Z[k] + Z[h−k]*)/2` and `O = (Z[k] − Z[h−k]*)/2i`.
+fn split_forward(w: &[Complex], x: &mut [Complex]) {
+    let h = x.len() - 1;
+    let z0 = x[0];
+    x[0] = Complex::real(z0.re + z0.im);
+    x[h] = Complex::real(z0.re - z0.im);
+    for k in 1..=h / 2 {
+        let (a, b) = (x[k], x[h - k]);
+        let e = Complex::new(0.5 * (a.re + b.re), 0.5 * (a.im - b.im));
+        let o = Complex::new(0.5 * (a.im + b.im), 0.5 * (b.re - a.re));
+        let t = w[k] * o;
+        x[k] = e + t;
+        x[h - k] = (e - t).conj();
+    }
 }
 
-/// Inverse FFT returning only real parts (caller asserts the spectrum is
-/// conjugate-symmetric, as spectra of real signals are). Transforms
-/// out-of-place via [`FftPlan::inverse_into`] rather than cloning the
-/// input spectrum into a mutable working copy first.
+/// Forward FFT of a real signal; returns the full complex spectrum.
+/// Runs [`crate::DspContext::fft_real_into`] on a one-shot context.
+pub fn fft_real(signal: &[f64]) -> Result<Vec<Complex>> {
+    let mut out = Vec::new();
+    DspContext::new().fft_real_into(signal, &mut out)?;
+    Ok(out)
+}
+
+/// Inverse FFT of the spectrum of a real signal, returning the real
+/// samples. Only bins `0..=n/2` are read; the upper half is taken to be
+/// their conjugate mirror, as it is for every real signal's spectrum.
+/// Runs [`crate::DspContext::ifft_real_into`] on a one-shot context.
 pub fn ifft_real(spectrum: &[Complex]) -> Result<Vec<f64>> {
-    let plan = FftPlan::new(spectrum.len())?;
-    let mut work = Vec::with_capacity(spectrum.len());
-    plan.inverse_into(spectrum, &mut work)?;
-    Ok(work.iter().map(|z| z.re).collect())
+    let mut out = Vec::new();
+    DspContext::new().ifft_real_into(spectrum, &mut out)?;
+    Ok(out)
 }
 
 /// Naive O(n²) DFT used as a test oracle for the FFT.
@@ -387,6 +519,48 @@ mod tests {
         let slow = dft_reference(&data);
         for (a, b) in fast.iter().zip(&slow) {
             assert_close(*a, *b, 1e-9);
+        }
+    }
+
+    #[test]
+    fn complex_transforms_match_naive_dft_at_every_size() {
+        // Odd and even stage counts: a lone radix-2 stage first, or the
+        // multiply-free 4-point pass first, then radix-4 passes.
+        for exp in 1..=8 {
+            let n = 1usize << exp;
+            let data: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
+                .collect();
+            let plan = FftPlan::new(n).unwrap();
+            let mut fast = data.clone();
+            plan.forward(&mut fast).unwrap();
+            for (a, b) in fast.iter().zip(&dft_reference(&data)) {
+                assert_close(*a, *b, 1e-9);
+            }
+            plan.inverse(&mut fast).unwrap();
+            for (a, b) in fast.iter().zip(&data) {
+                assert_close(*a, *b, 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn real_half_transform_inverts() {
+        for exp in 1..=8 {
+            let n = 1usize << exp;
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 0.25).collect();
+            let plan = FftPlan::new(n).unwrap();
+            let mut half = Vec::new();
+            plan.real_forward_with(|i| x[i], &mut half);
+            assert_eq!(half.len(), n / 2 + 1);
+            let (mut work, mut back) = (Vec::new(), Vec::new());
+            plan.inverse_real_into(&half, &mut work, &mut back).unwrap();
+            for (a, b) in x.iter().zip(&back) {
+                assert!((a - b).abs() < 1e-12, "n={n}: {a} vs {b}");
+            }
+            assert!(plan
+                .inverse_real_into(&half[1..], &mut work, &mut back)
+                .is_err());
         }
     }
 

@@ -9,14 +9,16 @@
 //! wavelet maps" (§6.2). None of that machinery can be assumed to exist,
 //! so this crate implements it from scratch:
 //!
-//! * complex radix-2 FFT / inverse FFT ([`fft`]),
+//! * complex FFT / inverse FFT in radix-4 passes, and a real-input
+//!   transform that runs at half size on the same plan ([`fft`]),
 //! * window functions with coherent-gain correction ([`window`]),
 //! * amplitude/power spectra, peak and shaft-order extraction
 //!   ([`spectrum`]),
 //! * real cepstrum ([`cepstrum`]), DCT-II ([`dct`]),
 //! * Haar / Daubechies-4 discrete wavelet transform and energy maps
 //!   ([`dwt`]),
-//! * Hilbert-transform envelope for bearing analysis ([`envelope`]),
+//! * Hilbert-transform envelope for bearing analysis, band-pass and
+//!   envelope in one forward and one inverse transform ([`envelope`]),
 //! * streaming RMS detectors with programmable alarms modeling the MUX
 //!   card hardware ([`rms`]),
 //! * sliding-window trend fitting with threshold-crossing projection

@@ -8,9 +8,9 @@
 //! questions the rules ask: amplitude at a frequency/order, band RMS,
 //! dominant peaks.
 
-use crate::fft::FftPlan;
 use crate::window::Window;
-use mpros_core::{Error, Result};
+use crate::DspContext;
+use mpros_core::Result;
 
 /// A single-sided amplitude spectrum of a real signal.
 ///
@@ -39,34 +39,12 @@ pub struct Peak {
 
 impl Spectrum {
     /// Compute the spectrum of `block` sampled at `sample_rate` Hz, using
-    /// `window`. Block length must be a power of two.
+    /// `window`. Block length must be a power of two. Runs
+    /// [`DspContext::spectrum_into`] on a one-shot context.
     pub fn compute(block: &[f64], sample_rate: f64, window: Window) -> Result<Self> {
-        if sample_rate <= 0.0 {
-            return Err(Error::invalid("sample rate must be positive"));
-        }
-        let n = block.len();
-        let plan = FftPlan::new(n)?;
-        let mut buf: Vec<crate::fft::Complex> = Vec::with_capacity(n);
-        let gain = window.coherent_gain(n);
-        for (i, &x) in block.iter().enumerate() {
-            buf.push(crate::fft::Complex::real(x * window.coefficient(i, n)));
-        }
-        plan.forward(&mut buf)?;
-        // Single-sided amplitude: 2|X[k]| / (N * gain) for 0 < k < N/2,
-        // |X[0]| / (N * gain) for DC.
-        let half = n / 2;
-        let norm = 1.0 / (n as f64 * gain);
-        let mut amplitudes = Vec::with_capacity(half + 1);
-        amplitudes.push(buf[0].abs() * norm);
-        for z in buf.iter().take(half).skip(1) {
-            amplitudes.push(2.0 * z.abs() * norm);
-        }
-        amplitudes.push(buf[half].abs() * norm);
-        Ok(Spectrum {
-            amplitudes,
-            df: sample_rate / n as f64,
-            sample_rate,
-        })
+        let mut spectrum = Spectrum::default();
+        DspContext::new().spectrum_into(block, sample_rate, window, &mut spectrum)?;
+        Ok(spectrum)
     }
 
     /// Amplitudes per bin (index 0 = DC, last = Nyquist).

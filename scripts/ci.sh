@@ -25,6 +25,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# Every crate's own tests, in release: the facade run above covers only
+# the root package, so the signal, fusion, store, gateway, ... unit and
+# property tests run here.
+echo "==> cargo test --workspace --release -q"
+cargo test --workspace --release -q
+
 # The scatter-gather contract, re-run in release: sequential and
 # parallel {2,4,8} stepping must be byte-for-byte identical, and each
 # mode self-deterministic. (Debug already ran it above; release catches

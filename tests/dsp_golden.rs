@@ -5,14 +5,17 @@
 //! analytic spectra, Parseval's theorem, DCT-II orthogonality, the
 //! cepstrum of a synthetic echo, the envelope of an AM tone — and the
 //! legacy allocating APIs are asserted *bit-identical* to the new
-//! zero-allocation `*_into` paths through [`DspContext`].
+//! zero-allocation `*_into` paths through [`DspContext`]. The real-input
+//! transform and the one-transform envelope chain are held to within
+//! [`REL_TOL`] of the peak against a reference DFT, the full complex
+//! transform, and an explicit two-pass envelope chain.
 
 use mpros_signal::cepstrum::{dominant_quefrency, real_cepstrum};
 use mpros_signal::dct::{dct2, idct2};
 use mpros_signal::dwt::{Wavelet, WaveletDecomposition};
 use mpros_signal::envelope::{bandpass_envelope, hilbert_envelope};
 use mpros_signal::features::{FeatureConfig, FeatureVector};
-use mpros_signal::fft::{fft_real, ifft_real};
+use mpros_signal::fft::{dft_reference, fft_real, ifft_real, FftPlan};
 use mpros_signal::{Complex, DspContext, MultiLevelDwt, Spectrum, Window};
 use std::f64::consts::PI;
 
@@ -20,6 +23,11 @@ use std::f64::consts::PI;
 /// FFT at these sizes accumulates well under 1e-9 of round-off per bin
 /// on unit-scale inputs.
 const TOL: f64 = 1e-9;
+
+/// The stated agreement of the real-input transform and the fused
+/// envelope chain with their textbook counterparts, relative to the
+/// largest magnitude in the result.
+const REL_TOL: f64 = 1e-12;
 
 fn sine(n: usize, cycles: f64, amplitude: f64, phase: f64) -> Vec<f64> {
     (0..n)
@@ -330,4 +338,141 @@ fn context_feature_vector_matches_legacy_bitwise() {
         .expect("ctx");
     assert_bits_eq(legacy.values(), fv.values(), "feature vector");
     assert_eq!(fv.len(), FeatureVector::dimension(&config, scalars.len()));
+}
+
+// ---------------------------------------------------------------------
+// Real-input transform and fused envelope chain, within REL_TOL of the
+// peak.
+// ---------------------------------------------------------------------
+
+/// `max |a − b|` over the peak magnitude of `b`.
+fn rel_err(a: &[Complex], b: &[Complex]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    let peak = b.iter().fold(0.0f64, |m, z| m.max(z.abs()));
+    let err = a
+        .iter()
+        .zip(b)
+        .fold(0.0f64, |m, (x, y)| m.max((*x - *y).abs()));
+    err / peak
+}
+
+fn rel_err_real(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    let peak = b.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let err = a
+        .iter()
+        .zip(b)
+        .fold(0.0f64, |m, (x, y)| m.max((x - y).abs()));
+    err / peak
+}
+
+fn complex_of(x: &[f64]) -> Vec<Complex> {
+    x.iter().map(|&v| Complex::real(v)).collect()
+}
+
+#[test]
+fn real_transform_matches_reference_dft_at_every_size() {
+    for exp in 2..=10 {
+        let n = 1usize << exp;
+        let x = probe_block(n);
+        let want = dft_reference(&complex_of(&x));
+        let got = fft_real(&x).expect("power of two");
+        let err = rel_err(&got, &want);
+        assert!(err <= REL_TOL, "n={n}: relative error {err:e}");
+    }
+}
+
+#[test]
+fn real_transform_matches_complex_plan_at_32768() {
+    let n = 32_768;
+    let x = probe_block(n);
+    let mut want = complex_of(&x);
+    FftPlan::new(n)
+        .expect("power of two")
+        .forward(&mut want)
+        .expect("forward");
+    let got = fft_real(&x).expect("power of two");
+    let err = rel_err(&got, &want);
+    assert!(err <= REL_TOL, "relative error {err:e}");
+
+    let back = ifft_real(&got).expect("inverse");
+    let err = rel_err_real(&back, &x);
+    assert!(err <= REL_TOL, "round-trip relative error {err:e}");
+}
+
+/// The envelope chain as two passes of full complex transforms, built
+/// from the public plan only: band-pass (FFT, mask, IFFT, real part),
+/// then the Hilbert envelope (FFT, analytic weights, IFFT, magnitude).
+fn two_pass_envelope(x: &[f64], fs: f64, lo_hz: f64, hi_hz: f64) -> Vec<f64> {
+    let n = x.len();
+    let plan = FftPlan::new(n).expect("power of two");
+    let df = fs / n as f64;
+    let mut buf = complex_of(x);
+    plan.forward(&mut buf).expect("forward");
+    for (k, z) in buf.iter_mut().enumerate() {
+        let f = k.min(n - k) as f64 * df;
+        if f < lo_hz || f > hi_hz {
+            *z = Complex::ZERO;
+        }
+    }
+    plan.inverse(&mut buf).expect("inverse");
+    let mut buf: Vec<Complex> = buf.iter().map(|z| Complex::real(z.re)).collect();
+    plan.forward(&mut buf).expect("forward");
+    for (k, z) in buf.iter_mut().enumerate() {
+        if k > n / 2 {
+            *z = Complex::ZERO;
+        } else if k != 0 && k != n / 2 {
+            *z = z.scale(2.0);
+        }
+    }
+    plan.inverse(&mut buf).expect("inverse");
+    buf.iter().map(|z| z.abs()).collect()
+}
+
+#[test]
+fn fused_envelope_spectrum_matches_two_pass_chain() {
+    let (n, fs) = (4096usize, 16_384.0);
+    let (lo, hi) = (1_800.0, 3_000.0);
+    // An AM carrier inside the band plus out-of-band content.
+    let x: Vec<f64> = probe_block(n)
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let t = i as f64 / fs;
+            v + (1.0 + 0.6 * (2.0 * PI * 97.0 * t).cos()) * (2.0 * PI * 2_400.0 * t).sin()
+        })
+        .collect();
+
+    let env = two_pass_envelope(&x, fs, lo, hi);
+    let fused = bandpass_envelope(&x, fs, lo, hi).expect("fused envelope");
+    let err = rel_err_real(&fused, &env);
+    assert!(err <= REL_TOL, "envelope relative error {err:e}");
+
+    // Spectrum of the AC-coupled two-pass envelope, by the plain
+    // single-sided formula over a full complex transform.
+    let mean = env.iter().sum::<f64>() / n as f64;
+    let coeffs = Window::Hann.coefficients(n);
+    let mut buf: Vec<Complex> = env
+        .iter()
+        .zip(&coeffs)
+        .map(|(e, w)| Complex::real((e - mean) * w))
+        .collect();
+    FftPlan::new(n)
+        .expect("power of two")
+        .forward(&mut buf)
+        .expect("forward");
+    let norm = 1.0 / (n as f64 * Window::Hann.coherent_gain(n));
+    let want: Vec<f64> = (0..=n / 2)
+        .map(|k| {
+            let scale = if k == 0 || k == n / 2 { 1.0 } else { 2.0 };
+            scale * buf[k].abs() * norm
+        })
+        .collect();
+
+    let mut ctx = DspContext::new();
+    let mut spec = Spectrum::default();
+    ctx.envelope_spectrum_into(&x, fs, lo, hi, Window::Hann, &mut spec)
+        .expect("fused chain");
+    let err = rel_err_real(spec.amplitudes(), &want);
+    assert!(err <= REL_TOL, "envelope spectrum relative error {err:e}");
 }

@@ -3,8 +3,8 @@
 //! reuse through the [`DspContext`] hot path.
 
 use mpros_signal::dwt::{Wavelet, WaveletDecomposition};
-use mpros_signal::fft::{fft_real, ifft_real};
-use mpros_signal::{DspContext, Spectrum, Window};
+use mpros_signal::fft::{fft_real, ifft_real, FftPlan};
+use mpros_signal::{Complex, DspContext, Spectrum, Window};
 use proptest::prelude::*;
 
 /// Largest proptest block: signals are sliced from one generated pool.
@@ -43,6 +43,26 @@ proptest! {
         let back = ifft_real(&fft_real(x).expect("forward")).expect("inverse");
         let scale = x.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         prop_assert!(max_abs_diff(x, &back) <= 1e-9 * scale);
+    }
+
+    /// The real-input transform agrees with the full complex transform
+    /// of the same samples to within 1e-12 of the peak magnitude, and its
+    /// inverse returns the samples to within 1e-12 of the largest one.
+    #[test]
+    fn real_transform_matches_complex_transform(
+        exp in 1usize..=12,
+        vals in proptest::collection::vec(-100.0..100.0f64, POOL..=POOL)
+    ) {
+        let x = &vals[..1 << exp];
+        let mut want: Vec<Complex> = x.iter().map(|&v| Complex::real(v)).collect();
+        FftPlan::new(x.len()).expect("power of two").forward(&mut want).expect("forward");
+        let got = fft_real(x).expect("forward");
+        let peak = want.iter().fold(0.0f64, |m, z| m.max(z.abs()));
+        let err = got.iter().zip(&want).fold(0.0f64, |m, (a, b)| m.max((*a - *b).abs()));
+        prop_assert!(err <= 1e-12 * peak, "n={}: error {err:e}, peak {peak:e}", x.len());
+        let back = ifft_real(&got).expect("inverse");
+        let scale = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        prop_assert!(max_abs_diff(x, &back) <= 1e-12 * scale);
     }
 
     /// Multi-level DWT reconstructs the signal perfectly, for both
