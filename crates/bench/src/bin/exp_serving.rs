@@ -27,7 +27,6 @@
 //!
 //! Usage: `exp_serving [--clients N] [--steps N]`.
 
-use crossbeam::thread;
 use mpros::chiller::fault::{FaultProfile, FaultSeed};
 use mpros::fleet::{Fleet, FleetClient, FleetConfig, FleetRequest};
 use mpros::gateway::{GatewayClient, GatewayConfig, GatewayRequest};
@@ -37,6 +36,7 @@ use mpros_core::{MachineCondition, SimDuration, SimTime};
 use serde::Serialize;
 use serde_json::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread;
 use std::time::Instant;
 
 /// Per-client latency samples kept in memory (calls beyond this still
@@ -199,7 +199,7 @@ fn main() {
         let handles: Vec<_> = (0..clients)
             .map(|i| {
                 let gw = gateway.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let client = GatewayClient::connect(gw, i as u64);
                     let mut calls = 0u64;
                     let mut lat = Vec::new();
@@ -246,8 +246,7 @@ fn main() {
             per_client_calls.push(calls);
             samples.extend(lat);
         }
-    })
-    .expect("serving scope joins");
+    });
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
 
     let snap = sim.telemetry().snapshot();
@@ -285,7 +284,7 @@ fn main() {
         let handles: Vec<_> = (0..OBS_CLIENTS)
             .map(|i| {
                 let gw = gateway.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let client = GatewayClient::connect(gw, 100 + i as u64);
                     let mut lat = Vec::new();
                     let mut cursor = 0u64;
@@ -316,8 +315,7 @@ fn main() {
             journal_calls += polls;
             obs_window_s = obs_window_s.max(window);
         }
-    })
-    .expect("obs scope joins");
+    });
     metrics_lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
 
     let probe = GatewayClient::connect(gateway.clone(), 999);
@@ -377,7 +375,7 @@ fn main() {
         let handles: Vec<_> = (0..FLEET_CLIENTS)
             .map(|i| {
                 let gw = fleet_gateway.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let client = FleetClient::connect(gw, 200 + i as u64);
                     let mut lat = Vec::new();
                     let mut calls = 0u64;
@@ -409,8 +407,7 @@ fn main() {
             rollup_lat.extend(lat);
             fleet_window_s = fleet_window_s.max(window);
         }
-    })
-    .expect("fleet scope joins");
+    });
     rollup_lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
 
     let fleet_probe = FleetClient::connect(fleet_gateway.clone(), 299);

@@ -6,7 +6,7 @@
 //! Three measurements:
 //!  1. single-core DC analysis throughput (samples/s through the full
 //!     acquisition→FFT→features→rules chain);
-//!  2. the same fanned across worker threads with crossbeam (one DC per
+//!  2. the same fanned across scoped worker threads (one DC per
 //!     worker), showing the aggregate "millions of points per second";
 //!  3. PDME report-handling rate vs DC count, with reports carried over
 //!     the simulated ship network so bus-transit and end-to-end report
@@ -28,7 +28,6 @@
 //! headline rates and the per-stage span quantiles from the shared
 //! telemetry domain.
 
-use crossbeam::thread;
 use mpros::chiller::fault::{FaultProfile, FaultSeed};
 use mpros::sim::{ExecMode, ShipboardSim, ShipboardSimConfig};
 use mpros_bench::{labeled_survey, verdict, Table};
@@ -45,6 +44,7 @@ use mpros_signal::{DspContext, Spectrum, Window};
 use mpros_store::{RecoveryManager, StoreHandle, FRAME_HEADER_LEN, FRAME_TRAILER_LEN};
 use mpros_telemetry::{Instrumented, Stage, Telemetry, WallTimer};
 use serde::Serialize;
+use std::thread;
 use std::time::Instant;
 
 const BLOCK: usize = 32_768;
@@ -460,7 +460,7 @@ fn main() {
         dsp.bytes_avoided as f64 / 1e6,
     );
 
-    // 2. Parallel fleet of DCs (one worker per DC, crossbeam scoped).
+    // 2. Parallel fleet of DCs (one scoped worker thread per DC).
     // Aggregate scaling is bounded by the host's core count — the
     // paper's fleet runs one embedded processor per DC, which the
     // worker-per-DC structure models.
@@ -476,12 +476,11 @@ fn main() {
         thread::scope(|s| {
             for w in 0..workers {
                 let tel = telemetry.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     std::hint::black_box(dc_analysis_rate(&tel, surveys_per_worker, w as u64 + 10));
                 });
             }
-        })
-        .expect("workers join");
+        });
         let secs = start.elapsed().as_secs_f64();
         let rate = (workers * surveys_per_worker * CHANNELS * BLOCK) as f64 / secs;
         if workers == 8 {

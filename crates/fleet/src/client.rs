@@ -12,6 +12,7 @@ use crate::server::FleetGateway;
 use crate::snapshot::FleetRollup;
 use mpros_core::{Error, Result};
 use mpros_gateway::{GatewayRequest, GatewayResponse};
+use mpros_network::Wire;
 use mpros_pdme::IcasSnapshot;
 use std::sync::Arc;
 
@@ -60,16 +61,8 @@ impl FleetClient {
     /// One request/response exchange through the wire codec.
     pub fn call(&self, req: &FleetRequest) -> Result<FleetResponse> {
         let frame = proto::encode_fleet_request(req)?;
-        let back = self.fleet.handle_frame(frame)?;
-        proto::decode_fleet_response(back)
-    }
-
-    /// Push a raw pre-encoded frame through the router and return the
-    /// raw response frame. Exists for compatibility testing: a v5-era
-    /// single-ship frame goes in, a single-ship response frame comes
-    /// back.
-    pub fn call_raw(&self, frame: bytes::Bytes) -> Result<bytes::Bytes> {
-        self.fleet.handle_frame(frame)
+        let back = self.fleet.handle_frame(&frame)?;
+        proto::decode_fleet_response(&back)
     }
 
     /// The published fleet snapshot's version (0 until the first

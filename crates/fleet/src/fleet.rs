@@ -17,7 +17,7 @@
 //! nothing, all three schedules produce byte-identical served state;
 //! `tests/fleet_serving.rs` pins that promise.
 
-use crate::server::{FleetGateway, FleetGatewayConfig, ShardHandle};
+use crate::server::{FleetGateway, FleetGatewayConfig};
 use crate::snapshot::{FleetSnapshot, ShipEntry};
 use mpros_core::{derive_salted_seed, Error, FaultPlan, Result, SimDuration};
 use mpros_gateway::{Gateway, GatewayConfig};
@@ -168,13 +168,7 @@ impl Fleet {
                 available: true,
             });
         }
-        let handles = shards
-            .iter()
-            .map(|s| ShardHandle {
-                ship_id: s.ship_id,
-                gateway: s.gateway.clone(),
-            })
-            .collect();
+        let handles = shards.iter().map(|s| s.gateway.clone()).collect();
         let gateway = Arc::new(FleetGateway::new(config.fleet_gateway, &telemetry, handles));
         let mut fleet = Fleet {
             shards,
@@ -286,20 +280,19 @@ impl Fleet {
     }
 
     fn step_shards_parallel(&mut self, dt: SimDuration) -> Result<()> {
-        let results: Vec<Result<usize>> = crossbeam::thread::scope(|scope| {
+        let results: Vec<Result<usize>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter_mut()
                 .filter(|s| s.available)
-                .map(|shard| scope.spawn(move |_| shard.sim.step(dt)))
+                .map(|shard| scope.spawn(move || shard.sim.step(dt)))
                 .collect();
             // Joined in ascending ship order: the deterministic merge.
             handles
                 .into_iter()
                 .map(|h| h.join().expect("shard step thread panicked"))
                 .collect()
-        })
-        .expect("fleet step scope panicked");
+        });
         for r in results {
             r?;
         }

@@ -5,9 +5,9 @@
 //! splitmix64-derived master seed, its own durable WAL store, its own
 //! fault plan and its own serving gateway, so shards share *nothing* —
 //! which is exactly what makes fleet-level determinism cheap to prove.
-//! A [`FleetGateway`] routes wire-v6 traffic: single-ship request tags
-//! (`32..64`) route to shard 0 for compatibility, the new fleet tags
-//! (`96..112`) answer from a versioned [`FleetSnapshot`] holding every
+//! A [`FleetGateway`] routes wire-v6 traffic: single-ship gateway
+//! requests route to shard 0 for compatibility, fleet requests answer
+//! from a versioned [`FleetSnapshot`] holding every
 //! ship's pinned serving snapshot plus a fleet-wide knowledge rollup —
 //! worst-status-wins machine census, conservative-envelope prognostic
 //! fusion across ships (the paper's §5.4 rule, one level up), a fleet

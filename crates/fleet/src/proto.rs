@@ -1,19 +1,17 @@
 //! The fleet router's query protocol (wire v6).
 //!
 //! Fleet frames ride the same header as everything else (`magic "MP" |
-//! version u8 | type u8 | payload_len u32 LE | JSON payload`, via
-//! [`mpros_network::frame_payload`] / [`mpros_network::deframe`]).
-//! The tag spaces partition the one wire discipline: ship network
-//! `1..=6`, gateway requests `32..64`, gateway responses `64..96`,
-//! **fleet requests `96..112`**, **fleet responses `112..128`**. Each
-//! family's decoder rejects every other family's range, so a misrouted
-//! frame fails loudly instead of half-parsing — `wire_compat_lint`
-//! asserts the ranges stay collision-free as tags are added.
+//! version u8 | type u8 | payload_len u32 LE | JSON payload`) through
+//! the generic [`mpros_network::encode`] / [`mpros_network::decode`].
+//! Their tags are the [`Family::FleetRequest`] and
+//! [`Family::FleetResponse`] rows of the one [`mpros_network::Tag`]
+//! table; each decoder rejects every other family's tags, so a
+//! misrouted frame fails loudly instead of half-parsing.
 
 use crate::snapshot::FleetRollup;
-use bytes::Bytes;
-use mpros_core::{Error, Result};
+use mpros_core::Result;
 use mpros_gateway::{GatewayRequest, GatewayResponse, StatusDelta};
+use mpros_network::{decode, encode, Family, Tag, Wire};
 use mpros_pdme::IcasSnapshot;
 use serde::{Deserialize, Serialize};
 
@@ -46,34 +44,17 @@ pub enum FleetRequest {
     },
 }
 
-impl FleetRequest {
-    /// Frame type tag (fleet request range `96..112`).
-    pub fn type_tag(&self) -> u8 {
+impl Wire for FleetRequest {
+    const FAMILY: Family = Family::FleetRequest;
+
+    fn tag(&self) -> Tag {
         match self {
-            FleetRequest::ListShips => 96,
-            FleetRequest::GetFleetRollup => 97,
-            FleetRequest::GetShipIcas { .. } => 98,
-            FleetRequest::Subscribe { .. } => 99,
-            FleetRequest::ForShip { .. } => 100,
+            FleetRequest::ListShips => Tag::ListShips,
+            FleetRequest::GetFleetRollup => Tag::GetFleetRollup,
+            FleetRequest::GetShipIcas { .. } => Tag::GetShipIcas,
+            FleetRequest::Subscribe { .. } => Tag::FleetSubscribe,
+            FleetRequest::ForShip { .. } => Tag::ForShip,
         }
-    }
-
-    /// Number of fleet request kinds (tag range `96..96 + COUNT`).
-    pub const KIND_COUNT: usize = 5;
-
-    /// Every request kind name, indexed by `type_tag() - 96`; the fleet
-    /// gateway pre-registers one `service_time` histogram per entry.
-    pub const KINDS: [&'static str; Self::KIND_COUNT] = [
-        "list_ships",
-        "get_fleet_rollup",
-        "get_ship_icas",
-        "subscribe",
-        "for_ship",
-    ];
-
-    /// Stable snake_case name of the request kind.
-    pub fn kind(&self) -> &'static str {
-        Self::KINDS[(self.type_tag() - 96) as usize]
     }
 }
 
@@ -172,19 +153,22 @@ pub enum FleetResponse {
     },
 }
 
-impl FleetResponse {
-    /// Frame type tag (fleet response range `112..128`).
-    pub fn type_tag(&self) -> u8 {
+impl Wire for FleetResponse {
+    const FAMILY: Family = Family::FleetResponse;
+
+    fn tag(&self) -> Tag {
         match self {
-            FleetResponse::Ships { .. } => 112,
-            FleetResponse::FleetRollup { .. } => 113,
-            FleetResponse::ShipIcas { .. } => 114,
-            FleetResponse::FleetDeltas { .. } => 115,
-            FleetResponse::ShipUnavailable { .. } => 116,
-            FleetResponse::ShipReply { .. } => 117,
+            FleetResponse::Ships { .. } => Tag::Ships,
+            FleetResponse::FleetRollup { .. } => Tag::FleetRollup,
+            FleetResponse::ShipIcas { .. } => Tag::ShipIcas,
+            FleetResponse::FleetDeltas { .. } => Tag::FleetDeltas,
+            FleetResponse::ShipUnavailable { .. } => Tag::ShipUnavailable,
+            FleetResponse::ShipReply { .. } => Tag::ShipReply,
         }
     }
+}
 
+impl FleetResponse {
     /// The fleet snapshot version stamped on the response.
     pub fn fleet_version(&self) -> u64 {
         match self {
@@ -199,127 +183,21 @@ impl FleetResponse {
 }
 
 /// Encode a fleet request into one wire frame.
-pub fn encode_fleet_request(req: &FleetRequest) -> Result<Bytes> {
-    let payload = serde_json::to_vec(req)
-        .map_err(|e| Error::Encoding(format!("fleet request serialization: {e}")))?;
-    mpros_network::frame_payload(req.type_tag(), &payload)
+pub fn encode_fleet_request(req: &FleetRequest) -> Result<Vec<u8>> {
+    encode(req)
 }
 
-/// Decode one fleet request frame. The declared type tag must match
-/// the decoded body, and must be a fleet request tag.
-pub fn decode_fleet_request(frame: Bytes) -> Result<FleetRequest> {
-    let (tag, payload) = mpros_network::deframe(frame)?;
-    if !(96..112).contains(&tag) {
-        return Err(Error::Encoding(format!(
-            "type tag {tag} is not a fleet request"
-        )));
-    }
-    let req: FleetRequest = serde_json::from_slice(&payload)
-        .map_err(|e| Error::Encoding(format!("fleet request deserialization: {e}")))?;
-    if req.type_tag() != tag {
-        return Err(Error::Encoding("type tag does not match body".into()));
-    }
-    Ok(req)
+/// Decode one fleet request frame.
+pub fn decode_fleet_request(frame: &[u8]) -> Result<FleetRequest> {
+    decode(frame)
 }
 
 /// Encode a fleet response into one wire frame.
-pub fn encode_fleet_response(resp: &FleetResponse) -> Result<Bytes> {
-    let payload = serde_json::to_vec(resp)
-        .map_err(|e| Error::Encoding(format!("fleet response serialization: {e}")))?;
-    mpros_network::frame_payload(resp.type_tag(), &payload)
+pub fn encode_fleet_response(resp: &FleetResponse) -> Result<Vec<u8>> {
+    encode(resp)
 }
 
-/// Decode one fleet response frame. The declared type tag must match
-/// the decoded body, and must be a fleet response tag.
-pub fn decode_fleet_response(frame: Bytes) -> Result<FleetResponse> {
-    let (tag, payload) = mpros_network::deframe(frame)?;
-    if !(112..128).contains(&tag) {
-        return Err(Error::Encoding(format!(
-            "type tag {tag} is not a fleet response"
-        )));
-    }
-    let resp: FleetResponse = serde_json::from_slice(&payload)
-        .map_err(|e| Error::Encoding(format!("fleet response deserialization: {e}")))?;
-    if resp.type_tag() != tag {
-        return Err(Error::Encoding("type tag does not match body".into()));
-    }
-    Ok(resp)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::snapshot::FleetSnapshot;
-
-    #[test]
-    fn fleet_requests_roundtrip() {
-        let reqs = [
-            FleetRequest::ListShips,
-            FleetRequest::GetFleetRollup,
-            FleetRequest::GetShipIcas { ship: 3 },
-            FleetRequest::Subscribe { session: 42 },
-            FleetRequest::ForShip {
-                ship: 1,
-                request: GatewayRequest::GetIcas,
-            },
-        ];
-        for req in reqs {
-            let back = decode_fleet_request(encode_fleet_request(&req).unwrap()).unwrap();
-            assert_eq!(req, back);
-        }
-    }
-
-    #[test]
-    fn fleet_responses_roundtrip() {
-        let resps = [
-            FleetResponse::Ships {
-                fleet_version: 7,
-                ships: vec![ShipInfo {
-                    ship_id: 0,
-                    available: true,
-                    snapshot_version: 12,
-                    at_secs: 3.0,
-                    machines: 2,
-                    slo_pass: Some(true),
-                }],
-            },
-            FleetResponse::FleetRollup {
-                fleet_version: 7,
-                at_secs: 3.0,
-                rollup: FleetSnapshot::empty().rollup,
-            },
-            FleetResponse::ShipUnavailable {
-                fleet_version: 7,
-                ship: 2,
-                detail: "shard_unavailable".into(),
-            },
-            FleetResponse::ShipReply {
-                fleet_version: 7,
-                ship: 1,
-                response: GatewayResponse::SloVerdict {
-                    snapshot_version: 12,
-                    verdict: None,
-                },
-            },
-        ];
-        for resp in resps {
-            let back = decode_fleet_response(encode_fleet_response(&resp).unwrap()).unwrap();
-            assert_eq!(resp, back);
-        }
-    }
-
-    #[test]
-    fn fleet_and_gateway_tag_spaces_are_disjoint() {
-        let freq = encode_fleet_request(&FleetRequest::ListShips).unwrap();
-        assert!(mpros_gateway::decode_request(freq.clone()).is_err());
-        assert!(mpros_gateway::decode_response(freq.clone()).is_err());
-        assert!(decode_fleet_response(freq).is_err());
-        let gresp = mpros_gateway::encode_response(&GatewayResponse::SloVerdict {
-            snapshot_version: 1,
-            verdict: None,
-        })
-        .unwrap();
-        assert!(decode_fleet_request(gresp.clone()).is_err());
-        assert!(decode_fleet_response(gresp).is_err());
-    }
+/// Decode one fleet response frame.
+pub fn decode_fleet_response(frame: &[u8]) -> Result<FleetResponse> {
+    decode(frame)
 }

@@ -1,33 +1,28 @@
-//! The fleet router: one gateway in front of N ship shards.
-//!
-//! Concurrency model mirrors the single-ship gateway: the fleet's
-//! control thread is the only writer — [`FleetGateway::publish`] swaps
-//! an `Arc<FleetSnapshot>` under a write lock held only for the pointer
-//! exchange; any number of client threads call
-//! [`FleetGateway::handle_frame`] concurrently and serve from the
-//! immutable snapshot.
+//! The fleet router: one gateway in front of N ship shards, on the same
+//! [`ServingCore`] as the single-ship gateway (see
+//! [`mpros_gateway::serving`] for the concurrency model).
 //!
 //! Routing rules (wire v6):
 //!
-//! * tags `32..64` (single-ship gateway requests) route to **shard 0**
-//!   for compatibility — a v5-era client pointed at the fleet router
-//!   keeps working against the first ship, byte-for-byte;
-//! * tags `96..112` are fleet requests, answered from the published
-//!   [`FleetSnapshot`]; [`FleetRequest::ForShip`] re-dispatches its
-//!   inner request against the addressed ship's *pinned* snapshot;
+//! * single-ship gateway requests ([`Family::GatewayRequest`] tags)
+//!   route to **shard 0** for compatibility — a v5-era client pointed
+//!   at the fleet router keeps working against the first ship,
+//!   byte-for-byte, and while shard 0 is down it gets a gateway-family
+//!   `NotFound { detail: "shard_unavailable" }` it can still decode;
+//! * fleet requests are answered from the published [`FleetSnapshot`];
+//!   [`FleetRequest::ForShip`] re-dispatches its inner request against
+//!   the addressed ship's *pinned* snapshot;
 //! * anything else is a bad frame.
 //!
 //! A crashed/crash-restoring shard answers `shard_unavailable` (and is
 //! flagged in the rollup) while every other shard keeps serving.
 
-use crate::proto::{self, FleetRequest, FleetResponse, ShipDelta, ShipInfo};
-use crate::snapshot::FleetSnapshot;
-use bytes::Bytes;
+use crate::proto::{FleetRequest, FleetResponse, ShipInfo};
+use crate::snapshot::{FleetSnapshot, ShipEntry};
 use mpros_core::Result;
-use mpros_gateway::Gateway;
-use mpros_telemetry::{Histogram, Telemetry, WallTimer};
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, VecDeque};
+use mpros_gateway::{encode_response, Gateway, GatewayResponse, ServingCore};
+use mpros_network::{Family, Tag};
+use mpros_telemetry::{Counter, Telemetry};
 use std::sync::Arc;
 
 /// Fleet router tuning knobs.
@@ -62,60 +57,43 @@ impl FleetGatewayConfig {
     }
 }
 
-/// One fleet-scoped subscriber's server-side state.
-#[derive(Debug, Default)]
-struct SessionState {
-    queue: VecDeque<ShipDelta>,
-    dropped_since_poll: u64,
-}
-
-/// One shard as the router sees it: the ship's own gateway handle.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardHandle {
-    pub(crate) ship_id: u64,
-    pub(crate) gateway: Arc<Gateway>,
-}
-
 /// The fleet query router. Shared as `Arc<FleetGateway>`.
 #[derive(Debug)]
 pub struct FleetGateway {
     config: FleetGatewayConfig,
-    /// The published fleet snapshot. Writers swap the `Arc`; readers
-    /// clone it.
-    current: RwLock<Arc<FleetSnapshot>>,
-    /// Per-shard ship-gateway handles, ascending ship id. Tag-32..64
+    /// Publisher, fleet-scoped sessions and `fleet.*` request
+    /// instruments, in the fleet's own telemetry domain — distinct from
+    /// every ship's, so router load never perturbs a ship's
+    /// deterministic serving surface.
+    core: ServingCore<FleetSnapshot>,
+    /// Per-shard ship gateways, indexed by ship id. Single-ship
     /// compatibility traffic goes straight to shard 0's gateway;
     /// `ForShip` requests serve against pinned snapshots through the
     /// addressed shard's gateway.
-    shards: Vec<ShardHandle>,
-    /// Fleet-scoped subscriber sessions.
-    sessions: Mutex<BTreeMap<u64, SessionState>>,
-    /// The fleet's own telemetry domain (`fleet.*` counters) — distinct
-    /// from every ship's domain, so router load never perturbs a ship's
-    /// deterministic serving surface.
-    telemetry: Telemetry,
-    /// Wall-clock service-time histograms, one per fleet request kind
-    /// (indexed by `type_tag - 96`).
-    service_time: Vec<Arc<Histogram>>,
+    shards: Vec<Arc<Gateway>>,
+    routed_ship_requests: Arc<Counter>,
+    unavailable_hits: Arc<Counter>,
 }
 
 impl FleetGateway {
     pub(crate) fn new(
         config: FleetGatewayConfig,
         telemetry: &Telemetry,
-        shards: Vec<ShardHandle>,
+        shards: Vec<Arc<Gateway>>,
     ) -> Self {
-        let service_time = FleetRequest::KINDS
-            .iter()
-            .map(|kind| telemetry.histogram("fleet", &format!("service_time.{kind}.wall_s")))
-            .collect();
+        let core = ServingCore::new(
+            "fleet",
+            config.session_queue_capacity,
+            None,
+            telemetry,
+            FleetSnapshot::empty(),
+        );
         FleetGateway {
             config,
-            current: RwLock::new(Arc::new(FleetSnapshot::empty())),
+            core,
             shards,
-            sessions: Mutex::new(BTreeMap::new()),
-            telemetry: telemetry.clone(),
-            service_time,
+            routed_ship_requests: telemetry.counter("fleet", "routed_ship_requests"),
+            unavailable_hits: telemetry.counter("fleet", "unavailable_hits"),
         }
     }
 
@@ -126,67 +104,31 @@ impl FleetGateway {
 
     /// The currently published fleet snapshot (an `Arc` clone).
     pub fn snapshot(&self) -> Arc<FleetSnapshot> {
-        self.current.read().clone()
+        self.core.snapshot()
     }
 
     /// The published fleet snapshot's version (0 until the first
     /// publish).
     pub fn version(&self) -> u64 {
-        self.current.read().version
+        self.core.version()
     }
 
     /// Registered fleet-scoped subscriber sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.lock().len()
+        self.core.session_count()
     }
 
-    /// Publish a freshly built fleet snapshot: diff every ship's pinned
-    /// snapshot against the previous fleet snapshot's (ascending ship
-    /// order), fan the per-ship status deltas out to every fleet
-    /// session (bounded queues, oldest-drop), then swap the snapshot in.
+    /// Publish a freshly built fleet snapshot: fan every available
+    /// ship's status deltas out to every fleet session (bounded queues,
+    /// oldest-drop), then swap the snapshot in.
     pub fn publish(&self, snapshot: FleetSnapshot) {
-        let prev = self.snapshot();
-        let mut deltas: Vec<ShipDelta> = Vec::new();
-        for ship in &snapshot.ships {
-            if !ship.available {
-                continue;
-            }
-            let Some(prev_ship) = prev.ship(ship.ship_id) else {
-                continue;
-            };
-            for delta in ship.snapshot.deltas_since(&prev_ship.snapshot) {
-                deltas.push(ShipDelta {
-                    ship_id: ship.ship_id,
-                    fleet_version: snapshot.version,
-                    delta,
-                });
-            }
-        }
-        if !deltas.is_empty() {
-            let mut sessions = self.sessions.lock();
-            let drops = self.telemetry.counter("fleet", "drops");
-            let queued = self.telemetry.counter("fleet", "deltas_queued");
-            for state in sessions.values_mut() {
-                for delta in &deltas {
-                    while state.queue.len() >= self.config.session_queue_capacity {
-                        state.queue.pop_front();
-                        state.dropped_since_poll += 1;
-                        drops.inc();
-                    }
-                    state.queue.push_back(delta.clone());
-                    queued.inc();
-                }
-            }
-        }
-        *self.current.write() = Arc::new(snapshot);
-        self.telemetry.counter("fleet", "publishes").inc();
+        self.core.publish(snapshot);
     }
 
     /// Serve one fleet request against the current snapshot. Pure with
     /// respect to the snapshot (modulo `Subscribe`'s session drain).
     pub fn serve(&self, req: &FleetRequest) -> FleetResponse {
-        let snap = self.snapshot();
-        self.serve_on(&snap, req)
+        self.serve_on(&self.snapshot(), req)
     }
 
     fn serve_on(&self, snap: &FleetSnapshot, req: &FleetRequest) -> FleetResponse {
@@ -212,20 +154,21 @@ impl FleetGateway {
                 at_secs: snap.at_secs,
                 rollup: snap.rollup.clone(),
             },
-            FleetRequest::GetShipIcas { ship } => match self.pinned(snap, *ship, fleet_version) {
-                Ok(entry) => FleetResponse::ShipIcas {
+            FleetRequest::GetShipIcas { ship } => match self.pinned(snap, *ship) {
+                Ok((entry, _)) => FleetResponse::ShipIcas {
                     fleet_version,
                     ship: *ship,
                     snapshot_version: entry.snapshot.version,
                     icas: entry.snapshot.icas.clone(),
                 },
-                Err(unavailable) => *unavailable,
+                Err(detail) => FleetResponse::ShipUnavailable {
+                    fleet_version,
+                    ship: *ship,
+                    detail: detail.into(),
+                },
             },
             FleetRequest::Subscribe { session } => {
-                let mut sessions = self.sessions.lock();
-                let state = sessions.entry(*session).or_default();
-                let dropped = std::mem::take(&mut state.dropped_since_poll);
-                let deltas: Vec<ShipDelta> = state.queue.drain(..).collect();
+                let (dropped, deltas) = self.core.drain(*session);
                 FleetResponse::FleetDeltas {
                     fleet_version,
                     session: *session,
@@ -234,52 +177,40 @@ impl FleetGateway {
                 }
             }
             FleetRequest::ForShip { ship, request } => {
-                self.telemetry
-                    .counter("fleet", "routed_ship_requests")
-                    .inc();
-                match self.pinned(snap, *ship, fleet_version) {
-                    Ok(entry) => {
-                        let shard = self
-                            .shards
-                            .iter()
-                            .find(|s| s.ship_id == *ship)
-                            .expect("pinned() vetted the ship id");
-                        FleetResponse::ShipReply {
-                            fleet_version,
-                            ship: *ship,
-                            response: shard.gateway.serve_on(&entry.snapshot, request),
-                        }
-                    }
-                    Err(unavailable) => *unavailable,
+                self.routed_ship_requests.inc();
+                match self.pinned(snap, *ship) {
+                    Ok((entry, gateway)) => FleetResponse::ShipReply {
+                        fleet_version,
+                        ship: *ship,
+                        response: gateway.serve_on(&entry.snapshot, request),
+                    },
+                    Err(detail) => FleetResponse::ShipUnavailable {
+                        fleet_version,
+                        ship: *ship,
+                        detail: detail.into(),
+                    },
                 }
             }
         }
     }
 
-    /// The pinned entry for `ship`, or the `ShipUnavailable` response
-    /// that should be served instead (boxed: the error path is the
-    /// exceptional one, the happy path stays a thin reference).
+    /// The pinned entry for `ship` and its shard's gateway, or why the
+    /// ship cannot serve: `shard_unavailable` (crashed; counted in
+    /// `fleet.unavailable_hits`) or `unknown_ship`.
     fn pinned<'a>(
-        &self,
+        &'a self,
         snap: &'a FleetSnapshot,
         ship: u64,
-        fleet_version: u64,
-    ) -> std::result::Result<&'a crate::snapshot::ShipEntry, Box<FleetResponse>> {
-        match snap.ship(ship) {
-            Some(entry) if entry.available => Ok(entry),
-            Some(_) => {
-                self.telemetry.counter("fleet", "unavailable_hits").inc();
-                Err(Box::new(FleetResponse::ShipUnavailable {
-                    fleet_version,
-                    ship,
-                    detail: "shard_unavailable".into(),
-                }))
+    ) -> std::result::Result<(&'a ShipEntry, &'a Gateway), &'static str> {
+        let entry = snap.ship(ship);
+        let gateway = usize::try_from(ship).ok().and_then(|i| self.shards.get(i));
+        match (entry, gateway) {
+            (Some(entry), Some(gateway)) if entry.available => Ok((entry, gateway)),
+            (Some(_), Some(_)) => {
+                self.unavailable_hits.inc();
+                Err("shard_unavailable")
             }
-            None => Err(Box::new(FleetResponse::ShipUnavailable {
-                fleet_version,
-                ship,
-                detail: "unknown_ship".into(),
-            })),
+            _ => Err("unknown_ship"),
         }
     }
 
@@ -287,78 +218,43 @@ impl FleetGateway {
     /// Thread-safe; the entry point client transports call
     /// concurrently.
     ///
-    /// Single-ship request frames (tags `32..64`) are forwarded to
-    /// shard 0's gateway **unchanged** and its response frame returned
-    /// as-is — the full v5 compatibility path. Fleet frames (tags
-    /// `96..112`) are served here. Everything else counts as
-    /// `fleet.bad_frames`.
-    pub fn handle_frame(&self, frame: Bytes) -> Result<Bytes> {
-        let timer = WallTimer::start();
-        // The type tag sits at a fixed header offset; peeking it routes
-        // the frame without deserializing the payload twice. Malformed
+    /// Single-ship request frames are forwarded to shard 0's gateway
+    /// **unchanged** and its response frame returned as-is — the full
+    /// v5 compatibility path. Fleet frames are served here. Everything
+    /// else counts as `fleet.bad_frames`.
+    pub fn handle_frame(&self, frame: &[u8]) -> Result<Vec<u8>> {
+        // The tag sits at a fixed header offset; peeking it routes the
+        // frame without deserializing the payload twice. Malformed
         // frames fall through to the decoders, which reject them.
-        let tag = frame.get(3).copied().unwrap_or(0);
-        if (32..64).contains(&tag) {
-            self.telemetry
-                .counter("fleet", "routed_ship_requests")
-                .inc();
-            let shard0_available = self
-                .snapshot()
-                .ship(0)
-                .map(|s| s.available)
-                .unwrap_or(false);
-            if !shard0_available {
-                self.telemetry.counter("fleet", "unavailable_hits").inc();
-                let resp = FleetResponse::ShipUnavailable {
-                    fleet_version: self.version(),
-                    ship: 0,
-                    detail: "shard_unavailable".into(),
-                };
-                self.telemetry.counter("fleet", "requests").inc();
-                return proto::encode_fleet_response(&resp);
-            }
-            let out = self.shards[0].gateway.handle_frame(frame);
-            if out.is_ok() {
-                self.telemetry.counter("fleet", "requests").inc();
-            } else {
-                self.telemetry.counter("fleet", "bad_frames").inc();
-            }
-            return out;
+        if Tag::peek(frame).map(Tag::family) != Some(Family::GatewayRequest) {
+            return self
+                .core
+                .handle(frame, |snap, req| self.serve_on(snap, req));
         }
-        let req = match proto::decode_fleet_request(frame) {
-            Ok(req) => req,
-            Err(e) => {
-                self.telemetry.counter("fleet", "bad_frames").inc();
-                return Err(e);
-            }
-        };
+        self.routed_ship_requests.inc();
         let snap = self.snapshot();
-        let resp = self.serve_on(&snap, &req);
-        let out = proto::encode_fleet_response(&resp)?;
-        self.telemetry.counter("fleet", "requests").inc();
-        self.service_time[(req.type_tag() - 96) as usize].record(timer.elapsed().as_secs_f64());
-        Ok(out)
+        let out = match self.pinned(&snap, 0) {
+            Ok((_, gateway)) => gateway.handle_frame(frame),
+            Err(detail) => encode_response(&GatewayResponse::NotFound {
+                snapshot_version: snap.ship(0).map_or(0, |s| s.snapshot.version),
+                detail: detail.into(),
+            }),
+        };
+        self.core.count(&out);
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::ShipEntry;
     use mpros_gateway::{GatewayConfig, ServingSnapshot};
 
     fn router_with_one_empty_shard() -> FleetGateway {
         let ship_tel = Telemetry::new();
         let gateway = Arc::new(Gateway::new(GatewayConfig::new(), &ship_tel));
         let fleet_tel = Telemetry::new();
-        let router = FleetGateway::new(
-            FleetGatewayConfig::new(),
-            &fleet_tel,
-            vec![ShardHandle {
-                ship_id: 0,
-                gateway,
-            }],
-        );
+        let router = FleetGateway::new(FleetGatewayConfig::new(), &fleet_tel, vec![gateway]);
         router.publish(
             FleetSnapshot::build(
                 1,
@@ -386,18 +282,16 @@ mod tests {
     fn ship_range_frames_route_to_shard_zero() {
         let router = router_with_one_empty_shard();
         let frame = mpros_gateway::encode_request(&mpros_gateway::GatewayRequest::GetIcas).unwrap();
-        let back = router.handle_frame(frame).unwrap();
+        let back = router.handle_frame(&frame).unwrap();
         // The reply is a plain single-ship response frame, decodable by
         // a v5-era gateway client.
-        let resp = mpros_gateway::decode_response(back).unwrap();
+        let resp = mpros_gateway::decode_response(&back).unwrap();
         assert!(matches!(resp, mpros_gateway::GatewayResponse::Icas { .. }));
     }
 
     #[test]
     fn garbage_frames_count_as_bad() {
         let router = router_with_one_empty_shard();
-        assert!(router
-            .handle_frame(Bytes::copy_from_slice(b"nonsense"))
-            .is_err());
+        assert!(router.handle_frame(b"nonsense").is_err());
     }
 }

@@ -8,9 +8,10 @@
 //! per-ship byte-identity guarantees wholesale and adds only the
 //! rollup, itself a pure fold over the pinned ship states.
 
+use crate::proto::{FleetRequest, FleetResponse, ShipDelta};
 use mpros_core::{PrognosticVector, Result};
 use mpros_fusion::fuse_prognostics;
-use mpros_gateway::ServingSnapshot;
+use mpros_gateway::{Published, ServingSnapshot};
 use mpros_telemetry::CounterSnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -260,6 +261,40 @@ impl FleetSnapshot {
     /// The entry for `ship_id`, if the fleet has such a shard.
     pub fn ship(&self, ship_id: u64) -> Option<&ShipEntry> {
         self.ships.iter().find(|s| s.ship_id == ship_id)
+    }
+}
+
+impl Published for FleetSnapshot {
+    type Request = FleetRequest;
+    type Response = FleetResponse;
+    type Delta = ShipDelta;
+
+    fn version(&self) -> u64 {
+        self.version
+    }
+
+    fn at_secs(&self) -> f64 {
+        self.at_secs
+    }
+
+    /// Every available ship's pinned-snapshot deltas against its entry
+    /// in `prev`, in ascending ship order. Ships unavailable now, or
+    /// absent from `prev`, contribute none.
+    fn deltas_since(&self, prev: &FleetSnapshot) -> Vec<ShipDelta> {
+        let mut out = Vec::new();
+        for ship in self.ships.iter().filter(|s| s.available) {
+            let Some(prev_ship) = prev.ship(ship.ship_id) else {
+                continue;
+            };
+            for delta in ship.snapshot.deltas_since(&prev_ship.snapshot) {
+                out.push(ShipDelta {
+                    ship_id: ship.ship_id,
+                    fleet_version: self.version,
+                    delta,
+                });
+            }
+        }
+        out
     }
 }
 

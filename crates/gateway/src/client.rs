@@ -10,6 +10,7 @@
 use crate::proto::{self, GatewayRequest, GatewayResponse, StatusDelta};
 use crate::server::Gateway;
 use mpros_core::{Error, PrognosticVector, Result};
+use mpros_network::Wire;
 use mpros_pdme::icas::IcasMachine;
 use mpros_pdme::IcasSnapshot;
 use mpros_telemetry::{
@@ -83,8 +84,8 @@ impl GatewayClient {
     /// One request/response exchange through the wire codec.
     pub fn call(&self, req: &GatewayRequest) -> Result<GatewayResponse> {
         let frame = proto::encode_request(req)?;
-        let back = self.gateway.handle_frame(frame)?;
-        proto::decode_response(back)
+        let back = self.gateway.handle_frame(&frame)?;
+        proto::decode_response(&back)
     }
 
     /// The published snapshot's version (0 until the first publish).

@@ -18,13 +18,15 @@
 //!   held read lock.
 //! * [`proto`] — the framed query protocol. Same wire discipline as
 //!   `mpros-network` (magic, version byte, type tag, length-prefixed
-//!   JSON payload; the framing helpers are shared), with request tags
-//!   in 32.. and response tags in 64.. so a gateway frame can never be
-//!   confused with ship-network traffic.
-//! * [`server`] / [`client`] — the [`server::Gateway`] router with
-//!   per-client sessions and bounded oldest-drop delta queues, and the
-//!   [`client::GatewayClient`] that speaks the framed protocol against
-//!   it.
+//!   JSON payload, one generic codec), with its own request and
+//!   response families in the one tag table, so a gateway frame can
+//!   never be confused with ship-network traffic.
+//! * [`serving`] — the [`serving::ServingCore`] shared with the fleet
+//!   router: Arc-swap publisher, per-session oldest-drop delta queues,
+//!   and the instrumented decode → serve → encode path.
+//! * [`server`] / [`client`] — the single-ship [`server::Gateway`] on
+//!   that core, and the [`client::GatewayClient`] that speaks the
+//!   framed protocol against it.
 //!
 //! Responses are a pure function of `(snapshot version, request)`:
 //! serving never reads live engine state, only the published immutable
@@ -38,6 +40,7 @@
 pub mod client;
 pub mod proto;
 pub mod server;
+pub mod serving;
 pub mod snapshot;
 
 pub use client::{DeltaBatch, GatewayClient, JournalPage, MetricsReport};
@@ -46,4 +49,5 @@ pub use proto::{
     GatewayResponse, StatusDelta, GATEWAY_SCHEMA_VERSION,
 };
 pub use server::{Gateway, GatewayConfig};
+pub use serving::{Published, ServingCore};
 pub use snapshot::{PrognosticEntry, ServingSnapshot};

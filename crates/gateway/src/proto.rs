@@ -2,16 +2,15 @@
 //!
 //! Requests and responses ride the same frame layout as the ship
 //! network (`magic "MP" | version u8 | type u8 | payload_len u32 LE |
-//! JSON payload`, assembled and validated by
-//! [`mpros_network::codec::frame_payload`] /
-//! [`mpros_network::codec::deframe`]). Request type tags live in
-//! `32..64`, response tags in `64..96`; tags from the ship network's
-//! range (`1..=6`) and the fleet router's ranges (`96..128`) are
-//! rejected here, so a misrouted frame fails loudly instead of
+//! JSON payload`) through the generic [`mpros_network::encode`] /
+//! [`mpros_network::decode`]. Their tags are the
+//! [`Family::GatewayRequest`] and [`Family::GatewayResponse`] rows of
+//! the one [`mpros_network::Tag`] table; each decoder rejects every
+//! other family's tags, so a misrouted frame fails loudly instead of
 //! half-parsing.
 
-use bytes::Bytes;
-use mpros_core::{Error, PrognosticVector, Result};
+use mpros_core::{PrognosticVector, Result};
+use mpros_network::{decode, encode, Family, Tag, Wire};
 use mpros_pdme::icas::IcasMachine;
 use mpros_pdme::IcasSnapshot;
 use mpros_telemetry::{
@@ -83,60 +82,22 @@ pub enum GatewayRequest {
     },
 }
 
-impl GatewayRequest {
-    /// Frame type tag (request range `32..`).
-    pub fn type_tag(&self) -> u8 {
+impl Wire for GatewayRequest {
+    const FAMILY: Family = Family::GatewayRequest;
+
+    fn tag(&self) -> Tag {
         match self {
-            GatewayRequest::GetMachineStatus { .. } => 32,
-            GatewayRequest::GetIcas => 33,
-            GatewayRequest::GetPrognosticVector { .. } => 34,
-            GatewayRequest::GetSloVerdict => 35,
-            GatewayRequest::GetCounters => 36,
-            GatewayRequest::Subscribe { .. } => 37,
-            GatewayRequest::GetMetrics => 38,
-            GatewayRequest::StreamJournal { .. } => 39,
-            GatewayRequest::ListIncidents => 40,
-            GatewayRequest::GetIncident { .. } => 41,
-            GatewayRequest::GetTrace { .. } => 42,
-        }
-    }
-
-    /// Number of request kinds (the tag range `32..32 + COUNT`); sizes
-    /// the gateway's per-request-type instrument tables.
-    pub const KIND_COUNT: usize = 11;
-
-    /// Every request kind name, indexed by `type_tag() - 32` — the
-    /// gateway pre-registers one `service_time` histogram per entry so
-    /// the serve path never touches the registry lock.
-    pub const KINDS: [&'static str; Self::KIND_COUNT] = [
-        "get_machine_status",
-        "get_icas",
-        "get_prognostic_vector",
-        "get_slo_verdict",
-        "get_counters",
-        "subscribe",
-        "get_metrics",
-        "stream_journal",
-        "list_incidents",
-        "get_incident",
-        "get_trace",
-    ];
-
-    /// Stable snake_case name of the request kind (used for the
-    /// gateway's per-request `service_time` histograms).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            GatewayRequest::GetMachineStatus { .. } => "get_machine_status",
-            GatewayRequest::GetIcas => "get_icas",
-            GatewayRequest::GetPrognosticVector { .. } => "get_prognostic_vector",
-            GatewayRequest::GetSloVerdict => "get_slo_verdict",
-            GatewayRequest::GetCounters => "get_counters",
-            GatewayRequest::Subscribe { .. } => "subscribe",
-            GatewayRequest::GetMetrics => "get_metrics",
-            GatewayRequest::StreamJournal { .. } => "stream_journal",
-            GatewayRequest::ListIncidents => "list_incidents",
-            GatewayRequest::GetIncident { .. } => "get_incident",
-            GatewayRequest::GetTrace { .. } => "get_trace",
+            GatewayRequest::GetMachineStatus { .. } => Tag::GetMachineStatus,
+            GatewayRequest::GetIcas => Tag::GetIcas,
+            GatewayRequest::GetPrognosticVector { .. } => Tag::GetPrognosticVector,
+            GatewayRequest::GetSloVerdict => Tag::GetSloVerdict,
+            GatewayRequest::GetCounters => Tag::GetCounters,
+            GatewayRequest::Subscribe { .. } => Tag::Subscribe,
+            GatewayRequest::GetMetrics => Tag::GetMetrics,
+            GatewayRequest::StreamJournal { .. } => Tag::StreamJournal,
+            GatewayRequest::ListIncidents => Tag::ListIncidents,
+            GatewayRequest::GetIncident { .. } => Tag::GetIncident,
+            GatewayRequest::GetTrace { .. } => Tag::GetTrace,
         }
     }
 }
@@ -282,25 +243,28 @@ pub enum GatewayResponse {
     },
 }
 
-impl GatewayResponse {
-    /// Frame type tag (response range `64..`).
-    pub fn type_tag(&self) -> u8 {
+impl Wire for GatewayResponse {
+    const FAMILY: Family = Family::GatewayResponse;
+
+    fn tag(&self) -> Tag {
         match self {
-            GatewayResponse::MachineStatus { .. } => 64,
-            GatewayResponse::Icas { .. } => 65,
-            GatewayResponse::PrognosticVector { .. } => 66,
-            GatewayResponse::SloVerdict { .. } => 67,
-            GatewayResponse::Counters { .. } => 68,
-            GatewayResponse::Deltas { .. } => 69,
-            GatewayResponse::NotFound { .. } => 70,
-            GatewayResponse::Metrics { .. } => 71,
-            GatewayResponse::Journal { .. } => 72,
-            GatewayResponse::Incidents { .. } => 73,
-            GatewayResponse::Incident { .. } => 74,
-            GatewayResponse::Trace { .. } => 75,
+            GatewayResponse::MachineStatus { .. } => Tag::MachineStatus,
+            GatewayResponse::Icas { .. } => Tag::Icas,
+            GatewayResponse::PrognosticVector { .. } => Tag::PrognosticVector,
+            GatewayResponse::SloVerdict { .. } => Tag::SloVerdict,
+            GatewayResponse::Counters { .. } => Tag::Counters,
+            GatewayResponse::Deltas { .. } => Tag::Deltas,
+            GatewayResponse::NotFound { .. } => Tag::NotFound,
+            GatewayResponse::Metrics { .. } => Tag::Metrics,
+            GatewayResponse::Journal { .. } => Tag::Journal,
+            GatewayResponse::Incidents { .. } => Tag::Incidents,
+            GatewayResponse::Incident { .. } => Tag::Incident,
+            GatewayResponse::Trace { .. } => Tag::Trace,
         }
     }
+}
 
+impl GatewayResponse {
     /// The snapshot version stamped on the response.
     pub fn snapshot_version(&self) -> u64 {
         match self {
@@ -345,194 +309,21 @@ impl GatewayResponse {
 }
 
 /// Encode a request into one wire frame.
-pub fn encode_request(req: &GatewayRequest) -> Result<Bytes> {
-    let payload = serde_json::to_vec(req)
-        .map_err(|e| Error::Encoding(format!("request serialization: {e}")))?;
-    mpros_network::frame_payload(req.type_tag(), &payload)
+pub fn encode_request(req: &GatewayRequest) -> Result<Vec<u8>> {
+    encode(req)
 }
 
-/// Decode one request frame. The declared type tag must match the
-/// decoded body, and must be a request tag.
-pub fn decode_request(frame: Bytes) -> Result<GatewayRequest> {
-    let (tag, payload) = mpros_network::deframe(frame)?;
-    if !(32..64).contains(&tag) {
-        return Err(Error::Encoding(format!(
-            "type tag {tag} is not a gateway request"
-        )));
-    }
-    let req: GatewayRequest = serde_json::from_slice(&payload)
-        .map_err(|e| Error::Encoding(format!("request deserialization: {e}")))?;
-    if req.type_tag() != tag {
-        return Err(Error::Encoding("type tag does not match body".into()));
-    }
-    Ok(req)
+/// Decode one gateway request frame.
+pub fn decode_request(frame: &[u8]) -> Result<GatewayRequest> {
+    decode(frame)
 }
 
 /// Encode a response into one wire frame.
-pub fn encode_response(resp: &GatewayResponse) -> Result<Bytes> {
-    let payload = serde_json::to_vec(resp)
-        .map_err(|e| Error::Encoding(format!("response serialization: {e}")))?;
-    mpros_network::frame_payload(resp.type_tag(), &payload)
+pub fn encode_response(resp: &GatewayResponse) -> Result<Vec<u8>> {
+    encode(resp)
 }
 
-/// Decode one response frame. The declared type tag must match the
-/// decoded body, and must be a single-ship response tag (the fleet
-/// router's `96..` / `112..` tag spaces are rejected here).
-pub fn decode_response(frame: Bytes) -> Result<GatewayResponse> {
-    let (tag, payload) = mpros_network::deframe(frame)?;
-    if !(64..96).contains(&tag) {
-        return Err(Error::Encoding(format!(
-            "type tag {tag} is not a gateway response"
-        )));
-    }
-    let resp: GatewayResponse = serde_json::from_slice(&payload)
-        .map_err(|e| Error::Encoding(format!("response deserialization: {e}")))?;
-    if resp.type_tag() != tag {
-        return Err(Error::Encoding("type tag does not match body".into()));
-    }
-    Ok(resp)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn requests_roundtrip() {
-        let reqs = [
-            GatewayRequest::GetMachineStatus { machine: 3 },
-            GatewayRequest::GetIcas,
-            GatewayRequest::GetPrognosticVector {
-                machine: 1,
-                condition_id: 4,
-            },
-            GatewayRequest::GetSloVerdict,
-            GatewayRequest::GetCounters,
-            GatewayRequest::Subscribe { session: 99 },
-            GatewayRequest::GetMetrics,
-            GatewayRequest::StreamJournal {
-                cursor: 17,
-                max: 64,
-            },
-            GatewayRequest::ListIncidents,
-            GatewayRequest::GetIncident { id: 0xDEAD_BEEF },
-            GatewayRequest::GetTrace { trace: 42 },
-        ];
-        for req in reqs {
-            let back = decode_request(encode_request(&req).unwrap()).unwrap();
-            assert_eq!(req, back);
-        }
-    }
-
-    #[test]
-    fn responses_roundtrip() {
-        let resps = [
-            GatewayResponse::SloVerdict {
-                snapshot_version: 7,
-                verdict: None,
-            },
-            GatewayResponse::Counters {
-                snapshot_version: 7,
-                counters: vec![CounterSnapshot {
-                    component: "gateway".into(),
-                    name: "requests".into(),
-                    value: 12,
-                }],
-            },
-            GatewayResponse::Deltas {
-                snapshot_version: 9,
-                session: 4,
-                dropped: 2,
-                deltas: vec![StatusDelta {
-                    snapshot_version: 8,
-                    at_secs: 240.0,
-                    machine_id: 2,
-                    kind: DeltaKind::Degraded,
-                }],
-            },
-            GatewayResponse::NotFound {
-                snapshot_version: 7,
-                detail: "machine 42".into(),
-            },
-            GatewayResponse::Metrics {
-                snapshot_version: 7,
-                at_secs: 180.0,
-                counters: vec![],
-                gauges: vec![GaugeSnapshot {
-                    component: "pdme".into(),
-                    name: "dc_staleness_max".into(),
-                    value: 1.5,
-                }],
-                histograms: vec![],
-                exposition: "# TYPE mpros_pdme_dc_staleness_max gauge\n\
-                             mpros_pdme_dc_staleness_max 1.5\n"
-                    .into(),
-            },
-            GatewayResponse::Journal {
-                snapshot_version: 7,
-                next_cursor: 12,
-                dropped: 3,
-                events: vec![EventSnapshot {
-                    seq: 11,
-                    at_secs: 170.0,
-                    component: "net".into(),
-                    kind: "partition".into(),
-                    detail: "Dc(2) unreachable".into(),
-                }],
-            },
-            GatewayResponse::Incidents {
-                snapshot_version: 7,
-                incidents: vec![IncidentSummary {
-                    id: 99,
-                    trigger: mpros_telemetry::IncidentTrigger::DcCrashed { dc: 2 },
-                    step: 40,
-                    at_secs: 120.0,
-                    records: 5,
-                }],
-            },
-            GatewayResponse::Trace {
-                snapshot_version: 7,
-                trace: 42,
-                hops: vec![HopRecord {
-                    trace: 42,
-                    span: 7,
-                    parent: None,
-                    kind: "dc_emit".into(),
-                    attempt: 0,
-                    track: "dc1".into(),
-                    sim_start: 3.0,
-                    sim_end: 3.0,
-                    detail: String::new(),
-                }],
-            },
-        ];
-        for resp in resps {
-            let back = decode_response(encode_response(&resp).unwrap()).unwrap();
-            assert_eq!(resp, back);
-        }
-    }
-
-    #[test]
-    fn request_and_response_tag_ranges_are_disjoint() {
-        // A response frame fed to the request decoder (and vice versa)
-        // must be rejected on the tag range, not mis-parsed.
-        let resp = GatewayResponse::SloVerdict {
-            snapshot_version: 1,
-            verdict: None,
-        };
-        assert!(decode_request(encode_response(&resp).unwrap()).is_err());
-        let req = GatewayRequest::GetIcas;
-        assert!(decode_response(encode_request(&req).unwrap()).is_err());
-    }
-
-    #[test]
-    fn ship_network_frames_are_rejected() {
-        let msg = mpros_network::NetMessage::Heartbeat {
-            dc: mpros_core::DcId::new(1),
-            at_secs: 0.0,
-        };
-        let frame = mpros_network::encode_message(&msg).unwrap();
-        assert!(decode_request(frame.clone()).is_err());
-        assert!(decode_response(frame).is_err());
-    }
+/// Decode one gateway response frame.
+pub fn decode_response(frame: &[u8]) -> Result<GatewayResponse> {
+    decode(frame)
 }

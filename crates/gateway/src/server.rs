@@ -1,30 +1,13 @@
-//! The gateway router: concurrent query serving over published
-//! snapshots, with per-client sessions and bounded delta queues.
-//!
-//! Concurrency model: the simulation's control thread is the only
-//! writer — it calls [`Gateway::publish`] once per step, which swaps an
-//! `Arc<ServingSnapshot>` under a write lock held only for the pointer
-//! exchange. Any number of client threads call
-//! [`Gateway::handle_frame`] concurrently; each takes the read lock
-//! just long enough to clone the `Arc`, then serves entirely from the
-//! immutable snapshot. Neither side ever waits on the other for longer
-//! than a pointer swap, so serving load cannot stall the sim thread.
-//!
-//! Backpressure: subscription deltas are queued per session with a
-//! bounded capacity; a slow client that never polls loses its *oldest*
-//! deltas first (the same eviction policy as the network outbox) and is
-//! told how many were dropped on its next poll — fresh state always
-//! wins over stale history.
+//! The gateway router: the single-ship query surface over the shared
+//! [`ServingCore`] — concurrent serving over published snapshots, with
+//! per-client sessions and bounded oldest-drop delta queues (see
+//! [`crate::serving`] for the concurrency and backpressure model).
 
-use crate::proto::{GatewayRequest, GatewayResponse, StatusDelta};
+use crate::proto::{GatewayRequest, GatewayResponse};
+use crate::serving::ServingCore;
 use crate::snapshot::ServingSnapshot;
-use bytes::Bytes;
 use mpros_core::Result;
-use mpros_telemetry::{
-    Counter, FlightRecorder, Histogram, HopRecord, Stage, Telemetry, TraceId, WallTimer,
-};
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, VecDeque};
+use mpros_telemetry::{Counter, FlightRecorder, HopRecord, Stage, Telemetry, TraceId};
 use std::sync::Arc;
 
 /// Gateway tuning knobs, builder-style like the other MPROS configs.
@@ -56,30 +39,14 @@ impl GatewayConfig {
     }
 }
 
-/// One subscriber's server-side state.
-#[derive(Debug, Default)]
-struct SessionState {
-    /// Queued deltas, oldest first.
-    queue: VecDeque<StatusDelta>,
-    /// Deltas evicted since the session's last poll.
-    dropped_since_poll: u64,
-}
-
 /// The query server. Shared as `Arc<Gateway>`: the publisher and every
 /// client thread hold clones of the same handle.
 #[derive(Debug)]
 pub struct Gateway {
     config: GatewayConfig,
-    /// The published snapshot. Writers swap the `Arc`; readers clone it.
-    current: RwLock<Arc<ServingSnapshot>>,
-    /// Subscriber sessions, keyed by caller-chosen id. `BTreeMap` so
-    /// publish-time delta fan-out walks sessions in a fixed order.
-    sessions: Mutex<BTreeMap<u64, SessionState>>,
+    /// Publisher, sessions and `gateway.*` request instruments.
+    core: ServingCore<ServingSnapshot>,
     telemetry: Telemetry,
-    /// Wall-clock service-time histograms, one per request kind
-    /// (indexed by `type_tag - 32`), pre-registered so the serve path
-    /// never touches the registry lock.
-    service_time: Vec<Arc<Histogram>>,
     /// Exposition bytes shipped through `GetMetrics` responses.
     exposition_bytes: Arc<Counter>,
     /// The scenario's flight recorder, when one is attached; backs the
@@ -91,18 +58,18 @@ impl Gateway {
     /// A gateway joined to `telemetry`, serving the empty version-0
     /// snapshot until the first [`Gateway::publish`].
     pub fn new(config: GatewayConfig, telemetry: &Telemetry) -> Self {
-        let service_time = GatewayRequest::KINDS
-            .iter()
-            .map(|kind| telemetry.histogram("gateway", &format!("service_time.{kind}.wall_s")))
-            .collect();
-        let exposition_bytes = telemetry.counter("gateway", "exposition_bytes");
+        let core = ServingCore::new(
+            "gateway",
+            config.session_queue_capacity,
+            Some(Stage::GatewayServe),
+            telemetry,
+            ServingSnapshot::empty(),
+        );
         Gateway {
             config,
-            current: RwLock::new(Arc::new(ServingSnapshot::empty())),
-            sessions: Mutex::new(BTreeMap::new()),
+            core,
             telemetry: telemetry.clone(),
-            service_time,
-            exposition_bytes,
+            exposition_bytes: telemetry.counter("gateway", "exposition_bytes"),
             recorder: None,
         }
     }
@@ -127,17 +94,17 @@ impl Gateway {
     /// The currently published snapshot (an `Arc` clone; never blocks
     /// longer than the publisher's pointer swap).
     pub fn snapshot(&self) -> Arc<ServingSnapshot> {
-        self.current.read().clone()
+        self.core.snapshot()
     }
 
     /// The published snapshot's version (0 until the first publish).
     pub fn version(&self) -> u64 {
-        self.current.read().version
+        self.core.version()
     }
 
     /// Registered subscriber sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.lock().len()
+        self.core.session_count()
     }
 
     /// Publish a freshly built snapshot: fan its edge-triggered
@@ -145,27 +112,7 @@ impl Gateway {
     /// (bounded queues, oldest-drop), then swap it in as current.
     /// Called by the simulation's control thread after each step.
     pub fn publish(&self, snapshot: ServingSnapshot) {
-        let prev = self.snapshot();
-        let deltas = snapshot.deltas_since(&prev);
-        let next = Arc::new(snapshot);
-        if !deltas.is_empty() {
-            let mut sessions = self.sessions.lock();
-            let drops = self.telemetry.counter("gateway", "drops");
-            let queued = self.telemetry.counter("gateway", "deltas_queued");
-            for state in sessions.values_mut() {
-                for delta in &deltas {
-                    while state.queue.len() >= self.config.session_queue_capacity {
-                        state.queue.pop_front();
-                        state.dropped_since_poll += 1;
-                        drops.inc();
-                    }
-                    state.queue.push_back(delta.clone());
-                    queued.inc();
-                }
-            }
-        }
-        *self.current.write() = next;
-        self.telemetry.counter("gateway", "publishes").inc();
+        self.core.publish(snapshot);
     }
 
     /// Serve one request against the current snapshot. Pure with
@@ -224,10 +171,7 @@ impl Gateway {
                 counters: snap.counters.clone(),
             },
             GatewayRequest::Subscribe { session } => {
-                let mut sessions = self.sessions.lock();
-                let state = sessions.entry(*session).or_default();
-                let dropped = std::mem::take(&mut state.dropped_since_poll);
-                let deltas: Vec<StatusDelta> = state.queue.drain(..).collect();
+                let (dropped, deltas) = self.core.drain(*session);
                 GatewayResponse::Deltas {
                     snapshot_version,
                     session: *session,
@@ -311,28 +255,9 @@ impl Gateway {
     /// clocks — wall seconds for the host cost of the call, simulated
     /// seconds for the *staleness* of the data served (simulated now
     /// minus the snapshot's timestamp).
-    pub fn handle_frame(&self, frame: Bytes) -> Result<Bytes> {
-        let timer = WallTimer::start();
-        let req = match crate::proto::decode_request(frame) {
-            Ok(req) => req,
-            Err(e) => {
-                self.telemetry.counter("gateway", "bad_frames").inc();
-                return Err(e);
-            }
-        };
-        let snap = self.snapshot();
-        let resp = self.serve_on(&snap, &req);
-        let out = crate::proto::encode_response(&resp)?;
-        self.telemetry.counter("gateway", "requests").inc();
-        let staleness = self
-            .telemetry
-            .sim_now()
-            .since(mpros_core::SimTime::from_secs(snap.at_secs));
-        let wall = timer.elapsed();
-        self.service_time[(req.type_tag() - 32) as usize].record(wall.as_secs_f64());
-        self.telemetry
-            .record_span(Stage::GatewayServe, wall, staleness);
-        Ok(out)
+    pub fn handle_frame(&self, frame: &[u8]) -> Result<Vec<u8>> {
+        self.core
+            .handle(frame, |snap, req| self.serve_on(snap, req))
     }
 }
 

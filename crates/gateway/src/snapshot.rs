@@ -9,7 +9,8 @@
 //! promise byte-identical responses for a fixed snapshot version no
 //! matter how the simulation that produced it was scheduled.
 
-use crate::proto::{DeltaKind, StatusDelta};
+use crate::proto::{DeltaKind, GatewayRequest, GatewayResponse, StatusDelta};
+use crate::serving::Published;
 use mpros_core::{PrognosticVector, SimDuration, SimTime};
 use mpros_pdme::{export_snapshot, IcasSnapshot, PdmeExecutive};
 use mpros_telemetry::{
@@ -171,13 +172,27 @@ impl ServingSnapshot {
             .find(|e| e.machine_id == machine_id && e.condition_id == condition_id)
             .map(|e| &e.vector)
     }
+}
+
+impl Published for ServingSnapshot {
+    type Request = GatewayRequest;
+    type Response = GatewayResponse;
+    type Delta = StatusDelta;
+
+    fn version(&self) -> u64 {
+        self.version
+    }
+
+    fn at_secs(&self) -> f64 {
+        self.at_secs
+    }
 
     /// The edge-triggered supervision deltas between `prev` and `self`:
     /// one [`StatusDelta`] per machine whose ICAS `status` flipped
     /// between `"ok"` and `"degraded"` across the two snapshots, in
     /// ascending machine-id order. Machines absent from `prev` only
     /// produce a delta when they arrive already degraded.
-    pub fn deltas_since(&self, prev: &ServingSnapshot) -> Vec<StatusDelta> {
+    fn deltas_since(&self, prev: &ServingSnapshot) -> Vec<StatusDelta> {
         let mut out = Vec::new();
         for machine in &self.icas.machines {
             let was_degraded = prev

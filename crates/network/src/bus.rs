@@ -20,7 +20,6 @@
 
 use crate::codec::{decode_message, encode_message, BatchEntry, NetMessage, MAX_BATCH};
 use crate::outbox::{Outbox, OutboxConfig, PendingBatch};
-use bytes::Bytes;
 use mpros_core::{derive_salted_seed, ConditionReport, DcId, Error, Result, SimDuration, SimTime};
 use mpros_telemetry::{
     Counter, Histogram, HopKind, Instrumented, SpanId, Stage, Telemetry, TraceContext, TraceHop,
@@ -177,7 +176,7 @@ struct InFlight {
     /// put this copy on the wire (0 for untracked traffic) — lets the
     /// delivery hop parent under the matching `Send` span.
     attempt: u32,
-    frame: Bytes,
+    frame: Vec<u8>,
 }
 
 impl PartialEq for InFlight {
@@ -697,7 +696,7 @@ impl ShipNetwork {
             }
             let to = f.to;
             let transit = f.deliver_at.since(f.sent_at);
-            match decode_message(f.frame) {
+            match decode_message(&f.frame) {
                 Ok(msg) => {
                     self.metrics.delivered.inc();
                     if let Some(ep) = self.per_endpoint.get(&to) {

@@ -19,7 +19,7 @@ pub mod outbox;
 
 pub use bus::{Endpoint, Envelope, NetStats, NetworkConfig, ShipNetwork};
 pub use codec::{
-    decode_message, deframe, encode_message, frame_payload, BatchEntry, NetMessage, MAX_BATCH,
-    WIRE_VERSION,
+    decode, decode_message, encode, encode_message, BatchEntry, Family, NetMessage, Tag, Wire,
+    MAX_BATCH, WIRE_VERSION,
 };
 pub use outbox::OutboxConfig;

@@ -3,14 +3,14 @@
 //! §4.5: "An event model has been implemented for the OOSM, which allows
 //! client programs to be notified of changes to property or relationship
 //! values without the need to poll." Subscribers receive events over a
-//! crossbeam channel, so the knowledge-fusion thread reacts to report
+//! std `mpsc` channel, so the knowledge-fusion thread reacts to report
 //! arrivals exactly as the paper describes (its OLE-automation events
 //! become channel messages here).
 
 use crate::model::{ObjectKind, Relation};
 use crate::store::Value;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use mpros_core::{ObjectId, ReportId};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// A change notification from the OOSM.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,7 +96,7 @@ impl EventBus {
 
     /// Open a new subscription.
     pub fn subscribe(&mut self) -> Subscription {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.subscribers.push(tx);
         Subscription { rx }
     }

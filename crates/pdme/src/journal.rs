@@ -17,7 +17,6 @@
 //! serialization of the protocol vocabulary.
 
 use crate::historian::MaintenanceRecord;
-use bytes::Bytes;
 use mpros_core::{DcId, Durable, Error, MachineCondition, MachineId, Result, SimDuration, SimTime};
 use mpros_network::{decode_message, encode_message, NetMessage};
 use mpros_store::Frame;
@@ -132,7 +131,7 @@ impl PdmeWalRecord {
                 now.encode(&mut out);
                 msgs.len().encode(&mut out);
                 for msg in msgs {
-                    encode_message(msg)?.to_vec().encode(&mut out);
+                    encode_message(msg)?.encode(&mut out);
                 }
             }
             PdmeWalRecord::Supervise { now, timeout } => {
@@ -178,7 +177,7 @@ impl PdmeWalRecord {
                 let mut msgs = Vec::with_capacity(count.min(1024));
                 for _ in 0..count {
                     let wire = Vec::<u8>::decode(&mut input)?;
-                    msgs.push(decode_message(Bytes::from(wire))?);
+                    msgs.push(decode_message(&wire)?);
                 }
                 PdmeWalRecord::Ingest { now, msgs }
             }

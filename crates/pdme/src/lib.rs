@@ -28,7 +28,6 @@ pub mod historian;
 pub mod icas;
 pub mod journal;
 pub mod resident;
-pub mod shared;
 pub mod supervisor;
 
 pub use executive::{BatchAck, IngestSummary, PdmeExecutive, ResidentAlgorithm};
@@ -37,5 +36,4 @@ pub use historian::{Historian, MaintenanceRecord, Outcome};
 pub use icas::{export_snapshot, IcasSnapshot};
 pub use journal::PdmeWalRecord;
 pub use resident::{FlowCorrelator, SpatialCorrelator};
-pub use shared::SharedPdme;
 pub use supervisor::{Assignment, Supervisor};

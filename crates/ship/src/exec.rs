@@ -21,16 +21,22 @@
 //! surfaced as an `Err` result for its index instead of deadlocking the
 //! gather.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use mpros_chiller::ChillerPlant;
 use mpros_core::{ConditionReport, Error, Result, SimTime};
 use mpros_dc::DataConcentrator;
 use mpros_network::NetMessage;
 use mpros_telemetry::{SpanBatch, Stage, Telemetry, WallTimer};
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+
+/// Lock `mutex`, ignoring poisoning: a DC step that panicked under the
+/// lock is already surfaced as an `Err` outcome, and the cell it left
+/// behind is the state the next step (or restore) works from.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// How [`crate::sim::ShipboardSim`] executes each tick's per-DC work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,8 +115,11 @@ impl WorkerPool {
     ) -> Self {
         assert_eq!(dcs.len(), plants.len(), "one plant per DC");
         let workers = workers.max(1);
-        let (job_tx, job_rx) = unbounded::<StepJob>();
-        let (result_tx, result_rx) = unbounded::<StepOutcome>();
+        let (job_tx, job_rx) = channel::<StepJob>();
+        // std has no multi-consumer channel: workers take turns at the
+        // one job receiver, holding the lock only while they dequeue.
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        let (result_tx, result_rx) = channel::<StepOutcome>();
         telemetry.gauge("exec", "workers").set(workers as f64);
         let handles = (0..workers)
             .map(|w| {
@@ -124,7 +133,10 @@ impl WorkerPool {
                     .name(format!("mpros-exec-{w}"))
                     .spawn(move || {
                         let mut spans = SpanBatch::new();
-                        while let Ok(job) = job_rx.recv() {
+                        loop {
+                            let Ok(job) = lock(&job_rx).recv() else {
+                                break; // pool dropped
+                            };
                             let outcome = run_job(&dcs, &plants, &job, &mut spans);
                             jobs_done.inc();
                             spans.flush(&telemetry);
@@ -196,8 +208,8 @@ fn run_job(
     }
     let timer = WallTimer::start();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut dc = dcs[job.dc_index].lock();
-        let plant = plants[job.dc_index].lock();
+        let mut dc = lock(&dcs[job.dc_index]);
+        let plant = lock(&plants[job.dc_index]);
         dc.step(&plant, job.now, &job.commands)
     }));
     spans.record_wall(Stage::DcStep, timer.elapsed());

@@ -77,9 +77,9 @@ use mpros_telemetry::{
     FlightRecorder, IncidentTrigger, Instrumented, RecorderConfig, SloPolicy, SloVerdict,
     SloWatchdog, Stage, Telemetry, TraceHop, WallTimer,
 };
-use parking_lot::{Mutex, MutexGuard};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::exec::lock;
 pub use crate::exec::ExecMode;
 
 /// Configuration of a shipboard simulation.
@@ -507,13 +507,13 @@ impl ShipboardSim {
 
     /// The plants (fault seeding, ground truth).
     pub fn plant_mut(&mut self, idx: usize) -> MutexGuard<'_, ChillerPlant> {
-        self.plants[idx].lock()
+        lock(&self.plants[idx])
     }
 
     /// The plants, immutably. (Still a lock guard: the worker pool
     /// shares the cells, though it only touches them inside `step`.)
     pub fn plant(&self, idx: usize) -> MutexGuard<'_, ChillerPlant> {
-        self.plants[idx].lock()
+        lock(&self.plants[idx])
     }
 
     /// The PDME.
@@ -538,7 +538,7 @@ impl ShipboardSim {
 
     /// One DC, for configuration (ablation switches, WNN attachment).
     pub fn dc_mut(&mut self, idx: usize) -> MutexGuard<'_, DataConcentrator> {
-        self.dcs[idx].lock()
+        lock(&self.dcs[idx])
     }
 
     /// The scheduled fault plan.
@@ -583,7 +583,7 @@ impl ShipboardSim {
 
     /// Seed a fault on plant `idx`.
     pub fn seed_fault(&mut self, idx: usize, seed: FaultSeed) {
-        self.plants[idx].lock().seed_fault(seed);
+        lock(&self.plants[idx]).seed_fault(seed);
     }
 
     /// Send a PDME-side command to a DC over the network.
@@ -653,7 +653,7 @@ impl ShipboardSim {
                             }
                         }
                     }
-                    *self.dcs[idx].lock() = fresh;
+                    *lock(&self.dcs[idx]) = fresh;
                     self.crashed[idx] = false;
                     self.epochs[idx] = epoch;
                     self.network.restart_dc(dc, self.epochs[idx]);
@@ -667,8 +667,7 @@ impl ShipboardSim {
                 FaultTransition::Start(FaultKind::SensorDropout { dc, channel }) => {
                     let idx = self.dc_index(dc);
                     if !self.crashed[idx] {
-                        self.dcs[idx]
-                            .lock()
+                        lock(&self.dcs[idx])
                             .chain_mut()
                             .fail_sensor(channel, SensorFault::Flatline)?;
                     }
@@ -676,7 +675,7 @@ impl ShipboardSim {
                 FaultTransition::End(FaultKind::SensorDropout { dc, channel }) => {
                     let idx = self.dc_index(dc);
                     if !self.crashed[idx] {
-                        self.dcs[idx].lock().chain_mut().repair_sensor(channel)?;
+                        lock(&self.dcs[idx]).chain_mut().repair_sensor(channel)?;
                     }
                 }
                 FaultTransition::Start(FaultKind::PdmeStall) => {
@@ -778,8 +777,8 @@ impl ShipboardSim {
                 .map(|(i, commands)| {
                     let timer = WallTimer::start();
                     let result = {
-                        let mut dc = self.dcs[i].lock();
-                        let plant = self.plants[i].lock();
+                        let mut dc = lock(&self.dcs[i]);
+                        let plant = lock(&self.plants[i]);
                         dc.step(&plant, now, &commands)
                     };
                     self.telemetry

@@ -44,8 +44,7 @@
 
 use mpros_core::{Error, Result};
 use mpros_telemetry::{Counter, Histogram, Telemetry};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Magic bytes opening every WAL frame.
 pub const WAL_MAGIC: [u8; 2] = *b"MW";
@@ -567,22 +566,29 @@ impl StoreHandle {
 
     /// Append one record frame.
     pub fn append(&self, kind: u8, payload: Vec<u8>) -> Result<u64> {
-        self.inner.lock().append(kind, payload)
+        self.wal().append(kind, payload)
     }
 
     /// Append a snapshot frame.
     pub fn append_snapshot(&self, payload: Vec<u8>) -> Result<u64> {
-        self.inner.lock().append_snapshot(payload)
+        self.wal().append_snapshot(payload)
     }
 
     /// The raw log bytes.
     pub fn contents(&self) -> Result<Vec<u8>> {
-        self.inner.lock().contents()
+        self.wal().contents()
     }
 
     /// The next sequence number to be assigned.
     pub fn next_seq(&self) -> u64 {
-        self.inner.lock().next_seq()
+        self.wal().next_seq()
+    }
+
+    /// Lock the log. A poisoned lock is taken over rather than
+    /// propagated: a torn append is what frame checksums and tail repair
+    /// already exist for.
+    fn wal(&self) -> MutexGuard<'_, Wal> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether two handles reference the same log.

@@ -5,9 +5,9 @@
 //! * Counters and histograms must stay exact when hammered from many
 //!   threads at once (the DC-per-worker fleet shape of `exp_throughput`).
 
-use crossbeam::thread;
 use mpros_telemetry::{Histogram, Stage, Telemetry};
 use proptest::prelude::*;
+use std::thread;
 
 proptest! {
     #[test]
@@ -56,7 +56,7 @@ fn counters_survive_scoped_thread_hammering() {
         for _ in 0..THREADS {
             let tel = t.clone();
             let c = std::sync::Arc::clone(&counter);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let h = tel.histogram("net", "bus_transit_s");
                 for i in 0..PER_THREAD {
                     c.inc();
@@ -65,8 +65,7 @@ fn counters_survive_scoped_thread_hammering() {
                 }
             });
         }
-    })
-    .expect("workers join");
+    });
     let expected = (THREADS as u64) * PER_THREAD;
     assert_eq!(counter.get(), expected);
     assert_eq!(t.histogram("net", "bus_transit_s").count(), expected);

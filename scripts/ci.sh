@@ -94,13 +94,6 @@ cargo run --release -p mpros-bench --bin exp_throughput -- --workers 4
 echo "==> exp_serving"
 cargo run --release -p mpros-bench --bin exp_serving
 
-# Wire-tag compatibility lint: every codec family (ship messages,
-# gateway requests/responses, fleet requests/responses) must stay in
-# its reserved tag range, tags must be globally unique, and each
-# family's decoder must reject the other families' frames.
-echo "==> wire_compat_lint"
-cargo run --release -p mpros-bench --bin wire_compat_lint
-
 # Exposition-format lint: the Prometheus text the gateway serves must
 # obey its own grammar (headers, _total suffixes, sorted unique
 # series), and the validator must reject corrupted variants of it.

@@ -24,8 +24,9 @@ pub use mpros_core::{
 // Fault planning (scheduled adversity against simulated time).
 pub use mpros_core::{FaultKind, FaultPlan, FaultPlanConfig, FaultTarget};
 
-// Network and transport configuration.
-pub use mpros_network::{NetworkConfig, OutboxConfig};
+// Network and transport configuration, and the trait every wire
+// message implements (`type_tag()`).
+pub use mpros_network::{NetworkConfig, OutboxConfig, Wire};
 
 // The serving layer: gateway, its configuration, the framed protocol
 // and the client that speaks it.

@@ -216,7 +216,7 @@ proptest! {
             epoch,
             last_seq,
         };
-        let back = decode_message(encode_message(&msg).unwrap()).unwrap();
+        let back = decode_message(&encode_message(&msg).unwrap()).unwrap();
         prop_assert_eq!(back, msg);
     }
 }

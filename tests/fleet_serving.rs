@@ -14,14 +14,16 @@
 //! * **Crash isolation** — crashing one shard mid-run leaves every
 //!   other shard's served bytes unchanged, the rollup reports the shard
 //!   unavailable, and ship-scoped requests against it answer
-//!   `shard_unavailable` until the shard is restored.
+//!   `shard_unavailable` until the shard is restored. A single-ship
+//!   client on the compatibility path gets that answer in its own
+//!   (gateway) family, so it can still decode it.
 
 use mpros::chiller::fault::{FaultProfile, FaultSeed};
 use mpros::core::{DcId, FaultPlan, MachineCondition, SimDuration, SimTime};
 use mpros::fleet::{
     decode_fleet_response, encode_fleet_request, Fleet, FleetConfig, FleetRequest, FleetResponse,
 };
-use mpros::gateway::{encode_request, GatewayRequest};
+use mpros::gateway::{decode_response, encode_request, GatewayRequest, GatewayResponse};
 use mpros::sim::{ExecMode, ShipboardSimConfig};
 use mpros::telemetry::SloPolicy;
 
@@ -86,9 +88,8 @@ fn build_fleet(exec: ExecMode, parallel_ships: bool) -> Fleet {
 fn call(fleet: &Fleet, req: &FleetRequest) -> Vec<u8> {
     fleet
         .gateway()
-        .handle_frame(encode_fleet_request(req).expect("request encodes"))
+        .handle_frame(&encode_fleet_request(req).expect("request encodes"))
         .expect("request serves")
-        .to_vec()
 }
 
 /// Run the reference scenario stepping shards in `order` each round
@@ -148,7 +149,7 @@ fn fleet_fingerprint(exec: ExecMode, order: &[usize], parallel_ships: bool) -> V
 }
 
 fn decoded(frame: &[u8]) -> FleetResponse {
-    decode_fleet_response(bytes::Bytes::copy_from_slice(frame)).expect("response decodes")
+    decode_fleet_response(frame).expect("response decodes")
 }
 
 #[test]
@@ -278,16 +279,8 @@ fn ship_zero_bytes_are_independent_of_fleet_size() {
         GatewayRequest::GetMachineStatus { machine: 1 },
     ] {
         let frame = encode_request(&req).expect("request encodes");
-        let in_company = solo
-            .gateway()
-            .handle_frame(frame.clone())
-            .expect("company serves")
-            .to_vec();
-        let while_alone = alone
-            .gateway()
-            .handle_frame(frame)
-            .expect("solo serves")
-            .to_vec();
+        let in_company = solo.gateway().handle_frame(&frame).expect("company serves");
+        let while_alone = alone.gateway().handle_frame(&frame).expect("solo serves");
         assert_eq!(
             in_company, while_alone,
             "ship 0 bytes depend on fleet size for {req:?}"
@@ -381,4 +374,46 @@ fn crashing_one_shard_leaves_the_others_bytes_unchanged() {
         }
         other => panic!("wrong response {other:?}"),
     }
+}
+
+#[test]
+fn crashed_shard_zero_answers_single_ship_clients_in_their_own_family() {
+    let dt = SimDuration::from_secs(DT_SECS);
+    let mut fleet = build_fleet(ExecMode::Sequential, false);
+    for _ in 0..3 {
+        fleet.step(dt).expect("fleet steps");
+    }
+    fleet.crash_shard(0);
+    fleet.step(dt).expect("fleet steps around the crash");
+    let pinned = fleet.gateway().snapshot().ships[0].snapshot.version;
+
+    // A single-ship client pointed at the router decodes the refusal
+    // with the plain gateway decoder.
+    let frame = encode_request(&GatewayRequest::GetIcas).expect("request encodes");
+    let reply = fleet
+        .gateway()
+        .handle_frame(&frame)
+        .expect("router answers");
+    match decode_response(&reply).expect("compat reply is a gateway response") {
+        GatewayResponse::NotFound {
+            snapshot_version,
+            detail,
+        } => {
+            assert_eq!(detail, "shard_unavailable");
+            assert_eq!(snapshot_version, pinned);
+        }
+        other => panic!("wrong response {other:?}"),
+    }
+
+    // Once restored, the same frame is served by shard 0 again.
+    fleet.restore_shard(0).expect("shard restores");
+    fleet.step(dt).expect("post-restore step");
+    let reply = fleet
+        .gateway()
+        .handle_frame(&frame)
+        .expect("router answers");
+    assert!(matches!(
+        decode_response(&reply).expect("gateway response"),
+        GatewayResponse::Icas { .. }
+    ));
 }

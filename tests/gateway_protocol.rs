@@ -2,10 +2,12 @@
 //! of both tag families must survive the frame codec bit for bit, and
 //! malformed input — truncated frames, corrupted headers, frames from a
 //! sibling family's tag range, frames stamped with a stale wire version —
-//! must be rejected, never half-parsed. Mirrors
-//! `tests/protocol_roundtrip.rs` for the serving plane.
+//! must be rejected, never half-parsed. Arbitrary bytes and single-byte
+//! mutations of valid frames, fed to the one generic decoder as every
+//! family, must never panic. Mirrors `tests/protocol_roundtrip.rs` for
+//! the serving plane.
 
-use mpros::core::PrognosticVector;
+use mpros::core::{DcId, PrognosticVector};
 use mpros::fleet::{
     decode_fleet_request, decode_fleet_response, encode_fleet_request, encode_fleet_response,
     FleetMachine, FleetPrognostic, FleetRequest, FleetResponse, FleetRollup, FleetSloVerdict,
@@ -15,7 +17,7 @@ use mpros::gateway::{
     decode_request, decode_response, encode_request, encode_response, DeltaKind, GatewayRequest,
     GatewayResponse, StatusDelta,
 };
-use mpros::network::decode_message;
+use mpros::network::{decode, decode_message, encode_message, Family, NetMessage, Tag, Wire};
 use mpros::pdme::icas::{IcasCondition, IcasDc, IcasMachine, IcasSnapshot, ICAS_SCHEMA_VERSION};
 use mpros::telemetry::{
     CounterDelta, CounterSnapshot, EventSnapshot, GaugeSample, GaugeSnapshot, HistogramSnapshot,
@@ -638,19 +640,115 @@ fn arb_fleet_response() -> impl Strategy<Value = FleetResponse> {
     ]
 }
 
+/// One valid frame of each of the five families.
+fn arb_frames() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    (
+        (0u64..64, 0u64..=u64::MAX),
+        arb_request(),
+        arb_response(),
+        arb_fleet_request(),
+        arb_fleet_response(),
+    )
+        .prop_map(|((dc, last_seq), req, resp, freq, fresp)| {
+            let ack = NetMessage::Ack {
+                dc: DcId::new(dc),
+                epoch: 1,
+                last_seq,
+            };
+            vec![
+                encode_message(&ack).unwrap(),
+                encode_request(&req).unwrap(),
+                encode_response(&resp).unwrap(),
+                encode_fleet_request(&freq).unwrap(),
+                encode_fleet_response(&fresp).unwrap(),
+            ]
+        })
+}
+
+/// Decode `frame` through the generic decoder as `M`; on success, check
+/// the body carries the frame's own tag from `M`'s family.
+fn decodes_as<M: Wire>(frame: &[u8]) -> bool {
+    match decode::<M>(frame) {
+        Ok(msg) => {
+            assert_eq!(msg.type_tag(), frame[3], "body tag differs from header");
+            assert_eq!(msg.tag().family(), M::FAMILY);
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+/// The families whose decoder accepts `frame`.
+fn accepting_families(frame: &[u8]) -> Vec<Family> {
+    [
+        (Family::Ship, decodes_as::<NetMessage>(frame)),
+        (Family::GatewayRequest, decodes_as::<GatewayRequest>(frame)),
+        (
+            Family::GatewayResponse,
+            decodes_as::<GatewayResponse>(frame),
+        ),
+        (Family::FleetRequest, decodes_as::<FleetRequest>(frame)),
+        (Family::FleetResponse, decodes_as::<FleetResponse>(frame)),
+    ]
+    .into_iter()
+    .filter_map(|(family, ok)| ok.then_some(family))
+    .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
+    fn arbitrary_bytes_are_rejected_by_every_family(
+        junk in proptest::collection::vec(0u8..=255, 0..96),
+        family_index in 0usize..5,
+        tag_index in 0usize..16,
+    ) {
+        // Raw junk fails the header checks...
+        prop_assert!(accepting_families(&junk).is_empty());
+        // ...and junk behind a well-formed header naming a real tag of
+        // any family fails the payload checks, never panicking.
+        let tags = Family::ALL[family_index].tags();
+        let tag = tags[tag_index % tags.len()];
+        let mut frame = b"MP".to_vec();
+        frame.extend_from_slice(&[mpros::network::WIRE_VERSION, tag as u8]);
+        frame.extend_from_slice(&(junk.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&junk);
+        prop_assert!(accepting_families(&frame).is_empty());
+    }
+
+    #[test]
+    fn single_byte_mutations_never_panic_or_cross_families(
+        frames in arb_frames(),
+        position in 0.0..1.0f64,
+        flip in 1u8..=255,
+    ) {
+        for (family, frame) in Family::ALL.into_iter().zip(frames) {
+            prop_assert_eq!(accepting_families(&frame), vec![family]);
+            let mut mutated = frame.clone();
+            let at = ((mutated.len() as f64) * position) as usize;
+            mutated[at] ^= flip;
+            // A mutation inside a payload value may still be a valid
+            // message; it must then be one of the family its (possibly
+            // mutated) tag byte names, and no other.
+            let accepted = accepting_families(&mutated);
+            prop_assert!(accepted.len() <= 1);
+            if let Some(&accepted) = accepted.first() {
+                prop_assert_eq!(Tag::peek(&mutated).map(Tag::family), Some(accepted));
+            }
+        }
+    }
+
+    #[test]
     fn any_request_survives_the_wire(req in arb_request()) {
         let frame = encode_request(&req).unwrap();
-        prop_assert_eq!(decode_request(frame).unwrap(), req);
+        prop_assert_eq!(decode_request(&frame).unwrap(), req);
     }
 
     #[test]
     fn any_response_survives_the_wire(resp in arb_response()) {
         let frame = encode_response(&resp).unwrap();
-        prop_assert_eq!(decode_response(frame).unwrap(), resp);
+        prop_assert_eq!(decode_response(&frame).unwrap(), resp);
     }
 
     #[test]
@@ -658,7 +756,7 @@ proptest! {
         let frame = encode_request(&req).unwrap();
         let cut = ((frame.len() as f64) * cut_fraction) as usize;
         prop_assert!(cut < frame.len());
-        prop_assert!(decode_request(frame.slice(0..cut)).is_err());
+        prop_assert!(decode_request(&frame[..cut]).is_err());
     }
 
     #[test]
@@ -666,7 +764,7 @@ proptest! {
         let frame = encode_response(&resp).unwrap();
         let cut = ((frame.len() as f64) * cut_fraction) as usize;
         prop_assert!(cut < frame.len());
-        prop_assert!(decode_response(frame.slice(0..cut)).is_err());
+        prop_assert!(decode_response(&frame[..cut]).is_err());
     }
 
     #[test]
@@ -682,7 +780,7 @@ proptest! {
         let frame = encode_request(&req).unwrap();
         let mut bytes = frame.to_vec();
         bytes[byte] ^= flip;
-        prop_assert!(decode_request(bytes::Bytes::from(bytes)).is_err());
+        prop_assert!(decode_request(&bytes).is_err());
     }
 
     #[test]
@@ -693,30 +791,30 @@ proptest! {
         // best-effort parsed.
         let mut bytes = encode_request(&req).unwrap().to_vec();
         bytes[2] = 4;
-        prop_assert!(decode_request(bytes::Bytes::from(bytes)).is_err());
+        prop_assert!(decode_request(&bytes).is_err());
         let mut bytes = encode_response(&resp).unwrap().to_vec();
         bytes[2] = 4;
-        prop_assert!(decode_response(bytes::Bytes::from(bytes)).is_err());
+        prop_assert!(decode_response(&bytes).is_err());
     }
 
     #[test]
     fn ship_network_stack_rejects_gateway_frames(req in arb_request(), resp in arb_response()) {
         // A gateway frame misrouted into the DC/PDME transport decoder
         // must be refused on the tag range, not mis-parsed as a report.
-        prop_assert!(decode_message(encode_request(&req).unwrap()).is_err());
-        prop_assert!(decode_message(encode_response(&resp).unwrap()).is_err());
+        prop_assert!(decode_message(&encode_request(&req).unwrap()).is_err());
+        prop_assert!(decode_message(&encode_response(&resp).unwrap()).is_err());
     }
 
     #[test]
     fn any_fleet_request_survives_the_wire(req in arb_fleet_request()) {
         let frame = encode_fleet_request(&req).unwrap();
-        prop_assert_eq!(decode_fleet_request(frame).unwrap(), req);
+        prop_assert_eq!(decode_fleet_request(&frame).unwrap(), req);
     }
 
     #[test]
     fn any_fleet_response_survives_the_wire(resp in arb_fleet_response()) {
         let frame = encode_fleet_response(&resp).unwrap();
-        prop_assert_eq!(decode_fleet_response(frame).unwrap(), resp);
+        prop_assert_eq!(decode_fleet_response(&frame).unwrap(), resp);
     }
 
     #[test]
@@ -727,7 +825,7 @@ proptest! {
         let frame = encode_fleet_request(&req).unwrap();
         let cut = ((frame.len() as f64) * cut_fraction) as usize;
         prop_assert!(cut < frame.len());
-        prop_assert!(decode_fleet_request(frame.slice(0..cut)).is_err());
+        prop_assert!(decode_fleet_request(&frame[..cut]).is_err());
     }
 
     #[test]
@@ -738,7 +836,7 @@ proptest! {
         let frame = encode_fleet_response(&resp).unwrap();
         let cut = ((frame.len() as f64) * cut_fraction) as usize;
         prop_assert!(cut < frame.len());
-        prop_assert!(decode_fleet_response(frame.slice(0..cut)).is_err());
+        prop_assert!(decode_fleet_response(&frame[..cut]).is_err());
     }
 
     #[test]
@@ -753,10 +851,10 @@ proptest! {
         // must fail the decode.
         let mut bytes = encode_fleet_request(&req).unwrap().to_vec();
         bytes[byte] ^= flip;
-        prop_assert!(decode_fleet_request(bytes::Bytes::from(bytes)).is_err());
+        prop_assert!(decode_fleet_request(&bytes).is_err());
         let mut bytes = encode_fleet_response(&resp).unwrap().to_vec();
         bytes[byte] ^= flip;
-        prop_assert!(decode_fleet_response(bytes::Bytes::from(bytes)).is_err());
+        prop_assert!(decode_fleet_response(&bytes).is_err());
     }
 
     #[test]
@@ -771,13 +869,13 @@ proptest! {
         // with the same cut.
         let mut bytes = encode_fleet_request(&req).unwrap().to_vec();
         bytes[2] = 5;
-        prop_assert!(decode_fleet_request(bytes::Bytes::from(bytes)).is_err());
+        prop_assert!(decode_fleet_request(&bytes).is_err());
         let mut bytes = encode_fleet_response(&resp).unwrap().to_vec();
         bytes[2] = 5;
-        prop_assert!(decode_fleet_response(bytes::Bytes::from(bytes)).is_err());
+        prop_assert!(decode_fleet_response(&bytes).is_err());
         let mut bytes = encode_request(&GatewayRequest::GetIcas).unwrap().to_vec();
         bytes[2] = 5;
-        prop_assert!(decode_request(bytes::Bytes::from(bytes)).is_err());
+        prop_assert!(decode_request(&bytes).is_err());
     }
 
     #[test]
@@ -791,13 +889,13 @@ proptest! {
         // decoder must refuse the other three ranges so a misrouted
         // frame fails loudly instead of half-parsing.
         for frame in [encode_fleet_request(&freq).unwrap(), encode_fleet_response(&fresp).unwrap()] {
-            prop_assert!(decode_request(frame.clone()).is_err());
-            prop_assert!(decode_response(frame.clone()).is_err());
-            prop_assert!(decode_message(frame).is_err());
+            prop_assert!(decode_request(&frame).is_err());
+            prop_assert!(decode_response(&frame).is_err());
+            prop_assert!(decode_message(&frame).is_err());
         }
         for frame in [encode_request(&req).unwrap(), encode_response(&resp).unwrap()] {
-            prop_assert!(decode_fleet_request(frame.clone()).is_err());
-            prop_assert!(decode_fleet_response(frame).is_err());
+            prop_assert!(decode_fleet_request(&frame).is_err());
+            prop_assert!(decode_fleet_response(&frame).is_err());
         }
     }
 }

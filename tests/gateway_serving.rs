@@ -97,9 +97,8 @@ fn serve_fingerprint(exec: ExecMode) -> Vec<Vec<u8>> {
         .iter()
         .map(|req| {
             gateway
-                .handle_frame(encode_request(req).expect("request encodes"))
+                .handle_frame(&encode_request(req).expect("request encodes"))
                 .expect("request serves")
-                .to_vec()
         })
         .collect()
 }
@@ -109,7 +108,7 @@ fn gateway_responses_are_byte_identical_across_exec_modes() {
     let reference = serve_fingerprint(ExecMode::Sequential);
     // Guard against vacuity: the ICAS answer must carry real machines,
     // and the Subscribe answer real edges, before comparing bytes.
-    let icas = decode_response(bytes::Bytes::from(reference[0].clone())).unwrap();
+    let icas = decode_response(&reference[0]).unwrap();
     match icas {
         GatewayResponse::Icas {
             snapshot_version,
@@ -120,7 +119,7 @@ fn gateway_responses_are_byte_identical_across_exec_modes() {
         }
         other => panic!("wrong response {other:?}"),
     }
-    match decode_response(bytes::Bytes::from(reference[3].clone())).unwrap() {
+    match decode_response(&reference[3]).unwrap() {
         GatewayResponse::Deltas { deltas, .. } => {
             assert!(
                 !deltas.is_empty(),
@@ -131,25 +130,25 @@ fn gateway_responses_are_byte_identical_across_exec_modes() {
     }
     // And the observability legs: real exposition text, a sealed
     // incident, a non-empty hop chain.
-    match decode_response(bytes::Bytes::from(reference[13].clone())).unwrap() {
+    match decode_response(&reference[13]).unwrap() {
         GatewayResponse::Metrics { exposition, .. } => {
             assert!(exposition.contains("# TYPE"), "empty exposition");
         }
         other => panic!("wrong response {other:?}"),
     }
-    match decode_response(bytes::Bytes::from(reference[15].clone())).unwrap() {
+    match decode_response(&reference[15]).unwrap() {
         GatewayResponse::Incidents { incidents, .. } => {
             assert!(!incidents.is_empty(), "no incidents listed");
         }
         other => panic!("wrong response {other:?}"),
     }
-    match decode_response(bytes::Bytes::from(reference[17].clone())).unwrap() {
+    match decode_response(&reference[17]).unwrap() {
         GatewayResponse::Trace { hops, .. } => {
             assert!(!hops.is_empty(), "no hops served");
         }
         other => panic!("wrong response {other:?}"),
     }
-    match decode_response(bytes::Bytes::from(reference[18].clone())).unwrap() {
+    match decode_response(&reference[18]).unwrap() {
         GatewayResponse::NotFound { .. } => {}
         other => panic!("wrong response {other:?}"),
     }

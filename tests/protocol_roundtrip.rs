@@ -90,7 +90,7 @@ proptest! {
     #[test]
     fn any_report_survives_the_wire(report in arb_report()) {
         let frame = encode_message(&NetMessage::Report(report.clone())).unwrap();
-        let back = decode_message(frame).unwrap();
+        let back = decode_message(&frame).unwrap();
         prop_assert_eq!(back, NetMessage::Report(report));
     }
 
@@ -121,7 +121,7 @@ proptest! {
     fn any_batch_survives_the_wire(batch in arb_batch()) {
         // Includes the empty batch ("nothing this step").
         let frame = encode_message(&batch).unwrap();
-        let back = decode_message(frame).unwrap();
+        let back = decode_message(&frame).unwrap();
         prop_assert_eq!(back, batch);
     }
 
@@ -164,7 +164,7 @@ proptest! {
                 report,
             }],
         };
-        let back = decode_message(encode_message(&batch).unwrap()).unwrap();
+        let back = decode_message(&encode_message(&batch).unwrap()).unwrap();
         prop_assert_eq!(back, batch);
     }
 
@@ -175,7 +175,7 @@ proptest! {
         // in the header, the length field, or mid-payload.
         let cut = ((frame.len() as f64) * cut_fraction) as usize;
         prop_assert!(cut < frame.len());
-        prop_assert!(decode_message(frame.slice(0..cut)).is_err());
+        prop_assert!(decode_message(&frame[..cut]).is_err());
     }
 
     #[test]
@@ -223,7 +223,7 @@ fn max_size_batch_roundtrips_and_oversize_is_rejected() {
         epoch: 0,
         entries: (1..=MAX_BATCH as u64).map(entry).collect(),
     };
-    let back = decode_message(encode_message(&full).unwrap()).unwrap();
+    let back = decode_message(&encode_message(&full).unwrap()).unwrap();
     assert_eq!(back, full);
     let over = NetMessage::ReportBatch {
         dc: DcId::new(1),

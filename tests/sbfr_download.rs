@@ -89,7 +89,7 @@ fn downloaded_images_roundtrip_the_wire_bit_for_bit() {
             image: image.clone(),
         };
         let frame = mpros::network::encode_message(&msg).unwrap();
-        match mpros::network::decode_message(frame).unwrap() {
+        match mpros::network::decode_message(&frame).unwrap() {
             NetMessage::DownloadSbfr { image: back, .. } => assert_eq!(back, image),
             other => panic!("wrong kind: {other:?}"),
         }
