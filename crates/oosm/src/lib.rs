@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 
 pub mod events;
+mod lookup;
 pub mod model;
 pub mod reports;
 pub mod store;

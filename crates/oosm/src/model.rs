@@ -1,6 +1,7 @@
 //! The object model API (§4.2–§4.4).
 
 use crate::events::{EventBus, OosmEvent, Subscription};
+use crate::lookup::{IdKey, Lookups};
 use crate::store::{Store, Value};
 use mpros_core::{Durable, Error, ObjectId, Result};
 use mpros_telemetry::{Counter, Telemetry};
@@ -77,6 +78,15 @@ pub enum Relation {
 }
 
 impl Relation {
+    /// Every relation.
+    pub(crate) const ALL: [Relation; 5] = [
+        Relation::PartOf,
+        Relation::KindOf,
+        Relation::ProximateTo,
+        Relation::FlowsTo,
+        Relation::RefersTo,
+    ];
+
     /// Stable string form.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -107,11 +117,31 @@ impl fmt::Display for Relation {
     }
 }
 
+/// The §4.6 mapping tables: name, columns, and the secondarily indexed
+/// columns (property lookups by object, relationship traversal in both
+/// directions, object lookups by kind/name).
+const SCHEMA: [(&str, &[&str], &[&str]); 3] = [
+    ("objects", &["id", "kind", "name"], &["kind", "name"]),
+    (
+        "properties",
+        &["row_id", "object_id", "key", "value_json"],
+        &["object_id"],
+    ),
+    (
+        "relationships",
+        &["row_id", "from_id", "relation", "to_id"],
+        &["from_id", "to_id"],
+    ),
+];
+
 /// The Object-Oriented Ship Model: object graph over the relational
 /// store, with change events.
 #[derive(Debug)]
 pub struct Oosm {
     store: Store,
+    /// Indexed answers to the id and relationship lookups (derived from
+    /// `store`, never encoded; see [`crate::lookup`]).
+    lookups: Lookups,
     bus: EventBus,
     next_object: u64,
     next_row: i64,
@@ -129,30 +159,17 @@ impl Oosm {
     /// An empty model with the relational mapping tables created.
     pub fn new() -> Self {
         let mut store = Store::new();
-        store
-            .create_table("objects", &["id", "kind", "name"])
-            .expect("fresh store");
-        store
-            .create_table("properties", &["row_id", "object_id", "key", "value_json"])
-            .expect("fresh store");
-        store
-            .create_table("relationships", &["row_id", "from_id", "relation", "to_id"])
-            .expect("fresh store");
-        // Query-path indexes: property lookups by object, relationship
-        // traversal in both directions, object lookups by kind/name.
-        for (table, column) in [
-            ("objects", "kind"),
-            ("objects", "name"),
-            ("properties", "object_id"),
-            ("relationships", "from_id"),
-            ("relationships", "to_id"),
-        ] {
-            store.create_index(table, column).expect("fresh schema");
+        for (table, columns, indexed) in SCHEMA {
+            store.create_table(table, columns).expect("fresh store");
+            for column in indexed {
+                store.create_index(table, column).expect("fresh schema");
+            }
         }
         let telemetry = Telemetry::new();
         let m_reports_posted = telemetry.counter("oosm", "reports_posted");
         Oosm {
             store,
+            lookups: Lookups::default(),
             bus: EventBus::new(),
             next_object: 0,
             next_row: 0,
@@ -206,6 +223,11 @@ impl Oosm {
     /// counts; §4.6's mapping is observable here).
     pub fn store(&self) -> &Store {
         &self.store
+    }
+
+    /// Objects of `kind` whose `key` property is `Int(value)`, ascending.
+    pub(crate) fn holders(&self, kind: ObjectKind, key: IdKey, value: i64) -> &[ObjectId] {
+        self.lookups.holders(kind, key, value)
     }
 
     /// Create an object; returns its id.
@@ -277,9 +299,9 @@ impl Oosm {
     /// Set (insert or overwrite) a property. Values are stored as JSON
     /// text in the `properties` helper table — the §4.6 column mapping.
     pub fn set_property(&mut self, object: ObjectId, key: &str, value: Value) -> Result<()> {
-        if !self.exists(object) {
-            return Err(Error::not_found(object.to_string()));
-        }
+        let kind = self.kind(object)?;
+        let id_key = IdKey::of(key);
+        let old_id = id_key.and_then(|_| self.property(object, key)?.as_int());
         let oid = Value::Int(object.raw() as i64);
         let key_v = Value::Text(key.into());
         let json = encode_value(&value);
@@ -300,6 +322,11 @@ impl Oosm {
                 "properties",
                 vec![Value::Int(row_id), oid, key_v, Value::Text(json)],
             )?;
+        }
+        if let Some(id_key) = id_key {
+            // `Int` values round-trip exactly through the JSON cell.
+            self.lookups
+                .reindex(object, kind, id_key, old_id, value.as_int());
         }
         self.publish(OosmEvent::PropertyChanged {
             object,
@@ -349,22 +376,18 @@ impl Oosm {
         if !self.exists(to) {
             return Err(Error::not_found(to.to_string()));
         }
-        let f = Value::Int(from.raw() as i64);
-        let r = Value::Text(relation.as_str().into());
-        let t = Value::Int(to.raw() as i64);
-        let exists = {
-            let (f, r, t) = (f.clone(), r.clone(), t.clone());
-            !self
-                .store
-                .select("relationships", move |row| {
-                    row[1] == f && row[2] == r && row[3] == t
-                })?
-                .is_empty()
-        };
-        if !exists {
+        if !self.lookups.is_related(from, relation, to) {
             let row_id = self.next_row_id();
-            self.store
-                .insert("relationships", vec![Value::Int(row_id), f, r, t])?;
+            self.store.insert(
+                "relationships",
+                vec![
+                    Value::Int(row_id),
+                    Value::Int(from.raw() as i64),
+                    Value::Text(relation.as_str().into()),
+                    Value::Int(to.raw() as i64),
+                ],
+            )?;
+            self.lookups.relate(from, relation, to);
             self.publish(OosmEvent::RelationAdded { from, relation, to });
         }
         Ok(())
@@ -372,41 +395,18 @@ impl Oosm {
 
     /// Outgoing related objects: `from --relation--> ?`.
     pub fn related(&self, from: ObjectId, relation: Relation) -> Vec<ObjectId> {
-        let f = Value::Int(from.raw() as i64);
-        let r = Value::Text(relation.as_str().into());
-        self.store
-            .select_eq("relationships", "from_id", &f)
-            .expect("relationships table exists")
-            .into_iter()
-            .filter(|row| row[2] == r)
-            .collect::<Vec<_>>()
-            .iter()
-            .filter_map(|row| row[3].as_int())
-            .map(|i| ObjectId::new(i as u64))
-            .collect()
+        self.lookups.related(from, relation).to_vec()
     }
 
     /// Incoming related objects: `? --relation--> to`.
     pub fn related_to(&self, to: ObjectId, relation: Relation) -> Vec<ObjectId> {
-        let t = Value::Int(to.raw() as i64);
-        let r = Value::Text(relation.as_str().into());
-        self.store
-            .select_eq("relationships", "to_id", &t)
-            .expect("relationships table exists")
-            .into_iter()
-            .filter(|row| row[2] == r)
-            .collect::<Vec<_>>()
-            .iter()
-            .filter_map(|row| row[1].as_int())
-            .map(|i| ObjectId::new(i as u64))
-            .collect()
+        self.lookups.related_to(to, relation).to_vec()
     }
 
     /// Delete an object with its properties and relationships.
     pub fn delete_object(&mut self, object: ObjectId) -> Result<()> {
-        if !self.exists(object) {
-            return Err(Error::not_found(object.to_string()));
-        }
+        let kind = self.kind(object)?;
+        let old_ids = IdKey::ALL.map(|key| self.property(object, key.as_str())?.as_int());
         let oid = Value::Int(object.raw() as i64);
         self.store.delete("objects", {
             let oid = oid.clone();
@@ -418,6 +418,10 @@ impl Oosm {
         })?;
         self.store
             .delete("relationships", move |r| r[1] == oid || r[3] == oid)?;
+        for (key, old) in IdKey::ALL.into_iter().zip(old_ids) {
+            self.lookups.reindex(object, kind, key, old, None);
+        }
+        self.lookups.remove_edges(object);
         self.publish(OosmEvent::ObjectDeleted { object });
         Ok(())
     }
@@ -434,7 +438,10 @@ impl Oosm {
 /// event bus is volatile by design — subscriptions belong to the
 /// consuming engine, which re-subscribes after a restore — and the
 /// decoded model observes a fresh private telemetry domain until the
-/// host rebinds it.
+/// host rebinds it. The lookups are derived: decode rebuilds them from
+/// the tables, after checking the tables hold the §4.6 schema and only
+/// rows the model could have written, so a hostile snapshot is an
+/// `Err` here rather than a panic on the next write.
 impl Durable for Oosm {
     fn encode(&self, out: &mut Vec<u8>) {
         self.store.encode(out);
@@ -446,10 +453,21 @@ impl Durable for Oosm {
         let store = Store::decode(input)?;
         let next_object = u64::decode(input)?;
         let next_row = i64::decode(input)?;
+        if store.table_names().len() != SCHEMA.len()
+            || !SCHEMA
+                .iter()
+                .all(|(table, columns, indexed)| store.has_schema(table, columns, indexed))
+        {
+            return Err(Error::invalid(
+                "durable OOSM store does not hold the mapping tables",
+            ));
+        }
+        let lookups = Lookups::rebuild(&store, next_object, next_row)?;
         let telemetry = Telemetry::new();
         let m_reports_posted = telemetry.counter("oosm", "reports_posted");
         Ok(Oosm {
             store,
+            lookups,
             bus: EventBus::new(),
             next_object,
             next_row,
@@ -474,7 +492,7 @@ fn encode_value(v: &Value) -> String {
 }
 
 /// Decode the JSON property representation.
-fn decode_value(json: &str) -> Value {
+pub(crate) fn decode_value(json: &str) -> Value {
     let parsed: serde_json::Value = match serde_json::from_str(json) {
         Ok(v) => v,
         Err(_) => return Value::Null,

@@ -3,12 +3,19 @@
 //! §4.1: the OOSM "also serves as a repository of diagnostic conclusions
 //! – both those of the individual algorithms and those reached by KF."
 //! Reports are stored as OOSM objects of kind [`ObjectKind::Report`]
-//! whose full §7.2 payload lives in one JSON property (plus indexed
-//! scalar columns for the query paths), related by `refers-to` to the
-//! machine object they concern. Posting a report publishes the
+//! whose full §7.2 payload lives in one JSON property, beside scalar
+//! property rows (`report_id`, `machine_id`, `condition`, belief,
+//! severity, timestamp), related by `refers-to` to the machine object
+//! they concern. Posting a report publishes the
 //! [`OosmEvent::ReportPosted`] event that drives knowledge fusion.
+//!
+//! The id lookups here (`machine_object`, `report_object`,
+//! `reports_for_machine`, `report_count_for`) read the model's derived
+//! lookups rather than scanning reports, so their cost does not grow
+//! with the stored history.
 
 use crate::events::OosmEvent;
+use crate::lookup::IdKey;
 use crate::model::{ObjectKind, Oosm, Relation};
 use crate::store::Value;
 use mpros_core::{ConditionReport, Error, MachineId, ObjectId, ReportId, Result};
@@ -28,12 +35,12 @@ impl Oosm {
         obj
     }
 
-    /// The OOSM object registered for a machine id.
+    /// The OOSM object registered for a machine id (the lowest id if
+    /// several machine objects hold it).
     pub fn machine_object(&self, machine: MachineId) -> Option<ObjectId> {
-        let want = Value::Int(machine.raw() as i64);
-        self.objects_of_kind(ObjectKind::Machine)
-            .into_iter()
-            .find(|&o| self.property(o, "machine_id").as_ref() == Some(&want))
+        self.holders(ObjectKind::Machine, IdKey::MachineId, machine.raw() as i64)
+            .first()
+            .copied()
     }
 
     /// Post a failure-prediction report (§5.1 step 1: "New reports
@@ -78,26 +85,33 @@ impl Oosm {
             .map_err(|e| Error::Encoding(format!("report deserialization: {e}")))
     }
 
-    /// Find the report object holding a report id.
+    /// Find the report object holding a report id (the lowest id if
+    /// several report objects hold it).
     pub fn report_object(&self, report: ReportId) -> Option<ObjectId> {
-        let want = Value::Int(report.raw() as i64);
-        self.objects_of_kind(ObjectKind::Report)
-            .into_iter()
-            .find(|&o| self.property(o, "report_id").as_ref() == Some(&want))
+        self.holders(ObjectKind::Report, IdKey::ReportId, report.raw() as i64)
+            .first()
+            .copied()
     }
 
     /// All reports concerning a machine, in posting order.
     pub fn reports_for_machine(&self, machine: MachineId) -> Vec<ConditionReport> {
-        let want = Value::Int(machine.raw() as i64);
-        let mut objs: Vec<ObjectId> = self
-            .objects_of_kind(ObjectKind::Report)
-            .into_iter()
-            .filter(|&o| self.property(o, "machine_id").as_ref() == Some(&want))
-            .collect();
-        objs.sort();
-        objs.into_iter()
-            .filter_map(|o| self.report_payload(o).ok())
+        self.report_objects_for(machine)
+            .iter()
+            .filter_map(|&o| self.report_payload(o).ok())
             .collect()
+    }
+
+    /// Number of report objects whose `machine_id` is `machine`, without
+    /// decoding their payloads. For reports stored by
+    /// [`Oosm::post_report`] this is the length of
+    /// [`Oosm::reports_for_machine`].
+    pub fn report_count_for(&self, machine: MachineId) -> usize {
+        self.report_objects_for(machine).len()
+    }
+
+    /// Report objects whose `machine_id` is `machine`, ascending.
+    fn report_objects_for(&self, machine: MachineId) -> &[ObjectId] {
+        self.holders(ObjectKind::Report, IdKey::MachineId, machine.raw() as i64)
     }
 
     /// Total number of stored reports.

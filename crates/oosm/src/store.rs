@@ -7,10 +7,15 @@
 //! subset: named tables with typed columns, insert/update/delete by
 //! predicate, equality selection with a primary-key index on the first
 //! column when it is an integer.
+//!
+//! The store counts the live rows its queries examine
+//! ([`Store::rows_visited`]): a deterministic measure of query work, so
+//! a test can pin how much a query path reads independent of host speed.
 
 use mpros_core::{Durable, Error, Result};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A typed cell value.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,6 +142,9 @@ impl Table {
 #[derive(Debug, Default)]
 pub struct Store {
     tables: HashMap<String, Table>,
+    /// Live rows examined by `get`, `select`, `select_eq`, `update`,
+    /// `update_eq` and `delete` (derived state, never encoded).
+    rows_visited: AtomicU64,
 }
 
 impl Store {
@@ -169,6 +177,32 @@ impl Store {
         let mut names: Vec<&str> = self.tables.keys().map(|s| s.as_str()).collect();
         names.sort_unstable();
         names
+    }
+
+    /// Live rows examined by queries and updates since construction or
+    /// decode.
+    pub fn rows_visited(&self) -> u64 {
+        self.rows_visited.load(Ordering::Relaxed)
+    }
+
+    fn visit(&self, rows: usize) {
+        self.rows_visited.fetch_add(rows as u64, Ordering::Relaxed);
+    }
+
+    /// True if `table` exists with exactly these columns and secondary
+    /// indexes (in creation order).
+    pub(crate) fn has_schema(&self, table: &str, columns: &[&str], indexed: &[&str]) -> bool {
+        let Some(t) = self.tables.get(table) else {
+            return false;
+        };
+        t.columns
+            .iter()
+            .map(String::as_str)
+            .eq(columns.iter().copied())
+            && t.indexes
+                .iter()
+                .map(|i| t.columns[i.column].as_str())
+                .eq(indexed.iter().copied())
     }
 
     fn table(&self, name: &str) -> Result<&Table> {
@@ -242,7 +276,9 @@ impl Store {
     /// Fetch by primary key (first column `Int`).
     pub fn get(&self, table: &str, pk: i64) -> Result<Option<&Row>> {
         let t = self.table(table)?;
-        Ok(t.pk_index.get(&pk).and_then(|&i| t.rows[i].as_ref()))
+        let row = t.pk_index.get(&pk).and_then(|&i| t.rows[i].as_ref());
+        self.visit(usize::from(row.is_some()));
+        Ok(row)
     }
 
     /// Rows matching `predicate` (full scan).
@@ -252,6 +288,7 @@ impl Store {
         predicate: impl Fn(&Row) -> bool + 'a,
     ) -> Result<Vec<&'a Row>> {
         let t = self.table(table)?;
+        self.visit(t.live);
         Ok(t.rows
             .iter()
             .filter_map(|r| r.as_ref())
@@ -271,11 +308,13 @@ impl Store {
         let t = self.table(table)?;
         if let Some(key) = IndexKey::of(value) {
             if let Some(sec) = t.indexes.iter().find(|i| i.column == idx) {
-                return Ok(sec
+                let rows: Vec<&Row> = sec
                     .map
                     .get(&key)
                     .map(|rows| rows.iter().filter_map(|&r| t.rows[r].as_ref()).collect())
-                    .unwrap_or_default());
+                    .unwrap_or_default();
+                self.visit(rows.len());
+                return Ok(rows);
             }
         }
         let value = value.clone();
@@ -295,7 +334,7 @@ impl Store {
         mutate: impl Fn(&mut Row),
     ) -> Result<usize> {
         let col = self.column_index(table, column)?;
-        let t = self.table_mut(table)?;
+        let t = self.table(table)?;
         let candidates: Vec<usize> = match (
             IndexKey::of(value),
             t.indexes.iter().find(|i| i.column == col),
@@ -303,6 +342,8 @@ impl Store {
             (Some(key), Some(sec)) => sec.map.get(&key).cloned().unwrap_or_default(),
             _ => (0..t.rows.len()).collect(),
         };
+        self.visit(candidates.iter().filter(|&&r| t.rows[r].is_some()).count());
+        let t = self.table_mut(table)?;
         let mut n = 0;
         for row_idx in candidates {
             let Some(row) = t.rows[row_idx].as_ref() else {
@@ -339,6 +380,7 @@ impl Store {
         predicate: impl Fn(&Row) -> bool,
         mutate: impl Fn(&mut Row),
     ) -> Result<usize> {
+        self.visit(self.table(table)?.live);
         let t = self.table_mut(table)?;
         let mut n = 0;
         for row_idx in 0..t.rows.len() {
@@ -369,6 +411,7 @@ impl Store {
 
     /// Delete rows matching `predicate`; returns the count.
     pub fn delete(&mut self, table: &str, predicate: impl Fn(&Row) -> bool) -> Result<usize> {
+        self.visit(self.table(table)?.live);
         let t = self.table_mut(table)?;
         let mut n = 0;
         for row_idx in 0..t.rows.len() {
@@ -432,7 +475,8 @@ impl Durable for Value {
 /// columns, its full row vector *including tombstones* (so internal row
 /// ids — positions — survive a restore) and the list of secondarily
 /// indexed columns. The pk index, secondary index maps and live count
-/// are derived state and are rebuilt on decode by scanning rows in
+/// are derived state (as is the rows-visited count, which restarts at
+/// zero) and are rebuilt on decode by scanning rows in
 /// ascending order, which reproduces the live index ordering because no
 /// MPROS write path mutates an indexed column in place.
 impl Durable for Store {
@@ -452,6 +496,14 @@ impl Durable for Store {
 
     fn decode(input: &mut &[u8]) -> Result<Self> {
         let n = usize::decode(input)?;
+        // A table takes more than one byte, so a count beyond the input
+        // is corrupt; checking first bounds the preallocation.
+        if n > input.len() {
+            return Err(Error::invalid(format!(
+                "durable store claims {n} table(s) but only {} byte(s) remain",
+                input.len()
+            )));
+        }
         let mut tables = HashMap::with_capacity(n);
         for _ in 0..n {
             let name = String::decode(input)?;
@@ -506,7 +558,10 @@ impl Durable for Store {
                 )));
             }
         }
-        Ok(Store { tables })
+        Ok(Store {
+            tables,
+            ..Store::default()
+        })
     }
 }
 

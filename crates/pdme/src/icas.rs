@@ -117,7 +117,7 @@ pub fn export_snapshot(
                 name,
                 health: tree.health,
                 status,
-                report_count: pdme.reports_for_machine(machine).len(),
+                report_count: pdme.oosm().report_count_for(machine),
                 conditions,
             }
         })

@@ -60,6 +60,14 @@ echo "==> crash-restore determinism, release"
 cargo test --release -q --test crash_restore
 cargo test --release -q --test wal_torn_write
 
+# The history-independence contract, in release: one further report
+# ingest, one further OOSM post and one ICAS export must visit the same
+# store rows with 1k and with 16k reports stored, so PDME cost does not
+# grow with the ship's report history. Rows visited is deterministic,
+# so host noise cannot hide a regression.
+echo "==> history independence, release"
+cargo test --release -q --test pdme_history
+
 # The fleet-plane contract, in release: fleet responses are pure
 # functions of (fleet version, request) — byte-identical across exec
 # modes, shard-visit interleavings and one-thread-per-shard stepping —
