@@ -12,8 +12,8 @@
 //!     the simulated ship network so bus-transit and end-to-end report
 //!     latency histograms fill;
 //!  4. whole-ship stepping throughput of the scatter-gather engine:
-//!     an 8-DC fleet stepped sequentially vs fanned across the worker
-//!     pool (`--workers N`, default 4), surveys due every step so each
+//!     an 8-DC fleet stepped sequentially vs fanned across scoped
+//!     threads (`--workers N`, default 4), surveys due every step so each
 //!     job is real work. Both runs produce byte-identical simulation
 //!     state (see `tests/parallel_determinism.rs`); this measures the
 //!     wall-clock side of that trade. `--crash-at K` tears the PDME
@@ -225,7 +225,7 @@ fn lossy_profile() -> (NetworkConfig, FaultPlan) {
 /// Steps/second of a whole 8-DC ship under one execution mode. The
 /// step size equals the survey period, so every step pushes a full
 /// vibration survey (FFT + four algorithm suites) through every DC —
-/// the chunky-job regime the pool is built for. Also returns the
+/// the chunky-job regime parallel mode is built for. Also returns the
 /// network's delivery counters so fault profiles surface their retry
 /// and expiry behaviour in the benchmark document.
 /// One fleet measurement's outputs: the stepping rate plus everything
@@ -391,7 +391,7 @@ fn dsp_bench() -> DspBench {
 }
 
 fn main() {
-    // `--workers N` sizes the pool for the fleet-stepping measurement;
+    // `--workers N` sets the thread count of the fleet-stepping measurement;
     // `--fault-profile {none|lossy}` picks the adversity the fleet
     // measurement runs under.
     let args: Vec<String> = std::env::args().collect();

@@ -326,29 +326,7 @@ impl ShipNetwork {
     /// fire-and-forget; report batches wanting retransmission go through
     /// [`ShipNetwork::enqueue_report_batch`] instead.
     pub fn post(&mut self, now: SimTime, envelope: Envelope) -> Result<()> {
-        self.transmit(now, envelope.from, envelope.to, &envelope.msg)
-    }
-
-    /// Send a message at simulated time `now`.
-    #[deprecated(since = "0.4.0", note = "use `post(now, Envelope { from, to, msg })`")]
-    pub fn send(
-        &mut self,
-        now: SimTime,
-        from: Endpoint,
-        to: Endpoint,
-        msg: &NetMessage,
-    ) -> Result<()> {
-        self.transmit(now, from, to, msg)
-    }
-
-    fn transmit(
-        &mut self,
-        now: SimTime,
-        from: Endpoint,
-        to: Endpoint,
-        msg: &NetMessage,
-    ) -> Result<()> {
-        self.transmit_attempt(now, from, to, msg, 0)
+        self.transmit_attempt(now, envelope.from, envelope.to, &envelope.msg, 0)
     }
 
     fn transmit_attempt(
@@ -414,45 +392,6 @@ impl ShipNetwork {
                 detail,
             ));
         }
-    }
-
-    /// Send one DC's reports for a step as unreliable
-    /// [`NetMessage::ReportBatch`] frames, without retry.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `enqueue_report_batch` + `pump_outboxes` for acked, retried delivery"
-    )]
-    pub fn send_report_batch(
-        &mut self,
-        now: SimTime,
-        dc: DcId,
-        reports: Vec<ConditionReport>,
-    ) -> Result<()> {
-        if reports.is_empty() {
-            return Ok(());
-        }
-        let entries: Vec<BatchEntry> = reports
-            .into_iter()
-            .map(|report| BatchEntry {
-                seq: report.id.raw(),
-                trace: TraceContext::default(),
-                report,
-            })
-            .collect();
-        for chunk in entries.chunks(MAX_BATCH) {
-            self.metrics.batched_reports.add(chunk.len() as u64);
-            self.transmit(
-                now,
-                Endpoint::Dc(dc),
-                Endpoint::Pdme,
-                &NetMessage::ReportBatch {
-                    dc,
-                    epoch: 0,
-                    entries: chunk.to_vec(),
-                },
-            )?;
-        }
-        Ok(())
     }
 
     /// Park one DC's reports for a step in its outbox as
@@ -867,20 +806,6 @@ mod tests {
         let got = net.recv(Endpoint::Pdme, t0 + SimDuration::from_millis(20.0));
         assert_eq!(got.len(), 1);
         assert_eq!(net.stats().delivered, 1);
-    }
-
-    #[test]
-    fn deprecated_send_still_posts() {
-        let mut net = network(0.0);
-        #[allow(deprecated)]
-        net.send(
-            SimTime::ZERO,
-            Endpoint::Dc(DcId::new(1)),
-            Endpoint::Pdme,
-            &heartbeat(1),
-        )
-        .unwrap();
-        assert_eq!(net.recv(Endpoint::Pdme, SimTime::from_secs(1.0)).len(), 1);
     }
 
     #[test]

@@ -2,41 +2,32 @@
 //!
 //! §8.1 scales MPROS to "hundreds of DCs per ship"; stepping every DC on
 //! one core then becomes the wall-clock bottleneck of the whole
-//! simulation. This module fans each tick's per-DC work out across a
-//! persistent worker pool and gathers the results back in a fixed
-//! order, so the observable simulation state is **byte-for-byte
-//! independent of scheduling**:
+//! simulation. [`step_dcs`] runs one tick's per-DC work either inline or
+//! across scoped threads, and hands the results back in a fixed order,
+//! so the observable simulation state is **byte-for-byte independent of
+//! scheduling**:
 //!
-//! 1. *Scatter*: each DC's step — delivered commands plus everything
-//!    due at `now` — is one [`StepJob`]. DCs share no mutable state
-//!    with each other (per-DC id allocators, per-DC databases, per-DC
-//!    RNG streams), so jobs commute.
-//! 2. *Gather*: workers return per-DC report buffers; the caller
+//! 1. *Scatter*: each live DC's step — delivered commands plus
+//!    everything due at `now` — is one [`DcJob`] borrowing that DC and
+//!    its plant. DCs share no mutable state with each other (per-DC id
+//!    allocators, per-DC databases, per-DC RNG streams), so jobs
+//!    commute. In parallel mode the jobs are cut into at most `workers`
+//!    contiguous chunks, one scoped thread per chunk.
+//! 2. *Gather*: the chunks are joined in order, so results come back in
+//!    ascending DC-index order; the caller
 //!    ([`crate::sim::ShipboardSim::step`]) merges them into the ship
-//!    network in ascending DC-index order, which pins the network's
-//!    jitter/drop RNG draw order — the only cross-DC coupling — to the
-//!    same sequence the sequential engine produces.
+//!    network in that order, which pins the network's jitter/drop RNG
+//!    draw order — the only cross-DC coupling — to the same sequence
+//!    the sequential engine produces.
 //!
-//! A panicking DC step is caught ([`std::panic::catch_unwind`]) and
-//! surfaced as an `Err` result for its index instead of deadlocking the
-//! gather.
+//! A panicking DC step propagates out of the caller's `step` in both
+//! modes, with its original payload.
 
 use mpros_chiller::ChillerPlant;
-use mpros_core::{ConditionReport, Error, Result, SimTime};
+use mpros_core::{ConditionReport, Result, SimTime};
 use mpros_dc::DataConcentrator;
 use mpros_network::NetMessage;
-use mpros_telemetry::{SpanBatch, Stage, Telemetry, WallTimer};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
-
-/// Lock `mutex`, ignoring poisoning: a DC step that panicked under the
-/// lock is already surfaced as an `Err` outcome, and the cell it left
-/// behind is the state the next step (or restore) works from.
-pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use mpros_telemetry::{Stage, Telemetry, WallTimer};
 
 /// How [`crate::sim::ShipboardSim`] executes each tick's per-DC work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,11 +35,12 @@ pub enum ExecMode {
     /// Step DCs one after another on the calling thread.
     #[default]
     Sequential,
-    /// Fan DC steps out across a persistent pool of worker threads.
-    /// Produces byte-identical simulation state to [`ExecMode::Sequential`]
-    /// for any worker count (see the module docs).
+    /// Fan DC steps out across scoped threads, one per contiguous chunk
+    /// of DCs. Produces byte-identical simulation state to
+    /// [`ExecMode::Sequential`] for any worker count (see the module
+    /// docs).
     Parallel {
-        /// Worker threads in the pool (clamped to at least 1).
+        /// Threads per tick (clamped to at least 1).
         workers: usize,
     },
 }
@@ -63,253 +55,126 @@ impl ExecMode {
     }
 }
 
-/// One DC's unit of work for a tick: the commands the network delivered
-/// to it this step, to apply before running whatever is due at `now`.
-#[derive(Debug)]
-pub struct StepJob {
-    /// Index of the DC (and its plant) in the simulation's storage.
-    pub dc_index: usize,
-    /// The tick's simulated time.
-    pub now: SimTime,
-    /// Commands delivered to this DC this step, in arrival order.
-    pub commands: Vec<NetMessage>,
-}
+/// One live DC's unit of work for a tick: its index, the DC and its
+/// plant, and the commands the network delivered to it this step (to
+/// apply before running whatever is due at `now`).
+pub(crate) type DcJob<'a> = (
+    usize,
+    &'a mut DataConcentrator,
+    &'a ChillerPlant,
+    Vec<NetMessage>,
+);
 
-/// A gathered result: the job's DC index and the reports it emitted
-/// (or the error/panic that stopped it).
-pub type StepOutcome = (usize, Result<Vec<ConditionReport>>);
-
-/// A persistent pool of worker threads stepping DCs.
-///
-/// Workers hold shared handles to the simulation's DC and plant cells;
-/// each [`StepJob`] locks exactly one of each, so jobs for different
-/// DCs proceed concurrently and jobs for the same DC (which the engine
-/// never issues within one tick) would serialize rather than race.
-/// Dropping the pool disconnects the job channel and joins every
-/// worker.
-pub struct WorkerPool {
-    jobs: Option<Sender<StepJob>>,
-    results: Receiver<StepOutcome>,
-    handles: Vec<JoinHandle<()>>,
-    workers: usize,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.workers)
-            .finish()
-    }
-}
-
-impl WorkerPool {
-    /// Spawn `workers` threads over the given DC/plant cells. The pool
-    /// records each job's wall cost as a [`Stage::DcStep`] span
-    /// (batched per job via [`SpanBatch`]) and counts jobs on the
-    /// `exec.jobs` counter of `telemetry`.
-    pub fn new(
-        workers: usize,
-        dcs: Vec<Arc<Mutex<DataConcentrator>>>,
-        plants: Vec<Arc<Mutex<ChillerPlant>>>,
-        telemetry: Telemetry,
-    ) -> Self {
-        assert_eq!(dcs.len(), plants.len(), "one plant per DC");
-        let workers = workers.max(1);
-        let (job_tx, job_rx) = channel::<StepJob>();
-        // std has no multi-consumer channel: workers take turns at the
-        // one job receiver, holding the lock only while they dequeue.
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (result_tx, result_rx) = channel::<StepOutcome>();
-        telemetry.gauge("exec", "workers").set(workers as f64);
-        let handles = (0..workers)
-            .map(|w| {
-                let job_rx = job_rx.clone();
-                let result_tx = result_tx.clone();
-                let dcs = dcs.clone();
-                let plants = plants.clone();
-                let telemetry = telemetry.clone();
-                let jobs_done = telemetry.counter("exec", "jobs");
-                std::thread::Builder::new()
-                    .name(format!("mpros-exec-{w}"))
-                    .spawn(move || {
-                        let mut spans = SpanBatch::new();
-                        loop {
-                            let Ok(job) = lock(&job_rx).recv() else {
-                                break; // pool dropped
-                            };
-                            let outcome = run_job(&dcs, &plants, &job, &mut spans);
-                            jobs_done.inc();
-                            spans.flush(&telemetry);
-                            if result_tx.send((job.dc_index, outcome)).is_err() {
-                                break; // pool dropped mid-step
-                            }
-                        }
-                    })
-                    .expect("spawn worker thread")
+/// Step every job at `now` and return `(dc_index, reports)` in job
+/// order. Each step's wall cost is a [`Stage::DcStep`] span; in
+/// parallel mode the steps also count on `exec.jobs`.
+pub(crate) fn step_dcs(
+    exec: ExecMode,
+    telemetry: &Telemetry,
+    now: SimTime,
+    mut jobs: Vec<DcJob<'_>>,
+) -> Vec<(usize, Result<Vec<ConditionReport>>)> {
+    let run = |(index, dc, plant, commands): &mut DcJob<'_>| {
+        let timer = WallTimer::start();
+        let result = dc.step(plant, now, commands);
+        telemetry.record_span_wall(Stage::DcStep, timer.elapsed());
+        (*index, result)
+    };
+    let ExecMode::Parallel { .. } = exec else {
+        return jobs.iter_mut().map(run).collect();
+    };
+    telemetry.counter("exec", "jobs").add(jobs.len() as u64);
+    let per_chunk = jobs.len().div_ceil(exec.worker_count()).max(1);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .chunks_mut(per_chunk)
+            .map(|chunk| scope.spawn(|| chunk.iter_mut().map(&run).collect::<Vec<_>>()))
+            .collect();
+        // Joined in chunk order: the deterministic gather.
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
             })
-            .collect();
-        WorkerPool {
-            jobs: Some(job_tx),
-            results: result_rx,
-            handles,
-            workers,
-        }
-    }
-
-    /// Worker threads in the pool.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Scatter `jobs` across the pool and gather every outcome, sorted
-    /// by DC index. Blocks until all jobs complete; a panicking job
-    /// yields an `Err` outcome rather than a missing one, so this
-    /// always returns exactly `jobs.len()` entries.
-    pub fn step_all(&self, jobs: Vec<StepJob>) -> Vec<StepOutcome> {
-        let n = jobs.len();
-        let tx = self.jobs.as_ref().expect("pool is alive until drop");
-        for job in jobs {
-            tx.send(job).expect("workers outlive the pool");
-        }
-        let mut out: Vec<StepOutcome> = (0..n)
-            .map(|_| self.results.recv().expect("workers outlive the pool"))
-            .collect();
-        out.sort_by_key(|(i, _)| *i);
-        out
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Disconnect the job channel; every worker's recv() fails and
-        // its loop exits.
-        self.jobs.take();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Execute one job: lock its DC and plant, run the step, convert a
-/// panic into an error. The lock scope is inside the unwind guard so a
-/// panic releases both cells before the outcome is reported.
-fn run_job(
-    dcs: &[Arc<Mutex<DataConcentrator>>],
-    plants: &[Arc<Mutex<ChillerPlant>>],
-    job: &StepJob,
-    spans: &mut SpanBatch,
-) -> Result<Vec<ConditionReport>> {
-    if job.dc_index >= dcs.len() {
-        return Err(Error::invalid(format!(
-            "job for DC index {} but only {} DCs exist",
-            job.dc_index,
-            dcs.len()
-        )));
-    }
-    let timer = WallTimer::start();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut dc = lock(&dcs[job.dc_index]);
-        let plant = lock(&plants[job.dc_index]);
-        dc.step(&plant, job.now, &job.commands)
-    }));
-    spans.record_wall(Stage::DcStep, timer.elapsed());
-    match outcome {
-        Ok(result) => result,
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(Error::invalid(format!(
-                "DC step at index {} panicked: {msg}",
-                job.dc_index
-            )))
-        }
-    }
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpros_chiller::plant::PlantConfig;
-    use mpros_core::{DcId, MachineId, SimDuration};
-    use mpros_dc::DcConfig;
+    use crate::sim::{ShipboardSim, ShipboardSimConfig};
+    use mpros_core::{DcId, FaultPlan, SimDuration};
+    use mpros_pdme::export_snapshot;
 
-    type Cell<T> = Vec<Arc<Mutex<T>>>;
-
-    fn cells(n: usize) -> (Cell<DataConcentrator>, Cell<ChillerPlant>) {
-        let mut dcs = Vec::new();
-        let mut plants = Vec::new();
-        for i in 0..n {
-            let machine = MachineId::new(i as u64 + 1);
-            let mut cfg = DcConfig::new(DcId::new(i as u64 + 1), machine);
-            cfg.survey_period = SimDuration::from_secs(30.0);
-            dcs.push(Arc::new(Mutex::new(DataConcentrator::new(cfg).unwrap())));
-            plants.push(Arc::new(Mutex::new(ChillerPlant::new(PlantConfig::new(
-                machine,
-                i as u64 + 11,
-            )))));
-        }
-        (dcs, plants)
-    }
-
-    fn jobs_at(n: usize, now: SimTime) -> Vec<StepJob> {
-        (0..n)
-            .map(|dc_index| StepJob {
-                dc_index,
-                now,
-                commands: Vec::new(),
-            })
-            .collect()
+    fn sim(dc_count: usize, exec: ExecMode, fault_plan: FaultPlan) -> ShipboardSim {
+        ShipboardSim::new(
+            ShipboardSimConfig::new()
+                .with_dc_count(dc_count)
+                .with_survey_period(SimDuration::from_secs(30.0))
+                .with_fault_plan(fault_plan)
+                .with_exec(exec),
+        )
+        .unwrap()
     }
 
     #[test]
-    fn gather_returns_every_job_in_dc_order() {
-        let (dcs, plants) = cells(6);
-        let t = Telemetry::new();
-        let pool = WorkerPool::new(3, dcs, plants, t.clone());
-        for step in 1..=4u64 {
-            let now = SimTime::from_secs(step as f64 * 0.25);
-            let outcomes = pool.step_all(jobs_at(6, now));
-            assert_eq!(outcomes.len(), 6);
-            let order: Vec<usize> = outcomes.iter().map(|(i, _)| *i).collect();
-            assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
-            assert!(outcomes.iter().all(|(_, r)| r.is_ok()));
+    fn parallel_steps_count_every_dc_job() {
+        let mut sim = sim(6, ExecMode::Parallel { workers: 3 }, FaultPlan::none());
+        for _ in 0..4 {
+            sim.step(SimDuration::from_secs(30.0)).unwrap();
         }
+        let t = sim.telemetry();
         assert_eq!(t.counter("exec", "jobs").get(), 24);
         assert_eq!(t.span_wall(Stage::DcStep).count(), 24);
         assert_eq!(t.gauge("exec", "workers").get(), 3.0);
+        assert_eq!(sim.workers(), 3);
     }
 
     #[test]
-    fn more_workers_than_dcs_is_fine() {
-        let (dcs, plants) = cells(2);
-        let pool = WorkerPool::new(8, dcs, plants, Telemetry::new());
-        let outcomes = pool.step_all(jobs_at(2, SimTime::from_secs(0.25)));
-        assert_eq!(outcomes.len(), 2);
-        assert!(outcomes.iter().all(|(_, r)| r.is_ok()));
+    fn more_workers_than_dcs_matches_sequential() {
+        let icas = |exec| {
+            let mut sim = sim(2, exec, FaultPlan::none());
+            sim.run_for(SimDuration::from_minutes(3.0), SimDuration::from_secs(30.0))
+                .unwrap();
+            export_snapshot(sim.pdme(), sim.now(), SimDuration::from_secs(30.0))
+                .to_json()
+                .unwrap()
+        };
+        assert_eq!(
+            icas(ExecMode::Parallel { workers: 8 }),
+            icas(ExecMode::Sequential)
+        );
     }
 
     #[test]
-    fn out_of_range_job_is_an_error_not_a_hang() {
-        let (dcs, plants) = cells(1);
-        let pool = WorkerPool::new(2, dcs, plants, Telemetry::new());
-        let outcomes = pool.step_all(vec![StepJob {
-            dc_index: 5,
-            now: SimTime::from_secs(1.0),
-            commands: Vec::new(),
-        }]);
-        assert_eq!(outcomes.len(), 1);
-        assert!(outcomes[0].1.is_err());
+    fn crashed_dcs_are_not_stepped() {
+        // DC 3 is down for the steps ending at t = 20, 30 and 40 s.
+        let plan = FaultPlan::none().with_dc_crash(
+            DcId::new(3),
+            SimTime::from_secs(15.0),
+            SimTime::from_secs(45.0),
+        );
+        let mut sim = sim(3, ExecMode::Parallel { workers: 2 }, plan);
+        let mut live = 0;
+        for _ in 0..6 {
+            sim.step(SimDuration::from_secs(10.0)).unwrap();
+            live += (0..3).filter(|&i| !sim.is_crashed(i)).count() as u64;
+        }
+        assert_eq!(live, 15);
+        assert_eq!(sim.telemetry().counter("exec", "jobs").get(), live);
     }
 
     #[test]
-    fn dropping_the_pool_joins_workers() {
-        let (dcs, plants) = cells(2);
-        let pool = WorkerPool::new(4, dcs, plants, Telemetry::new());
-        pool.step_all(jobs_at(2, SimTime::from_secs(0.25)));
-        drop(pool); // must not hang
+    fn sequential_steps_leave_exec_series_unregistered() {
+        let mut sim = sim(2, ExecMode::Sequential, FaultPlan::none());
+        sim.step(SimDuration::from_secs(30.0)).unwrap();
+        let snap = sim.telemetry().snapshot();
+        assert!(snap.counters.iter().all(|c| c.component != "exec"));
+        assert!(snap.gauges.iter().all(|g| g.component != "exec"));
+        assert_eq!(sim.telemetry().span_wall(Stage::DcStep).count(), 2);
+        assert_eq!(sim.workers(), 0);
     }
 
     #[test]

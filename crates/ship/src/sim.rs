@@ -19,7 +19,8 @@
 //! 2. **Execute** — each live DC applies its commands and runs
 //!    everything due at `now` against its plant
 //!    ([`DataConcentrator::step`]). Sequentially this happens inline;
-//!    in parallel mode it is scattered across the worker pool.
+//!    in parallel mode the DCs are cut into contiguous chunks, one
+//!    scoped thread each, joined back in DC-index order.
 //! 3. **Merge** — each live DC's report buffer is parked in its
 //!    network outbox as one batched frame, its heartbeat posted if due,
 //!    again in ascending DC-index order; then every due outbox frame
@@ -59,13 +60,13 @@
 //! * **Partition** — an endpoint is unreachable; report frames ride out
 //!   the window in their outbox on exponential backoff.
 
-use crate::exec::{StepJob, WorkerPool};
+use crate::exec::step_dcs;
 use mpros_chiller::fault::FaultSeed;
 use mpros_chiller::plant::PlantConfig;
 use mpros_chiller::ChillerPlant;
 use mpros_core::{
-    derive_stream_seed, ConditionReport, DcId, FaultKind, FaultPlan, FaultTarget, FaultTransition,
-    MachineId, Result, SimClock, SimDuration, SimTime,
+    derive_stream_seed, DcId, FaultKind, FaultPlan, FaultTarget, FaultTransition, MachineId,
+    Result, SimClock, SimDuration, SimTime,
 };
 use mpros_dc::{DataConcentrator, DcConfig, SensorFault};
 use mpros_gateway::{Gateway, GatewayConfig, ServingSnapshot};
@@ -75,11 +76,10 @@ use mpros_store::{RecoveryManager, StoreHandle};
 use mpros_telemetry::trace::dc_trace_seed;
 use mpros_telemetry::{
     FlightRecorder, IncidentTrigger, Instrumented, RecorderConfig, SloPolicy, SloVerdict,
-    SloWatchdog, Stage, Telemetry, TraceHop, WallTimer,
+    SloWatchdog, Telemetry, TraceHop,
 };
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-use crate::exec::lock;
 pub use crate::exec::ExecMode;
 
 /// Configuration of a shipboard simulation.
@@ -230,8 +230,8 @@ impl ShipboardSimConfig {
 
 /// The running simulation.
 pub struct ShipboardSim {
-    plants: Vec<Arc<Mutex<ChillerPlant>>>,
-    dcs: Vec<Arc<Mutex<DataConcentrator>>>,
+    plants: Vec<ChillerPlant>,
+    dcs: Vec<DataConcentrator>,
     dc_ids: Vec<DcId>,
     dc_configs: Vec<DcConfig>,
     /// Per-DC restart epoch; bumped every time a crash window ends.
@@ -246,7 +246,7 @@ pub struct ShipboardSim {
     heartbeat_period: SimDuration,
     last_heartbeat: Vec<SimTime>,
     telemetry: Telemetry,
-    pool: Option<WorkerPool>,
+    exec: ExecMode,
     /// Master seed, kept to re-derive trace-id streams on restarts.
     master_seed: u64,
     /// Per-DC trace-id stream seed for the *current* restart epoch;
@@ -280,8 +280,9 @@ impl ShipboardSim {
     /// Build the ship: `dc_count` chillers with their DCs, the network,
     /// and the PDME with every machine registered in its ship model and
     /// every DC's station (machines + SBFR set) on file with the
-    /// supervisor. In [`ExecMode::Parallel`] the worker pool is spawned
-    /// here and lives as long as the simulation.
+    /// supervisor. In [`ExecMode::Parallel`] the `exec.workers` gauge
+    /// and `exec.jobs` counter are registered here; sequential runs
+    /// never carry them.
     pub fn new(config: ShipboardSimConfig) -> Result<Self> {
         // One shared observability domain for the whole ship: every
         // component joins it at wiring time, before any traffic flows.
@@ -300,10 +301,10 @@ impl ShipboardSim {
         for i in 0..config.dc_count {
             let machine = MachineId::new(i as u64 + 1);
             let dc_id = DcId::new(i as u64 + 1);
-            plants.push(Arc::new(Mutex::new(ChillerPlant::new(PlantConfig::new(
+            plants.push(ChillerPlant::new(PlantConfig::new(
                 machine,
                 derive_stream_seed(config.seed, dc_id.raw()),
-            )))));
+            )));
             let trace_seed = dc_trace_seed(config.seed, dc_id.raw(), 0);
             trace_seeds.push(trace_seed);
             let dc_cfg = DcConfig::new(dc_id, machine)
@@ -311,7 +312,7 @@ impl ShipboardSim {
                 .with_trace_seed(trace_seed);
             let mut dc = DataConcentrator::new(dc_cfg.clone())?;
             dc.set_telemetry(&telemetry);
-            dcs.push(Arc::new(Mutex::new(dc)));
+            dcs.push(dc);
             dc_ids.push(dc_id);
             dc_configs.push(dc_cfg);
             network.register(Endpoint::Dc(dc_id));
@@ -324,15 +325,13 @@ impl ShipboardSim {
         let store = StoreHandle::in_memory(&telemetry);
         pdme.attach_store(store.clone());
         pdme.snapshot_to_store()?;
-        let pool = match config.exec {
-            ExecMode::Sequential => None,
-            ExecMode::Parallel { .. } => Some(WorkerPool::new(
-                config.exec.worker_count(),
-                dcs.clone(),
-                plants.clone(),
-                telemetry.clone(),
-            )),
-        };
+        if let ExecMode::Parallel { .. } = config.exec {
+            telemetry
+                .gauge("exec", "workers")
+                .set(config.exec.worker_count() as f64);
+            // Registered before the first step, so it reads 0, not absent.
+            telemetry.counter("exec", "jobs");
+        }
         Ok(ShipboardSim {
             last_heartbeat: vec![SimTime::ZERO - config.heartbeat_period; config.dc_count],
             epochs: vec![0; config.dc_count],
@@ -349,7 +348,7 @@ impl ShipboardSim {
             clock: SimClock::new(),
             heartbeat_period: config.heartbeat_period,
             telemetry,
-            pool,
+            exec: config.exec,
             master_seed: config.seed,
             trace_seeds,
             watchdog: SloWatchdog::new(config.slo),
@@ -500,20 +499,19 @@ impl ShipboardSim {
         self.steps
     }
 
-    /// Worker threads stepping DCs (0 in sequential mode).
+    /// Most threads stepping DCs in one tick (0 in sequential mode).
     pub fn workers(&self) -> usize {
-        self.pool.as_ref().map(|p| p.workers()).unwrap_or(0)
+        self.exec.worker_count()
     }
 
     /// The plants (fault seeding, ground truth).
-    pub fn plant_mut(&mut self, idx: usize) -> MutexGuard<'_, ChillerPlant> {
-        lock(&self.plants[idx])
+    pub fn plant_mut(&mut self, idx: usize) -> &mut ChillerPlant {
+        &mut self.plants[idx]
     }
 
-    /// The plants, immutably. (Still a lock guard: the worker pool
-    /// shares the cells, though it only touches them inside `step`.)
-    pub fn plant(&self, idx: usize) -> MutexGuard<'_, ChillerPlant> {
-        lock(&self.plants[idx])
+    /// The plants, immutably.
+    pub fn plant(&self, idx: usize) -> &ChillerPlant {
+        &self.plants[idx]
     }
 
     /// The PDME.
@@ -537,8 +535,8 @@ impl ShipboardSim {
     }
 
     /// One DC, for configuration (ablation switches, WNN attachment).
-    pub fn dc_mut(&mut self, idx: usize) -> MutexGuard<'_, DataConcentrator> {
-        lock(&self.dcs[idx])
+    pub fn dc_mut(&mut self, idx: usize) -> &mut DataConcentrator {
+        &mut self.dcs[idx]
     }
 
     /// The scheduled fault plan.
@@ -583,7 +581,7 @@ impl ShipboardSim {
 
     /// Seed a fault on plant `idx`.
     pub fn seed_fault(&mut self, idx: usize, seed: FaultSeed) {
-        lock(&self.plants[idx]).seed_fault(seed);
+        self.plants[idx].seed_fault(seed);
     }
 
     /// Send a PDME-side command to a DC over the network.
@@ -653,7 +651,7 @@ impl ShipboardSim {
                             }
                         }
                     }
-                    *lock(&self.dcs[idx]) = fresh;
+                    self.dcs[idx] = fresh;
                     self.crashed[idx] = false;
                     self.epochs[idx] = epoch;
                     self.network.restart_dc(dc, self.epochs[idx]);
@@ -667,7 +665,7 @@ impl ShipboardSim {
                 FaultTransition::Start(FaultKind::SensorDropout { dc, channel }) => {
                     let idx = self.dc_index(dc);
                     if !self.crashed[idx] {
-                        lock(&self.dcs[idx])
+                        self.dcs[idx]
                             .chain_mut()
                             .fail_sensor(channel, SensorFault::Flatline)?;
                     }
@@ -675,7 +673,7 @@ impl ShipboardSim {
                 FaultTransition::End(FaultKind::SensorDropout { dc, channel }) => {
                     let idx = self.dc_index(dc);
                     if !self.crashed[idx] {
-                        lock(&self.dcs[idx]).chain_mut().repair_sensor(channel)?;
+                        self.dcs[idx].chain_mut().repair_sensor(channel)?;
                     }
                 }
                 FaultTransition::Start(FaultKind::PdmeStall) => {
@@ -755,44 +753,22 @@ impl ShipboardSim {
         }
 
         // Phase 2: execute per-DC steps for every live DC.
-        let live = |i: &usize| !self.crashed[*i];
-        let outputs: Vec<(usize, Result<Vec<ConditionReport>>)> = match &self.pool {
-            Some(pool) => {
-                let jobs = commands
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(i, _)| live(i))
-                    .map(|(dc_index, commands)| StepJob {
-                        dc_index,
-                        now,
-                        commands,
-                    })
-                    .collect();
-                pool.step_all(jobs)
-            }
-            None => commands
-                .into_iter()
-                .enumerate()
-                .filter(|(i, _)| live(i))
-                .map(|(i, commands)| {
-                    let timer = WallTimer::start();
-                    let result = {
-                        let mut dc = lock(&self.dcs[i]);
-                        let plant = lock(&self.plants[i]);
-                        dc.step(&plant, now, &commands)
-                    };
-                    self.telemetry
-                        .record_span_wall(Stage::DcStep, timer.elapsed());
-                    (i, result)
-                })
-                .collect(),
-        };
+        let jobs = self
+            .dcs
+            .iter_mut()
+            .zip(&self.plants)
+            .zip(commands)
+            .enumerate()
+            .filter(|(i, _)| !self.crashed[*i])
+            .map(|(i, ((dc, plant), commands))| (i, dc, plant, commands))
+            .collect();
+        let outputs = step_dcs(self.exec, &self.telemetry, now, jobs);
 
         // Phase 3: merge into the network in DC-index order — each DC's
         // reports parked in its outbox as one batched frame, then the
         // heartbeat if due — and pump every due outbox frame onto the
         // wire. This fixes the network RNG's draw order independently
-        // of which worker finished first.
+        // of which thread finished first.
         for (i, reports) in outputs {
             let reports = reports?;
             self.network

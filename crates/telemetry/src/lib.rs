@@ -35,7 +35,6 @@ pub mod slo;
 pub mod snapshot;
 pub mod span;
 pub mod trace;
-pub mod worker;
 
 pub use exposition::ExpositionStats;
 pub use journal::{Event, Journal};
@@ -51,7 +50,6 @@ pub use snapshot::{
 };
 pub use span::{Stage, WallTimer};
 pub use trace::{HopKind, SpanId, TraceContext, TraceHop, TraceId, TraceLog};
-pub use worker::SpanBatch;
 
 use mpros_core::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -39,7 +39,7 @@ pub enum Stage {
     Fusion,
     /// One DC's whole per-tick step (command handling + scheduled
     /// analyses), as executed by the scatter-gather engine — the unit
-    /// of work the worker pool parallelizes.
+    /// of work parallel mode spreads across threads.
     DcStep,
     /// One gateway query served against a published state snapshot
     /// (decode request → serve → encode response).

@@ -9,7 +9,7 @@
 //! cargo run --release --example shipboard_monitoring -- --crash-at-minute 7
 //! ```
 //!
-//! `--workers N` steps the DCs through the scatter-gather worker pool;
+//! `--workers N` steps the DCs on up to N scoped threads per tick;
 //! without it they step inline. `--crash-at-minute M` kills the PDME
 //! mid-cruise and rebuilds it from the durable store (latest snapshot +
 //! WAL tail). Either way the output is identical — those equivalences

@@ -213,7 +213,7 @@ fn fleet_responses_are_byte_identical_across_exec_modes_and_interleavings() {
             "fleet bytes diverged stepping shards in order {order:?}"
         );
     }
-    // In-ship worker pools, and one scoped thread per shard.
+    // In-ship parallel stepping, and one scoped thread per shard.
     for workers in [2, 4, 8] {
         let parallel = fleet_fingerprint(ExecMode::Parallel { workers }, &[0, 1, 2], false);
         assert_eq!(

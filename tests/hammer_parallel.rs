@@ -3,8 +3,9 @@
 //! the stepping thread interleaves ICAS exports. Nothing here checks
 //! equivalence (that's `parallel_determinism.rs`) — this test exists to
 //! surface panics, deadlocks and torn reads under real contention:
-//! worker threads flushing span batches and bumping counters while
-//! reader threads serialize snapshots of the same registry.
+//! scoped stepping threads recording `dc_step` spans and bumping
+//! counters while reader threads serialize snapshots of the same
+//! registry.
 
 use mpros::chiller::fault::{FaultProfile, FaultSeed};
 use mpros::core::{MachineCondition, SimDuration, SimTime};

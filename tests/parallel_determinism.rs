@@ -1,8 +1,9 @@
 //! The determinism-equivalence harness: the same seeded scenario must
 //! produce **byte-for-byte identical** observable state whether DCs are
 //! stepped sequentially or scattered across 2, 4 or 8 workers. This is
-//! the contract the scatter-gather engine (`mpros::exec`) makes — see
-//! the "Execution model" section of `src/sim.rs` and DESIGN.md.
+//! the contract the scatter-gather engine (`crates/ship/src/exec.rs`)
+//! makes — see the "Execution model" section of `crates/ship/src/sim.rs`
+//! and DESIGN.md.
 //!
 //! What is compared per scenario:
 //! * the ICAS snapshot, as its exact JSON serialization;
@@ -172,8 +173,8 @@ fn run(scenario: &Scenario, exec: ExecMode) -> Fingerprint {
 
     let icas = export_snapshot(sim.pdme(), sim.now(), SimDuration::from_secs(30.0));
     let snap = sim.telemetry().snapshot();
-    // Counters: drop the `exec` component — pool bookkeeping exists
-    // only in parallel mode and is scheduling metadata, not state.
+    // Counters: drop the `exec` component — job counts exist only in
+    // parallel mode and are scheduling metadata, not state.
     let counters = snap
         .counters
         .iter()
