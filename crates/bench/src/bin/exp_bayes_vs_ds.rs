@@ -11,7 +11,7 @@
 //!    posterior confidently misleads, while DS — which never claimed to
 //!    know the priors — keeps its residual on "unknown".
 
-use mpros_bench::{verdict, Table};
+use mpros_bench::{exit_on_failed_verdict, verdict, Table};
 use mpros_fusion::{MassFunction, NoisyOrNetwork, Subset};
 
 fn main() {
@@ -122,4 +122,5 @@ fn main() {
             ds.unknown()
         ),
     );
+    exit_on_failed_verdict();
 }

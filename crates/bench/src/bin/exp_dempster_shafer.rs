@@ -3,7 +3,7 @@
 //! that A is 14% likely, 'B or C' is 64% likely and there is 22% of
 //! belief assigned to unknown possibilities."
 
-use mpros_bench::{verdict, Table};
+use mpros_bench::{exit_on_failed_verdict, verdict, Table};
 use mpros_fusion::{MassFunction, Subset};
 
 fn main() {
@@ -39,4 +39,5 @@ fn main() {
         ok,
         "exact fractions 1/7, 9/14, 3/14 — the paper rounds 21.4% up to 22%",
     );
+    exit_on_failed_verdict();
 }

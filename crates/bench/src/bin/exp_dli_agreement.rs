@@ -9,7 +9,7 @@
 //! controls. Agreement = the expert system's top-severity call names the
 //! analyst's label (or both stay silent on healthy machines).
 
-use mpros_bench::{dli_conditions, labeled_survey, verdict, Table};
+use mpros_bench::{dli_conditions, exit_on_failed_verdict, labeled_survey, verdict, Table};
 use mpros_core::MachineCondition;
 use mpros_dli::DliExpertSystem;
 use std::collections::HashMap;
@@ -72,4 +72,5 @@ fn main() {
         overall >= 95.0,
         &format!("{overall:.1}% vs the paper's ≥95% Nimitz-class study"),
     );
+    exit_on_failed_verdict();
 }

@@ -7,7 +7,7 @@
 //! (The WNN covers the same vibration modes as DLI by construction; its
 //! accuracy is measured separately in `exp_wnn_accuracy`.)
 
-use mpros_bench::{labeled_survey, verdict, Table};
+use mpros_bench::{exit_on_failed_verdict, labeled_survey, verdict, Table};
 use mpros_chiller::fault::{FaultProfile, FaultSeed, FaultState};
 use mpros_chiller::process::ProcessModel;
 use mpros_core::{MachineCondition, SimDuration, SimTime};
@@ -76,4 +76,5 @@ fn main() {
         all_detected,
         "each failure mode detected by at least one knowledge source at severity 0.9",
     );
+    exit_on_failed_verdict();
 }

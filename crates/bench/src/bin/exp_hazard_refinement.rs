@@ -8,7 +8,7 @@
 //! vector, and fused with a live diagnostic prognosis — showing how
 //! fleet history sharpens a generic grade-template estimate.
 
-use mpros_bench::{verdict, Table};
+use mpros_bench::{exit_on_failed_verdict, verdict, Table};
 use mpros_core::{prognostic::grade_template, SeverityGrade, SimDuration};
 use mpros_fusion::{fuse_prognostics, Lifetime, WeibullFit};
 
@@ -106,4 +106,5 @@ fn main() {
         med(&fused) < med(&template),
         "the refined estimate is earlier (more conservative) than the generic grade",
     );
+    exit_on_failed_verdict();
 }

@@ -9,7 +9,7 @@
 //! signature while the machine idles. The sensitized rule must hold its
 //! fire at low load without losing real detections under load.
 
-use mpros_bench::{labeled_survey, verdict, Table};
+use mpros_bench::{exit_on_failed_verdict, labeled_survey, verdict, Table};
 use mpros_chiller::fault::{FaultProfile, FaultSeed, FaultState};
 use mpros_chiller::vibration::{AccelLocation, VibrationSynthesizer};
 use mpros_chiller::MachineTrain;
@@ -117,4 +117,5 @@ fn main() {
         tp_sens == seeds.len() && tp_raw == seeds.len(),
         "both variants catch genuine looseness under load",
     );
+    exit_on_failed_verdict();
 }

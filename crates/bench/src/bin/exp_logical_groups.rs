@@ -7,7 +7,7 @@
 //! grouped engine and (b) a flat single-frame engine over all 12
 //! conditions.
 
-use mpros_bench::{verdict, Table};
+use mpros_bench::{exit_on_failed_verdict, verdict, Table};
 use mpros_core::MachineCondition;
 use mpros_core::MachineId;
 use mpros_fusion::{DiagnosticFusion, MassFunction, Subset};
@@ -110,4 +110,5 @@ fn main() {
             fb, fl, flat.conflict
         ),
     );
+    exit_on_failed_verdict();
 }

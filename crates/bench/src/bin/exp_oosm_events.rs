@@ -5,7 +5,7 @@
 //! property change delivered to 1, 4 and 16 subscribers, and checks that
 //! every event is already queued when the call that caused it returns.
 
-use mpros_bench::{verdict, Table};
+use mpros_bench::{exit_on_failed_verdict, verdict, Table};
 use mpros_core::{Belief, ConditionReport, MachineCondition, MachineId, ReportId};
 use mpros_oosm::{ObjectKind, Oosm, OosmEvent, Value};
 use std::time::Instant;
@@ -110,4 +110,5 @@ fn main() {
         p50 < 1_000.0,
         &format!("post_report p50 {p50:.2} µs over {TIMED} posts"),
     );
+    exit_on_failed_verdict();
 }

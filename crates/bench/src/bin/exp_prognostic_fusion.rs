@@ -2,7 +2,7 @@
 //! comparing the paper's conservative envelope against a naive
 //! pointwise-average combiner.
 
-use mpros_bench::{verdict, Table};
+use mpros_bench::{exit_on_failed_verdict, verdict, Table};
 use mpros_core::{PrognosticVector, SimDuration};
 use mpros_fusion::fuse_prognostics;
 
@@ -91,4 +91,5 @@ fn main() {
              most-conservative rule avoids that"
         ),
     );
+    exit_on_failed_verdict();
 }

@@ -5,7 +5,7 @@
 //! interpreter can fit in less than 32K bytes ... can cycle with a
 //! period of less than 4 milliseconds."
 
-use mpros_bench::{verdict, Table};
+use mpros_bench::{exit_on_failed_verdict, verdict, Table};
 use mpros_sbfr::builtin::{spike_machine, stiction_machine, EmaTraceGenerator};
 use mpros_sbfr::Interpreter;
 use std::time::Instant;
@@ -76,4 +76,5 @@ fn main() {
         per_cycle_ms < 4.0,
         &format!("{per_cycle_ms:.4} ms per 100-machine cycle (1999 target: <4 ms)"),
     );
+    exit_on_failed_verdict();
 }

@@ -16,7 +16,7 @@
 use mpros::chiller::fault::{FaultProfile, FaultSeed};
 use mpros::core::{MachineCondition, SimDuration, SimTime};
 use mpros::sim::{ShipboardSim, ShipboardSimConfig};
-use mpros_bench::{verdict, Table};
+use mpros_bench::{exit_on_failed_verdict, verdict, Table};
 
 struct Outcome {
     condition: MachineCondition,
@@ -180,4 +180,5 @@ fn main() {
         false_alarms == 0,
         &format!("{false_alarms} false alarms over 10 healthy minutes"),
     );
+    exit_on_failed_verdict();
 }

@@ -4,7 +4,7 @@
 //! as: no foreseeable failure, failure in months, weeks, and days of
 //! operation."
 
-use mpros_bench::{verdict, Table};
+use mpros_bench::{exit_on_failed_verdict, verdict, Table};
 use mpros_core::{prognostic::grade_template, Severity, SeverityGrade, TimeToFailure};
 
 fn main() {
@@ -82,4 +82,5 @@ fn main() {
             horizons[2] / 86_400.0
         ),
     );
+    exit_on_failed_verdict();
 }

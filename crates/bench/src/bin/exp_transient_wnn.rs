@@ -8,7 +8,7 @@
 //! transient feature vectors (wavelet energy maps localize the chirps)
 //! classifies them — measuring the claimed complementarity.
 
-use mpros_bench::{verdict, Table};
+use mpros_bench::{exit_on_failed_verdict, verdict, Table};
 use mpros_chiller::transient::StartupSynthesizer;
 use mpros_chiller::vibration::AccelLocation;
 use mpros_chiller::MachineTrain;
@@ -169,4 +169,5 @@ fn main() {
             wnn_acc * 100.0
         ),
     );
+    exit_on_failed_verdict();
 }

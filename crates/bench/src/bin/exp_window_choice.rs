@@ -5,7 +5,7 @@
 //! without the spectrum's parabolic peak interpolation... the design
 //! rationale for the Hann default recorded in DESIGN.md.
 
-use mpros_bench::{verdict, Table};
+use mpros_bench::{exit_on_failed_verdict, verdict, Table};
 use mpros_signal::spectrum::Spectrum;
 use mpros_signal::window::Window;
 use std::f64::consts::PI;
@@ -80,4 +80,5 @@ fn main() {
             hann * 100.0
         ),
     );
+    exit_on_failed_verdict();
 }

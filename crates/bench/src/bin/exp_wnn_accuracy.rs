@@ -3,7 +3,7 @@
 //! (Mexican-hat wavelet hidden units vs a conventional tanh MLP of the
 //! same shape).
 
-use mpros_bench::{verdict, Table};
+use mpros_bench::{exit_on_failed_verdict, verdict, Table};
 use mpros_wnn::{
     Activation, Dataset, DatasetBuilder, Network, TrainParams, WnnClassifier, WnnConfig,
 };
@@ -149,4 +149,5 @@ fn main() {
         acc_wavelet >= acc_tanh - 0.05,
         "the WNN basis holds its own against the conventional MLP",
     );
+    exit_on_failed_verdict();
 }

@@ -23,40 +23,20 @@
 //!
 //! Usage: `slo_check --profile calm|lossy [--minutes N] [--crash-restore]`.
 
-use mpros::chiller::fault::{FaultProfile, FaultSeed};
-use mpros::core::{DcId, FaultPlan, FaultPlanConfig, MachineCondition, SimDuration, SimTime};
-use mpros::sim::{ShipboardSim, ShipboardSimConfig};
+use mpros::core::{SimDuration, SimTime};
 use mpros::telemetry::SloPolicy;
-use mpros_network::NetworkConfig;
+use mpros_bench::scenario::{bearing_ship, ship8_config, Sea};
 
-fn profile(name: &str) -> (NetworkConfig, FaultPlan, SloPolicy) {
+fn profile(name: &str) -> (Sea, SloPolicy) {
     match name {
         // Calm sea: sub-second fusion is the norm; give p95 a 5 s
         // budget (a survey period's worth of batching slack) and keep
         // staleness under two survey periods.
-        "calm" => (
-            NetworkConfig::default(),
-            FaultPlan::none(),
-            SloPolicy::standard(5.0, 65.0, 0.9),
-        ),
+        "calm" => (Sea::Calm, SloPolicy::standard(5.0, 65.0, 0.9)),
         // Lossy sea: drops force retries and the fault campaign parks
         // whole DCs behind partitions and crash windows, so late
         // deliveries are expected — but never expiries.
-        "lossy" => {
-            let network = NetworkConfig::default()
-                .with_drop_probability(0.1)
-                .with_jitter(SimDuration::from_millis(5.0));
-            let mut fault_cfg = FaultPlanConfig::default();
-            fault_cfg.dcs = (1..=8).map(DcId::new).collect();
-            fault_cfg.crashes = 2;
-            fault_cfg.partitions = 2;
-            fault_cfg.sensor_dropouts = 2;
-            (
-                network,
-                FaultPlan::seeded(5, &fault_cfg),
-                SloPolicy::standard(30.0, 120.0, 0.9),
-            )
-        }
+        "lossy" => (Sea::Lossy, SloPolicy::standard(30.0, 120.0, 0.9)),
         other => {
             eprintln!("slo_check: unknown --profile {other:?} (expected calm|lossy)");
             std::process::exit(2);
@@ -80,35 +60,17 @@ fn main() {
         .unwrap_or(5.0);
     let crash_restore = args.iter().any(|a| a == "--crash-restore");
 
-    let (network, mut fault_plan, slo) = profile(&profile_name);
+    let (sea, slo) = profile(&profile_name);
+    let mut config = ship8_config(sea).with_slo(slo);
     if crash_restore {
         let mid = minutes * 30.0; // seconds: half the campaign
-        fault_plan =
-            fault_plan.with_pdme_crash(SimTime::from_secs(mid), SimTime::from_secs(mid + 1.0));
+        config.fault_plan = config
+            .fault_plan
+            .with_pdme_crash(SimTime::from_secs(mid), SimTime::from_secs(mid + 1.0));
     }
-    let mut sim = ShipboardSim::new(
-        ShipboardSimConfig::new()
-            .with_dc_count(8)
-            .with_seed(5)
-            .with_network(network)
-            .with_fault_plan(fault_plan)
-            .with_survey_period(SimDuration::from_secs(30.0))
-            .with_slo(slo),
-    )
-    .expect("sim builds");
-    // Progressing faults on two plants keep condition reports flowing;
-    // without traffic every latency SLO would pass vacuously.
-    for idx in [0usize, 4] {
-        sim.seed_fault(
-            idx,
-            FaultSeed {
-                condition: MachineCondition::MotorBearingDefect,
-                onset: SimTime::ZERO,
-                time_to_failure: SimDuration::from_minutes(8.0),
-                profile: FaultProfile::EarlyOnset,
-            },
-        );
-    }
+    // Progressing bearing faults on two plants keep condition reports
+    // flowing; without traffic every latency SLO would pass vacuously.
+    let mut sim = bearing_ship(config);
     let fused = sim
         .run_for(
             SimDuration::from_minutes(minutes),

@@ -4,8 +4,9 @@
 //! (table, figure or quantitative claim) and prints a comparison table;
 //! EXPERIMENTS.md records paper-vs-measured for each. This library
 //! holds the common pieces: aligned table rendering, the labeled survey
-//! generator the accuracy experiments share, and a simple pass/fail
-//! verdict line format.
+//! generator the accuracy experiments share, a pass/fail verdict line
+//! format, and (in [`scenario`]) the seeded E7/E11 scenarios that
+//! `tests/fingerprints.rs` pins.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -15,6 +16,9 @@ use mpros_chiller::vibration::{AccelLocation, VibrationSynthesizer};
 use mpros_chiller::MachineTrain;
 use mpros_core::{MachineCondition, MachineId, SimDuration, SimTime};
 use mpros_dli::VibrationSurvey;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+pub mod scenario;
 
 /// A plain-text table with aligned columns.
 #[derive(Debug, Default)]
@@ -70,9 +74,34 @@ impl Table {
     }
 }
 
-/// Print a pass/fail verdict line in the uniform experiment format.
+static VERDICT_FAILED: AtomicBool = AtomicBool::new(false);
+
+/// Print a pass/fail verdict line in the uniform experiment format. A
+/// failed verdict makes [`exit_on_failed_verdict`] exit non-zero.
 pub fn verdict(label: &str, ok: bool, detail: &str) {
+    if !ok {
+        VERDICT_FAILED.store(true, Ordering::Relaxed);
+    }
     println!("[{}] {label}: {detail}", if ok { "PASS" } else { "FAIL" });
+}
+
+/// Exit with status 1 if any [`verdict`] so far failed. Every `exp_*`
+/// binary calls this after its last verdict, so a `[FAIL]` line fails
+/// the script that ran it.
+pub fn exit_on_failed_verdict() {
+    if VERDICT_FAILED.load(Ordering::Relaxed) {
+        std::process::exit(1);
+    }
+}
+
+/// Quantile `q` of an ascending-sorted sample by nearest rank; 0 for an
+/// empty sample.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len()) - 1;
+    sorted[idx]
 }
 
 /// Generate one labeled five-channel survey with a single seeded fault

@@ -738,12 +738,8 @@ impl DataConcentrator {
 }
 
 impl Instrumented for DataConcentrator {
-    /// Join a shared telemetry domain, carrying counter totals over.
-    /// Call at wiring time, before traffic.
+    /// Record into `telemetry` from now on.
     fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        if self.telemetry.same_domain(telemetry) {
-            return;
-        }
         for (component, name, slot) in [
             ("dc", "surveys", &mut self.m_surveys),
             ("dc", "process_samples", &mut self.m_process_samples),
@@ -753,9 +749,7 @@ impl Instrumented for DataConcentrator {
             ("dsp", "scratch_reuses", &mut self.m_dsp_reuses),
             ("dsp", "bytes_avoided", &mut self.m_dsp_bytes),
         ] {
-            let counter = telemetry.counter(component, name);
-            counter.add(slot.get());
-            *slot = counter;
+            *slot = telemetry.counter(component, name);
         }
         self.telemetry = telemetry.clone();
     }
@@ -980,25 +974,6 @@ mod tests {
         ] {
             assert!(t.span_wall(stage).count() > 0, "no {stage} spans");
         }
-    }
-
-    #[test]
-    fn set_telemetry_migrates_counts_into_the_shared_domain() {
-        let mut d = dc();
-        run(
-            &mut d,
-            &plant_with(Some(MachineCondition::MotorImbalance), 0.9),
-            30.0,
-        );
-        let emitted_before = d.telemetry().counter("dc", "reports_emitted").get();
-        assert!(emitted_before >= 1);
-        let shared = Telemetry::new();
-        d.set_telemetry(&shared);
-        assert!(d.telemetry().same_domain(&shared));
-        assert_eq!(
-            shared.counter("dc", "reports_emitted").get(),
-            emitted_before
-        );
     }
 
     #[test]

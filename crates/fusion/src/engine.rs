@@ -189,18 +189,6 @@ impl FusionEngine {
         });
         items
     }
-
-    /// Re-attach to `telemetry` *without* carrying counter totals over.
-    ///
-    /// The restore path's counterpart of [`FusionEngine::set_telemetry`]:
-    /// after a snapshot+WAL replay the private-domain counters double what
-    /// the shared registry already recorded before the crash, so a
-    /// carry-over join would double-count every replayed report.
-    pub fn rebind_telemetry(&mut self, telemetry: &Telemetry) {
-        self.m_ingested = telemetry.counter("fusion", "reports_ingested");
-        self.m_conflicts = telemetry.counter("fusion", "conflicts");
-        self.telemetry = telemetry.clone();
-    }
 }
 
 /// Wire form: the diagnostic state followed by the three per-key maps,
@@ -281,18 +269,11 @@ impl Durable for FusionEngine {
 }
 
 impl Instrumented for FusionEngine {
-    /// Join the scenario's shared telemetry domain, carrying the ingest
-    /// total over.
+    /// Record the ingest and conflict counts into `telemetry` from now
+    /// on.
     fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        if self.telemetry.same_domain(telemetry) {
-            return;
-        }
-        let m = telemetry.counter("fusion", "reports_ingested");
-        m.add(self.m_ingested.get());
-        self.m_ingested = m;
-        let c = telemetry.counter("fusion", "conflicts");
-        c.add(self.m_conflicts.get());
-        self.m_conflicts = c;
+        self.m_ingested = telemetry.counter("fusion", "reports_ingested");
+        self.m_conflicts = telemetry.counter("fusion", "conflicts");
         self.telemetry = telemetry.clone();
     }
 
@@ -430,11 +411,6 @@ mod tests {
         assert_eq!(e.reports_ingested(), 2);
         assert_eq!(e.telemetry().counter("fusion", "reports_ingested").get(), 2);
         assert_eq!(e.telemetry().counter("fusion", "conflicts").get(), 1);
-        // The conflict count migrates with the domain (SLO rules read
-        // the fused conflict rate off the scenario's shared registry).
-        let shared = mpros_telemetry::Telemetry::new();
-        e.set_telemetry(&shared);
-        assert_eq!(shared.counter("fusion", "conflicts").get(), 1);
     }
 
     #[test]
@@ -488,11 +464,11 @@ mod tests {
         let b = back.maintenance_list();
         assert_eq!(a, b, "prioritized list survives the roundtrip exactly");
         // Counters restart at zero on the decoded engine's private domain;
-        // rebind attaches to a shared registry without double-counting.
+        // joining a shared registry adds nothing to it.
         let shared = Telemetry::new();
         shared.counter("fusion", "reports_ingested").add(5);
         let mut back = back;
-        back.rebind_telemetry(&shared);
+        back.set_telemetry(&shared);
         assert_eq!(shared.counter("fusion", "reports_ingested").get(), 5);
     }
 

@@ -718,29 +718,12 @@ impl ShipNetwork {
 }
 
 impl Instrumented for ShipNetwork {
-    /// Join the scenario's shared telemetry domain. Counter totals
-    /// accumulated so far are carried over; call this at wiring time,
-    /// before traffic, to keep the bus-transit histogram complete.
+    /// Record into `telemetry` from now on, per-endpoint counters
+    /// included.
     fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        if self.telemetry.same_domain(telemetry) {
-            return;
-        }
-        let metrics = BusCounters::wire(telemetry);
-        metrics.sent.add(self.metrics.sent.get());
-        metrics.delivered.add(self.metrics.delivered.get());
-        metrics.dropped.add(self.metrics.dropped.get());
-        metrics
-            .batched_reports
-            .add(self.metrics.batched_reports.get());
-        metrics.retries.add(self.metrics.retries.get());
-        metrics.expired.add(self.metrics.expired.get());
-        metrics.crash_lost.add(self.metrics.crash_lost.get());
-        self.metrics = metrics;
-        for (endpoint, old) in &mut self.per_endpoint {
-            let new = Self::endpoint_counters(telemetry, *endpoint);
-            new.delivered.add(old.delivered.get());
-            new.dropped.add(old.dropped.get());
-            *old = new;
+        self.metrics = BusCounters::wire(telemetry);
+        for (endpoint, counters) in &mut self.per_endpoint {
+            *counters = Self::endpoint_counters(telemetry, *endpoint);
         }
         self.telemetry = telemetry.clone();
     }
@@ -979,20 +962,22 @@ mod tests {
     }
 
     #[test]
-    fn set_telemetry_carries_existing_counts_over() {
+    fn set_telemetry_records_into_the_new_domain_only() {
         let mut net = network(0.0);
         let dc = DcId::new(1);
         net.post(SimTime::ZERO, Envelope::to_pdme(dc, heartbeat(1)))
             .unwrap();
         assert_eq!(net.recv(Endpoint::Pdme, SimTime::from_secs(1.0)).len(), 1);
+        let private = net.telemetry().clone();
         let shared = Telemetry::new();
         net.set_telemetry(&shared);
-        assert_eq!(net.stats().sent, 1);
-        assert_eq!(net.delivered_to(Endpoint::Pdme), 1);
-        assert_eq!(shared.counter("net", "sent").get(), 1, "totals migrated");
+        assert_eq!(net.stats().sent, 0, "counts stay in the old domain");
         net.post(SimTime::from_secs(2.0), Envelope::to_pdme(dc, heartbeat(1)))
             .unwrap();
-        assert_eq!(shared.counter("net", "sent").get(), 2);
+        assert_eq!(net.recv(Endpoint::Pdme, SimTime::from_secs(3.0)).len(), 1);
+        assert_eq!(shared.counter("net", "sent").get(), 1);
+        assert_eq!(net.delivered_to(Endpoint::Pdme), 1);
+        assert_eq!(private.counter("net", "sent").get(), 1);
     }
 
     #[test]

@@ -178,31 +178,16 @@ impl Oosm {
         }
     }
 
-    /// Join a shared telemetry domain, carrying counter totals over.
-    /// Call at wiring time, before traffic.
+    /// Record into `telemetry` from now on; nothing recorded so far
+    /// moves over (see [`mpros_telemetry::Instrumented`]).
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        if self.telemetry.same_domain(telemetry) {
-            return;
-        }
-        let posted = telemetry.counter("oosm", "reports_posted");
-        posted.add(self.m_reports_posted.get());
-        self.m_reports_posted = posted;
+        self.m_reports_posted = telemetry.counter("oosm", "reports_posted");
         self.telemetry = telemetry.clone();
     }
 
     /// The telemetry domain this model records into.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Re-join a shared telemetry domain *without* carrying counter
-    /// totals over. This is the restore-path counterpart of
-    /// [`Oosm::set_telemetry`]: after a crash-restore the shared domain
-    /// already holds the pre-crash totals, so a carry-over join would
-    /// double-count every replayed report.
-    pub fn rebind_telemetry(&mut self, telemetry: &Telemetry) {
-        self.m_reports_posted = telemetry.counter("oosm", "reports_posted");
-        self.telemetry = telemetry.clone();
     }
 
     /// Subscribe to change events (§4.5).

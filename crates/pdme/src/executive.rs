@@ -641,8 +641,8 @@ impl PdmeExecutive {
     /// Rebuild an executive from one snapshot payload. The result
     /// observes a fresh private telemetry domain and has no store
     /// attached and no resident algorithms — hosts re-install residents
-    /// and call [`PdmeExecutive::rebind_telemetry`] +
-    /// [`PdmeExecutive::attach_store`] after recovery.
+    /// and call `set_telemetry` + [`PdmeExecutive::attach_store`] after
+    /// recovery.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self> {
         let mut input = bytes;
         let mut oosm = Oosm::decode(&mut input)?;
@@ -720,7 +720,7 @@ impl PdmeExecutive {
     ///
     /// The replayed executive has no store attached (replay must not
     /// re-journal) and counts into a private telemetry domain the
-    /// caller discards — see [`PdmeExecutive::rebind_telemetry`].
+    /// caller discards by joining its own domain with `set_telemetry`.
     pub fn restore(recovered: &RecoveredState) -> Result<Self> {
         let mut pdme = match &recovered.snapshot {
             Some(bytes) => Self::from_snapshot_bytes(bytes)?,
@@ -761,39 +761,14 @@ impl PdmeExecutive {
         }
         Ok(())
     }
-
-    /// Re-attach to `telemetry` *without* carrying counter totals over,
-    /// cascading to the fusion engine and the ship model.
-    ///
-    /// The restore path's counterpart of `set_telemetry`: the shared
-    /// registry already holds everything the pre-crash engine counted,
-    /// and the replay re-counted the same work into the restored
-    /// engine's private domain — a carry-over join would double-count
-    /// every replayed report.
-    pub fn rebind_telemetry(&mut self, telemetry: &Telemetry) {
-        self.m_reports_received = telemetry.counter("pdme", "reports_received");
-        self.m_batch_replays = telemetry.counter("pdme", "batch_replays_dropped");
-        self.h_report_latency = telemetry.histogram("pdme", "report_latency_s");
-        self.fusion.rebind_telemetry(telemetry);
-        self.oosm.rebind_telemetry(telemetry);
-        self.telemetry = telemetry.clone();
-    }
 }
 
 impl Instrumented for PdmeExecutive {
-    /// Join a shared telemetry domain, cascading to the fusion engine
-    /// and the ship model and carrying counter totals over. Call at
-    /// wiring time, before traffic.
+    /// Record into `telemetry` from now on, cascading to the fusion
+    /// engine and the ship model.
     fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        if self.telemetry.same_domain(telemetry) {
-            return;
-        }
-        let received = telemetry.counter("pdme", "reports_received");
-        received.add(self.m_reports_received.get());
-        self.m_reports_received = received;
-        let replays = telemetry.counter("pdme", "batch_replays_dropped");
-        replays.add(self.m_batch_replays.get());
-        self.m_batch_replays = replays;
+        self.m_reports_received = telemetry.counter("pdme", "reports_received");
+        self.m_batch_replays = telemetry.counter("pdme", "batch_replays_dropped");
         self.h_report_latency = telemetry.histogram("pdme", "report_latency_s");
         self.fusion.set_telemetry(telemetry);
         self.oosm.set_telemetry(telemetry);

@@ -464,7 +464,7 @@ impl ShipboardSim {
         );
         let recovered = RecoveryManager::new(&self.telemetry).recover(&self.store.contents()?);
         let mut fresh = PdmeExecutive::restore(&recovered)?;
-        fresh.rebind_telemetry(&self.telemetry);
+        fresh.set_telemetry(&self.telemetry);
         fresh.attach_store(self.store.clone());
         self.pdme = fresh;
         self.pending_triggers
