@@ -24,7 +24,7 @@
 //! verdicts judge the deterministic counts exactly; the binary exits
 //! non-zero if one fails.
 
-use mpros::gateway::{GatewayClient, GatewayConfig, GatewayRequest};
+use mpros::gateway::{GatewayClient, GatewayRequest};
 use mpros_bench::scenario::{
     bearing_ship, fleet_phase, obs_phase, ship8_config, survey_dt, Sea, FLEET_CLIENTS,
     FLEET_ROUNDS, FLEET_SETTLE_STEPS, FLEET_SHIPS, OBS_CLIENTS, OBS_ROUNDS, SERVING_CLIENTS,
@@ -82,7 +82,7 @@ fn main() {
     // then depends on the seeded scenario alone, not on how many
     // requests the serving phase answered.
     let mut control = bearing_ship(ship8_config(Sea::Calm));
-    let control_gateway = control.attach_gateway(GatewayConfig::new());
+    let control_gateway = control.attach_gateway();
     let start = Instant::now();
     for _ in 0..steps {
         control.step(dt).expect("control step");
@@ -93,7 +93,7 @@ fn main() {
     // Measured run: the same ship, SERVING_CLIENTS threads querying flat
     // out for the whole stepping window.
     let mut sim = bearing_ship(ship8_config(Sea::Calm));
-    let gateway = sim.attach_gateway(GatewayConfig::new());
+    let gateway = sim.attach_gateway();
     let stop = AtomicBool::new(false);
     let prognostic_condition = MachineCondition::MotorBearingDefect.index();
 

@@ -10,7 +10,7 @@
 //! serving bench.
 
 use mpros::chiller::fault::{FaultProfile, FaultSeed};
-use mpros::gateway::{GatewayClient, GatewayConfig};
+use mpros::gateway::GatewayClient;
 use mpros::sim::{ShipboardSim, ShipboardSimConfig};
 use mpros::telemetry::exposition;
 use mpros_core::{MachineCondition, SimDuration, SimTime};
@@ -41,7 +41,7 @@ fn main() {
     );
     sim.run_for(SimDuration::from_minutes(2.0), SimDuration::from_secs(0.5))
         .expect("scenario runs");
-    let gateway = sim.attach_gateway(GatewayConfig::new());
+    let gateway = sim.attach_gateway();
     let client = GatewayClient::connect(gateway, 1);
 
     let text = client.metrics().expect("GetMetrics serves").exposition;

@@ -12,7 +12,6 @@
 //! to make a change pass. Re-bless a row only in a change that means to
 //! move it, and say in that change which row moved and why.
 
-use mpros::gateway::GatewayConfig;
 use mpros::sim::ExecMode;
 use mpros_bench::percentile;
 use mpros_bench::scenario::{
@@ -240,7 +239,7 @@ fn observability_mix_holds() {
     // `exp_serving`'s unserved control ship: a gateway attached and
     // nobody querying while it steps.
     let mut sim = bearing_ship(ship8_config(Sea::Calm));
-    let gateway = sim.attach_gateway(GatewayConfig::new());
+    let gateway = sim.attach_gateway();
     for _ in 0..SERVING_STEPS {
         sim.step(survey_dt()).expect("step");
     }

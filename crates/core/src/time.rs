@@ -121,11 +121,6 @@ impl SimDuration {
         self.0
     }
 
-    /// The span in milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1_000.0
-    }
-
     /// The span in days.
     pub fn as_days(self) -> f64 {
         self.0 / DAY

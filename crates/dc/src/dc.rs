@@ -36,10 +36,27 @@ use mpros_wnn::WnnClassifier;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
+/// Process-sample (and SBFR cycle) period, in seconds: 4 Hz.
+const PROCESS_PERIOD_S: f64 = 0.25;
+/// Run fuzzy analysis every this many process samples.
+const FUZZY_EVERY: usize = 20;
+/// Process snapshots retained for the fuzzy window.
+const FUZZY_WINDOW: usize = 40;
+/// Minimum time between repeated reports of the same (source,
+/// condition), in minutes, unless severity or belief moves more than
+/// [`REREPORT_DELTA`].
+const MIN_REPORT_GAP_MIN: f64 = 30.0;
+/// Severity or belief change that forces immediate re-reporting.
+const REREPORT_DELTA: f64 = 0.15;
+
 /// Configuration of one Data Concentrator. Construct via
 /// [`DcConfig::new`] and the `with_*` builders; the struct is
 /// `#[non_exhaustive]` so future fault/robustness knobs are not
-/// breaking changes.
+/// breaking changes. Every DC acquires through
+/// [`HwConfig::standard`], samples process data at 4 Hz, runs the
+/// fuzzy suite every 20 samples over a 40-sample window, and
+/// re-reports a diagnosis after 30 minutes or a 0.15 move in its
+/// severity or belief.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct DcConfig {
@@ -47,21 +64,8 @@ pub struct DcConfig {
     pub id: DcId,
     /// The machine train it instruments.
     pub machine: MachineId,
-    /// Acquisition hardware.
-    pub hw: HwConfig,
     /// Vibration-survey period.
     pub survey_period: SimDuration,
-    /// Process-sample (and SBFR cycle) period.
-    pub process_period: SimDuration,
-    /// Run fuzzy analysis every this many process samples.
-    pub fuzzy_every: usize,
-    /// Process snapshots retained for the fuzzy window.
-    pub fuzzy_window: usize,
-    /// Minimum time between repeated reports of the same (source,
-    /// condition) unless severity moves more than `rereport_delta`.
-    pub min_report_gap: SimDuration,
-    /// Severity change that forces immediate re-reporting.
-    pub rereport_delta: f64,
     /// Seed the DC derives per-report [`TraceId`]s from. The scenario
     /// driver sets it to `dc_trace_seed(master, dc, epoch)` — the same
     /// value it hands the network — so the DC's `DcEmit` root hops land
@@ -70,62 +74,19 @@ pub struct DcConfig {
 }
 
 impl DcConfig {
-    /// Production-shaped defaults: surveys every 10 minutes, process
-    /// samples at 4 Hz, fuzzy every 20 samples, 30-minute re-report gap.
+    /// Production-shaped defaults: surveys every 10 minutes.
     pub fn new(id: DcId, machine: MachineId) -> Self {
         DcConfig {
             id,
             machine,
-            hw: HwConfig::standard(),
             survey_period: SimDuration::from_minutes(10.0),
-            process_period: SimDuration::from_secs(0.25),
-            fuzzy_every: 20,
-            fuzzy_window: 40,
-            min_report_gap: SimDuration::from_minutes(30.0),
-            rereport_delta: 0.15,
             trace_seed: dc_trace_seed(0, id.raw(), 0),
         }
-    }
-
-    /// Set the acquisition hardware.
-    pub fn with_hw(mut self, hw: HwConfig) -> Self {
-        self.hw = hw;
-        self
     }
 
     /// Set the vibration-survey period.
     pub fn with_survey_period(mut self, d: SimDuration) -> Self {
         self.survey_period = d;
-        self
-    }
-
-    /// Set the process-sample (and SBFR cycle) period.
-    pub fn with_process_period(mut self, d: SimDuration) -> Self {
-        self.process_period = d;
-        self
-    }
-
-    /// Set how many process samples elapse between fuzzy runs.
-    pub fn with_fuzzy_every(mut self, n: usize) -> Self {
-        self.fuzzy_every = n;
-        self
-    }
-
-    /// Set the process-snapshot window for the fuzzy suite.
-    pub fn with_fuzzy_window(mut self, n: usize) -> Self {
-        self.fuzzy_window = n;
-        self
-    }
-
-    /// Set the re-report throttle gap.
-    pub fn with_min_report_gap(mut self, d: SimDuration) -> Self {
-        self.min_report_gap = d;
-        self
-    }
-
-    /// Set the severity delta that forces immediate re-reporting.
-    pub fn with_rereport_delta(mut self, delta: f64) -> Self {
-        self.rereport_delta = delta;
         self
     }
 
@@ -220,11 +181,12 @@ impl DataConcentrator {
     /// Build a DC: validates the hardware config, loads the Fig. 3 SBFR
     /// pair, and schedules the periodic tasks from t = 0.
     pub fn new(config: DcConfig) -> Result<Self> {
-        let chain = AcquisitionChain::new(config.hw.clone())?;
+        let chain = AcquisitionChain::new(HwConfig::standard())?;
+        let process_period = SimDuration::from_secs(PROCESS_PERIOD_S);
         let mut scheduler = Scheduler::new();
         scheduler.schedule_periodic(Task::VibrationSurvey, config.survey_period, SimTime::ZERO);
-        scheduler.schedule_periodic(Task::ProcessSample, config.process_period, SimTime::ZERO);
-        scheduler.schedule_periodic(Task::SbfrCycle, config.process_period, SimTime::ZERO);
+        scheduler.schedule_periodic(Task::ProcessSample, process_period, SimTime::ZERO);
+        scheduler.schedule_periodic(Task::SbfrCycle, process_period, SimTime::ZERO);
         let mut sbfr = Interpreter::new();
         sbfr.add_program(&spike_machine(0))?;
         sbfr.add_program(&stiction_machine(1, 0))?;
@@ -291,12 +253,6 @@ impl DataConcentrator {
     /// Attach a trained WNN classifier (optional knowledge source).
     pub fn attach_wnn(&mut self, classifier: WnnClassifier) {
         self.wnn = Some(classifier);
-    }
-
-    /// Access the DLI expert system (e.g. to toggle load sensitization
-    /// for the ablation experiment).
-    pub fn dli_mut(&mut self) -> &mut DliExpertSystem {
-        &mut self.dli
     }
 
     /// The embedded database.
@@ -412,11 +368,11 @@ impl DataConcentrator {
         let mut survey = self.survey.take().unwrap_or_else(|| VibrationSurvey {
             train: plant.train().clone(),
             load,
-            sample_rate: self.config.hw.sample_rate,
+            sample_rate: self.chain.config().sample_rate,
             blocks: Vec::new(),
         });
         survey.load = load;
-        while survey.blocks.len() < self.config.hw.channels.len() {
+        while survey.blocks.len() < self.chain.config().channels.len() {
             let spare = self.spare_blocks.pop().unwrap_or_default();
             survey.blocks.push((AccelLocation::MotorDriveEnd, spare));
         }
@@ -570,13 +526,13 @@ impl DataConcentrator {
     ) -> Result<()> {
         let snap = plant.sample_process(now);
         self.process_window.push_back(snap);
-        while self.process_window.len() > self.config.fuzzy_window {
+        while self.process_window.len() > FUZZY_WINDOW {
             self.process_window.pop_front();
         }
         self.process_samples += 1;
         self.m_process_samples.inc();
-        if !self.process_samples.is_multiple_of(self.config.fuzzy_every)
-            || self.process_window.len() < self.config.fuzzy_every
+        if !self.process_samples.is_multiple_of(FUZZY_EVERY)
+            || self.process_window.len() < FUZZY_EVERY
         {
             return Ok(());
         }
@@ -725,9 +681,9 @@ impl DataConcentrator {
         let emit = match self.last_emitted.get(&key) {
             None => true,
             Some(&(at, sev, bel)) => {
-                now.since(at) >= self.config.min_report_gap
-                    || (severity - sev).abs() > self.config.rereport_delta
-                    || (belief - bel).abs() > self.config.rereport_delta
+                now.since(at) >= SimDuration::from_minutes(MIN_REPORT_GAP_MIN)
+                    || (severity - sev).abs() > REREPORT_DELTA
+                    || (belief - bel).abs() > REREPORT_DELTA
             }
         };
         if emit {
@@ -1005,8 +961,6 @@ mod trend_tests {
     fn progressing_fault_gets_trend_refined_prognosis() {
         let mut cfg = DcConfig::new(DcId::new(1), MachineId::new(1));
         cfg.survey_period = SimDuration::from_secs(30.0);
-        cfg.min_report_gap = SimDuration::from_secs(60.0);
-        cfg.rereport_delta = 0.05;
         let mut dc = DataConcentrator::new(cfg).unwrap();
         let mut plant = ChillerPlant::new(PlantConfig::new(MachineId::new(1), 55));
         plant.seed_fault(FaultSeed {

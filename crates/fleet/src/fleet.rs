@@ -9,18 +9,18 @@
 //! ships exist and in what order the shards are stepped.
 //!
 //! Stepping: one fleet step advances every available shard by `dt` —
-//! sequentially in ascending ship order, in any caller-supplied
-//! permutation ([`Fleet::step_permuted`]), or concurrently with one
-//! scoped thread per shard ([`FleetConfig::with_parallel_ships`]) —
-//! then assembles and publishes the fleet snapshot in ascending
-//! ship-id order (the deterministic shard merge). Because shards share
-//! nothing, all three schedules produce byte-identical served state;
+//! sequentially in ascending ship order, or concurrently with one
+//! scoped thread per shard ([`FleetConfig::with_parallel_ships`]), so
+//! shards run in whatever order the host schedules them — then
+//! assembles and publishes the fleet snapshot in ascending ship-id
+//! order (the deterministic shard merge). Because shards share
+//! nothing, both schedules produce byte-identical served state;
 //! `tests/fleet_serving.rs` pins that promise.
 
-use crate::server::{FleetGateway, FleetGatewayConfig};
+use crate::server::FleetGateway;
 use crate::snapshot::{FleetSnapshot, ShipEntry};
 use mpros_core::{derive_salted_seed, Error, FaultPlan, Result, SimDuration};
-use mpros_gateway::{Gateway, GatewayConfig};
+use mpros_gateway::Gateway;
 use mpros_ship::sim::{ShipboardSim, ShipboardSimConfig};
 use mpros_telemetry::Telemetry;
 use std::collections::BTreeMap;
@@ -46,10 +46,6 @@ pub struct FleetConfig {
     /// Per-ship fault plans; ships without an entry sail the template's
     /// plan.
     pub fault_plans: BTreeMap<usize, FaultPlan>,
-    /// Per-ship serving-gateway tuning.
-    pub gateway: GatewayConfig,
-    /// Fleet router tuning.
-    pub fleet_gateway: FleetGatewayConfig,
     /// Step shards concurrently, one scoped thread per shard. Byte-
     /// identical to sequential stepping (shards share nothing); spends
     /// host cores to cut fleet-step wall time.
@@ -63,8 +59,6 @@ impl Default for FleetConfig {
             seed: 7,
             ship: ShipboardSimConfig::new(),
             fault_plans: BTreeMap::new(),
-            gateway: GatewayConfig::new(),
-            fleet_gateway: FleetGatewayConfig::new(),
             parallel_ships: false,
         }
     }
@@ -99,18 +93,6 @@ impl FleetConfig {
     /// template's plan).
     pub fn with_ship_fault_plan(mut self, ship_id: usize, plan: FaultPlan) -> Self {
         self.fault_plans.insert(ship_id, plan);
-        self
-    }
-
-    /// Set the per-ship serving-gateway tuning.
-    pub fn with_gateway(mut self, gateway: GatewayConfig) -> Self {
-        self.gateway = gateway;
-        self
-    }
-
-    /// Set the fleet router tuning.
-    pub fn with_fleet_gateway(mut self, fleet_gateway: FleetGatewayConfig) -> Self {
-        self.fleet_gateway = fleet_gateway;
         self
     }
 
@@ -160,7 +142,7 @@ impl Fleet {
                 ship_config = ship_config.with_fault_plan(plan.clone());
             }
             let mut sim = ShipboardSim::new(ship_config)?;
-            let gateway = sim.attach_gateway(config.gateway.clone());
+            let gateway = sim.attach_gateway();
             shards.push(Shard {
                 ship_id: i as u64,
                 sim,
@@ -169,7 +151,7 @@ impl Fleet {
             });
         }
         let handles = shards.iter().map(|s| s.gateway.clone()).collect();
-        let gateway = Arc::new(FleetGateway::new(config.fleet_gateway, &telemetry, handles));
+        let gateway = Arc::new(FleetGateway::new(&telemetry, handles));
         let mut fleet = Fleet {
             shards,
             gateway,
@@ -200,11 +182,6 @@ impl Fleet {
     /// Fleet publishes so far (the published snapshot's version).
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// True while ship `ship_id`'s shard is serving.
-    pub fn is_available(&self, ship_id: usize) -> bool {
-        self.shards[ship_id].available
     }
 
     /// One ship's simulation, immutably (assertions, ground truth).
@@ -257,25 +234,6 @@ impl Fleet {
         self.telemetry
             .counter("fleet", "shard_steps")
             .add(self.shards.iter().filter(|s| s.available).count() as u64);
-        self.publish()
-    }
-
-    /// Advance the available shards of `order` by `dt` in exactly that
-    /// visit order, then publish. Shards share nothing, so any
-    /// permutation serves byte-identical state — this entry point
-    /// exists for the determinism suite to prove it. Indices out of
-    /// range are an error; listing a shard twice steps it twice.
-    pub fn step_permuted(&mut self, dt: SimDuration, order: &[usize]) -> Result<()> {
-        for &i in order {
-            let shard = self
-                .shards
-                .get_mut(i)
-                .ok_or_else(|| Error::invalid(format!("no shard {i}")))?;
-            if shard.available {
-                shard.sim.step(dt)?;
-                self.telemetry.counter("fleet", "shard_steps").inc();
-            }
-        }
         self.publish()
     }
 

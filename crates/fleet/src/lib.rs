@@ -39,7 +39,7 @@ pub use proto::{
     decode_fleet_request, decode_fleet_response, encode_fleet_request, encode_fleet_response,
     FleetRequest, FleetResponse, ShipDelta, ShipInfo,
 };
-pub use server::{FleetGateway, FleetGatewayConfig};
+pub use server::FleetGateway;
 pub use snapshot::{
     FleetMachine, FleetPrognostic, FleetRollup, FleetSloVerdict, FleetSnapshot, ShipEntry,
 };

@@ -25,42 +25,14 @@ use mpros_network::{Family, Tag};
 use mpros_telemetry::{Counter, Telemetry};
 use std::sync::Arc;
 
-/// Fleet router tuning knobs.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct FleetGatewayConfig {
-    /// Queued per-ship deltas a fleet session may hold before
-    /// oldest-drop eviction.
-    pub session_queue_capacity: usize,
-}
-
-impl Default for FleetGatewayConfig {
-    fn default() -> Self {
-        FleetGatewayConfig {
-            session_queue_capacity: 256,
-        }
-    }
-}
-
-impl FleetGatewayConfig {
-    /// The default configuration (256 queued deltas per session —
-    /// larger than a single ship's queue because one fleet session
-    /// watches every shard).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the per-session delta queue capacity (clamped to at least 1).
-    pub fn with_session_queue_capacity(mut self, capacity: usize) -> Self {
-        self.session_queue_capacity = capacity.max(1);
-        self
-    }
-}
+/// Queued per-ship deltas a fleet session may hold before oldest-drop
+/// eviction: larger than a single ship's 64, because one fleet session
+/// watches every shard.
+const SESSION_QUEUE_CAPACITY: usize = 256;
 
 /// The fleet query router. Shared as `Arc<FleetGateway>`.
 #[derive(Debug)]
 pub struct FleetGateway {
-    config: FleetGatewayConfig,
     /// Publisher, fleet-scoped sessions and `fleet.*` request
     /// instruments, in the fleet's own telemetry domain — distinct from
     /// every ship's, so router load never perturbs a ship's
@@ -76,30 +48,20 @@ pub struct FleetGateway {
 }
 
 impl FleetGateway {
-    pub(crate) fn new(
-        config: FleetGatewayConfig,
-        telemetry: &Telemetry,
-        shards: Vec<Arc<Gateway>>,
-    ) -> Self {
+    pub(crate) fn new(telemetry: &Telemetry, shards: Vec<Arc<Gateway>>) -> Self {
         let core = ServingCore::new(
             "fleet",
-            config.session_queue_capacity,
+            SESSION_QUEUE_CAPACITY,
             None,
             telemetry,
             FleetSnapshot::empty(),
         );
         FleetGateway {
-            config,
             core,
             shards,
             routed_ship_requests: telemetry.counter("fleet", "routed_ship_requests"),
             unavailable_hits: telemetry.counter("fleet", "unavailable_hits"),
         }
-    }
-
-    /// The configuration the router was built with.
-    pub fn config(&self) -> &FleetGatewayConfig {
-        &self.config
     }
 
     /// The currently published fleet snapshot (an `Arc` clone).
@@ -248,13 +210,15 @@ impl FleetGateway {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpros_gateway::{GatewayConfig, ServingSnapshot};
+    use mpros_gateway::ServingSnapshot;
+    use mpros_telemetry::{FlightRecorder, RecorderConfig};
 
     fn router_with_one_empty_shard() -> FleetGateway {
         let ship_tel = Telemetry::new();
-        let gateway = Arc::new(Gateway::new(GatewayConfig::new(), &ship_tel));
+        let recorder = Arc::new(FlightRecorder::new(RecorderConfig::default(), 7));
+        let gateway = Arc::new(Gateway::new(&ship_tel, recorder));
         let fleet_tel = Telemetry::new();
-        let router = FleetGateway::new(FleetGatewayConfig::new(), &fleet_tel, vec![gateway]);
+        let router = FleetGateway::new(&fleet_tel, vec![gateway]);
         router.publish(
             FleetSnapshot::build(
                 1,

@@ -48,6 +48,6 @@ pub use proto::{
     decode_request, decode_response, encode_request, encode_response, DeltaKind, GatewayRequest,
     GatewayResponse, StatusDelta, GATEWAY_SCHEMA_VERSION,
 };
-pub use server::{Gateway, GatewayConfig};
+pub use server::Gateway;
 pub use serving::{Published, ServingCore};
 pub use snapshot::{PrognosticEntry, ServingSnapshot};

@@ -10,85 +10,42 @@ use mpros_core::Result;
 use mpros_telemetry::{Counter, FlightRecorder, HopRecord, Stage, Telemetry, TraceId};
 use std::sync::Arc;
 
-/// Gateway tuning knobs, builder-style like the other MPROS configs.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct GatewayConfig {
-    /// Queued deltas a session may hold before oldest-drop eviction.
-    pub session_queue_capacity: usize,
-}
-
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        GatewayConfig {
-            session_queue_capacity: 64,
-        }
-    }
-}
-
-impl GatewayConfig {
-    /// The default configuration (64 queued deltas per session).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the per-session delta queue capacity (clamped to at least 1).
-    pub fn with_session_queue_capacity(mut self, capacity: usize) -> Self {
-        self.session_queue_capacity = capacity.max(1);
-        self
-    }
-}
+/// Queued deltas a session may hold before oldest-drop eviction.
+const SESSION_QUEUE_CAPACITY: usize = 64;
 
 /// The query server. Shared as `Arc<Gateway>`: the publisher and every
 /// client thread hold clones of the same handle.
 #[derive(Debug)]
 pub struct Gateway {
-    config: GatewayConfig,
     /// Publisher, sessions and `gateway.*` request instruments.
     core: ServingCore<ServingSnapshot>,
     telemetry: Telemetry,
     /// Exposition bytes shipped through `GetMetrics` responses.
     exposition_bytes: Arc<Counter>,
-    /// The scenario's flight recorder, when one is attached; backs the
-    /// `StreamJournal` / `ListIncidents` / `GetIncident` requests.
-    recorder: Option<Arc<FlightRecorder>>,
+    /// The scenario's flight recorder; backs the `StreamJournal` /
+    /// `ListIncidents` / `GetIncident` requests.
+    recorder: Arc<FlightRecorder>,
 }
 
 impl Gateway {
-    /// A gateway joined to `telemetry`, serving the empty version-0
-    /// snapshot until the first [`Gateway::publish`].
-    pub fn new(config: GatewayConfig, telemetry: &Telemetry) -> Self {
+    /// A gateway joined to `telemetry` and serving `recorder`'s
+    /// journal and incidents, with 64 queued deltas per session. It
+    /// serves the empty version-0 snapshot until the first
+    /// [`Gateway::publish`].
+    pub fn new(telemetry: &Telemetry, recorder: Arc<FlightRecorder>) -> Self {
         let core = ServingCore::new(
             "gateway",
-            config.session_queue_capacity,
+            SESSION_QUEUE_CAPACITY,
             Some(Stage::GatewayServe),
             telemetry,
             ServingSnapshot::empty(),
         );
         Gateway {
-            config,
             core,
             telemetry: telemetry.clone(),
             exposition_bytes: telemetry.counter("gateway", "exposition_bytes"),
-            recorder: None,
+            recorder,
         }
-    }
-
-    /// The configuration the gateway was built with.
-    pub fn config(&self) -> &GatewayConfig {
-        &self.config
-    }
-
-    /// Attach the scenario's flight recorder. Called at wiring time,
-    /// before the gateway is shared; without one, the recorder-backed
-    /// requests answer `NotFound`.
-    pub fn set_recorder(&mut self, recorder: Arc<FlightRecorder>) {
-        self.recorder = Some(recorder);
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.as_ref()
     }
 
     /// The currently published snapshot (an `Arc` clone; never blocks
@@ -190,37 +147,28 @@ impl Gateway {
                     exposition: snap.exposition.clone(),
                 }
             }
-            GatewayRequest::StreamJournal { cursor, max } => match &self.recorder {
-                Some(recorder) => {
-                    let batch = recorder.journal_tail(*cursor, *max as usize);
-                    GatewayResponse::Journal {
-                        snapshot_version,
-                        next_cursor: batch.next_cursor,
-                        dropped: batch.dropped,
-                        events: batch.events,
-                    }
-                }
-                None => self.no_recorder(snapshot_version),
-            },
-            GatewayRequest::ListIncidents => match &self.recorder {
-                Some(recorder) => GatewayResponse::Incidents {
+            GatewayRequest::StreamJournal { cursor, max } => {
+                let batch = self.recorder.journal_tail(*cursor, *max as usize);
+                GatewayResponse::Journal {
                     snapshot_version,
-                    incidents: recorder.incidents(),
-                },
-                None => self.no_recorder(snapshot_version),
+                    next_cursor: batch.next_cursor,
+                    dropped: batch.dropped,
+                    events: batch.events,
+                }
+            }
+            GatewayRequest::ListIncidents => GatewayResponse::Incidents {
+                snapshot_version,
+                incidents: self.recorder.incidents(),
             },
-            GatewayRequest::GetIncident { id } => match &self.recorder {
-                Some(recorder) => match recorder.incident(*id) {
-                    Some(incident) => GatewayResponse::Incident {
-                        snapshot_version,
-                        incident,
-                    },
-                    None => GatewayResponse::NotFound {
-                        snapshot_version,
-                        detail: format!("incident {id:016x}"),
-                    },
+            GatewayRequest::GetIncident { id } => match self.recorder.incident(*id) {
+                Some(incident) => GatewayResponse::Incident {
+                    snapshot_version,
+                    incident,
                 },
-                None => self.no_recorder(snapshot_version),
+                None => GatewayResponse::NotFound {
+                    snapshot_version,
+                    detail: format!("incident {id:016x}"),
+                },
             },
             GatewayRequest::GetTrace { trace } => {
                 let hops = self.telemetry.trace_log().trace(TraceId(*trace));
@@ -237,13 +185,6 @@ impl Gateway {
                     }
                 }
             }
-        }
-    }
-
-    fn no_recorder(&self, snapshot_version: u64) -> GatewayResponse {
-        GatewayResponse::NotFound {
-            snapshot_version,
-            detail: "no flight recorder attached".into(),
         }
     }
 
@@ -266,6 +207,12 @@ mod tests {
     use super::*;
     use crate::proto::DeltaKind;
     use mpros_pdme::icas::{IcasMachine, IcasSnapshot, ICAS_SCHEMA_VERSION};
+    use mpros_telemetry::RecorderConfig;
+
+    fn gateway(telemetry: &Telemetry) -> Gateway {
+        let recorder = Arc::new(FlightRecorder::new(RecorderConfig::default(), 7));
+        Gateway::new(telemetry, recorder)
+    }
 
     fn snap_with(version: u64, statuses: &[(u64, &str)]) -> ServingSnapshot {
         let mut snap = ServingSnapshot::empty();
@@ -292,7 +239,7 @@ mod tests {
 
     #[test]
     fn publish_swaps_the_served_version() {
-        let gw = Gateway::new(GatewayConfig::new(), &Telemetry::new());
+        let gw = gateway(&Telemetry::new());
         assert_eq!(gw.version(), 0);
         gw.publish(snap_with(3, &[(1, "ok")]));
         assert_eq!(gw.version(), 3);
@@ -306,7 +253,7 @@ mod tests {
 
     #[test]
     fn subscribe_sees_edge_triggered_deltas_only() {
-        let gw = Gateway::new(GatewayConfig::new(), &Telemetry::new());
+        let gw = gateway(&Telemetry::new());
         gw.publish(snap_with(1, &[(1, "ok"), (2, "ok")]));
         // Register before the edge.
         let _ = gw.serve(&GatewayRequest::Subscribe { session: 9 });
@@ -336,24 +283,23 @@ mod tests {
     #[test]
     fn slow_sessions_drop_oldest_deltas() {
         let t = Telemetry::new();
-        let gw = Gateway::new(GatewayConfig::new().with_session_queue_capacity(2), &t);
-        gw.publish(snap_with(1, &[(1, "ok")]));
-        let _ = gw.serve(&GatewayRequest::Subscribe { session: 1 });
+        let core = ServingCore::new("gateway", 2, None, &t, ServingSnapshot::empty());
+        core.publish(snap_with(1, &[(1, "ok")]));
+        let _ = core.drain(1);
         // Four edges against a capacity-2 queue: the two oldest evict.
         for v in 2..=5 {
             let status = if v % 2 == 0 { "degraded" } else { "ok" };
-            gw.publish(snap_with(v, &[(1, status)]));
+            core.publish(snap_with(v, &[(1, status)]));
         }
-        match gw.serve(&GatewayRequest::Subscribe { session: 1 }) {
-            GatewayResponse::Deltas {
-                dropped, deltas, ..
-            } => {
-                assert_eq!(dropped, 2);
-                let versions: Vec<u64> = deltas.iter().map(|d| d.snapshot_version).collect();
-                assert_eq!(versions, vec![4, 5], "newest survive, oldest dropped");
-            }
-            other => panic!("wrong response {other:?}"),
-        }
-        assert_eq!(t.counter("gateway", "drops").get(), 2);
+        let (dropped, deltas) = core.drain(1);
+        assert_eq!(dropped, 2, "oldest dropped");
+        let versions: Vec<u64> = deltas.iter().map(|d| d.snapshot_version).collect();
+        assert_eq!(versions, vec![4, 5], "newest survive");
+        assert_eq!(
+            dropped as usize + deltas.len(),
+            4,
+            "dropped + surviving reconcile with the four edges"
+        );
+        assert_eq!(t.counter("gateway", "drops").get(), dropped);
     }
 }

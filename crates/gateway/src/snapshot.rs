@@ -17,14 +17,6 @@ use mpros_telemetry::{
     exposition, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, SloVerdict, Telemetry,
 };
 
-/// Whether a metric belongs to the served (sim-domain) state: the
-/// scheduling-only `exec` component and the serving-side `gateway`
-/// component are excluded, so responses stay byte-identical across
-/// execution modes and serving load.
-fn served_component(component: &str) -> bool {
-    component != "exec" && component != "gateway"
-}
-
 /// Whether a histogram records *simulated* time (deterministic) rather
 /// than host wall-clock. Same name filter the parallel-determinism
 /// suite fingerprints.
@@ -131,17 +123,17 @@ impl ServingSnapshot {
         let counters: Vec<CounterSnapshot> = tel
             .counters
             .into_iter()
-            .filter(|c| served_component(&c.component))
+            .filter(|c| Telemetry::is_sim_domain(&c.component))
             .collect();
         let gauges: Vec<GaugeSnapshot> = tel
             .gauges
             .into_iter()
-            .filter(|g| served_component(&g.component))
+            .filter(|g| Telemetry::is_sim_domain(&g.component))
             .collect();
         let sim_histograms: Vec<HistogramSnapshot> = tel
             .histograms
             .into_iter()
-            .filter(|h| served_component(&h.component) && sim_histogram(&h.name))
+            .filter(|h| Telemetry::is_sim_domain(&h.component) && sim_histogram(&h.name))
             .collect();
         let exposition = exposition::render(&counters, &gauges, &sim_histograms);
         ServingSnapshot {

@@ -19,7 +19,7 @@
 //! round or a staleness blip, never data.
 
 use crate::codec::{decode_message, encode_message, BatchEntry, NetMessage, MAX_BATCH};
-use crate::outbox::{Outbox, OutboxConfig, PendingBatch};
+use crate::outbox::{Outbox, PendingBatch, MAX_ATTEMPTS};
 use mpros_core::{derive_salted_seed, ConditionReport, DcId, Error, Result, SimDuration, SimTime};
 use mpros_telemetry::{
     Counter, Histogram, HopKind, Instrumented, SpanId, Stage, Telemetry, TraceContext, TraceHop,
@@ -34,6 +34,11 @@ use std::sync::Arc;
 /// Salt separating each DC's backoff-jitter stream from its plant and
 /// id streams derived off the same master seed.
 const OUTBOX_STREAM_SALT: u64 = 0x0B0C_5EED_D15C_0DE5;
+
+/// Base one-way latency, in milliseconds. Positive, so a frame posted
+/// at `now` is never received at `now`: the ship's tick phases stay
+/// separate (see `mpros_ship::sim`).
+const BASE_LATENCY_MS: f64 = 5.0;
 
 /// A network endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -88,41 +93,31 @@ impl Envelope {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct NetworkConfig {
-    /// Base one-way latency.
-    pub base_latency: SimDuration,
-    /// Uniform jitter added on top (0..jitter).
+    /// Uniform jitter added on top of the fixed 5 ms base latency
+    /// (0..jitter).
     pub jitter: SimDuration,
     /// Probability a frame is silently lost.
     pub drop_probability: f64,
     /// RNG seed (jitter, drops, and retry backoff are deterministic
     /// given it).
     pub seed: u64,
-    /// Reliable-delivery policy for report batches.
-    pub outbox: OutboxConfig,
 }
 
 impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
-            base_latency: SimDuration::from_millis(5.0),
             jitter: SimDuration::from_millis(2.0),
             drop_probability: 0.0,
             seed: 1,
-            outbox: OutboxConfig::default(),
         }
     }
 }
 
 impl NetworkConfig {
-    /// The default behaviour: 5 ms base latency, 2 ms jitter, lossless.
+    /// The default behaviour: 2 ms jitter over the 5 ms base latency,
+    /// lossless.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Set the base one-way latency.
-    pub fn with_base_latency(mut self, d: SimDuration) -> Self {
-        self.base_latency = d;
-        self
     }
 
     /// Set the jitter ceiling.
@@ -140,12 +135,6 @@ impl NetworkConfig {
     /// Set the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Set the reliable-delivery policy.
-    pub fn with_outbox(mut self, outbox: OutboxConfig) -> Self {
-        self.outbox = outbox;
         self
     }
 }
@@ -358,7 +347,7 @@ impl ShipNetwork {
         } else {
             SimDuration::ZERO
         };
-        let deliver_at = now + self.config.base_latency + jitter;
+        let deliver_at = now + SimDuration::from_millis(BASE_LATENCY_MS) + jitter;
         self.seq += 1;
         self.in_flight.push(Reverse(InFlight {
             deliver_at,
@@ -446,16 +435,13 @@ impl ShipNetwork {
             let outbox = self.outboxes.get_mut(&dc).expect("checked above");
             for chunk in entries.chunks(MAX_BATCH) {
                 self.metrics.batched_reports.add(chunk.len() as u64);
-                evicted.extend(outbox.push(
-                    &self.config.outbox,
-                    PendingBatch {
-                        epoch: outbox.epoch,
-                        last_seq: chunk.last().expect("non-empty chunk").seq,
-                        entries: chunk.to_vec(),
-                        attempts: 0,
-                        next_send: now,
-                    },
-                ));
+                evicted.extend(outbox.push(PendingBatch {
+                    epoch: outbox.epoch,
+                    last_seq: chunk.last().expect("non-empty chunk").seq,
+                    entries: chunk.to_vec(),
+                    attempts: 0,
+                    next_send: now,
+                }));
             }
         }
         if !evicted.is_empty() {
@@ -491,7 +477,6 @@ impl ShipNetwork {
     pub fn pump_outboxes(&mut self, now: SimTime) -> Result<()> {
         let dcs: Vec<DcId> = self.outboxes.keys().copied().collect();
         for dc in dcs {
-            let cfg = self.config.outbox.clone();
             let mut frames: Vec<(NetMessage, u32)> = Vec::new();
             let mut expired: Vec<PendingBatch> = Vec::new();
             let mut retries = 0u64;
@@ -503,7 +488,7 @@ impl ShipNetwork {
                         kept.push_back(p);
                         continue;
                     }
-                    if p.attempts >= cfg.max_attempts {
+                    if p.attempts >= MAX_ATTEMPTS {
                         expired.push(p);
                         continue;
                     }
@@ -519,7 +504,7 @@ impl ShipNetwork {
                         },
                         p.attempts,
                     ));
-                    p.next_send = now + outbox.backoff(&cfg, p.attempts);
+                    p.next_send = now + outbox.backoff(p.attempts);
                     kept.push_back(p);
                 }
                 outbox.pending = kept;
@@ -747,7 +732,6 @@ mod tests {
     fn network(drop: f64) -> ShipNetwork {
         let mut net = ShipNetwork::new(
             NetworkConfig::new()
-                .with_base_latency(SimDuration::from_millis(10.0))
                 .with_jitter(SimDuration::from_millis(5.0))
                 .with_drop_probability(drop)
                 .with_seed(42),
@@ -782,10 +766,10 @@ mod tests {
             .unwrap();
         // Too early: nothing.
         assert!(net
-            .recv(Endpoint::Pdme, t0 + SimDuration::from_millis(5.0))
+            .recv(Endpoint::Pdme, t0 + SimDuration::from_millis(4.0))
             .is_empty());
         assert_eq!(net.in_flight_count(), 1);
-        // After max latency (10 + 5 ms) it is there.
+        // After max latency (5 + 5 ms) it is there.
         let got = net.recv(Endpoint::Pdme, t0 + SimDuration::from_millis(20.0));
         assert_eq!(got.len(), 1);
         assert_eq!(net.stats().delivered, 1);
@@ -795,7 +779,6 @@ mod tests {
     fn delivery_order_is_by_delivery_time() {
         let mut net = ShipNetwork::new(
             NetworkConfig::new()
-                .with_base_latency(SimDuration::from_millis(10.0))
                 .with_jitter(SimDuration::ZERO)
                 .with_seed(1),
         );
@@ -954,11 +937,11 @@ mod tests {
         assert!(kinds.contains(&"partition".to_owned()));
         assert!(kinds.contains(&"heal".to_owned()));
         // Bus-transit latency was histogrammed for each delivery, and
-        // sits inside the configured latency + jitter window.
+        // sits inside the 5 ms base latency + 5 ms jitter window.
         let transit = net.bus_transit();
         assert_eq!(transit.count(), 9);
-        assert!(transit.min().unwrap() >= 0.010);
-        assert!(transit.max().unwrap() <= 0.015 + 1e-12);
+        assert!(transit.min().unwrap() >= 0.005);
+        assert!(transit.max().unwrap() <= 0.010 + 1e-12);
     }
 
     #[test]
@@ -1066,38 +1049,56 @@ mod tests {
 
     #[test]
     fn exhausted_retry_budget_expires_the_frame() {
-        let mut net = ShipNetwork::new(
-            NetworkConfig::new().with_outbox(
-                OutboxConfig::new()
-                    .with_base_backoff(SimDuration::from_secs(1.0))
-                    .with_max_backoff(SimDuration::from_secs(1.0))
-                    .with_max_attempts(3),
-            ),
-        );
+        let mut net = ShipNetwork::new(NetworkConfig::default());
         net.register(Endpoint::Pdme);
         let dc = DcId::new(1);
         net.register(Endpoint::Dc(dc));
         net.set_partitioned(Endpoint::Pdme, true); // permanent outage
         net.enqueue_report_batch(SimTime::ZERO, dc, sample_reports(dc, &[10]), 0x5EED)
             .unwrap();
-        for s in 0..30 {
-            net.pump_outboxes(SimTime::from_secs(s as f64)).unwrap();
+        // Pump every 0.1 s and note when each transmission goes out.
+        let tick = 0.1;
+        let mut sends = Vec::new();
+        let mut expired_at = None;
+        for i in 0..2_000 {
+            let now = i as f64 * tick;
+            net.pump_outboxes(SimTime::from_secs(now)).unwrap();
+            if net.stats().sent > sends.len() {
+                sends.push(now);
+            }
+            if expired_at.is_none() && net.stats().expired > 0 {
+                expired_at = Some(now);
+            }
         }
+        assert_eq!(sends.len(), 10, "10 transmissions before expiry");
+        assert_eq!(net.stats().retries, 9, "10 attempts = 1 send + 9 retries");
         assert_eq!(net.stats().expired, 1);
         assert_eq!(net.outbox_depth(dc), 0);
-        assert_eq!(net.stats().retries, 2, "3 attempts = 1 send + 2 retries");
+        let expired_at = expired_at.expect("the frame expired");
+        assert!(
+            expired_at > sends[9],
+            "expiry follows the 10th transmission"
+        );
+        // The gaps double from 1 s and cap at 16 s, each stretched by at
+        // most 10% jitter (plus one pump tick of granularity).
+        let nominal = [1.0, 2.0, 4.0, 8.0, 16.0, 16.0, 16.0, 16.0, 16.0];
+        for (gap, nominal) in sends.windows(2).map(|w| w[1] - w[0]).zip(nominal) {
+            assert!(
+                gap >= nominal - 1e-9 && gap <= nominal * 1.1 + tick + 1e-9,
+                "gap {gap} outside [{nominal}, {}]",
+                nominal * 1.1 + tick
+            );
+        }
     }
 
     #[test]
     fn full_outbox_evicts_oldest_and_counts_expired() {
-        let mut net = ShipNetwork::new(
-            NetworkConfig::new().with_outbox(OutboxConfig::new().with_capacity(2)),
-        );
+        let mut net = ShipNetwork::new(NetworkConfig::default());
         net.register(Endpoint::Pdme);
         let dc = DcId::new(1);
         net.register(Endpoint::Dc(dc));
         net.set_partitioned(Endpoint::Pdme, true); // nothing ever acks
-        for i in 0..3 {
+        let enqueue = |net: &mut ShipNetwork, i: u64| {
             net.enqueue_report_batch(
                 SimTime::from_secs(i as f64),
                 dc,
@@ -1105,9 +1106,35 @@ mod tests {
                 0x5EED,
             )
             .unwrap();
+        };
+        for i in 0..64 {
+            enqueue(&mut net, i);
         }
-        assert_eq!(net.outbox_depth(dc), 2);
-        assert_eq!(net.stats().expired, 1, "oldest frame evicted");
+        assert_eq!(net.outbox_depth(dc), 64);
+        assert_eq!(net.stats().expired, 0, "64 pending batches fit");
+        enqueue(&mut net, 64);
+        assert_eq!(net.outbox_depth(dc), 64);
+        assert_eq!(net.stats().expired, 1, "the 65th evicts the oldest");
+    }
+
+    #[test]
+    fn default_base_latency_keeps_a_tick_phase_separate() {
+        let mut net = ShipNetwork::new(NetworkConfig::default());
+        net.register(Endpoint::Pdme);
+        net.register(Endpoint::Dc(DcId::new(1)));
+        let now = SimTime::from_secs(30.0);
+        net.post(now, Envelope::to_pdme(DcId::new(1), heartbeat(1)))
+            .unwrap();
+        assert!(
+            net.recv(Endpoint::Pdme, now).is_empty(),
+            "a frame sent this tick is received this tick"
+        );
+        assert!(net
+            .recv(Endpoint::Pdme, now + SimDuration::from_millis(4.9))
+            .is_empty());
+        // 5 ms base latency + at most 2 ms default jitter.
+        let got = net.recv(Endpoint::Pdme, now + SimDuration::from_millis(7.0));
+        assert_eq!(got.len(), 1);
     }
 
     #[test]
@@ -1147,7 +1174,6 @@ mod tests {
         let run = |seed: u64| {
             let mut net = ShipNetwork::new(
                 NetworkConfig::new()
-                    .with_base_latency(SimDuration::from_millis(10.0))
                     .with_jitter(SimDuration::from_millis(10.0))
                     .with_drop_probability(0.5)
                     .with_seed(seed),

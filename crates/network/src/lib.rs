@@ -22,4 +22,3 @@ pub use codec::{
     decode, decode_message, encode, encode_message, BatchEntry, Family, NetMessage, Tag, Wire,
     MAX_BATCH, WIRE_VERSION,
 };
-pub use outbox::OutboxConfig;

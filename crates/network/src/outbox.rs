@@ -21,75 +21,23 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
-/// Retry/backoff policy for the per-DC report outboxes.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct OutboxConfig {
-    /// Unacknowledged frames held per DC; pushing past this evicts the
-    /// oldest pending frame.
-    pub capacity: usize,
-    /// Delay before the first retransmission.
-    pub base_backoff: SimDuration,
-    /// Ceiling on the exponential backoff.
-    pub max_backoff: SimDuration,
-    /// Transmissions (first send + retries) before a frame expires.
-    pub max_attempts: u32,
-    /// Backoff jitter as a fraction: each delay is scaled by a factor
-    /// drawn uniformly from `[1, 1 + jitter]`.
-    pub jitter: f64,
-}
+// The retry/backoff policy for the per-DC report outboxes. The
+// cumulative patience, 1 + 2 + 4 + 8 + 16 + 16·5 ≈ 110 s, comfortably
+// outlasts the sub-minute partitions §4.9-style scenarios throw,
+// without holding a dead link's frames forever.
 
-impl Default for OutboxConfig {
-    fn default() -> Self {
-        // 1 + 2 + 4 + 8 + 16 + 16·5 ≈ 110 s of cumulative patience:
-        // comfortably outlasts the sub-minute partitions §4.9-style
-        // scenarios throw, without holding a dead link's frames forever.
-        OutboxConfig {
-            capacity: 64,
-            base_backoff: SimDuration::from_secs(1.0),
-            max_backoff: SimDuration::from_secs(16.0),
-            max_attempts: 10,
-            jitter: 0.1,
-        }
-    }
-}
-
-impl OutboxConfig {
-    /// The default policy (see [`OutboxConfig::default`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the per-DC queue capacity.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity.max(1);
-        self
-    }
-
-    /// Set the delay before the first retransmission.
-    pub fn with_base_backoff(mut self, d: SimDuration) -> Self {
-        self.base_backoff = d;
-        self
-    }
-
-    /// Set the backoff ceiling.
-    pub fn with_max_backoff(mut self, d: SimDuration) -> Self {
-        self.max_backoff = d;
-        self
-    }
-
-    /// Set the transmission budget per frame.
-    pub fn with_max_attempts(mut self, n: u32) -> Self {
-        self.max_attempts = n.max(1);
-        self
-    }
-
-    /// Set the backoff jitter fraction.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter.max(0.0);
-        self
-    }
-}
+/// Unacknowledged frames held per DC; pushing past this evicts the
+/// oldest pending frame.
+const CAPACITY: usize = 64;
+/// Delay before the first retransmission, in seconds.
+const BASE_BACKOFF_S: f64 = 1.0;
+/// Ceiling on the exponential backoff, in seconds.
+const MAX_BACKOFF_S: f64 = 16.0;
+/// Transmissions (first send + retries) before a frame expires.
+pub(crate) const MAX_ATTEMPTS: u32 = 10;
+/// Backoff jitter as a fraction: each delay is scaled by a factor
+/// drawn uniformly from `[1, 1 + JITTER]`.
+const JITTER: f64 = 0.1;
 
 /// One unacknowledged `ReportBatch` frame awaiting (re)transmission.
 #[derive(Debug, Clone)]
@@ -129,9 +77,9 @@ impl Outbox {
     /// Park a frame; evicts the oldest pending frame when full.
     /// Returns the evicted frames (so the caller can account for every
     /// report they carried).
-    pub fn push(&mut self, config: &OutboxConfig, batch: PendingBatch) -> Vec<PendingBatch> {
+    pub fn push(&mut self, batch: PendingBatch) -> Vec<PendingBatch> {
         let mut evicted = Vec::new();
-        while self.pending.len() >= config.capacity.max(1) {
+        while self.pending.len() >= CAPACITY {
             if let Some(old) = self.pending.pop_front() {
                 evicted.push(old);
             }
@@ -158,18 +106,12 @@ impl Outbox {
     }
 
     /// The jittered backoff after the `attempts`-th transmission:
-    /// `base · 2^(attempts-1)` capped at `max_backoff`, scaled by a
-    /// factor drawn from `[1, 1 + jitter]` off this DC's stream.
-    pub fn backoff(&mut self, config: &OutboxConfig, attempts: u32) -> SimDuration {
-        let exp = attempts.saturating_sub(1).min(32);
-        let raw = config.base_backoff.as_secs() * f64::from(1u32 << exp.min(31));
-        let capped = raw.min(config.max_backoff.as_secs());
-        let scale = if config.jitter > 0.0 {
-            1.0 + self.rng.gen_range(0.0..config.jitter)
-        } else {
-            1.0
-        };
-        SimDuration::from_secs(capped * scale)
+    /// `base · 2^(attempts-1)` capped at the ceiling, scaled by a
+    /// factor drawn from `[1, 1 + JITTER]` off this DC's stream.
+    pub fn backoff(&mut self, attempts: u32) -> SimDuration {
+        let exp = attempts.saturating_sub(1).min(31);
+        let capped = (BASE_BACKOFF_S * f64::from(1u32 << exp)).min(MAX_BACKOFF_S);
+        SimDuration::from_secs(capped * (1.0 + self.rng.gen_range(0.0..JITTER)))
     }
 }
 
@@ -189,24 +131,24 @@ mod tests {
 
     #[test]
     fn push_evicts_oldest_when_full() {
-        let cfg = OutboxConfig::new().with_capacity(2);
         let mut ob = Outbox::new(1);
-        assert!(ob.push(&cfg, pending(0, 1)).is_empty());
-        assert!(ob.push(&cfg, pending(0, 2)).is_empty());
-        let evicted = ob.push(&cfg, pending(0, 3));
-        assert_eq!(evicted.len(), 1, "oldest dropped");
-        assert_eq!(evicted[0].last_seq, 1);
-        let seqs: Vec<u64> = ob.pending.iter().map(|p| p.last_seq).collect();
-        assert_eq!(seqs, vec![2, 3]);
+        for seq in 1..=64 {
+            assert!(ob.push(pending(0, seq)).is_empty(), "batch {seq} fits");
+        }
+        let evicted = ob.push(pending(0, 65));
+        assert_eq!(evicted.len(), 1, "the 65th pending batch evicts one");
+        assert_eq!(evicted[0].last_seq, 1, "oldest dropped");
+        assert_eq!(ob.pending.len(), 64);
+        assert_eq!(ob.pending.front().map(|p| p.last_seq), Some(2));
+        assert_eq!(ob.pending.back().map(|p| p.last_seq), Some(65));
     }
 
     #[test]
     fn ack_is_cumulative_and_epoch_scoped() {
-        let cfg = OutboxConfig::new();
         let mut ob = Outbox::new(1);
-        ob.push(&cfg, pending(0, 5));
-        ob.push(&cfg, pending(0, 9));
-        ob.push(&cfg, pending(1, 3)); // post-restart frame
+        ob.push(pending(0, 5));
+        ob.push(pending(0, 9));
+        ob.push(pending(1, 3)); // post-restart frame
         assert_eq!(ob.acknowledge(0, 9), 2, "covers both epoch-0 frames");
         assert_eq!(ob.pending.len(), 1, "epoch-1 frame untouched");
         assert_eq!(ob.acknowledge(1, 2), 0, "seq 3 not yet covered");
@@ -215,20 +157,17 @@ mod tests {
 
     #[test]
     fn backoff_doubles_to_the_cap_with_bounded_jitter() {
-        let cfg = OutboxConfig::new()
-            .with_base_backoff(SimDuration::from_secs(1.0))
-            .with_max_backoff(SimDuration::from_secs(8.0))
-            .with_jitter(0.1);
         let mut ob = Outbox::new(7);
         for (attempts, nominal) in [
             (1u32, 1.0),
             (2, 2.0),
             (3, 4.0),
             (4, 8.0),
-            (5, 8.0),
-            (60, 8.0),
+            (5, 16.0),
+            (6, 16.0),
+            (60, 16.0),
         ] {
-            let d = ob.backoff(&cfg, attempts).as_secs();
+            let d = ob.backoff(attempts).as_secs();
             assert!(
                 d >= nominal && d <= nominal * 1.1 + 1e-12,
                 "attempt {attempts}: {d} outside [{nominal}, {}]",
@@ -239,12 +178,9 @@ mod tests {
 
     #[test]
     fn backoff_stream_is_deterministic_per_seed() {
-        let cfg = OutboxConfig::new();
         let draw = |seed: u64| {
             let mut ob = Outbox::new(seed);
-            (1..6)
-                .map(|a| ob.backoff(&cfg, a).as_secs())
-                .collect::<Vec<_>>()
+            (1..6).map(|a| ob.backoff(a).as_secs()).collect::<Vec<_>>()
         };
         assert_eq!(draw(3), draw(3));
         assert_ne!(draw(3), draw(4));
@@ -252,10 +188,9 @@ mod tests {
 
     #[test]
     fn clear_reports_lost_frames() {
-        let cfg = OutboxConfig::new();
         let mut ob = Outbox::new(1);
-        ob.push(&cfg, pending(0, 1));
-        ob.push(&cfg, pending(0, 2));
+        ob.push(pending(0, 1));
+        ob.push(pending(0, 2));
         assert_eq!(ob.clear(), 2);
         assert!(ob.pending.is_empty());
     }

@@ -69,7 +69,7 @@ use mpros_core::{
     Result, SimClock, SimDuration, SimTime,
 };
 use mpros_dc::{DataConcentrator, DcConfig, SensorFault};
-use mpros_gateway::{Gateway, GatewayConfig, ServingSnapshot};
+use mpros_gateway::{Gateway, ServingSnapshot};
 use mpros_network::{Endpoint, Envelope, NetMessage, NetworkConfig, ShipNetwork};
 use mpros_pdme::PdmeExecutive;
 use mpros_store::{RecoveryManager, StoreHandle};
@@ -84,8 +84,8 @@ pub use crate::exec::ExecMode;
 
 /// Configuration of a shipboard simulation.
 ///
-/// Built with the same chainable pattern as `NetworkConfig`, `DcConfig`
-/// and `OutboxConfig`: start from [`ShipboardSimConfig::new`] and apply
+/// Built with the same chainable pattern as `NetworkConfig` and
+/// `DcConfig`: start from [`ShipboardSimConfig::new`] and apply
 /// `with_*` setters. The struct is `#[non_exhaustive]`, so new knobs
 /// can be added without breaking downstream construction sites.
 ///
@@ -128,11 +128,6 @@ pub struct ShipboardSimConfig {
     /// written). Between checkpoints the WAL carries every ingested
     /// frame, so crash recovery replays at most this many steps.
     pub snapshot_every: u64,
-    /// Flight-recorder tuning (step-record ring size, incident pre/post
-    /// context windows, retention bounds). The recorder is always on —
-    /// its per-step capture is a bounded read of state the control
-    /// thread already owns.
-    pub recorder: RecorderConfig,
 }
 
 impl Default for ShipboardSimConfig {
@@ -148,7 +143,6 @@ impl Default for ShipboardSimConfig {
             exec: ExecMode::Sequential,
             slo: SloPolicy::none(),
             snapshot_every: 50,
-            recorder: RecorderConfig::default(),
         }
     }
 }
@@ -218,12 +212,6 @@ impl ShipboardSimConfig {
     /// snapshots).
     pub fn with_snapshot_every(mut self, snapshot_every: u64) -> Self {
         self.snapshot_every = snapshot_every;
-        self
-    }
-
-    /// Set the flight-recorder tuning.
-    pub fn with_recorder(mut self, recorder: RecorderConfig) -> Self {
-        self.recorder = recorder;
         self
     }
 }
@@ -356,7 +344,7 @@ impl ShipboardSim {
             snapshot_every: config.snapshot_every,
             steps: 0,
             gateway: None,
-            recorder: Arc::new(FlightRecorder::new(config.recorder, config.seed)),
+            recorder: Arc::new(FlightRecorder::new(RecorderConfig::default(), config.seed)),
             pending_triggers: Vec::new(),
             last_slo_pass: None,
         })
@@ -369,10 +357,8 @@ impl ShipboardSim {
     /// threads. An initial snapshot of the current state is published
     /// immediately, so clients never observe the empty version 0 once
     /// this returns.
-    pub fn attach_gateway(&mut self, config: GatewayConfig) -> Arc<Gateway> {
-        let mut gateway = Gateway::new(config, &self.telemetry);
-        gateway.set_recorder(self.recorder.clone());
-        let gateway = Arc::new(gateway);
+    pub fn attach_gateway(&mut self) -> Arc<Gateway> {
+        let gateway = Arc::new(Gateway::new(&self.telemetry, self.recorder.clone()));
         self.gateway = Some(gateway.clone());
         self.publish_serving_snapshot();
         gateway

@@ -63,11 +63,6 @@ impl Complex {
         }
     }
 
-    /// Argument (phase) in radians.
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Scale by a real factor.
     pub fn scale(self, k: f64) -> Self {
         Complex {

@@ -590,11 +590,6 @@ impl StoreHandle {
     fn wal(&self) -> MutexGuard<'_, Wal> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
-
-    /// Whether two handles reference the same log.
-    pub fn same_store(&self, other: &StoreHandle) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 #[cfg(test)]

@@ -56,8 +56,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default journal capacity.
-const DEFAULT_JOURNAL_CAPACITY: usize = 256;
+/// Journal events a telemetry domain retains.
+const JOURNAL_CAPACITY: usize = 256;
 
 /// A component that records into a [`Telemetry`] domain.
 ///
@@ -117,14 +117,8 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// A fresh telemetry domain with the default journal capacity.
+    /// A fresh telemetry domain retaining at most 256 journal events.
     pub fn new() -> Self {
-        Telemetry::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// A fresh telemetry domain retaining at most `capacity` journal
-    /// events.
-    pub fn with_journal_capacity(capacity: usize) -> Self {
         let registry = Registry::new();
         let span_wall = Stage::ALL
             .iter()
@@ -139,7 +133,7 @@ impl Telemetry {
         Telemetry {
             inner: Arc::new(Inner {
                 registry,
-                journal: Journal::new(capacity),
+                journal: Journal::new(JOURNAL_CAPACITY),
                 sim_now_bits: AtomicU64::new(0f64.to_bits()),
                 span_wall,
                 span_sim,
@@ -153,6 +147,15 @@ impl Telemetry {
     /// The underlying registry (for snapshotting and handle lookup).
     pub fn registry(&self) -> &Registry {
         &self.inner.registry
+    }
+
+    /// Whether `component`'s metrics belong to the simulated domain:
+    /// the state a gateway serves and a flight recorder captures
+    /// byte-identically across execution modes and serving load.
+    /// `exec` is scheduling metadata (it exists only in parallel mode)
+    /// and `gateway` tracks host-side client traffic, so both are out.
+    pub fn is_sim_domain(component: &str) -> bool {
+        component != "exec" && component != "gateway"
     }
 
     /// The counter `(component, name)` — look up once, record forever.

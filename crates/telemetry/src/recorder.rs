@@ -49,14 +49,6 @@ use std::sync::{Mutex, PoisonError};
 /// Incident interchange schema version.
 pub const INCIDENT_SCHEMA_VERSION: u32 = 1;
 
-/// Components excluded from counter/gauge capture: `exec` is
-/// scheduling metadata (exists only in parallel mode) and `gateway`
-/// tracks host-side client timing — both would break the cross-mode
-/// byte-identity contract.
-fn sim_domain(component: &str) -> bool {
-    component != "exec" && component != "gateway"
-}
-
 /// What fired an incident capture.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum IncidentTrigger {
@@ -513,7 +505,7 @@ impl FlightRecorder {
         let registry = telemetry.registry();
         let mut counter_deltas = Vec::new();
         for (component, name, counter) in registry.counters() {
-            if !sim_domain(&component) {
+            if !Telemetry::is_sim_domain(&component) {
                 continue;
             }
             let total = counter.get();
@@ -532,7 +524,7 @@ impl FlightRecorder {
         let gauges = registry
             .gauges()
             .into_iter()
-            .filter(|(component, _, _)| sim_domain(component))
+            .filter(|(component, _, _)| Telemetry::is_sim_domain(component))
             .map(|(component, name, g)| GaugeSample {
                 component,
                 name,
@@ -552,32 +544,14 @@ impl FlightRecorder {
 
         // Advance open captures with the fresh record; seal the closed
         // ones in trigger order.
-        let mut sealed = Vec::new();
-        s.pending.retain_mut(|p| {
+        for mut p in std::mem::take(&mut s.pending) {
             p.records.push(record.clone());
             if p.remaining_post == 0 {
-                sealed.push(Incident {
-                    schema_version: INCIDENT_SCHEMA_VERSION,
-                    id: incident_id(self.master_seed, &p.trigger, p.step),
-                    trigger: p.trigger.clone(),
-                    step: p.step,
-                    at_secs: p.at_secs,
-                    pre_steps: p.pre_steps,
-                    post_steps: p.records.len() - p.pre_steps - 1,
-                    records: std::mem::take(&mut p.records),
-                });
-                false
+                self.seal(&mut s, p);
             } else {
                 p.remaining_post -= 1;
-                true
+                s.pending.push(p);
             }
-        });
-        for incident in sealed {
-            if s.incidents.len() == self.config.max_incidents {
-                s.incidents.pop_front();
-            }
-            s.incidents.push_back(incident);
-            s.sealed_total += 1;
         }
 
         // Open one capture per (deduplicated) trigger: the ring tail is
@@ -595,32 +569,19 @@ impl FlightRecorder {
             let pre_steps = pre.len();
             let mut records = pre;
             records.push(record.clone());
+            let capture = PendingIncident {
+                trigger: trigger.clone(),
+                step,
+                at_secs,
+                pre_steps,
+                records,
+                remaining_post: self.config.post_steps.saturating_sub(1),
+            };
             // A zero-post capture seals immediately.
             if self.config.post_steps == 0 {
-                let incident = Incident {
-                    schema_version: INCIDENT_SCHEMA_VERSION,
-                    id: incident_id(self.master_seed, trigger, step),
-                    trigger: trigger.clone(),
-                    step,
-                    at_secs,
-                    pre_steps,
-                    post_steps: 0,
-                    records,
-                };
-                if s.incidents.len() == self.config.max_incidents {
-                    s.incidents.pop_front();
-                }
-                s.incidents.push_back(incident);
-                s.sealed_total += 1;
+                self.seal(&mut s, capture);
             } else {
-                s.pending.push(PendingIncident {
-                    trigger: trigger.clone(),
-                    step,
-                    at_secs,
-                    pre_steps,
-                    records,
-                    remaining_post: self.config.post_steps - 1,
-                });
+                s.pending.push(capture);
             }
         }
 
@@ -629,6 +590,25 @@ impl FlightRecorder {
             s.ring.pop_front();
         }
         s.ring.push_back(record);
+    }
+
+    /// Seal a closed capture into its incident bundle and retain it,
+    /// evicting the oldest sealed incident past the retention bound.
+    fn seal(&self, s: &mut RecorderState, p: PendingIncident) {
+        if s.incidents.len() == self.config.max_incidents {
+            s.incidents.pop_front();
+        }
+        s.incidents.push_back(Incident {
+            schema_version: INCIDENT_SCHEMA_VERSION,
+            id: incident_id(self.master_seed, &p.trigger, p.step),
+            trigger: p.trigger,
+            step: p.step,
+            at_secs: p.at_secs,
+            pre_steps: p.pre_steps,
+            post_steps: p.records.len() - p.pre_steps - 1,
+            records: p.records,
+        });
+        s.sealed_total += 1;
     }
 
     /// Steps observed over the recorder's lifetime.

@@ -25,7 +25,6 @@ fn main() -> mpros::core::Result<()> {
 
     let mut cfg = DcConfig::new(DcId::new(1), MachineId::new(1));
     cfg.survey_period = SimDuration::from_secs(60.0);
-    cfg.min_report_gap = SimDuration::from_minutes(60.0);
     let mut dc = DataConcentrator::new(cfg)?;
 
     println!(

@@ -26,71 +26,39 @@ echo "==> cargo test -q"
 cargo test -q
 
 # Every crate's own tests, in release: the facade run above covers only
-# the root package, so the signal, fusion, store, gateway, ... unit and
-# property tests run here. That includes the bench crate's determinism
-# fingerprints (crates/bench/tests/fingerprints.rs): every seeded value
-# of the E7/E11 scenarios — network, WAL and DSP counts, sim-time
-# latency quantiles, serving and fleet accounting — checked exactly
-# against one committed table, the 8-DC fleet run under the calm and
-# the lossy sea in sequential, 1-worker and 4-worker modes.
+# the root package in debug, so the signal, fusion, store, gateway, ...
+# unit and property tests run here. The root package is a workspace
+# member, so this one step also runs, in release, the contracts the
+# root tests/ directory claims (release catches optimization-sensitive
+# float, ordering and encoding regressions):
+#  - execution-mode equivalence: sequential and parallel {2,4,8}
+#    stepping are byte-for-byte identical (parallel_determinism);
+#  - incident determinism: sealed incident bundles and the served
+#    exposition are byte-identical across exec modes and a WAL
+#    crash-restore, fetched over the gateway protocol (incident_replay);
+#  - survivability: a seeded crash/partition/stall campaign retries
+#    across the outages with zero expired batches and converges to the
+#    no-fault baseline (fault_recovery);
+#  - durability: a crash-restored PDME is byte-identical to the
+#    uninterrupted run in every exec mode (crash_restore), and a WAL
+#    truncated at any tail offset recovers to the last valid frame
+#    (wal_torn_write);
+#  - history independence: ingest, OOSM post and ICAS export visit the
+#    same store rows with 1k and 16k reports stored (pdme_history);
+#  - the fleet plane: responses are byte-identical across exec modes
+#    and one-thread-per-shard stepping, ship 0 is independent of fleet
+#    size, a crashed shard degrades only itself (fleet_serving);
+#  - DSP: golden vectors against closed-form spectra (dsp_golden),
+#    property round-trips and window identities (dsp_props), and zero
+#    heap allocations in a steady-state survey (dsp_alloc).
+# It also runs the bench crate's determinism fingerprints
+# (crates/bench/tests/fingerprints.rs): every seeded value of the
+# E7/E11 scenarios — network, WAL and DSP counts, sim-time latency
+# quantiles, serving and fleet accounting — checked exactly against one
+# committed table, the 8-DC fleet run under the calm and the lossy sea
+# in sequential, 1-worker and 4-worker modes.
 echo "==> cargo test --workspace --release -q"
 cargo test --workspace --release -q
-
-# The scatter-gather contract, re-run in release: sequential and
-# parallel {2,4,8} stepping must be byte-for-byte identical, and each
-# mode self-deterministic. (Debug already ran it above; release catches
-# optimization-sensitive float/ordering regressions.)
-echo "==> determinism equivalence, release (sequential vs parallel)"
-cargo test --release -q --test parallel_determinism
-
-# The flight recorder's determinism contract, in release: a faulted run
-# seals incident bundles (and serves a Prometheus exposition) that are
-# byte-identical across exec modes and across a WAL crash-restore, all
-# fetched through the wire-v5 gateway protocol.
-echo "==> incident determinism, release"
-cargo test --release -q --test incident_replay
-
-# The survivability contract, in release: a seeded crash/partition/stall
-# campaign must degrade visibly, retry across the outages with zero
-# expired batches, and converge back to the no-fault baseline.
-echo "==> fault recovery suite, release"
-cargo test --release -q --test fault_recovery
-
-# The durability contract, in release: a run whose PDME crashes and is
-# rebuilt from the store (latest snapshot + WAL tail) must be
-# byte-identical to the uninterrupted run in every execution mode, and
-# a WAL truncated at any tail offset must recover to the last valid
-# frame. Release catches optimization-sensitive encoding regressions.
-echo "==> crash-restore determinism, release"
-cargo test --release -q --test crash_restore
-cargo test --release -q --test wal_torn_write
-
-# The history-independence contract, in release: one further report
-# ingest, one further OOSM post and one ICAS export must visit the same
-# store rows with 1k and with 16k reports stored, so PDME cost does not
-# grow with the ship's report history. Rows visited is deterministic,
-# so host noise cannot hide a regression.
-echo "==> history independence, release"
-cargo test --release -q --test pdme_history
-
-# The fleet-plane contract, in release: fleet responses are pure
-# functions of (fleet version, request) — byte-identical across exec
-# modes, shard-visit interleavings and one-thread-per-shard stepping —
-# ship 0's bytes are independent of fleet size via the compat path, and
-# crashing a shard degrades only that shard.
-echo "==> fleet serving determinism, release"
-cargo test --release -q --test fleet_serving
-
-# The DSP contract, in release: golden-vector conformance against
-# closed-form spectra, property-based round-trips / reconstruction /
-# window identities, and the counting-allocator proof that a
-# steady-state DC survey performs zero heap allocations in the DSP
-# path. Release matters here: the allocation profile and the
-# optimization-sensitive float paths are what ship.
-echo "==> dsp golden + property + allocation suites, release"
-cargo test --release -q --test dsp_golden
-cargo test --release -q --test dsp_props
-cargo test --release -q --test dsp_alloc
 
 # E7 data rates, and fleet-stepping throughput sequential vs 4 workers
 # under the calm and the lossy sea. On hosts with < 4 cores the speedup

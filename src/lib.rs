@@ -29,7 +29,7 @@
 //!
 //! // Serve the fused state to concurrent clients over the framed
 //! // gateway protocol (see `mpros::gateway`).
-//! let handle = sim.attach_gateway(GatewayConfig::new());
+//! let handle = sim.attach_gateway();
 //! let client = GatewayClient::connect(handle, 1);
 //! assert!(!client.icas().unwrap().machines.is_empty());
 //! ```

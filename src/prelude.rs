@@ -26,20 +26,20 @@ pub use mpros_core::{FaultKind, FaultPlan, FaultPlanConfig, FaultTarget};
 
 // Network and transport configuration, and the trait every wire
 // message implements (`type_tag()`).
-pub use mpros_network::{NetworkConfig, OutboxConfig, Wire};
+pub use mpros_network::{NetworkConfig, Wire};
 
-// The serving layer: gateway, its configuration, the framed protocol
-// and the client that speaks it.
+// The serving layer: gateway, the framed protocol and the client that
+// speaks it.
 pub use mpros_gateway::{
-    DeltaBatch, Gateway, GatewayClient, GatewayConfig, GatewayRequest, GatewayResponse,
-    JournalPage, MetricsReport, ServingSnapshot, StatusDelta,
+    DeltaBatch, Gateway, GatewayClient, GatewayRequest, GatewayResponse, JournalPage,
+    MetricsReport, ServingSnapshot, StatusDelta,
 };
 
 // The fleet plane: sharded multi-ship simulation behind one routing
 // gateway with a fleet-wide knowledge rollup (wire v6).
 pub use mpros_fleet::{
-    Fleet, FleetClient, FleetConfig, FleetDeltaBatch, FleetGateway, FleetGatewayConfig,
-    FleetRequest, FleetResponse, FleetRollup, FleetSnapshot, RollupReport, ShipDelta, ShipInfo,
+    Fleet, FleetClient, FleetConfig, FleetDeltaBatch, FleetGateway, FleetRequest, FleetResponse,
+    FleetRollup, FleetSnapshot, RollupReport, ShipDelta, ShipInfo,
 };
 
 // ICAS interchange documents served by the gateway.

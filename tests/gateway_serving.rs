@@ -17,7 +17,7 @@
 use mpros::chiller::fault::{FaultProfile, FaultSeed};
 use mpros::core::{DcId, FaultPlan, MachineCondition, SimDuration, SimTime};
 use mpros::gateway::{
-    decode_response, encode_request, GatewayClient, GatewayConfig, GatewayRequest, GatewayResponse,
+    decode_response, encode_request, GatewayClient, GatewayRequest, GatewayResponse,
 };
 use mpros::sim::{ExecMode, ShipboardSim, ShipboardSimConfig};
 use mpros::telemetry::SloPolicy;
@@ -43,7 +43,7 @@ fn serve_fingerprint(exec: ExecMode) -> Vec<Vec<u8>> {
             .with_exec(exec),
     )
     .expect("sim builds");
-    let gateway = sim.attach_gateway(GatewayConfig::new());
+    let gateway = sim.attach_gateway();
     // Register the subscriber before any edges, so every mode queues
     // the same delta history.
     let _ = gateway.serve(&GatewayRequest::Subscribe { session: 42 });
@@ -163,64 +163,69 @@ fn gateway_responses_are_byte_identical_across_exec_modes() {
 
 #[test]
 fn slow_subscriber_loses_oldest_deltas_through_the_sim() {
+    // Ten crash windows on every DC: each window degrades all four
+    // machines and, once the restarted DCs report again, recovers them
+    // — 80 edges against a 64-delta session queue.
+    const DCS: usize = 4;
+    let mut plan = FaultPlan::none();
+    for window in 0..10 {
+        let start = 30.0 + 40.0 * window as f64;
+        for dc in 1..=DCS as u64 {
+            plan = plan.with_dc_crash(
+                DcId::new(dc),
+                SimTime::from_secs(start),
+                SimTime::from_secs(start + 20.0),
+            );
+        }
+    }
     let mut sim = ShipboardSim::new(
         ShipboardSimConfig::new()
-            .with_dc_count(2)
+            .with_dc_count(DCS)
             .with_seed(11)
             .with_survey_period(SimDuration::from_secs(30.0))
             .with_dc_timeout(SimDuration::from_secs(10.0))
             .with_heartbeat_period(SimDuration::from_secs(5.0))
-            // Two crash windows on DC 1: at least two degraded edges,
-            // plus recoveries while its plant keeps reporting.
-            .with_fault_plan(
-                FaultPlan::none()
-                    .with_dc_crash(
-                        DcId::new(1),
-                        SimTime::from_secs(30.0),
-                        SimTime::from_secs(60.0),
-                    )
-                    .with_dc_crash(
-                        DcId::new(1),
-                        SimTime::from_secs(120.0),
-                        SimTime::from_secs(150.0),
-                    ),
-            ),
+            .with_fault_plan(plan),
     )
     .expect("sim builds");
-    let gateway = sim.attach_gateway(GatewayConfig::new().with_session_queue_capacity(1));
-    // A reporting fault keeps DC 1's machine re-reporting after each
-    // restart, so recovered edges follow the degraded ones.
-    sim.seed_fault(
-        0,
-        FaultSeed {
-            condition: MachineCondition::MotorBearingDefect,
-            onset: SimTime::ZERO,
-            time_to_failure: SimDuration::from_minutes(8.0),
-            profile: FaultProfile::EarlyOnset,
-        },
-    );
+    let gateway = sim.attach_gateway();
+    // A reporting fault on every plant keeps each machine re-reporting
+    // after its DC restarts, so recovered edges follow the degraded
+    // ones.
+    for plant in 0..DCS {
+        sim.seed_fault(
+            plant,
+            FaultSeed {
+                condition: MachineCondition::MotorBearingDefect,
+                onset: SimTime::ZERO,
+                time_to_failure: SimDuration::from_minutes(8.0),
+                profile: FaultProfile::EarlyOnset,
+            },
+        );
+    }
     let slow = GatewayClient::connect(gateway.clone(), 1);
     let prompt = GatewayClient::connect(gateway.clone(), 2);
     // Both register before the first edge; only `prompt` ever polls.
     assert_eq!(slow.poll_deltas().unwrap().deltas.len(), 0);
     assert_eq!(prompt.poll_deltas().unwrap().deltas.len(), 0);
 
-    let dt = SimDuration::from_secs(0.5);
+    let dt = SimDuration::from_secs(1.0);
     let mut prompt_history = Vec::new();
-    for _ in 0..480 {
+    for _ in 0..440 {
         sim.step(dt).expect("step");
         let batch = prompt.poll_deltas().expect("prompt poll");
         assert_eq!(batch.dropped, 0, "a per-step poller must never drop");
         prompt_history.extend(batch.deltas);
     }
     assert!(
-        prompt_history.len() >= 2,
-        "expected at least two supervision edges, saw {prompt_history:?}"
+        prompt_history.len() > 64,
+        "expected more edges than a session queue holds, saw {}",
+        prompt_history.len()
     );
 
-    // The slow session's capacity-1 queue kept only the newest delta.
+    // The slow session's 64-delta queue kept only the newest deltas.
     let starved = slow.poll_deltas().expect("slow poll");
-    assert_eq!(starved.deltas.len(), 1, "capacity-1 queue holds one delta");
+    assert_eq!(starved.deltas.len(), 64, "the queue holds 64 deltas");
     assert!(starved.dropped >= 1, "older deltas must have been evicted");
     assert_eq!(
         starved.dropped as usize + starved.deltas.len(),
@@ -228,9 +233,9 @@ fn slow_subscriber_loses_oldest_deltas_through_the_sim() {
         "evicted + surviving must reconcile with the full edge history"
     );
     assert_eq!(
-        starved.deltas[0],
-        *prompt_history.last().unwrap(),
-        "oldest-drop means the newest edge survives"
+        starved.deltas[..],
+        prompt_history[prompt_history.len() - 64..],
+        "oldest-drop means the newest edges survive"
     );
     assert_eq!(
         sim.telemetry().snapshot().counter("gateway", "drops"),
@@ -248,7 +253,7 @@ fn many_clients_query_a_live_stepping_sim() {
             .with_survey_period(SimDuration::from_secs(30.0)),
     )
     .expect("sim builds");
-    let gateway = sim.attach_gateway(GatewayConfig::new());
+    let gateway = sim.attach_gateway();
     sim.seed_fault(
         0,
         FaultSeed {

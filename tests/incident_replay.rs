@@ -17,7 +17,7 @@
 
 use mpros::chiller::fault::{FaultProfile, FaultSeed};
 use mpros::core::{DcId, FaultPlan, MachineCondition, SimDuration, SimTime};
-use mpros::gateway::{GatewayClient, GatewayConfig};
+use mpros::gateway::GatewayClient;
 use mpros::sim::{ExecMode, ShipboardSim, ShipboardSimConfig};
 use mpros::telemetry::{incident_id, IncidentTrigger};
 
@@ -60,7 +60,7 @@ fn sealed_incidents_and_exposition_are_mode_invariant_over_the_wire() {
         let mut sim = faulted_sim(8, exec);
         sim.run_for(SimDuration::from_minutes(3.0), SimDuration::from_secs(0.5))
             .expect("faulted run completes");
-        let gateway = sim.attach_gateway(GatewayConfig::new());
+        let gateway = sim.attach_gateway();
         let client = GatewayClient::connect(gateway, 1);
 
         let summaries = client.incidents().expect("ListIncidents serves");

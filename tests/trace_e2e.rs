@@ -215,7 +215,7 @@ fn slo_watchdog_passes_calm_sea_and_fails_a_forced_stall() {
 
 #[test]
 fn completed_journey_is_retrievable_over_the_gateway_wire() {
-    use mpros::gateway::{GatewayClient, GatewayConfig};
+    use mpros::gateway::GatewayClient;
 
     let mut sim = run_sim(FaultPlan::none(), SloPolicy::none(), 3.0);
     let hops = sim.trace_hops();
@@ -229,7 +229,7 @@ fn completed_journey_is_retrievable_over_the_gateway_wire() {
     // A remote console asks for the same journey by trace id: the served
     // hops must match the in-process chain field for field (minus the
     // diagnostic wall-clock, which never crosses the wire).
-    let gateway = sim.attach_gateway(GatewayConfig::new());
+    let gateway = sim.attach_gateway();
     let client = GatewayClient::connect(gateway, 7);
     let served = client.trace(trace.raw()).expect("known trace serves");
 
