@@ -45,7 +45,7 @@ fn main() {
         let posted = kf
             .drain()
             .into_iter()
-            .filter(|e| matches!(e, OosmEvent::ReportPosted { report, .. } if *report == ReportId::new(i)))
+            .filter(|e| matches!(e, OosmEvent::ReportPosted { report, .. } if report.id == ReportId::new(i)))
             .count();
         pushed += posted as u64;
     }

@@ -9,8 +9,9 @@
 
 use crate::model::{ObjectKind, Relation};
 use crate::store::Value;
-use mpros_core::{ObjectId, ReportId};
+use mpros_core::{ConditionReport, ObjectId};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 
 /// A change notification from the OOSM.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,10 +47,12 @@ pub enum OosmEvent {
         to: ObjectId,
     },
     /// A failure-prediction report was posted (the event Knowledge
-    /// Fusion subscribes to).
+    /// Fusion subscribes to). It carries the report itself, so a
+    /// subscriber fuses what was posted without decoding it back out of
+    /// the store.
     ReportPosted {
-        /// The report id.
-        report: ReportId,
+        /// The posted report.
+        report: Arc<ConditionReport>,
         /// The OOSM object holding it.
         object: ObjectId,
     },
@@ -163,8 +166,14 @@ mod tests {
         let mut bus = EventBus::new();
         let s = bus.subscribe();
         let handle = std::thread::spawn(move || s.recv());
+        let report = mpros_core::ConditionReport::builder(
+            mpros_core::MachineId::new(1),
+            mpros_core::MachineCondition::MotorImbalance,
+            0.5,
+        )
+        .build();
         bus.publish(OosmEvent::ReportPosted {
-            report: mpros_core::ReportId::new(9),
+            report: Arc::new(report),
             object: ObjectId::new(3),
         });
         let got = handle.join().unwrap();

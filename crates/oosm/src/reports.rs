@@ -7,7 +7,10 @@
 //! property rows (`report_id`, `machine_id`, `condition`, belief,
 //! severity, timestamp), related by `refers-to` to the machine object
 //! they concern. Posting a report publishes the
-//! [`OosmEvent::ReportPosted`] event that drives knowledge fusion.
+//! [`OosmEvent::ReportPosted`] event that drives knowledge fusion; the
+//! event carries the posted report, which equals what
+//! [`Oosm::report_payload`] decodes from the store because only reports
+//! whose every float is finite are accepted.
 //!
 //! The id lookups here (`machine_object`, `report_object`,
 //! `reports_for_machine`, `report_count_for`) read the model's derived
@@ -20,6 +23,7 @@ use crate::model::{ObjectKind, Oosm, Relation};
 use crate::store::Value;
 use mpros_core::{ConditionReport, Error, MachineId, ObjectId, ReportId, Result};
 use mpros_telemetry::{Stage, WallTimer};
+use std::sync::Arc;
 
 /// Report-repository operations on the OOSM.
 impl Oosm {
@@ -46,8 +50,19 @@ impl Oosm {
     /// Post a failure-prediction report (§5.1 step 1: "New reports
     /// arriving to the PDME are posted in the OOSM"). Returns the report
     /// object. Publishes [`OosmEvent::ReportPosted`].
+    ///
+    /// A report with a non-finite float (timestamp, belief, severity or
+    /// a prognostic point) is refused with [`Error::InvalidInput`]
+    /// before any object is created: JSON stores it as `null`, so the
+    /// stored payload could not be decoded back into the posted report.
     pub fn post_report(&mut self, report: &ConditionReport) -> Result<ObjectId> {
         let timer = WallTimer::start();
+        if let Some(field) = non_finite_field(report) {
+            return Err(Error::invalid(format!(
+                "report {} has a non-finite {field}",
+                report.id.raw()
+            )));
+        }
         let json = serde_json::to_string(report)
             .map_err(|e| Error::Encoding(format!("report serialization: {e}")))?;
         let obj = self.create_object(ObjectKind::Report, &format!("report-{}", report.id.raw()));
@@ -66,7 +81,7 @@ impl Oosm {
             self.relate(obj, Relation::RefersTo, machine_obj)?;
         }
         self.publish(OosmEvent::ReportPosted {
-            report: report.id,
+            report: Arc::new(report.clone()),
             object: obj,
         });
         self.m_reports_posted.inc();
@@ -120,10 +135,33 @@ impl Oosm {
     }
 }
 
+/// The first field of `report` holding a NaN or infinite float.
+fn non_finite_field(report: &ConditionReport) -> Option<&'static str> {
+    if !report.timestamp.as_secs().is_finite() {
+        return Some("timestamp");
+    }
+    if !report.belief.value().is_finite() {
+        return Some("belief");
+    }
+    if !report.severity.value().is_finite() {
+        return Some("severity");
+    }
+    report
+        .prognostic
+        .points()
+        .iter()
+        .any(|p| !p.horizon.as_secs().is_finite() || !p.probability.value().is_finite())
+        .then_some("prognostic point")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpros_core::{Belief, MachineCondition, PrognosticVector, SimTime};
+    use mpros_core::{
+        Belief, DcId, KnowledgeSourceId, MachineCondition, PrognosticPoint, PrognosticVector,
+        SimDuration, SimTime,
+    };
+    use proptest::prelude::*;
 
     fn report(id: u64, machine: u64, belief: f64) -> ConditionReport {
         ConditionReport::builder(
@@ -200,9 +238,126 @@ mod tests {
             .count();
         assert_eq!(posted, 1);
         if let Some(OosmEvent::ReportPosted { report, .. }) = events.last() {
-            assert_eq!(*report, ReportId::new(7));
+            assert_eq!(report.id, ReportId::new(7));
         } else {
             panic!("ReportPosted must be the final event");
+        }
+    }
+
+    #[test]
+    fn non_finite_report_is_refused_before_any_object_exists() {
+        let nan_time: SimTime = serde_json::from_value(serde_json::Value::from(f64::NAN)).unwrap();
+        let inf_horizon: SimDuration =
+            serde_json::from_value(serde_json::Value::from(f64::INFINITY)).unwrap();
+        let mut late = report(1, 1, 0.5);
+        late.timestamp = nan_time;
+        let mut endless = report(2, 1, 0.5);
+        endless.prognostic =
+            PrognosticVector::new(vec![PrognosticPoint::new(inf_horizon, 0.5)]).unwrap();
+        let mut o = Oosm::new();
+        let sub = o.subscribe();
+        for bad in [late, endless] {
+            assert!(matches!(o.post_report(&bad), Err(Error::InvalidInput(_))));
+        }
+        assert_eq!(o.report_count(), 0);
+        assert!(sub.drain().is_empty(), "nothing was created or published");
+    }
+
+    /// A finite `f64` from an arbitrary bit pattern, with the edge
+    /// values (signed zero, subnormals, huge integers) drawn often.
+    fn finite_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0u64..=u64::MAX).prop_map(|bits| {
+                let x = f64::from_bits(bits);
+                if x.is_finite() {
+                    x
+                } else {
+                    bits as f64
+                }
+            }),
+            Just(-0.0),
+            Just(5e-324),
+            Just(1e300),
+            0.0..1e6f64,
+        ]
+    }
+
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            prop_oneof![
+                0u32..0x80,
+                0x80u32..0xD800,
+                0xE000u32..0x11_0000,
+                Just('"' as u32),
+                Just('\\' as u32)
+            ],
+            0..12,
+        )
+        .prop_map(|cps| cps.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    fn arbitrary_report() -> impl Strategy<Value = ConditionReport> {
+        (
+            (
+                0u64..=u64::MAX,
+                0u64..=u64::MAX,
+                0u64..=u64::MAX,
+                0u64..=u64::MAX,
+            ),
+            (
+                0usize..MachineCondition::ALL.len(),
+                0.0..=1.0f64,
+                0.0..=1.0f64,
+            ),
+            finite_f64(),
+            (text(), text(), text()),
+            proptest::collection::vec((finite_f64(), 0.0..=1.0f64), 0..4),
+        )
+            .prop_map(
+                |((id, dc, ks, machine), (cond, belief, severity), t, strings, points)| {
+                    let mut horizons: Vec<f64> = points.iter().map(|p| p.0.abs()).collect();
+                    horizons.retain(|h| *h > 0.0);
+                    horizons.sort_by(f64::total_cmp);
+                    horizons.dedup();
+                    let mut probs: Vec<f64> = points.iter().map(|p| p.1).collect();
+                    probs.sort_by(f64::total_cmp);
+                    let prognostic = PrognosticVector::new(
+                        horizons
+                            .iter()
+                            .zip(&probs)
+                            .map(|(&h, &p)| PrognosticPoint::new(SimDuration::from_secs(h), p))
+                            .collect(),
+                    )
+                    .expect("sorted positive horizons, non-decreasing probabilities");
+                    ConditionReport::builder(
+                        MachineId::new(machine),
+                        MachineCondition::ALL[cond],
+                        Belief::new(belief),
+                    )
+                    .id(ReportId::new(id))
+                    .dc(DcId::new(dc))
+                    .knowledge_source(KnowledgeSourceId::new(ks))
+                    .severity(severity)
+                    .timestamp(SimTime::from_secs(t))
+                    .explanation(strings.0)
+                    .recommendation(strings.1)
+                    .additional_info(strings.2)
+                    .prognostic(prognostic)
+                    .build()
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The invariant fusion on the posted report rests on: what the
+        /// store decodes is exactly what was posted.
+        #[test]
+        fn stored_payload_decodes_to_the_posted_report(r in arbitrary_report()) {
+            let mut o = Oosm::new();
+            let obj = o.post_report(&r).unwrap();
+            prop_assert_eq!(o.report_payload(obj).unwrap(), r);
         }
     }
 

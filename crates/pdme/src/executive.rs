@@ -372,6 +372,11 @@ impl PdmeExecutive {
     /// Steps 2–4: drain the OOSM event queue, run knowledge fusion on
     /// every newly posted report, invoke resident algorithms, and post
     /// their conclusions back. Returns the number of reports fused.
+    ///
+    /// Each `ReportPosted` event carries the report as posted, so fusion
+    /// reads it from the event rather than decoding the stored JSON
+    /// payload; that covers reports posted through [`Self::oosm_mut`]
+    /// and by resident algorithms too.
     pub fn process_events(&mut self) -> Result<usize> {
         let mut fused = 0;
         // Drain-then-act loop: resident algorithms may post more reports
@@ -382,10 +387,9 @@ impl PdmeExecutive {
                 break;
             }
             for event in events {
-                let OosmEvent::ReportPosted { object, .. } = event else {
+                let OosmEvent::ReportPosted { report, .. } = event else {
                     continue;
                 };
-                let report = self.oosm.report_payload(object)?;
                 let timer = WallTimer::start();
                 self.fusion.ingest(&report)?;
                 fused += 1;

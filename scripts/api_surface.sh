@@ -10,7 +10,8 @@
 #   scripts/api_surface.sh --bless  # rewrite API_SURFACE.txt from the code
 #
 # Docs are built into their own target dir (wiped per run) so stale
-# pages from renamed items can never leak into the snapshot.
+# pages from renamed items can never leak into the snapshot, with
+# rustdoc warnings denied: this build is also CI's doc-warning check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +19,7 @@ SNAPSHOT=API_SURFACE.txt
 TARGET_DIR=target/api-surface
 
 rm -rf "$TARGET_DIR/doc"
-CARGO_TARGET_DIR="$TARGET_DIR" cargo doc --workspace --no-deps --quiet
+RUSTDOCFLAGS="-D warnings" CARGO_TARGET_DIR="$TARGET_DIR" cargo doc --workspace --no-deps --quiet
 
 current=$(mktemp)
 trap 'rm -f "$current"' EXIT

@@ -10,13 +10,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc --no-deps (warnings denied)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
-
-# Public-API drift check: the rendered item list must match the
-# committed API_SURFACE.txt. Intentional surface changes re-bless with
-# scripts/api_surface.sh --bless.
-echo "==> api surface (vs API_SURFACE.txt)"
+# One workspace doc build serves two checks: rustdoc warnings are
+# denied, and the public-API drift check compares the rendered item
+# list with the committed API_SURFACE.txt. Intentional surface changes
+# re-bless with scripts/api_surface.sh --bless.
+echo "==> cargo doc --no-deps (warnings denied) + api surface (vs API_SURFACE.txt)"
 scripts/api_surface.sh
 
 echo "==> cargo build --release"

@@ -97,17 +97,17 @@ impl fmt::Display for Number {
         match self.n {
             N::U(n) => write!(f, "{n}"),
             N::I(n) => write!(f, "{n}"),
-            N::F(x) if !x.is_finite() => write!(f, "null"),
+            N::F(x) if !x.is_finite() => f.write_str("null"),
             // Rust's shortest-roundtrip Display guarantees the value
-            // parses back bit-for-bit; append `.0` when it would
-            // otherwise read as an integer, matching serde_json.
+            // parses back bit-for-bit and never uses an exponent, so a
+            // whole float would read as an integer: append `.0`,
+            // matching serde_json.
             N::F(x) => {
-                let s = format!("{x}");
-                if s.contains(['.', 'e', 'E', 'n', 'i']) {
-                    f.write_str(&s)
-                } else {
-                    write!(f, "{s}.0")
+                write!(f, "{x}")?;
+                if x.fract() == 0.0 {
+                    f.write_str(".0")?;
                 }
+                Ok(())
             }
         }
     }

@@ -8,7 +8,7 @@
 pub use serde::{Map, Number, Value};
 
 use serde::{DeError, Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Error from serializing or parsing JSON.
 #[derive(Debug, Clone)]
@@ -79,7 +79,10 @@ fn write_value(out: &mut String, v: &Value, indent: Option<&str>, depth: usize) 
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => out.push_str(&n.to_string()),
+        Value::Number(n) => {
+            // Formats in place; writing into a `String` cannot fail.
+            let _ = write!(out, "{n}");
+        }
         Value::String(s) => write_string(out, s),
         Value::Array(items) => {
             if items.is_empty() {
@@ -130,23 +133,35 @@ fn newline_indent(out: &mut String, indent: Option<&str>, depth: usize) {
     }
 }
 
+/// Write `s` as a JSON string literal. Runs of bytes that need no
+/// escape are copied wholesale; every byte that does is ASCII, so each
+/// run ends on a char boundary.
 fn write_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xF)]));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -497,5 +512,199 @@ mod tests {
     fn deep_nesting_is_rejected_not_crashed() {
         let doc = "[".repeat(100_000);
         assert!(from_str::<Value>(&doc).is_err());
+    }
+
+    /// The char-at-a-time tree writer the in-place writer replaced,
+    /// kept as the oracle it must match byte for byte.
+    mod oracle {
+        use super::super::{Map, Value};
+
+        pub fn write_value(out: &mut String, v: &Value, indent: Option<&str>, depth: usize) {
+            match v {
+                Value::Null => out.push_str("null"),
+                Value::Bool(true) => out.push_str("true"),
+                Value::Bool(false) => out.push_str("false"),
+                Value::Number(n) => out.push_str(&number(n)),
+                Value::String(s) => write_string(out, s),
+                Value::Array(items) => {
+                    if items.is_empty() {
+                        out.push_str("[]");
+                        return;
+                    }
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        newline_indent(out, indent, depth + 1);
+                        write_value(out, item, indent, depth + 1);
+                    }
+                    newline_indent(out, indent, depth);
+                    out.push(']');
+                }
+                Value::Object(map) => write_object(out, map, indent, depth),
+            }
+        }
+
+        fn write_object(out: &mut String, map: &Map, indent: Option<&str>, depth: usize) {
+            if map.is_empty() {
+                out.push_str("{}");
+                return;
+            }
+            out.push('{');
+            for (i, (k, item)) in map.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                newline_indent(out, indent, depth + 1);
+                write_string(out, k);
+                out.push(':');
+                if indent.is_some() {
+                    out.push(' ');
+                }
+                write_value(out, item, indent, depth + 1);
+            }
+            newline_indent(out, indent, depth);
+            out.push('}');
+        }
+
+        /// The old `Number` rendering: integers in decimal, non-finite
+        /// floats as `null`, and `.0` appended to a float's shortest
+        /// round-trip text when it holds no `.`, `e`, `E`, `n` or `i`.
+        fn number(n: &serde::Number) -> String {
+            if !n.is_f64() {
+                return match n.as_u64() {
+                    Some(u) => u.to_string(),
+                    None => n.as_i64().expect("integer").to_string(),
+                };
+            }
+            let x = n.as_f64().expect("float");
+            if !x.is_finite() {
+                return "null".to_string();
+            }
+            let s = format!("{x}");
+            if s.contains(['.', 'e', 'E', 'n', 'i']) {
+                s
+            } else {
+                format!("{s}.0")
+            }
+        }
+
+        fn newline_indent(out: &mut String, indent: Option<&str>, depth: usize) {
+            if let Some(pad) = indent {
+                out.push('\n');
+                for _ in 0..depth {
+                    out.push_str(pad);
+                }
+            }
+        }
+
+        pub fn write_string(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    '\u{08}' => out.push_str("\\b"),
+                    '\u{0C}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => {
+                        out.push_str(&format!("\\u{:04x}", c as u32));
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+    }
+
+    fn oracle_compact(v: &Value) -> String {
+        let mut out = String::new();
+        oracle::write_value(&mut out, v, None, 0);
+        out
+    }
+
+    fn oracle_pretty(v: &Value) -> String {
+        let mut out = String::new();
+        oracle::write_value(&mut out, v, Some("  "), 0);
+        out
+    }
+
+    use proptest::prelude::*;
+
+    /// Any `f64` bit pattern, with the edge values drawn often: signed
+    /// zero, subnormals, integer-valued floats up to 1e300, NaN and ±inf.
+    fn any_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0u64..=u64::MAX).prop_map(f64::from_bits),
+            (0u64..(1u64 << 52)).prop_map(f64::from_bits),
+            (0i32..=300).prop_map(|e| 10f64.powi(e)),
+            (-(1i64 << 53)..(1i64 << 53)).prop_map(|i| i as f64),
+            Just(-0.0),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+        ]
+    }
+
+    /// Strings over every control char, `"`, `\` and multi-byte UTF-8.
+    fn any_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            prop_oneof![
+                0u32..0x20,
+                0x20u32..0x80,
+                Just('"' as u32),
+                Just('\\' as u32),
+                0x80u32..0x800,
+                0x800u32..0xD800,
+                0xE000u32..0x11_0000,
+            ],
+            0..24,
+        )
+        .prop_map(|cps| cps.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    fn any_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            (0u8..2).prop_map(|b| Value::Bool(b == 1)),
+            (0u64..=u64::MAX).prop_map(Value::from),
+            (i64::MIN..0).prop_map(Value::from),
+            any_f64().prop_map(Value::from),
+            any_string().prop_map(Value::String),
+        ]
+        .prop_recursive(3, 32, 4, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 0..5).prop_map(Value::Array),
+                proptest::collection::vec((any_string(), inner), 0..5)
+                    .prop_map(|entries| Value::Object(entries.into_iter().collect())),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn strings_match_the_oracle(s in any_string()) {
+            let mut expected = String::new();
+            oracle::write_string(&mut expected, &s);
+            prop_assert_eq!(to_string(&s).unwrap(), expected);
+        }
+
+        #[test]
+        fn floats_match_the_oracle(x in any_f64()) {
+            let v = Value::from(x);
+            prop_assert_eq!(to_string(&v).unwrap(), oracle_compact(&v), "{:e}", x);
+            prop_assert_eq!(to_string(&x).unwrap(), oracle_compact(&v));
+        }
+
+        #[test]
+        fn value_trees_match_the_oracle(v in any_value()) {
+            prop_assert_eq!(to_string(&v).unwrap(), oracle_compact(&v));
+            prop_assert_eq!(to_string_pretty(&v).unwrap(), oracle_pretty(&v));
+        }
     }
 }

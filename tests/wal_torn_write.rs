@@ -26,7 +26,7 @@ fn encode_log(frames: &[Frame]) -> (Vec<u8>, Vec<usize>) {
     let mut bytes = Vec::new();
     let mut boundaries = vec![0];
     for frame in frames {
-        bytes.extend_from_slice(&encode_frame(frame));
+        bytes.extend_from_slice(&encode_frame(frame).unwrap());
         boundaries.push(bytes.len());
     }
     (bytes, boundaries)
@@ -37,7 +37,7 @@ proptest! {
 
     #[test]
     fn any_frame_roundtrips(frame in arb_frame()) {
-        let encoded = encode_frame(&frame);
+        let encoded = encode_frame(&frame).unwrap();
         match scan_frame(&encoded) {
             FrameScan::Valid(back, consumed) => {
                 prop_assert_eq!(&back, &frame);
@@ -62,7 +62,7 @@ proptest! {
         // Flip one bit anywhere in the encoded frame: magic, version,
         // kind, seq, length, payload or the CRC trailer itself. The
         // scan must never hand back a valid frame.
-        let mut encoded = encode_frame(&frame);
+        let mut encoded = encode_frame(&frame).unwrap();
         let pos = pos_raw % encoded.len();
         encoded[pos] ^= 1 << bit;
         prop_assert!(
