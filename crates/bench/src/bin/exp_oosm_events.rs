@@ -21,8 +21,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 fn main() {
     println!("E12: OOSM events without polling (§4.5)\n");
 
-    // Report posting, with the knowledge-fusion subscriber draining
-    // after every post as the PDME does.
+    // Report posting, with one subscriber draining after every post.
     let mut oosm = Oosm::new();
     oosm.register_machine(MachineId::new(1), "motor");
     let kf = oosm.subscribe();

@@ -226,7 +226,7 @@ impl Durable for DiagnosticFusion {
 
     fn decode(input: &mut &[u8]) -> Result<Self> {
         let count = usize::decode(input)?;
-        let mut frames = HashMap::with_capacity(count);
+        let mut frames = HashMap::with_capacity(count.min(input.len()));
         let mut prev: Option<(MachineId, FailureGroup)> = None;
         for _ in 0..count {
             let machine = MachineId::decode(input)?;

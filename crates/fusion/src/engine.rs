@@ -227,7 +227,7 @@ impl Durable for FusionEngine {
             what: &str,
         ) -> Result<HashMap<K, V>> {
             let count = usize::decode(input)?;
-            let mut map = HashMap::with_capacity(count);
+            let mut map = HashMap::with_capacity(count.min(input.len()));
             let mut prev: Option<K> = None;
             for _ in 0..count {
                 let key = K::decode(input)?;

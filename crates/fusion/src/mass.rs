@@ -275,6 +275,9 @@ impl MassFunction {
         for m in out.values_mut() {
             *m /= kept;
         }
+        // Keep every focal mass > 0, as `from_masses` and the decoder
+        // require: long consistent evidence underflows a rival to 0.0.
+        out.retain(|_, m| *m > 0.0);
         Ok((
             MassFunction {
                 n: self.n,
@@ -451,6 +454,27 @@ mod tests {
         let back = MassFunction::from_durable_bytes(&bytes).unwrap();
         assert_eq!(back, fused);
         assert_eq!(back.to_durable_bytes(), bytes, "canonical encoding");
+    }
+
+    /// Repeating one consistent report drives Θ's mass to exactly 0.0
+    /// (after 108 combines at the fusion cap 0.999, 814 at 0.6). The
+    /// combined function must still round-trip, so the zero focal set
+    /// is dropped rather than kept.
+    #[test]
+    fn long_consistent_evidence_chains_stay_durable() {
+        for (belief, combines) in [(0.999, 108), (0.6, 814)] {
+            let evidence = MassFunction::simple_support(3, Subset::singleton(0), belief).unwrap();
+            let mut m = MassFunction::vacuous(3).unwrap();
+            for _ in 0..combines {
+                m = m.combine(&evidence).unwrap().0;
+            }
+            assert_eq!(m.unknown(), 0.0, "b = {belief}: Θ underflowed");
+            assert!(m.focals().all(|(_, w)| w > 0.0), "b = {belief}");
+            let bytes = m.to_durable_bytes();
+            let back = MassFunction::from_durable_bytes(&bytes)
+                .unwrap_or_else(|e| panic!("b = {belief}, {combines} combines: {e}"));
+            assert_eq!(back.to_durable_bytes(), bytes, "b = {belief}");
+        }
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! §4.5: "An event model has been implemented for the OOSM, which allows
 //! client programs to be notified of changes to property or relationship
 //! values without the need to poll." Subscribers receive events over a
-//! std `mpsc` channel, so the knowledge-fusion thread reacts to report
-//! arrivals exactly as the paper describes (its OLE-automation events
-//! become channel messages here).
+//! std `mpsc` channel (the paper's OLE-automation events become channel
+//! messages here), so a client thread can block on
+//! [`Subscription::recv`] or drain between steps. The PDME's own
+//! knowledge-fusion pass does not subscribe: it fuses the reports its
+//! ingest pass posts directly. An event is built only when at least one
+//! subscription is open, so an unobserved model pays nothing for it.
 
 use crate::model::{ObjectKind, Relation};
 use crate::store::Value;
@@ -46,10 +49,9 @@ pub enum OosmEvent {
         /// Target object.
         to: ObjectId,
     },
-    /// A failure-prediction report was posted (the event Knowledge
-    /// Fusion subscribes to). It carries the report itself, so a
-    /// subscriber fuses what was posted without decoding it back out of
-    /// the store.
+    /// A failure-prediction report was posted. It carries the report
+    /// itself, so a subscriber reads what was posted without decoding
+    /// it back out of the store.
     ReportPosted {
         /// The posted report.
         report: Arc<ConditionReport>,
@@ -74,14 +76,9 @@ impl Subscription {
         out
     }
 
-    /// Block for the next event (used by dedicated KF threads).
+    /// Block for the next event (a client on its own thread).
     pub fn recv(&self) -> Option<OosmEvent> {
         self.rx.recv().ok()
-    }
-
-    /// The raw receiver, for `select!`-style integration.
-    pub fn receiver(&self) -> &Receiver<OosmEvent> {
-        &self.rx
     }
 }
 
@@ -105,9 +102,14 @@ impl EventBus {
     }
 
     /// Publish an event to every live subscriber; dropped subscribers
-    /// are pruned.
-    pub fn publish(&mut self, event: OosmEvent) {
-        self.subscribers.retain(|tx| tx.send(event.clone()).is_ok());
+    /// are pruned. `event` builds the event and runs only when a
+    /// subscription is open, so an unobserved write allocates nothing
+    /// for it.
+    pub fn publish(&mut self, event: impl FnOnce() -> OosmEvent) {
+        if !self.subscribers.is_empty() {
+            let event = event();
+            self.subscribers.retain(|tx| tx.send(event.clone()).is_ok());
+        }
     }
 
     /// Number of live subscribers.
@@ -126,11 +128,18 @@ mod tests {
         let mut bus = EventBus::new();
         let a = bus.subscribe();
         let b = bus.subscribe();
-        bus.publish(OosmEvent::ObjectDeleted {
+        bus.publish(|| OosmEvent::ObjectDeleted {
             object: ObjectId::new(1),
         });
         assert_eq!(a.drain().len(), 1);
         assert_eq!(b.drain().len(), 1);
+    }
+
+    #[test]
+    fn no_subscriber_builds_no_event() {
+        let mut bus = EventBus::new();
+        bus.publish(|| unreachable!("an event was built with no subscriber"));
+        assert_eq!(bus.subscriber_count(), 0);
     }
 
     #[test]
@@ -140,7 +149,7 @@ mod tests {
         {
             let _b = bus.subscribe();
         } // dropped
-        bus.publish(OosmEvent::ObjectDeleted {
+        bus.publish(|| OosmEvent::ObjectDeleted {
             object: ObjectId::new(2),
         });
         assert_eq!(bus.subscriber_count(), 1);
@@ -152,7 +161,7 @@ mod tests {
         let mut bus = EventBus::new();
         let s = bus.subscribe();
         for i in 0..5 {
-            bus.publish(OosmEvent::ObjectDeleted {
+            bus.publish(|| OosmEvent::ObjectDeleted {
                 object: ObjectId::new(i),
             });
         }
@@ -172,7 +181,7 @@ mod tests {
             0.5,
         )
         .build();
-        bus.publish(OosmEvent::ReportPosted {
+        bus.publish(|| OosmEvent::ReportPosted {
             report: Arc::new(report),
             object: ObjectId::new(3),
         });

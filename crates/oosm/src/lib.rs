@@ -20,9 +20,10 @@
 //!   understanding of the persistence mechanism is necessary."
 //! * [`events`] + report repository ([`reports`]) — the §4.5 event
 //!   model: "client programs to be notified of changes to property or
-//!   relationship values without the need to poll. The Knowledge Fusion
-//!   component uses this to automatically process failure prediction
-//!   reports as they are delivered to the OOSM."
+//!   relationship values without the need to poll." Events are built
+//!   only while a subscription is open. The PDME's knowledge fusion
+//!   takes each report straight from the ingest pass that posted it
+//!   rather than from a subscription.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

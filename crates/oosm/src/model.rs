@@ -195,7 +195,8 @@ impl Oosm {
         self.bus.subscribe()
     }
 
-    pub(crate) fn publish(&mut self, event: OosmEvent) {
+    /// Publish the event `event` builds, if anyone is subscribed.
+    pub(crate) fn publish(&mut self, event: impl FnOnce() -> OosmEvent) {
         self.bus.publish(event);
     }
 
@@ -229,7 +230,7 @@ impl Oosm {
                 ],
             )
             .expect("object ids are unique by construction");
-        self.publish(OosmEvent::ObjectCreated { object: id, kind });
+        self.publish(|| OosmEvent::ObjectCreated { object: id, kind });
         id
     }
 
@@ -290,17 +291,13 @@ impl Oosm {
         let oid = Value::Int(object.raw() as i64);
         let key_v = Value::Text(key.into());
         let json = encode_value(&value);
-        let updated = {
-            let key_v = key_v.clone();
-            let json = json.clone();
-            self.store.update_eq(
-                "properties",
-                "object_id",
-                &oid,
-                move |r| r[2] == key_v,
-                move |r| r[3] = Value::Text(json.clone()),
-            )?
-        };
+        let updated = self.store.update_eq(
+            "properties",
+            "object_id",
+            &oid,
+            |r| r[2] == key_v,
+            |r| r[3] = Value::Text(json.clone()),
+        )?;
         if updated == 0 {
             let row_id = self.next_row_id();
             self.store.insert(
@@ -313,7 +310,7 @@ impl Oosm {
             self.lookups
                 .reindex(object, kind, id_key, old_id, value.as_int());
         }
-        self.publish(OosmEvent::PropertyChanged {
+        self.publish(|| OosmEvent::PropertyChanged {
             object,
             property: key.to_string(),
             value,
@@ -373,7 +370,7 @@ impl Oosm {
                 ],
             )?;
             self.lookups.relate(from, relation, to);
-            self.publish(OosmEvent::RelationAdded { from, relation, to });
+            self.publish(|| OosmEvent::RelationAdded { from, relation, to });
         }
         Ok(())
     }
@@ -407,7 +404,7 @@ impl Oosm {
             self.lookups.reindex(object, kind, key, old, None);
         }
         self.lookups.remove_edges(object);
-        self.publish(OosmEvent::ObjectDeleted { object });
+        self.publish(|| OosmEvent::ObjectDeleted { object });
         Ok(())
     }
 
@@ -420,8 +417,8 @@ impl Oosm {
 }
 
 /// Persistence: the relational store plus the two id allocators. The
-/// event bus is volatile by design — subscriptions belong to the
-/// consuming engine, which re-subscribes after a restore — and the
+/// event bus is volatile by design — subscriptions belong to their
+/// clients, which re-subscribe after a restore — and the
 /// decoded model observes a fresh private telemetry domain until the
 /// host rebinds it. The lookups are derived: decode rebuilds them from
 /// the tables, after checking the tables hold the §4.6 schema and only

@@ -7,10 +7,11 @@
 //! property rows (`report_id`, `machine_id`, `condition`, belief,
 //! severity, timestamp), related by `refers-to` to the machine object
 //! they concern. Posting a report publishes the
-//! [`OosmEvent::ReportPosted`] event that drives knowledge fusion; the
-//! event carries the posted report, which equals what
-//! [`Oosm::report_payload`] decodes from the store because only reports
-//! whose every float is finite are accepted.
+//! [`OosmEvent::ReportPosted`] event to any subscriber; the event
+//! carries the posted report, which equals what [`Oosm::report_payload`]
+//! decodes from the store because only reports whose every float is
+//! finite are accepted. The PDME fuses the report it posted directly,
+//! on the same invariant.
 //!
 //! The id lookups here (`machine_object`, `report_object`,
 //! `reports_for_machine`, `report_count_for`) read the model's derived
@@ -80,7 +81,7 @@ impl Oosm {
         if let Some(machine_obj) = self.machine_object(report.machine) {
             self.relate(obj, Relation::RefersTo, machine_obj)?;
         }
-        self.publish(OosmEvent::ReportPosted {
+        self.publish(|| OosmEvent::ReportPosted {
             report: Arc::new(report.clone()),
             object: obj,
         });

@@ -12,14 +12,14 @@
 //!    the OOSM and presented in user displays."
 //!
 //! [`PdmeExecutive::ingest`] is the single entry point: step 1 for a
-//! whole step's worth of delivered frames, then steps 2–4
-//! ([`PdmeExecutive::process_events`]) behind it, driven by the OOSM
-//! subscription rather than polling (§4.5). It returns an
-//! [`IngestSummary`] whose [`BatchAck`]s feed the reliable-transport
-//! loop in `mpros-network`.
+//! whole step's worth of delivered frames, then steps 2–4 as one direct
+//! pass that hands fusion each report step 1 posted, in posted order,
+//! with resident conclusions queued behind them. No OOSM subscription
+//! is involved. It returns an [`IngestSummary`] whose [`BatchAck`]s
+//! feed the reliable-transport loop in `mpros-network`.
 
 use crate::historian::{Historian, MaintenanceRecord};
-use crate::journal::PdmeWalRecord;
+use crate::journal::{encode_ingest, PdmeWalRecord, KIND_INGEST};
 use crate::supervisor::Supervisor;
 use mpros_core::{
     ConditionReport, DcId, Durable, Error, MachineCondition, MachineId, Result, SimDuration,
@@ -27,13 +27,14 @@ use mpros_core::{
 };
 use mpros_fusion::{FusionEngine, MaintenanceItem};
 use mpros_network::NetMessage;
-use mpros_oosm::{ObjectKind, Oosm, OosmEvent, Subscription, Value};
+use mpros_oosm::{ObjectKind, Oosm, Value};
 use mpros_store::{RecoveredState, StoreHandle};
 use mpros_telemetry::{
     Counter, Histogram, HopKind, Instrumented, SpanId, Stage, Telemetry, TraceHop, TraceId,
     WallTimer,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Reserved DC id for PDME-resident knowledge sources (§5.7); their
@@ -85,10 +86,14 @@ pub struct IngestSummary {
     pub acks: Vec<BatchAck>,
 }
 
+/// A report one ingest pass posted and has yet to fuse, with the trace
+/// context its `Fuse` and `OosmUpdate` hops hang under: the report's
+/// trace and its ingest span. Only wire-batched reports carry one.
+type Posted<'a> = (Cow<'a, ConditionReport>, Option<(TraceId, SpanId)>);
+
 /// The PDME executive.
 pub struct PdmeExecutive {
     oosm: Oosm,
-    kf_events: Subscription,
     fusion: FusionEngine,
     resident: Vec<Box<dyn ResidentAlgorithm>>,
     supervisor: Supervisor,
@@ -100,10 +105,6 @@ pub struct PdmeExecutive {
     /// a newer epoch resets the watermark, because a restarted DC's
     /// sequence counter starts over.
     batch_last_seq: HashMap<DcId, (u64, u64)>,
-    /// Trace context of reports ingested but not yet fused, keyed by
-    /// raw report id: the fusion pass closes these out with `Fuse` and
-    /// `OosmUpdate` hops parented under the ingest span.
-    pending_traces: HashMap<u64, (TraceId, SpanId)>,
     /// The maintenance archive (§9): outcomes, service lives, Weibull
     /// life-model feed. Snapshotted and journaled with the rest of the
     /// engine so learned life models survive restarts.
@@ -128,7 +129,6 @@ impl PdmeExecutive {
     /// A fresh executive with an empty ship model.
     pub fn new() -> Self {
         let mut oosm = Oosm::new();
-        let kf_events = oosm.subscribe();
         let telemetry = Telemetry::new();
         let m_reports_received = telemetry.counter("pdme", "reports_received");
         let m_batch_replays = telemetry.counter("pdme", "batch_replays_dropped");
@@ -138,13 +138,11 @@ impl PdmeExecutive {
         oosm.set_telemetry(&telemetry);
         PdmeExecutive {
             oosm,
-            kf_events,
             fusion,
             resident: Vec::new(),
             supervisor: Supervisor::new(),
             dc_last_seen: HashMap::new(),
             batch_last_seq: HashMap::new(),
-            pending_traces: HashMap::new(),
             historian: Historian::new(),
             store: None,
             telemetry,
@@ -205,7 +203,10 @@ impl PdmeExecutive {
     }
 
     /// Mutable ship-model access (scenario construction: decks, systems,
-    /// proximity relations, ...).
+    /// proximity relations, ...; §4.5 event subscriptions). A report
+    /// posted here is stored but neither journaled nor fused: only
+    /// [`Self::ingest`] feeds fusion, so the fused state always matches
+    /// what a WAL restore rebuilds.
     pub fn oosm_mut(&mut self) -> &mut Oosm {
         &mut self.oosm
     }
@@ -254,19 +255,22 @@ impl PdmeExecutive {
         Ok(())
     }
 
-    /// Step 1 for one frame: route it, update the running summary, and
-    /// record any acknowledgement owed (keyed by DC and epoch; the
-    /// cumulative watermark is the max sequence seen).
-    fn ingest_frame(
+    /// Step 1 for one frame: route it, queue each report it posts for
+    /// fusion, update the running summary, and record any
+    /// acknowledgement owed (keyed by DC and epoch; the cumulative
+    /// watermark is the max sequence seen).
+    fn ingest_frame<'a>(
         &mut self,
-        msg: &NetMessage,
+        msg: &'a NetMessage,
         now: SimTime,
         summary: &mut IngestSummary,
         acks: &mut BTreeMap<(DcId, u64), u64>,
+        posted: &mut VecDeque<Posted<'a>>,
     ) -> Result<()> {
         match msg {
             NetMessage::Report(report) => {
                 self.ingest_report(report, now)?;
+                posted.push_back((Cow::Borrowed(report), None));
                 summary.posted += 1;
             }
             NetMessage::ReportBatch { dc, epoch, entries } => {
@@ -314,8 +318,10 @@ impl PdmeExecutive {
                     hop.wall_ns = timer.elapsed().as_nanos() as u64;
                     let ingest_span = hop.span;
                     self.telemetry.record_hop(hop);
-                    self.pending_traces
-                        .insert(entry.report.id.raw(), (entry.trace.trace, ingest_span));
+                    posted.push_back((
+                        Cow::Borrowed(&entry.report),
+                        Some((entry.trace.trace, ingest_span)),
+                    ));
                     self.batch_last_seq.insert(*dc, (*epoch, entry.seq));
                     summary.posted += 1;
                 }
@@ -339,25 +345,29 @@ impl PdmeExecutive {
     /// The unified ingest entry point (§5.1 steps 1–4): accept a whole
     /// step's worth of delivered frames — single reports, batched
     /// report frames (with replay/epoch guarding), heartbeats — then
-    /// run one knowledge-fusion pass over everything posted. The
-    /// returned [`IngestSummary`] says what happened and carries the
-    /// [`BatchAck`]s the transport loop owes the DCs.
+    /// run one knowledge-fusion pass over the reports this call posted.
+    /// The returned [`IngestSummary`] says what happened and carries the
+    /// [`BatchAck`]s the transport loop owes the DCs. A pass that fails
+    /// part-way leaves the reports it already posted stored but unfused.
     pub fn ingest(&mut self, msgs: &[NetMessage], now: SimTime) -> Result<IngestSummary> {
-        // Journal before applying. An empty pass changes no state (no
-        // posts, no events, no liveness updates) and is not journaled,
-        // so the WAL holds exactly the frames that shaped the engine.
+        // Journal before applying, straight from the borrowed frames.
+        // An empty pass changes no state (no posts, no liveness
+        // updates) and is not journaled, so the WAL holds exactly the
+        // frames that shaped the engine.
         if !msgs.is_empty() {
-            self.journal(&PdmeWalRecord::Ingest {
-                now,
-                msgs: msgs.to_vec(),
-            })?;
+            if let Some(store) = &self.store {
+                let mut payload = Vec::new();
+                encode_ingest(now, msgs, &mut payload)?;
+                store.append(KIND_INGEST, payload)?;
+            }
         }
         let mut summary = IngestSummary::default();
         let mut acks: BTreeMap<(DcId, u64), u64> = BTreeMap::new();
+        let mut posted = VecDeque::new();
         for msg in msgs {
-            self.ingest_frame(msg, now, &mut summary, &mut acks)?;
+            self.ingest_frame(msg, now, &mut summary, &mut acks, &mut posted)?;
         }
-        summary.fused = self.process_events()?;
+        summary.fused = self.fuse_posted(posted)?;
         summary.acks = acks
             .into_iter()
             .map(|((dc, epoch), last_seq)| BatchAck {
@@ -369,70 +379,59 @@ impl PdmeExecutive {
         Ok(summary)
     }
 
-    /// Steps 2–4: drain the OOSM event queue, run knowledge fusion on
-    /// every newly posted report, invoke resident algorithms, and post
-    /// their conclusions back. Returns the number of reports fused.
+    /// Steps 2–4 over the reports one pass posted, front to back: fuse
+    /// each, close its trace out, and run the resident algorithms on
+    /// each external report, posting their conclusions and queueing
+    /// them behind it. Then surface the fused state on the ship model.
+    /// Returns the number of reports fused.
     ///
-    /// Each `ReportPosted` event carries the report as posted, so fusion
-    /// reads it from the event rather than decoding the stored JSON
-    /// payload; that covers reports posted through [`Self::oosm_mut`]
-    /// and by resident algorithms too.
-    pub fn process_events(&mut self) -> Result<usize> {
+    /// Fusion reads each report as posted rather than decoding the
+    /// stored JSON payload; the two are equal because `post_report`
+    /// accepts only reports whose every float is finite.
+    fn fuse_posted(&mut self, mut posted: VecDeque<Posted<'_>>) -> Result<usize> {
         let mut fused = 0;
-        // Drain-then-act loop: resident algorithms may post more reports
-        // while we process, which enqueue further events.
-        loop {
-            let events = self.kf_events.drain();
-            if events.is_empty() {
-                break;
+        while let Some((report, trace)) = posted.pop_front() {
+            let timer = WallTimer::start();
+            self.fusion.ingest(&report)?;
+            fused += 1;
+            // Close the report's trace out: fusion, then the fused state
+            // surfacing on the ship model (step 4 below).
+            if let Some((trace, ingest_span)) = trace {
+                let at = self.telemetry.sim_now().as_secs();
+                let mut fuse_hop = TraceHop::new(
+                    trace,
+                    HopKind::Fuse,
+                    0,
+                    Some(ingest_span),
+                    "pdme",
+                    at,
+                    at,
+                    "",
+                );
+                fuse_hop.wall_ns = timer.elapsed().as_nanos() as u64;
+                let fuse_span = fuse_hop.span;
+                self.telemetry.record_hop(fuse_hop);
+                self.telemetry.record_hop(TraceHop::new(
+                    trace,
+                    HopKind::OosmUpdate,
+                    0,
+                    Some(fuse_span),
+                    "pdme",
+                    at,
+                    at,
+                    "fused state surfaced on ship model",
+                ));
             }
-            for event in events {
-                let OosmEvent::ReportPosted { report, .. } = event else {
-                    continue;
-                };
-                let timer = WallTimer::start();
-                self.fusion.ingest(&report)?;
-                fused += 1;
-                // Close the report's trace out: fusion, then the fused
-                // state surfacing on the ship model (step 4 below).
-                // Resident-emitted reports carry no wire trace context
-                // and simply miss the lookup.
-                if let Some((trace, ingest_span)) = self.pending_traces.remove(&report.id.raw()) {
-                    let at = self.telemetry.sim_now().as_secs();
-                    let mut fuse_hop = TraceHop::new(
-                        trace,
-                        HopKind::Fuse,
-                        0,
-                        Some(ingest_span),
-                        "pdme",
-                        at,
-                        at,
-                        "",
-                    );
-                    fuse_hop.wall_ns = timer.elapsed().as_nanos() as u64;
-                    let fuse_span = fuse_hop.span;
-                    self.telemetry.record_hop(fuse_hop);
-                    self.telemetry.record_hop(TraceHop::new(
-                        trace,
-                        HopKind::OosmUpdate,
-                        0,
-                        Some(fuse_span),
-                        "pdme",
-                        at,
-                        at,
-                        "fused state surfaced on ship model",
-                    ));
+            // Resident pass only for externally produced reports.
+            if report.dc != PDME_RESIDENT_DC {
+                let mut emitted = Vec::new();
+                for alg in &mut self.resident {
+                    emitted.extend(alg.on_report(&report, &self.oosm));
                 }
-                // Resident pass only for externally produced reports.
-                if report.dc != PDME_RESIDENT_DC {
-                    let mut emitted = Vec::new();
-                    for alg in &mut self.resident {
-                        emitted.extend(alg.on_report(&report, &self.oosm));
-                    }
-                    for mut extra in emitted {
-                        extra.dc = PDME_RESIDENT_DC;
-                        self.oosm.post_report(&extra)?;
-                    }
+                for mut extra in emitted {
+                    extra.dc = PDME_RESIDENT_DC;
+                    self.oosm.post_report(&extra)?;
+                    posted.push_back((Cow::Owned(extra), None));
                 }
             }
         }
@@ -596,10 +595,10 @@ impl PdmeExecutive {
     /// frames, supervision state, maintenance archive, liveness and
     /// replay-guard watermarks — into one snapshot payload.
     ///
-    /// Call at a step boundary: the OOSM event queue and pending trace
-    /// spans are drained there, which is what makes the encoding a
-    /// complete cut of the engine (both are serialized regardless, so a
-    /// mid-step snapshot still restores, minus open trace parentage).
+    /// Every ingest pass fuses what it posts before it returns, so any
+    /// point between calls is a complete cut of the engine. The last
+    /// section, once the trace context of posted-but-unfused reports, is
+    /// always written empty, which keeps the format byte-compatible.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.oosm.encode(&mut out);
@@ -620,15 +619,8 @@ impl PdmeExecutive {
             dc.encode(&mut out);
             self.batch_last_seq[&dc].encode(&mut out);
         }
-        let mut pending: Vec<u64> = self.pending_traces.keys().copied().collect();
-        pending.sort_unstable();
-        pending.len().encode(&mut out);
-        for id in pending {
-            let (trace, span) = self.pending_traces[&id];
-            id.encode(&mut out);
-            trace.0.encode(&mut out);
-            span.0.encode(&mut out);
-        }
+        // Pending traces: none.
+        0usize.encode(&mut out);
         out
     }
 
@@ -647,6 +639,11 @@ impl PdmeExecutive {
     /// attached and no resident algorithms — hosts re-install residents
     /// and call `set_telemetry` + [`PdmeExecutive::attach_store`] after
     /// recovery.
+    ///
+    /// An older snapshot may hold pending trace entries (report id,
+    /// trace, ingest span, ascending by id). They are checked like every
+    /// other section and then dropped: the reports they named were
+    /// queued for fusion, and that queue was never part of a snapshot.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self> {
         let mut input = bytes;
         let mut oosm = Oosm::decode(&mut input)?;
@@ -655,7 +652,7 @@ impl PdmeExecutive {
         let historian = Historian::decode(&mut input)?;
         fn decode_dc_map<V: Durable>(input: &mut &[u8], what: &str) -> Result<HashMap<DcId, V>> {
             let count = usize::decode(input)?;
-            let mut map = HashMap::with_capacity(count);
+            let mut map = HashMap::with_capacity(count.min(input.len()));
             let mut prev: Option<DcId> = None;
             for _ in 0..count {
                 let dc = DcId::decode(input)?;
@@ -671,18 +668,10 @@ impl PdmeExecutive {
         }
         let dc_last_seen = decode_dc_map::<SimTime>(&mut input, "liveness map")?;
         let batch_last_seq = decode_dc_map::<(u64, u64)>(&mut input, "replay guards")?;
-        let count = usize::decode(&mut input)?;
-        let mut pending_traces = HashMap::with_capacity(count);
-        let mut prev: Option<u64> = None;
-        for _ in 0..count {
-            let id = u64::decode(&mut input)?;
-            if prev.is_some_and(|p| id <= p) {
-                return Err(Error::invalid("pdme snapshot: pending traces out of order"));
-            }
-            prev = Some(id);
-            let trace = TraceId(u64::decode(&mut input)?);
-            let span = SpanId(u64::decode(&mut input)?);
-            pending_traces.insert(id, (trace, span));
+        // Pending traces: (report id, trace id, ingest span id).
+        let pending = Vec::<(u64, u64, u64)>::decode(&mut input)?;
+        if pending.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(Error::invalid("pdme snapshot: pending traces out of order"));
         }
         if !input.is_empty() {
             return Err(Error::invalid(format!(
@@ -690,7 +679,6 @@ impl PdmeExecutive {
                 input.len()
             )));
         }
-        let kf_events = oosm.subscribe();
         let telemetry = Telemetry::new();
         let m_reports_received = telemetry.counter("pdme", "reports_received");
         let m_batch_replays = telemetry.counter("pdme", "batch_replays_dropped");
@@ -699,13 +687,11 @@ impl PdmeExecutive {
         oosm.set_telemetry(&telemetry);
         Ok(PdmeExecutive {
             oosm,
-            kf_events,
             fusion,
             resident: Vec::new(),
             supervisor,
             dc_last_seen,
             batch_last_seq,
-            pending_traces,
             historian,
             store: None,
             telemetry,

@@ -202,7 +202,7 @@ impl Durable for Historian {
     fn decode(input: &mut &[u8]) -> Result<Self> {
         let records = Vec::<MaintenanceRecord>::decode(input)?;
         let count = usize::decode(input)?;
-        let mut in_service = HashMap::with_capacity(count);
+        let mut in_service = HashMap::with_capacity(count.min(input.len()));
         let mut prev: Option<(MachineId, MachineCondition)> = None;
         for _ in 0..count {
             let key = <(MachineId, MachineCondition)>::decode(input)?;

@@ -95,6 +95,17 @@ pub enum PdmeWalRecord {
     },
 }
 
+/// Write an [`PdmeWalRecord::Ingest`] payload from borrowed frames, so
+/// the ingest path journals them without cloning them into a record.
+pub(crate) fn encode_ingest(now: SimTime, msgs: &[NetMessage], out: &mut Vec<u8>) -> Result<()> {
+    now.encode(out);
+    msgs.len().encode(out);
+    for msg in msgs {
+        encode_message(msg)?.encode(out);
+    }
+    Ok(())
+}
+
 impl PdmeWalRecord {
     /// The WAL frame kind byte for this record.
     pub fn kind(&self) -> u8 {
@@ -127,13 +138,7 @@ impl PdmeWalRecord {
                 machines.encode(&mut out);
                 sbfr_images.encode(&mut out);
             }
-            PdmeWalRecord::Ingest { now, msgs } => {
-                now.encode(&mut out);
-                msgs.len().encode(&mut out);
-                for msg in msgs {
-                    encode_message(msg)?.encode(&mut out);
-                }
-            }
+            PdmeWalRecord::Ingest { now, msgs } => encode_ingest(*now, msgs, &mut out)?,
             PdmeWalRecord::Supervise { now, timeout } => {
                 now.encode(&mut out);
                 timeout.encode(&mut out);

@@ -8,9 +8,9 @@
 //! personnel."
 //!
 //! The executive ([`executive`]) implements the §5.1 control flow
-//! literally: incoming reports are posted in the OOSM; the OOSM's change
-//! events drive knowledge fusion; fused conclusions are posted back and
-//! rendered. PDME-resident algorithms (§5.7) plug in through
+//! literally: incoming reports are posted in the OOSM; knowledge fusion
+//! then fuses exactly the reports that pass posted; fused conclusions
+//! are posted back and rendered. PDME-resident algorithms (§5.7) plug in through
 //! [`executive::ResidentAlgorithm`]; the Fig. 2 user-interface view is
 //! rendered by [`browser`].
 

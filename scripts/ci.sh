@@ -40,9 +40,12 @@ cargo test -q
 #  - durability: a crash-restored PDME is byte-identical to the
 #    uninterrupted run in every exec mode (crash_restore), and a WAL
 #    truncated at any tail offset recovers to the last valid frame
-#    (wal_torn_write);
+#    (wal_torn_write), and a fusion frame built from 1,000 reports
+#    restores from a snapshot byte-identically (pdme_ingest_pass);
 #  - history independence: ingest, OOSM post and ICAS export visit the
-#    same store rows with 1k and 16k reports stored (pdme_history);
+#    same store rows with 1k and 16k reports stored (pdme_history), and
+#    one ingest makes the same heap allocations at both sizes, under a
+#    ceiling (pdme_ingest_alloc);
 #  - the fleet plane: responses are byte-identical across exec modes
 #    and one-thread-per-shard stepping, ship 0 is independent of fleet
 #    size, a crashed shard degrades only itself (fleet_serving);
@@ -72,6 +75,19 @@ cargo run --release -p mpros-bench --bin exp_throughput
 # Verdicts E11.2-E11.5 check the deterministic counts exactly.
 echo "==> exp_serving"
 cargo run --release -p mpros-bench --bin exp_serving
+
+# Paper verdicts for the OOSM event model and fusion: E12, the §4.5
+# push contract (every post's ReportPosted and every subscriber's
+# PropertyChanged is queued when the call returns); E2, the §5.3
+# Dempster-Shafer worked example (A 14%, B or C 64%, unknown 22%); E8,
+# logical groups keeping concurrent faults apart. A failed verdict
+# exits non-zero.
+echo "==> exp_oosm_events"
+cargo run --release -p mpros-bench --bin exp_oosm_events
+echo "==> exp_dempster_shafer"
+cargo run --release -p mpros-bench --bin exp_dempster_shafer
+echo "==> exp_logical_groups"
+cargo run --release -p mpros-bench --bin exp_logical_groups
 
 # Exposition-format lint: the Prometheus text the gateway serves must
 # obey its own grammar (headers, _total suffixes, sorted unique
