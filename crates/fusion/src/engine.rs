@@ -17,7 +17,7 @@ use mpros_core::{
     Result, Severity, SimDuration,
 };
 use mpros_telemetry::{Counter, Instrumented, Stage, Telemetry, WallTimer};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// One row of the prioritized maintenance list.
@@ -148,8 +148,30 @@ impl FusionEngine {
     /// surfaces) and boosted when the fused prognosis crosses even odds
     /// soon.
     pub fn maintenance_list(&self) -> Vec<MaintenanceItem> {
+        self.prioritize(self.diagnostic.all())
+    }
+
+    /// [`Self::maintenance_list`] restricted to the given `(machine,
+    /// group)` frames. The rows keep their relative order in the full
+    /// list: both sorts are stable and start from frames in `(machine,
+    /// group)` order.
+    pub fn maintenance_list_for(
+        &self,
+        frames: &BTreeSet<(MachineId, FailureGroup)>,
+    ) -> Vec<MaintenanceItem> {
+        self.prioritize(
+            frames
+                .iter()
+                .filter_map(|&(machine, group)| self.diagnostic.diagnosis(machine, group))
+                .collect(),
+        )
+    }
+
+    /// Maintenance rows for `diagnoses` (in `(machine, group)` order),
+    /// most urgent first.
+    fn prioritize(&self, diagnoses: Vec<FusedDiagnosis>) -> Vec<MaintenanceItem> {
         let mut items = Vec::new();
-        for d in self.diagnostic.all() {
+        for d in diagnoses {
             for &(condition, belief) in &d.beliefs {
                 if belief <= 0.0 {
                     continue;

@@ -182,9 +182,11 @@ impl PartialOrd for InFlight {
 impl Ord for InFlight {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Order by delivery time, then sequence (deterministic).
+        // Delivery times are finite; a NaN would tie and fall back to
+        // the sequence order rather than panic.
         self.deliver_at
             .partial_cmp(&other.deliver_at)
-            .expect("times are finite")
+            .unwrap_or(std::cmp::Ordering::Equal)
             .then(self.seq.cmp(&other.seq))
     }
 }
@@ -404,9 +406,10 @@ impl ShipNetwork {
         if reports.is_empty() {
             return Ok(());
         }
-        if !self.outboxes.contains_key(&dc) {
+        let Some(outbox) = self.outboxes.get(&dc) else {
             return Err(Error::Network(format!("unregistered DC {dc}")));
-        }
+        };
+        let epoch = outbox.epoch;
         let entries: Vec<BatchEntry> = reports
             .into_iter()
             .map(|report| {
@@ -431,13 +434,13 @@ impl ShipNetwork {
             ));
         }
         let mut evicted: Vec<PendingBatch> = Vec::new();
-        {
-            let outbox = self.outboxes.get_mut(&dc).expect("checked above");
+        if let Some(outbox) = self.outboxes.get_mut(&dc) {
             for chunk in entries.chunks(MAX_BATCH) {
+                let Some(last) = chunk.last() else { continue };
                 self.metrics.batched_reports.add(chunk.len() as u64);
                 evicted.extend(outbox.push(PendingBatch {
-                    epoch: outbox.epoch,
-                    last_seq: chunk.last().expect("non-empty chunk").seq,
+                    epoch,
+                    last_seq: last.seq,
                     entries: chunk.to_vec(),
                     attempts: 0,
                     next_send: now,
@@ -480,8 +483,7 @@ impl ShipNetwork {
             let mut frames: Vec<(NetMessage, u32)> = Vec::new();
             let mut expired: Vec<PendingBatch> = Vec::new();
             let mut retries = 0u64;
-            {
-                let outbox = self.outboxes.get_mut(&dc).expect("key just listed");
+            if let Some(outbox) = self.outboxes.get_mut(&dc) {
                 let mut kept = VecDeque::with_capacity(outbox.pending.len());
                 while let Some(mut p) = outbox.pending.pop_front() {
                     if p.next_send > now {
@@ -604,11 +606,14 @@ impl ShipNetwork {
 
     /// Move every frame due at or before `now` into its inbox.
     pub fn advance(&mut self, now: SimTime) {
-        while let Some(Reverse(head)) = self.in_flight.peek() {
-            if head.deliver_at > now {
+        while self
+            .in_flight
+            .peek()
+            .is_some_and(|Reverse(head)| head.deliver_at <= now)
+        {
+            let Some(Reverse(f)) = self.in_flight.pop() else {
                 break;
-            }
-            let Reverse(f) = self.in_flight.pop().expect("peeked");
+            };
             // A partition raised after send loses in-flight frames too.
             if self.partitioned.contains(&f.to) {
                 self.count_drop(
@@ -642,10 +647,8 @@ impl ShipNetwork {
                             ));
                         }
                     }
-                    self.inboxes
-                        .get_mut(&to)
-                        .expect("registered at send time")
-                        .push_back(msg);
+                    // Registered at send time.
+                    self.inboxes.entry(to).or_default().push_back(msg);
                 }
                 Err(e) => {
                     self.count_drop(to, "drop", format!("undecodable frame to {to}: {e}"));

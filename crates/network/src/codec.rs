@@ -21,7 +21,7 @@
 
 use mpros_core::{ConditionReport, DcId, Error, MachineId, Result};
 use mpros_telemetry::TraceContext;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
 
 const MAGIC: [u8; 2] = *b"MP";
 /// Wire version: bumped whenever the header, the [`Tag`] table or a
@@ -218,22 +218,34 @@ pub trait Wire: Serialize + Deserialize + Sized {
 
 /// Encode a message into one frame.
 pub fn encode<M: Wire>(msg: &M) -> Result<Vec<u8>> {
-    msg.validate()?;
-    let payload = serde_json::to_vec(msg)
-        .map_err(|e| Error::Encoding(format!("{} serialization: {e}", M::FAMILY.name())))?;
-    if payload.len() > MAX_PAYLOAD {
-        return Err(Error::Encoding(format!(
-            "payload length {} exceeds cap",
-            payload.len()
-        )));
-    }
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(msg.type_tag());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::with_capacity(FRAME_CAPACITY);
+    encode_into(msg, &mut frame)?;
     Ok(frame)
+}
+
+/// Bytes a fresh frame buffer starts with: a ship report batch of a
+/// few reports fits after one doubling.
+const FRAME_CAPACITY: usize = 1024;
+
+/// Append one frame encoding `msg` to `out` — the bytes [`encode`]
+/// returns. The payload is written in place after a placeholder
+/// length, which is patched once the payload's size is known. On error
+/// `out` is left as it was.
+pub fn encode_into<M: Wire>(msg: &M, out: &mut Vec<u8>) -> Result<()> {
+    msg.validate()?;
+    let start = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.push(msg.type_tag());
+    out.extend_from_slice(&[0; 4]);
+    msg.serialize(&mut Writer::new(out));
+    let len = out.len() - start - HEADER_LEN;
+    if len > MAX_PAYLOAD {
+        out.truncate(start);
+        return Err(Error::Encoding(format!("payload length {len} exceeds cap")));
+    }
+    out[start + 4..start + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(())
 }
 
 /// Decode one frame of `M`'s family. Rejects bad magic, foreign

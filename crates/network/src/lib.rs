@@ -12,6 +12,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bus;
 pub mod codec;
@@ -19,6 +20,6 @@ pub mod outbox;
 
 pub use bus::{Endpoint, Envelope, NetStats, NetworkConfig, ShipNetwork};
 pub use codec::{
-    decode, decode_message, encode, encode_message, BatchEntry, Family, NetMessage, Tag, Wire,
-    MAX_BATCH, WIRE_VERSION,
+    decode, decode_message, encode, encode_into, encode_message, BatchEntry, Family, NetMessage,
+    Tag, Wire, MAX_BATCH, WIRE_VERSION,
 };

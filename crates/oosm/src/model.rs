@@ -290,7 +290,7 @@ impl Oosm {
         let old_id = id_key.and_then(|_| self.property(object, key)?.as_int());
         let oid = Value::Int(object.raw() as i64);
         let key_v = Value::Text(key.into());
-        let json = encode_value(&value);
+        let json = encode_value(&value)?;
         let updated = self.store.update_eq(
             "properties",
             "object_id",
@@ -460,17 +460,23 @@ impl Durable for Oosm {
 }
 
 /// Encode a store value as JSON text for the properties table.
-fn encode_value(v: &Value) -> String {
-    match v {
+fn encode_value(v: &Value) -> Result<String> {
+    Ok(match v {
         Value::Int(i) => format!("{{\"i\":{i}}}"),
         Value::Float(f) => format!("{{\"f\":{f}}}"),
-        Value::Text(s) => format!(
-            "{{\"t\":{}}}",
-            serde_json::to_string(s).expect("strings serialize")
-        ),
+        Value::Text(s) => {
+            // One buffer: the escaped text is written straight into the
+            // cell (a report payload is the report's whole JSON).
+            let mut cell = Vec::with_capacity(s.len() + 16);
+            cell.extend_from_slice(b"{\"t\":");
+            serde::Writer::new(&mut cell).str(s);
+            cell.push(b'}');
+            return String::from_utf8(cell)
+                .map_err(|e| Error::Encoding(format!("property cell: {e}")));
+        }
         Value::Bool(b) => format!("{{\"b\":{b}}}"),
         Value::Null => "null".to_string(),
-    }
+    })
 }
 
 /// Decode the JSON property representation.

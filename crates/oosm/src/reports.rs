@@ -247,9 +247,11 @@ mod tests {
 
     #[test]
     fn non_finite_report_is_refused_before_any_object_exists() {
-        let nan_time: SimTime = serde_json::from_value(serde_json::Value::from(f64::NAN)).unwrap();
-        let inf_horizon: SimDuration =
-            serde_json::from_value(serde_json::Value::from(f64::INFINITY)).unwrap();
+        // Overflowing arithmetic reaches the values the constructors
+        // refuse: +inf, and inf - inf = NaN.
+        let inf_horizon = SimDuration::from_secs(f64::MAX) * 2.0;
+        let nan_time = SimTime::ZERO + inf_horizon - inf_horizon;
+        assert!(nan_time.as_secs().is_nan() && inf_horizon.as_secs().is_infinite());
         let mut late = report(1, 1, 0.5);
         late.timestamp = nan_time;
         let mut endless = report(2, 1, 0.5);

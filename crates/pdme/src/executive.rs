@@ -22,8 +22,8 @@ use crate::historian::{Historian, MaintenanceRecord};
 use crate::journal::{encode_ingest, PdmeWalRecord, KIND_INGEST};
 use crate::supervisor::Supervisor;
 use mpros_core::{
-    ConditionReport, DcId, Durable, Error, MachineCondition, MachineId, Result, SimDuration,
-    SimTime,
+    ConditionReport, DcId, Durable, Error, FailureGroup, MachineCondition, MachineId, Result,
+    SimDuration, SimTime,
 };
 use mpros_fusion::{FusionEngine, MaintenanceItem};
 use mpros_network::NetMessage;
@@ -34,7 +34,7 @@ use mpros_telemetry::{
     WallTimer,
 };
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Reserved DC id for PDME-resident knowledge sources (§5.7); their
@@ -109,6 +109,12 @@ pub struct PdmeExecutive {
     /// life-model feed. Snapshotted and journaled with the rest of the
     /// engine so learned life models survive restarts.
     historian: Historian,
+    /// Fused `(machine, group)` frames whose `fused_belief:*`
+    /// properties are not on the ship model yet, because the machine
+    /// had no object when the frame was fused. The next ingest pass
+    /// writes them. Derived, never encoded: a restored engine recomputes
+    /// it from the model ([`Self::unsurfaced_frames`]).
+    unsurfaced: BTreeSet<(MachineId, FailureGroup)>,
     /// Durable store for WAL + snapshots; `None` runs the executive
     /// volatile (unit tests, replay). Attached via
     /// [`PdmeExecutive::attach_store`].
@@ -144,6 +150,7 @@ impl PdmeExecutive {
             dc_last_seen: HashMap::new(),
             batch_last_seq: HashMap::new(),
             historian: Historian::new(),
+            unsurfaced: BTreeSet::new(),
             store: None,
             telemetry,
             m_reports_received,
@@ -390,9 +397,11 @@ impl PdmeExecutive {
     /// accepts only reports whose every float is finite.
     fn fuse_posted(&mut self, mut posted: VecDeque<Posted<'_>>) -> Result<usize> {
         let mut fused = 0;
+        let mut frames = BTreeSet::new();
         while let Some((report, trace)) = posted.pop_front() {
             let timer = WallTimer::start();
             self.fusion.ingest(&report)?;
+            frames.insert((report.machine, report.condition.group()));
             fused += 1;
             // Close the report's trace out: fusion, then the fused state
             // surfacing on the ship model (step 4 below).
@@ -436,17 +445,42 @@ impl PdmeExecutive {
             }
         }
         // Step 4: surface the fused state on the machine objects so the
-        // browser reads everything from the OOSM.
-        for item in self.fusion.maintenance_list() {
-            if let Some(obj) = self.oosm.machine_object(item.machine) {
-                self.oosm.set_property(
+        // browser reads everything from the OOSM. Only the frames this
+        // pass fused (and any still waiting for their machine object)
+        // can have changed; they are rewritten in maintenance-list
+        // order, which fixes the row order of newly inserted keys.
+        frames.append(&mut self.unsurfaced);
+        for item in self.fusion.maintenance_list_for(&frames) {
+            match self.oosm.machine_object(item.machine) {
+                Some(obj) => self.oosm.set_property(
                     obj,
                     &format!("fused_belief:{}", item.condition.index()),
                     Value::Float(item.belief),
-                )?;
+                )?,
+                None => {
+                    self.unsurfaced
+                        .insert((item.machine, item.condition.group()));
+                }
             }
         }
         Ok(fused)
+    }
+
+    /// The fused frames with a maintenance row whose property is not on
+    /// the ship model: the machine has no object, or was registered
+    /// after the frame was last fused.
+    fn unsurfaced_frames(&self) -> BTreeSet<(MachineId, FailureGroup)> {
+        self.fusion
+            .maintenance_list()
+            .into_iter()
+            .filter(|item| {
+                self.oosm.machine_object(item.machine).is_none_or(|obj| {
+                    let key = format!("fused_belief:{}", item.condition.index());
+                    self.oosm.property(obj, &key).is_none()
+                })
+            })
+            .map(|item| (item.machine, item.condition.group()))
+            .collect()
     }
 
     /// The prioritized maintenance list (§3.1).
@@ -685,7 +719,7 @@ impl PdmeExecutive {
         let h_report_latency = telemetry.histogram("pdme", "report_latency_s");
         fusion.set_telemetry(&telemetry);
         oosm.set_telemetry(&telemetry);
-        Ok(PdmeExecutive {
+        let mut pdme = PdmeExecutive {
             oosm,
             fusion,
             resident: Vec::new(),
@@ -693,12 +727,15 @@ impl PdmeExecutive {
             dc_last_seen,
             batch_last_seq,
             historian,
+            unsurfaced: BTreeSet::new(),
             store: None,
             telemetry,
             m_reports_received,
             m_batch_replays,
             h_report_latency,
-        })
+        };
+        pdme.unsurfaced = pdme.unsurfaced_frames();
+        Ok(pdme)
     }
 
     /// Rebuild an executive from recovered store state: decode the
@@ -841,6 +878,44 @@ mod tests {
             &format!("fused_belief:{}", MachineCondition::MotorImbalance.index()),
         );
         assert!(prop.is_some());
+    }
+
+    #[test]
+    fn a_pass_that_fuses_nothing_writes_no_property() {
+        let mut p = pdme();
+        let imbalance = NetMessage::Report(report(1, 1, MachineCondition::MotorImbalance, 0.6));
+        p.ingest(&[imbalance], SimTime::ZERO).unwrap();
+        let heartbeat = NetMessage::Heartbeat {
+            dc: DcId::new(1),
+            at_secs: 1.0,
+        };
+        let rows = p.oosm().store().rows_visited();
+        p.ingest(&[heartbeat], SimTime::from_secs(1.0)).unwrap();
+        assert_eq!(p.oosm().store().rows_visited(), rows, "the model was read");
+    }
+
+    #[test]
+    fn a_machine_registered_after_its_frame_fused_gets_its_property_next_pass() {
+        let key = format!("fused_belief:{}", MachineCondition::MotorImbalance.index());
+        let heartbeat = |at: f64| NetMessage::Heartbeat {
+            dc: DcId::new(1),
+            at_secs: at,
+        };
+        let mut p = pdme();
+        let late = NetMessage::Report(report(1, 2, MachineCondition::MotorImbalance, 0.6));
+        p.ingest(&[late], SimTime::ZERO).unwrap();
+        p.register_machine(MachineId::new(2), "A/C Compressor Motor 2");
+        // A restored engine owes the same property as the live one.
+        let mut restored = PdmeExecutive::from_snapshot_bytes(&p.snapshot_bytes()).unwrap();
+        for engine in [&mut p, &mut restored] {
+            let obj = engine.oosm().machine_object(MachineId::new(2)).unwrap();
+            assert!(engine.oosm().property(obj, &key).is_none());
+            engine
+                .ingest(&[heartbeat(1.0)], SimTime::from_secs(1.0))
+                .unwrap();
+            assert!(engine.oosm().property(obj, &key).is_some());
+        }
+        assert_eq!(p.snapshot_bytes(), restored.snapshot_bytes());
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //! record discriminant (kind 0 is reserved by the store for snapshots)
 //! and the frame payload is the record's [`Durable`] encoding.
 //! [`NetMessage`]s ride inside [`PdmeWalRecord::Ingest`] in their §7.x
-//! wire form (`mpros_network::encode_message`), length-prefixed — the
+//! wire form (`mpros_network::encode_into`), length-prefixed — the
 //! journal re-uses the network codec rather than inventing a second
 //! serialization of the protocol vocabulary.
 
 use crate::historian::MaintenanceRecord;
 use mpros_core::{DcId, Durable, Error, MachineCondition, MachineId, Result, SimDuration, SimTime};
-use mpros_network::{decode_message, encode_message, NetMessage};
+use mpros_network::{decode_message, encode_into, NetMessage};
 use mpros_store::Frame;
 
 /// Frame kind: a machine registered in the ship model.
@@ -97,11 +97,20 @@ pub enum PdmeWalRecord {
 
 /// Write an [`PdmeWalRecord::Ingest`] payload from borrowed frames, so
 /// the ingest path journals them without cloning them into a record.
+/// Each frame is encoded straight into the payload behind a placeholder
+/// length prefix, patched once the frame's size is known: the bytes
+/// `Vec<u8>::encode` of the frame would write, with no buffer between.
 pub(crate) fn encode_ingest(now: SimTime, msgs: &[NetMessage], out: &mut Vec<u8>) -> Result<()> {
     now.encode(out);
     msgs.len().encode(out);
     for msg in msgs {
-        encode_message(msg)?.encode(out);
+        let prefix = out.len();
+        0usize.encode(out);
+        let start = out.len();
+        encode_into(msg, out)?;
+        // A durable `usize` is its `u64` little-endian bytes.
+        let len = (out.len() - start) as u64;
+        out[prefix..start].copy_from_slice(&len.to_le_bytes());
     }
     Ok(())
 }

@@ -61,6 +61,17 @@ cargo test -q
 echo "==> cargo test --workspace --release -q"
 cargo test --workspace --release -q
 
+# The outside-in benchmark's smoke test: every perfbench workload at a
+# tiny size, untraced and traced, with every output check the full
+# runs apply (about 22 s). perfbench is its own cargo workspace, and
+# its lockfile is stale, so any build of it rewrites the file; the
+# original is put back on exit, pass or fail, and the tree stays clean.
+echo "==> perfbench smoke test"
+perfbench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$perfbench_lock"
+trap 'cp "$perfbench_lock" perfbench/Cargo.lock; rm -f "$perfbench_lock"' EXIT
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # E7 data rates, and fleet-stepping throughput sequential vs 4 workers
 # under the calm and the lossy sea. On hosts with < 4 cores the speedup
 # is recorded but not judged (E7.4 is conditional), so this stays green

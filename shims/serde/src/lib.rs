@@ -1,27 +1,36 @@
 //! Offline shim for `serde`.
 //!
-//! Instead of serde's visitor architecture, this shim uses a simple
-//! value model: [`Serialize`] renders a type to a [`Value`] tree and
-//! [`Deserialize`] rebuilds the type from one. The derive macros in the
-//! companion `serde_derive` shim generate impls of these traits with
-//! the same JSON conventions as real serde (externally tagged enums,
-//! transparent newtypes, `Option` ↔ `null`), so documents produced by
-//! this shim match what the real crates would emit for the types MPROS
-//! defines.
+//! Instead of serde's visitor architecture, this shim speaks JSON
+//! directly: [`Serialize`] writes a type into a [`Writer`] over the
+//! output bytes and [`Deserialize`] reads it back from a [`Reader`]
+//! over the input bytes, with no value tree in between. The derive
+//! macros in the companion `serde_derive` shim generate impls of these
+//! traits with the same JSON conventions as real serde (externally
+//! tagged enums, transparent newtypes, `Option` ↔ `null`), so documents
+//! produced by this shim match what the real crates would emit for the
+//! types MPROS defines. [`Value`] is one more such type: its impls are
+//! the tree writer and parser.
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod de;
+mod ser;
 mod value;
 
+pub use de::Reader;
+pub use ser::Writer;
 pub use value::{Map, Number, Value};
 
 // The derive macros; `use serde::{Serialize, Deserialize}` picks up the
 // trait and the macro together (they live in separate namespaces).
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-/// Error produced while rebuilding a type from a [`Value`].
+/// Error produced while reading JSON: a syntax error, a value of the
+/// wrong shape, or a duplicated struct field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeError {
     msg: String,
@@ -42,6 +51,13 @@ impl DeError {
         }
     }
 
+    /// A struct field that appears twice in one object. Real serde
+    /// refuses it too; the tree decoder this reader replaced kept the
+    /// last occurrence.
+    pub fn duplicate_field(field: &str) -> Self {
+        DeError::custom(format!("duplicate field `{field}`"))
+    }
+
     /// The error message.
     pub fn message(&self) -> &str {
         &self.msg
@@ -56,16 +72,24 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// A type that can render itself as a [`Value`] tree.
+/// A type that can write itself as JSON.
 pub trait Serialize {
-    /// Render to a value tree.
-    fn to_value(&self) -> Value;
+    /// Write this value into `w`.
+    fn serialize(&self, w: &mut Writer<'_>);
 }
 
-/// A type that can rebuild itself from a [`Value`] tree.
+/// A type that can read itself from JSON.
 pub trait Deserialize: Sized {
-    /// Rebuild from a value tree.
-    fn from_value(v: &Value) -> Result<Self, DeError>;
+    /// Read one value from `r`.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError>;
+}
+
+/// Read a field that is absent from its object: it decodes as if it
+/// were `null`, so an `Option` field reads as `None` and any other
+/// field is an error.
+#[doc(hidden)]
+pub fn missing_field<T: Deserialize>(field: &str) -> Result<T, DeError> {
+    T::deserialize(&mut Reader::new(b"null")).map_err(|e| e.in_field(field))
 }
 
 // ---------------------------------------------------------------------
@@ -75,13 +99,14 @@ pub trait Deserialize: Sized {
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::from_u64(*self as u64))
+            fn serialize(&self, w: &mut Writer<'_>) {
+                w.u64(*self as u64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n = v
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                let n = r
+                    .number()?
                     .as_u64()
                     .ok_or_else(|| DeError::custom(concat!("expected ", stringify!($t))))?;
                 <$t>::try_from(n)
@@ -94,13 +119,14 @@ macro_rules! impl_unsigned {
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::from_i64(*self as i64))
+            fn serialize(&self, w: &mut Writer<'_>) {
+                w.i64(*self as i64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n = v
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                let n = r
+                    .number()?
                     .as_i64()
                     .ok_or_else(|| DeError::custom(concat!("expected ", stringify!($t))))?;
                 <$t>::try_from(n)
@@ -114,72 +140,73 @@ impl_unsigned!(u8, u16, u32, u64, usize);
 impl_signed!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::from_f64(*self))
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.f64(*self);
     }
 }
 
 impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_f64().ok_or_else(|| DeError::custom("expected f64"))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.number()?
+            .as_f64()
+            .ok_or_else(|| DeError::custom("expected f64"))
     }
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::from_f64(*self as f64))
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.f64(*self as f64);
     }
 }
 
 impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_f64()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.number()?
+            .as_f64()
             .map(|f| f as f32)
             .ok_or_else(|| DeError::custom("expected f32"))
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.bool(*self);
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_bool().ok_or_else(|| DeError::custom("expected bool"))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.bool()
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(self);
     }
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| DeError::custom("expected string"))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.str().map(Cow::into_owned)
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_owned())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(self);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(self.encode_utf8(&mut [0u8; 4]));
     }
 }
 
 impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let s = v.as_str().ok_or_else(|| DeError::custom("expected char"))?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let s = r.str()?;
         let mut it = s.chars();
         match (it.next(), it.next()) {
             (Some(c), None) => Ok(c),
@@ -189,150 +216,207 @@ impl Deserialize for char {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer<'_>) {
+        (**self).serialize(w);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer<'_>) {
+        (**self).serialize(w);
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(Box::new)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        T::deserialize(r).map(Box::new)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
         match self {
-            Some(t) => t.to_value(),
-            None => Value::Null,
+            Some(t) => t.serialize(w),
+            None => w.null(),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 }
 
+fn serialize_seq<'t, T: Serialize + 't>(
+    items: impl IntoIterator<Item = &'t T>,
+    w: &mut Writer<'_>,
+) {
+    w.begin_array();
+    for item in items {
+        w.element();
+        item.serialize(w);
+    }
+    w.end_array();
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        serialize_seq(self, w);
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let arr = v
-            .as_array()
-            .ok_or_else(|| DeError::custom("expected array"))?;
-        arr.iter().map(T::from_value).collect()
+    fn serialize(&self, w: &mut Writer<'_>) {
+        serialize_seq(self, w);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        serialize_seq(self, w);
+    }
+}
+
+impl<T: Deserialize> Deserialize for Vec<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let mut out = Vec::new();
+        if r.array()? {
+            loop {
+                out.push(T::deserialize(r)?);
+                if !r.next_element()? {
+                    break;
+                }
+            }
+        }
+        Ok(out)
     }
 }
 
 macro_rules! impl_tuple {
-    ($(($($t:ident : $idx:tt),+)),+ $(,)?) => {$(
+    ($(($len:literal: $($t:ident : $idx:tt),+)),+ $(,)?) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn serialize(&self, w: &mut Writer<'_>) {
+                w.begin_array();
+                $(
+                    w.element();
+                    self.$idx.serialize(w);
+                )+
+                w.end_array();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let arr = v
-                    .as_array()
-                    .ok_or_else(|| DeError::custom("expected tuple array"))?;
-                const LEN: usize = 0 $(+ { let _ = $idx; 1 })+;
-                if arr.len() != LEN {
-                    return Err(DeError::custom("tuple arity mismatch"));
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                let arity = || DeError::custom("tuple arity mismatch");
+                if !r.array()? {
+                    return Err(arity());
                 }
-                Ok(($($t::from_value(&arr[$idx])?,)+))
+                let value = ($({
+                    let item = $t::deserialize(r)?;
+                    if r.next_element()? != ($idx + 1 < $len) {
+                        return Err(arity());
+                    }
+                    item
+                },)+);
+                Ok(value)
             }
         }
     )+};
 }
 
 impl_tuple!(
-    (A: 0),
-    (A: 0, B: 1),
-    (A: 0, B: 1, C: 2),
-    (A: 0, B: 1, C: 2, D: 3)
+    (1: A: 0),
+    (2: A: 0, B: 1),
+    (3: A: 0, B: 1, C: 2),
+    (4: A: 0, B: 1, C: 2, D: 3)
 );
 
-impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        for (k, v) in self {
-            m.insert(k.clone(), v.to_value());
+fn serialize_map<'m, V: Serialize + 'm>(
+    entries: impl IntoIterator<Item = (&'m String, &'m V)>,
+    w: &mut Writer<'_>,
+) {
+    w.begin_object();
+    for (k, v) in entries {
+        w.key(k);
+        v.serialize(w);
+    }
+    w.end_object();
+}
+
+/// Read an object's entries into `insert`; a repeated key is inserted
+/// again, so a map keeps its last occurrence.
+fn deserialize_map<V: Deserialize>(
+    r: &mut Reader<'_>,
+    mut insert: impl FnMut(String, V),
+) -> Result<(), DeError> {
+    if r.object()? {
+        loop {
+            let key = r.key()?.into_owned();
+            insert(key, V::deserialize(r)?);
+            if !r.next_entry()? {
+                break;
+            }
         }
-        Value::Object(m)
+    }
+    Ok(())
+}
+
+impl<V: Serialize> Serialize for BTreeMap<String, V> {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        serialize_map(self, w);
     }
 }
 
 impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::custom("expected object"))?;
-        obj.iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-            .collect()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let mut out = BTreeMap::new();
+        deserialize_map(r, |k, v| {
+            out.insert(k, v);
+        })?;
+        Ok(out)
     }
 }
 
 impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
         // Sort keys for deterministic output.
-        let mut keys: Vec<&String> = self.keys().collect();
-        keys.sort();
-        let mut m = Map::new();
-        for k in keys {
-            m.insert(k.clone(), self[k].to_value());
-        }
-        Value::Object(m)
+        let mut entries: Vec<(&String, &V)> = self.iter().collect();
+        entries.sort_by_key(|&(k, _)| k);
+        serialize_map(entries, w);
     }
 }
 
 impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::custom("expected object"))?;
-        obj.iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-            .collect()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let mut out = HashMap::new();
+        deserialize_map(r, |k, v| {
+            out.insert(k, v);
+        })?;
+        Ok(out)
     }
 }
 
+/// The tree writer.
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, w: &mut Writer<'_>) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Number(n) => w.number(n),
+            Value::String(s) => w.str(s),
+            Value::Array(items) => serialize_seq(items, w),
+            Value::Object(map) => serialize_map(map, w),
+        }
     }
 }
 
+/// The tree parser.
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.value()
     }
 }

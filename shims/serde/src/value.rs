@@ -1,7 +1,8 @@
 //! The JSON-shaped value tree shared by the `serde` and `serde_json`
-//! shims. Lives here (rather than in `serde_json`) so the inherent
-//! methods and the `Serialize`/`Deserialize` impls can be defined next
-//! to the type.
+//! shims (`serde_json::Value`). Lives here (rather than in
+//! `serde_json`) so the inherent methods and the
+//! `Serialize`/`Deserialize` impls — the tree writer and parser — can
+//! be defined next to the type.
 
 use std::fmt;
 use std::ops::Index;
@@ -9,11 +10,11 @@ use std::ops::Index;
 /// A JSON number: unsigned, signed, or floating point.
 #[derive(Debug, Clone, Copy)]
 pub struct Number {
-    n: N,
+    pub(crate) n: N,
 }
 
 #[derive(Debug, Clone, Copy)]
-enum N {
+pub(crate) enum N {
     U(u64),
     I(i64),
     F(f64),

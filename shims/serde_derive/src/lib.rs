@@ -12,6 +12,13 @@
 //! / tuple / struct variants, and `#[serde(transparent)]`. Generics are
 //! not supported. JSON conventions match real serde: externally tagged
 //! enums, newtype structs as their inner value, `Option` ↔ `null`.
+//!
+//! The generated `Serialize` writes through a `serde::Writer` and the
+//! generated `Deserialize` reads through a `serde::Reader`, so no value
+//! tree is built on either side. Struct keys come out in declaration
+//! order; on the way in, unknown keys are parsed and skipped, a missing
+//! field reads as `null` (an absent `Option` is `None`), and a repeated
+//! field is an error.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -19,6 +26,8 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 struct Input {
     name: String,
     kind: Kind,
+    /// `#[serde(transparent)]`: the one field stands for the struct.
+    transparent: bool,
 }
 
 #[derive(Debug)]
@@ -42,7 +51,7 @@ enum VariantShape {
     Struct(Vec<String>),
 }
 
-/// Derive the shim's `serde::Serialize` (value-model rendering).
+/// Derive the shim's `serde::Serialize` (writes JSON).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let parsed = parse_input(input);
@@ -51,7 +60,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("serde_derive shim generated invalid Serialize impl")
 }
 
-/// Derive the shim's `serde::Deserialize` (value-model rebuilding).
+/// Derive the shim's `serde::Deserialize` (reads JSON).
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let parsed = parse_input(input);
@@ -66,7 +75,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 
 fn parse_input(input: TokenStream) -> Input {
     let mut toks = input.into_iter().peekable();
-    skip_attrs_and_vis(&mut toks);
+    let transparent = skip_attrs_and_vis(&mut toks);
     let item_kind = match toks.next() {
         Some(TokenTree::Ident(i)) => i.to_string(),
         other => panic!("serde_derive shim: expected struct/enum, got {other:?}"),
@@ -97,17 +106,31 @@ fn parse_input(input: TokenStream) -> Input {
         },
         other => panic!("serde_derive shim: cannot derive for `{other}` items"),
     };
-    Input { name, kind }
+    let single_field = matches!(&kind, Kind::TupleStruct(1))
+        || matches!(&kind, Kind::NamedStruct(fields) if fields.len() == 1);
+    if transparent && !single_field {
+        panic!("serde_derive shim: #[serde(transparent)] needs exactly one field (type {name})");
+    }
+    Input {
+        name,
+        kind,
+        transparent,
+    }
 }
 
-/// Skip leading `#[...]` attributes and `pub` / `pub(...)` visibility.
-fn skip_attrs_and_vis(toks: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) {
+/// Skip leading `#[...]` attributes and `pub` / `pub(...)` visibility;
+/// true if one of the attributes was `#[serde(transparent)]`.
+fn skip_attrs_and_vis(toks: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) -> bool {
+    let mut transparent = false;
     loop {
         match toks.peek() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 toks.next();
                 // The bracketed attribute body.
-                toks.next();
+                if let Some(TokenTree::Group(g)) = toks.next() {
+                    let body = g.stream().to_string().replace(' ', "");
+                    transparent |= body == "serde(transparent)";
+                }
             }
             Some(TokenTree::Ident(i)) if i.to_string() == "pub" => {
                 toks.next();
@@ -118,7 +141,7 @@ fn skip_attrs_and_vis(toks: &mut std::iter::Peekable<impl Iterator<Item = TokenT
                     toks.next();
                 }
             }
-            _ => return,
+            _ => return transparent,
         }
     }
 }
@@ -207,69 +230,72 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 // Code generation
 // ---------------------------------------------------------------------
 
+/// Statements writing named fields (bound as `{prefix}{field}`) as the
+/// entries of one object.
+fn gen_fields_ser(fields: &[String], prefix: &str) -> String {
+    let mut s = String::from("__w.begin_object();\n");
+    for f in fields {
+        s.push_str(&format!(
+            "__w.key(\"{f}\");\n::serde::Serialize::serialize({prefix}{f}, __w);\n"
+        ));
+    }
+    s.push_str("__w.end_object();\n");
+    s
+}
+
 fn gen_serialize(input: &Input) -> String {
     let name = &input.name;
     let body = match &input.kind {
-        Kind::NamedStruct(fields) => {
-            let mut s = String::from("let mut m = ::serde::Map::new();\n");
-            for f in fields {
+        Kind::NamedStruct(fields) if input.transparent => {
+            format!("::serde::Serialize::serialize(&self.{}, __w);", fields[0])
+        }
+        Kind::NamedStruct(fields) => gen_fields_ser(fields, "&self."),
+        Kind::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, __w);".to_string(),
+        Kind::TupleStruct(n) => {
+            let mut s = String::from("__w.begin_array();\n");
+            for i in 0..*n {
                 s.push_str(&format!(
-                    "m.insert(\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f}));\n"
+                    "__w.element();\n::serde::Serialize::serialize(&self.{i}, __w);\n"
                 ));
             }
-            s.push_str("::serde::Value::Object(m)");
+            s.push_str("__w.end_array();");
             s
         }
-        Kind::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Kind::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", items.join(", "))
-        }
-        Kind::UnitStruct => "::serde::Value::Null".to_string(),
+        Kind::UnitStruct => "__w.null();".to_string(),
         Kind::Enum(variants) => {
             let mut s = String::from("match self {\n");
             for v in variants {
                 let vn = &v.name;
                 match &v.shape {
-                    VariantShape::Unit => s.push_str(&format!(
-                        "{name}::{vn} => ::serde::Value::String(\"{vn}\".to_string()),\n"
-                    )),
+                    VariantShape::Unit => {
+                        s.push_str(&format!("{name}::{vn} => __w.str(\"{vn}\"),\n"))
+                    }
                     VariantShape::Tuple(1) => s.push_str(&format!(
                         "{name}::{vn}(__f0) => {{\n\
-                         let mut m = ::serde::Map::new();\n\
-                         m.insert(\"{vn}\".to_string(), ::serde::Serialize::to_value(__f0));\n\
-                         ::serde::Value::Object(m)\n}}\n"
+                         __w.begin_object();\n__w.key(\"{vn}\");\n\
+                         ::serde::Serialize::serialize(__f0, __w);\n__w.end_object();\n}}\n"
                     )),
                     VariantShape::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        s.push_str(&format!(
-                            "{name}::{vn}({}) => {{\n\
-                             let mut m = ::serde::Map::new();\n\
-                             m.insert(\"{vn}\".to_string(), ::serde::Value::Array(vec![{}]));\n\
-                             ::serde::Value::Object(m)\n}}\n",
-                            binds.join(", "),
-                            items.join(", ")
-                        ));
-                    }
-                    VariantShape::Struct(fields) => {
-                        let binds = fields.join(", ");
-                        let mut inner = String::from("let mut inner = ::serde::Map::new();\n");
-                        for f in fields {
-                            inner.push_str(&format!(
-                                "inner.insert(\"{f}\".to_string(), ::serde::Serialize::to_value({f}));\n"
+                        let mut items = String::new();
+                        for b in &binds {
+                            items.push_str(&format!(
+                                "__w.element();\n::serde::Serialize::serialize({b}, __w);\n"
                             ));
                         }
                         s.push_str(&format!(
-                            "{name}::{vn} {{ {binds} }} => {{\n{inner}\
-                             let mut m = ::serde::Map::new();\n\
-                             m.insert(\"{vn}\".to_string(), ::serde::Value::Object(inner));\n\
-                             ::serde::Value::Object(m)\n}}\n"
+                            "{name}::{vn}({}) => {{\n\
+                             __w.begin_object();\n__w.key(\"{vn}\");\n__w.begin_array();\n\
+                             {items}__w.end_array();\n__w.end_object();\n}}\n",
+                            binds.join(", ")
+                        ));
+                    }
+                    VariantShape::Struct(fields) => {
+                        s.push_str(&format!(
+                            "{name}::{vn} {{ {} }} => {{\n\
+                             __w.begin_object();\n__w.key(\"{vn}\");\n{}__w.end_object();\n}}\n",
+                            fields.join(", "),
+                            gen_fields_ser(fields, "")
                         ));
                     }
                 }
@@ -281,107 +307,136 @@ fn gen_serialize(input: &Input) -> String {
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
+         fn serialize(&self, __w: &mut ::serde::Writer<'_>) {{\n{body}\n}}\n}}\n"
     )
 }
 
-fn gen_named_fields_de(type_path: &str, fields: &[String], map_expr: &str) -> String {
-    let mut s = format!("::std::result::Result::Ok({type_path} {{\n");
+/// An expression reading one object into `{type_path} {{ fields }}`.
+fn gen_fields_de(type_path: &str, fields: &[String]) -> String {
+    let mut s = String::from("{\n");
     for f in fields {
         s.push_str(&format!(
-            "{f}: ::serde::Deserialize::from_value({map_expr}.get(\"{f}\")\
-             .unwrap_or(&::serde::Value::Null)).map_err(|e| e.in_field(\"{f}\"))?,\n"
+            "let mut __field_{f} = ::std::option::Option::None;\n"
         ));
     }
-    s.push_str("})");
+    s.push_str("if __r.object()? {\nloop {\nlet __key = __r.key()?;\nmatch &*__key {\n");
+    for f in fields {
+        s.push_str(&format!(
+            "\"{f}\" => {{\n\
+             if __field_{f}.is_some() {{\n\
+             return ::std::result::Result::Err(::serde::DeError::duplicate_field(\"{f}\"));\n}}\n\
+             __field_{f} = ::std::option::Option::Some(::serde::Deserialize::deserialize(__r)\
+             .map_err(|e| e.in_field(\"{f}\"))?);\n}}\n"
+        ));
+    }
+    s.push_str("_ => __r.skip()?,\n}\nif !__r.next_entry()? {\nbreak;\n}\n}\n}\n");
+    s.push_str(&format!("{type_path} {{\n"));
+    for f in fields {
+        s.push_str(&format!(
+            "{f}: match __field_{f} {{\n\
+             ::std::option::Option::Some(v) => v,\n\
+             ::std::option::Option::None => ::serde::missing_field(\"{f}\")?,\n}},\n"
+        ));
+    }
+    s.push_str("}\n}");
+    s
+}
+
+/// Statements reading an `n`-element array into `__f0..__f{n-1}`.
+fn gen_tuple_de(n: usize, what: &str) -> String {
+    let arity = format!(
+        "return ::std::result::Result::Err(::serde::DeError::custom(\
+         \"expected {n}-element array for {what}\"))"
+    );
+    let mut s = format!("if !__r.array()? {{\n{arity};\n}}\n");
+    for i in 0..n {
+        let more = i + 1 < n;
+        s.push_str(&format!(
+            "let __f{i} = ::serde::Deserialize::deserialize(__r)?;\n\
+             if __r.next_element()? != {more} {{\n{arity};\n}}\n"
+        ));
+    }
     s
 }
 
 fn gen_deserialize(input: &Input) -> String {
     let name = &input.name;
     let body = match &input.kind {
-        Kind::NamedStruct(fields) => format!(
-            "let m = match v.as_object() {{\n\
-             Some(m) => m,\n\
-             None => return ::std::result::Result::Err(::serde::DeError::custom(\
-             \"expected object for {name}\")),\n}};\n{}",
-            gen_named_fields_de(name, fields, "m")
+        Kind::NamedStruct(fields) if input.transparent => format!(
+            "::std::result::Result::Ok({name} {{ {}: ::serde::Deserialize::deserialize(__r)? }})",
+            fields[0]
         ),
+        Kind::NamedStruct(fields) => {
+            format!("::std::result::Result::Ok({})", gen_fields_de(name, fields))
+        }
         Kind::TupleStruct(1) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__r)?))")
         }
         Kind::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&__arr[{i}])?"))
-                .collect();
+            let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
             format!(
-                "let __arr = match v.as_array() {{\n\
-                 Some(a) if a.len() == {n} => a,\n\
-                 _ => return ::std::result::Result::Err(::serde::DeError::custom(\
-                 \"expected {n}-element array for {name}\")),\n}};\n\
-                 ::std::result::Result::Ok({name}({}))",
-                items.join(", ")
+                "{}::std::result::Result::Ok({name}({}))",
+                gen_tuple_de(*n, name),
+                binds.join(", ")
             )
         }
-        Kind::UnitStruct => format!("::std::result::Result::Ok({name})"),
+        Kind::UnitStruct => format!("__r.skip()?;\n::std::result::Result::Ok({name})"),
         Kind::Enum(variants) => {
             let mut unit_arms = String::new();
             let mut data_arms = String::new();
             for v in variants {
                 let vn = &v.name;
                 match &v.shape {
-                    VariantShape::Unit => unit_arms.push_str(&format!(
-                        "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}),\n"
-                    )),
+                    VariantShape::Unit => {
+                        unit_arms.push_str(&format!("\"{vn}\" => {name}::{vn},\n"))
+                    }
                     VariantShape::Tuple(1) => data_arms.push_str(&format!(
-                        "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}(\
-                         ::serde::Deserialize::from_value(__payload)\
-                         .map_err(|e| e.in_field(\"{vn}\"))?)),\n"
+                        "\"{vn}\" => {name}::{vn}(::serde::Deserialize::deserialize(__r)\
+                         .map_err(|e| e.in_field(\"{vn}\"))?),\n"
                     )),
                     VariantShape::Tuple(n) => {
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Deserialize::from_value(&__arr[{i}])?"))
-                            .collect();
+                        let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
                         data_arms.push_str(&format!(
-                            "\"{vn}\" => {{\nlet __arr = match __payload.as_array() {{\n\
-                             Some(a) if a.len() == {n} => a,\n\
-                             _ => return ::std::result::Result::Err(::serde::DeError::custom(\
-                             \"expected {n}-element array for {name}::{vn}\")),\n}};\n\
-                             ::std::result::Result::Ok({name}::{vn}({}))\n}}\n",
-                            items.join(", ")
+                            "\"{vn}\" => {{\n{}{name}::{vn}({})\n}}\n",
+                            gen_tuple_de(*n, &format!("{name}::{vn}")),
+                            binds.join(", ")
                         ));
                     }
-                    VariantShape::Struct(fields) => {
-                        let inner = gen_named_fields_de(&format!("{name}::{vn}"), fields, "mm");
-                        data_arms.push_str(&format!(
-                            "\"{vn}\" => {{\nlet mm = match __payload.as_object() {{\n\
-                             Some(m) => m,\n\
-                             None => return ::std::result::Result::Err(::serde::DeError::custom(\
-                             \"expected object payload for {name}::{vn}\")),\n}};\n{inner}\n}}\n"
-                        ));
-                    }
+                    VariantShape::Struct(fields) => data_arms.push_str(&format!(
+                        "\"{vn}\" => {},\n",
+                        gen_fields_de(&format!("{name}::{vn}"), fields)
+                    )),
                 }
             }
+            let unknown = format!(
+                "__other => return ::std::result::Result::Err(::serde::DeError::custom(\
+                 format!(\"unknown {name} variant {{__other}}\"))),\n"
+            );
+            let untagged = format!(
+                "::std::result::Result::Err(::serde::DeError::custom(\
+                 \"expected externally tagged variant for {name}\"))"
+            );
             format!(
-                "match v {{\n\
-                 ::serde::Value::String(__s) => match __s.as_str() {{\n{unit_arms}\
-                 __other => ::std::result::Result::Err(::serde::DeError::custom(\
-                 format!(\"unknown {name} variant {{__other}}\"))),\n}},\n\
-                 ::serde::Value::Object(__m) if __m.len() == 1 => {{\n\
-                 let (__k, __payload) = __m.iter().next().expect(\"len checked\");\n\
-                 let _ = __payload;\n\
-                 match __k.as_str() {{\n{data_arms}\
-                 __other => ::std::result::Result::Err(::serde::DeError::custom(\
-                 format!(\"unknown {name} variant {{__other}}\"))),\n}}\n}},\n\
-                 _ => ::std::result::Result::Err(::serde::DeError::custom(\
-                 \"expected externally tagged variant for {name}\")),\n}}"
+                "match __r.peek_value()? {{\n\
+                 b'\"' => {{\n\
+                 let __s = __r.str()?;\n\
+                 ::std::result::Result::Ok(match &*__s {{\n{unit_arms}{unknown}}})\n}}\n\
+                 b'{{' => {{\n\
+                 if !__r.object()? {{\nreturn {untagged};\n}}\n\
+                 let __k = __r.key()?;\n\
+                 let __v = match &*__k {{\n{data_arms}{unknown}}};\n\
+                 if __r.next_entry()? {{\nreturn {untagged};\n}}\n\
+                 ::std::result::Result::Ok(__v)\n}}\n\
+                 _ => {untagged},\n}}"
             )
         }
     };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
+         #[allow(unreachable_code, clippy::match_single_binding)]\n\
+         fn deserialize(__r: &mut ::serde::Reader<'_>) -> \
+         ::std::result::Result<Self, ::serde::DeError> {{\n\
          {body}\n}}\n}}\n"
     )
 }

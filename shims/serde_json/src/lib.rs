@@ -1,14 +1,16 @@
-//! Offline shim for `serde_json`: a JSON printer/parser over the value
-//! model defined in the `serde` shim. Floats are printed with Rust's
+//! Offline shim for `serde_json`: the document-level entry points over
+//! the `serde` shim's [`Writer`] and [`Reader`], which write and read
+//! JSON bytes directly. Floats are printed with Rust's
 //! shortest-roundtrip formatting, so a print → parse cycle preserves
 //! every `f64` bit-for-bit (the behavior MPROS's protocol tests rely
 //! on, equivalent to real serde_json's `float_roundtrip` feature).
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub use serde::{Map, Number, Value};
 
-use serde::{DeError, Deserialize, Serialize};
-use std::fmt::{self, Write as _};
+use serde::{DeError, Deserialize, Reader, Serialize, Writer};
+use std::fmt;
 
 /// Error from serializing or parsing JSON.
 #[derive(Debug, Clone)]
@@ -47,122 +49,39 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serialize `value` to a compact JSON string.
 pub fn to_string<T: ?Sized + Serialize>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    into_string(to_vec(value)?)
 }
 
 /// Serialize `value` to a pretty-printed JSON string (2-space indent).
 pub fn to_string_pretty<T: ?Sized + Serialize>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some("  "), 0);
-    Ok(out)
+    let mut out = Vec::new();
+    value.serialize(&mut Writer::pretty(&mut out));
+    into_string(out)
 }
 
 /// Serialize `value` to compact JSON bytes.
 pub fn to_vec<T: ?Sized + Serialize>(value: &T) -> Result<Vec<u8>> {
-    to_string(value).map(String::into_bytes)
+    let mut out = Vec::new();
+    value.serialize(&mut Writer::new(&mut out));
+    Ok(out)
 }
 
-/// Convert any serializable value into a [`Value`] tree.
+/// Convert any serializable value into a [`Value`] tree (its JSON
+/// text, parsed back).
 pub fn to_value<T: ?Sized + Serialize>(value: &T) -> Result<Value> {
-    Ok(value.to_value())
+    from_slice(&to_vec(value)?)
 }
 
-/// Rebuild a `T` from a [`Value`] tree.
+/// Rebuild a `T` from a [`Value`] tree (the tree's JSON text, read as
+/// a `T`).
 pub fn from_value<T: Deserialize>(value: Value) -> Result<T> {
-    T::from_value(&value).map_err(Error::from)
+    from_slice(&to_vec(&value)?)
 }
 
-fn write_value(out: &mut String, v: &Value, indent: Option<&str>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => {
-            // Formats in place; writing into a `String` cannot fail.
-            let _ = write!(out, "{n}");
-        }
-        Value::String(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(map) => {
-            if map.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<&str>, depth: usize) {
-    if let Some(pad) = indent {
-        out.push('\n');
-        for _ in 0..depth {
-            out.push_str(pad);
-        }
-    }
-}
-
-/// Write `s` as a JSON string literal. Runs of bytes that need no
-/// escape are copied wholesale; every byte that does is ASCII, so each
-/// run ends on a char boundary.
-fn write_string(out: &mut String, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.push('"');
-    let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if b != b'"' && b != b'\\' && b >= 0x20 {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            0x08 => out.push_str("\\b"),
-            0x0C => out.push_str("\\f"),
-            _ => {
-                out.push_str("\\u00");
-                out.push(char::from(HEX[usize::from(b >> 4)]));
-                out.push(char::from(HEX[usize::from(b & 0xF)]));
-            }
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
-    out.push('"');
+/// The writer emits only whole UTF-8 strings and ASCII, so this check
+/// never fails; it stands in for an unchecked conversion.
+fn into_string(bytes: Vec<u8>) -> Result<String> {
+    String::from_utf8(bytes).map_err(|e| Error::new(format!("invalid UTF-8 output: {e}")))
 }
 
 // ---------------------------------------------------------------------
@@ -171,272 +90,17 @@ fn write_string(out: &mut String, s: &str) {
 
 /// Parse a `T` from a JSON string.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    let value = parse_document(s)?;
-    T::from_value(&value).map_err(Error::from)
+    from_slice(s.as_bytes())
 }
 
-/// Parse a `T` from JSON bytes.
+/// Parse a `T` from JSON bytes. Invalid UTF-8 is refused where it is
+/// read: inside a string it fails that string's check, and anywhere
+/// else it is not JSON.
 pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
-    let s = std::str::from_utf8(bytes).map_err(|e| Error::new(format!("invalid UTF-8: {e}")))?;
-    from_str(s)
-}
-
-const MAX_DEPTH: usize = 128;
-
-fn parse_document(s: &str) -> Result<Value> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.parse_value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::new(format!(
-            "trailing characters at offset {}",
-            p.pos
-        )));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::new(format!(
-                "expected `{}` at offset {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn parse_value(&mut self, depth: usize) -> Result<Value> {
-        if depth > MAX_DEPTH {
-            return Err(Error::new("recursion limit exceeded"));
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(depth),
-            Some(b'{') => self.parse_object(depth),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => Err(Error::new(format!(
-                "unexpected character `{}` at offset {}",
-                c as char, self.pos
-            ))),
-            None => Err(Error::new("unexpected end of input")),
-        }
-    }
-
-    fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(value)
-        } else {
-            Err(Error::new(format!(
-                "invalid literal at offset {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn parse_array(&mut self, depth: usize) -> Result<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::new(format!("expected `,` or `]` at {}", self.pos))),
-            }
-        }
-    }
-
-    fn parse_object(&mut self, depth: usize) -> Result<Value> {
-        self.expect(b'{')?;
-        let mut map = Map::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value(depth + 1)?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(Error::new(format!("expected `,` or `}}` at {}", self.pos))),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: copy unescaped UTF-8 runs wholesale.
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' || c < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| Error::new(format!("invalid UTF-8 in string: {e}")))?;
-                out.push_str(run);
-            }
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0C}'),
-                        b'u' => {
-                            let cp = self.parse_hex4()?;
-                            // Surrogate pair handling.
-                            if (0xD800..0xDC00).contains(&cp) {
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(Error::new("invalid low surrogate"));
-                                }
-                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                out.push(
-                                    char::from_u32(combined)
-                                        .ok_or_else(|| Error::new("invalid surrogate pair"))?,
-                                );
-                            } else {
-                                out.push(
-                                    char::from_u32(cp)
-                                        .ok_or_else(|| Error::new("invalid \\u escape"))?,
-                                );
-                            }
-                        }
-                        other => {
-                            return Err(Error::new(format!("invalid escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                Some(c) if c < 0x20 => {
-                    return Err(Error::new("unescaped control character in string"))
-                }
-                _ => return Err(Error::new("unterminated string")),
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(Error::new("truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| Error::new("invalid \\u escape"))?;
-        let cp = u32::from_str_radix(hex, 16).map_err(|_| Error::new("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(cp)
-    }
-
-    fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::Number(Number::from_u64(u)));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Number(Number::from_i64(i)));
-            }
-        }
-        text.parse::<f64>()
-            .map(|f| Value::Number(Number::from_f64(f)))
-            .map_err(|_| Error::new(format!("invalid number `{text}`")))
-    }
+    let mut reader = Reader::new(bytes);
+    let value = T::deserialize(&mut reader)?;
+    reader.end()?;
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -706,5 +370,253 @@ mod tests {
             prop_assert_eq!(to_string(&v).unwrap(), oracle_compact(&v));
             prop_assert_eq!(to_string_pretty(&v).unwrap(), oracle_pretty(&v));
         }
+    }
+
+    // -----------------------------------------------------------------
+    // Derived shapes: the streaming writer against the oracle, and the
+    // streaming reader back to the original value.
+    // -----------------------------------------------------------------
+
+    use serde::{Deserialize, Serialize};
+    use std::collections::BTreeMap;
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    struct UnitShape;
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    struct NewtypeShape(f64);
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    struct TupleShape(u16, String);
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[serde(transparent)]
+    struct TransparentShape {
+        inner: String,
+    }
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    enum EnumShape {
+        Unit,
+        Newtype(i64),
+        Tuple(u8, bool),
+        Struct { x: f64, y: Option<String> },
+    }
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    struct Shapes {
+        unsigned: u64,
+        signed: i64,
+        float: f64,
+        text: String,
+        maybe: Option<u32>,
+        list: Vec<i32>,
+        pair: (u8, String),
+        unit: UnitShape,
+        newtype: NewtypeShape,
+        tuple: TupleShape,
+        transparent: TransparentShape,
+        variants: Vec<EnumShape>,
+        map: BTreeMap<String, f64>,
+        flag: bool,
+    }
+
+    fn obj(entries: Vec<(&str, Value)>) -> Value {
+        Value::Object(
+            entries
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// The document each shape stands for, built by hand from the
+    /// conventions (externally tagged enums, newtypes as their inner
+    /// value, `None` and unit structs as `null`), not by the derive.
+    fn enum_value(e: &EnumShape) -> Value {
+        match e {
+            EnumShape::Unit => Value::from("Unit"),
+            EnumShape::Newtype(n) => obj(vec![("Newtype", Value::from(*n))]),
+            EnumShape::Tuple(a, b) => obj(vec![(
+                "Tuple",
+                Value::Array(vec![Value::from(u64::from(*a)), Value::from(*b)]),
+            )]),
+            EnumShape::Struct { x, y } => obj(vec![(
+                "Struct",
+                obj(vec![
+                    ("x", Value::from(*x)),
+                    ("y", y.clone().map_or(Value::Null, Value::from)),
+                ]),
+            )]),
+        }
+    }
+
+    fn shapes_value(s: &Shapes) -> Value {
+        obj(vec![
+            ("unsigned", Value::from(s.unsigned)),
+            ("signed", Value::from(s.signed)),
+            ("float", Value::from(s.float)),
+            ("text", Value::from(s.text.as_str())),
+            (
+                "maybe",
+                s.maybe.map_or(Value::Null, |m| Value::from(u64::from(m))),
+            ),
+            (
+                "list",
+                Value::Array(s.list.iter().map(|&i| Value::from(i64::from(i))).collect()),
+            ),
+            (
+                "pair",
+                Value::Array(vec![
+                    Value::from(u64::from(s.pair.0)),
+                    Value::from(s.pair.1.as_str()),
+                ]),
+            ),
+            ("unit", Value::Null),
+            ("newtype", Value::from(s.newtype.0)),
+            (
+                "tuple",
+                Value::Array(vec![
+                    Value::from(u64::from(s.tuple.0)),
+                    Value::from(s.tuple.1.as_str()),
+                ]),
+            ),
+            ("transparent", Value::from(s.transparent.inner.as_str())),
+            (
+                "variants",
+                Value::Array(s.variants.iter().map(enum_value).collect()),
+            ),
+            (
+                "map",
+                Value::Object(
+                    s.map
+                        .iter()
+                        .map(|(k, &v)| (k.clone(), Value::from(v)))
+                        .collect(),
+                ),
+            ),
+            ("flag", Value::from(s.flag)),
+        ])
+    }
+
+    fn any_enum(float: BoxedStrategy<f64>) -> impl Strategy<Value = EnumShape> {
+        prop_oneof![
+            Just(EnumShape::Unit),
+            (i64::MIN..=i64::MAX).prop_map(EnumShape::Newtype),
+            (0u8..=u8::MAX, 0u8..2).prop_map(|(a, b)| EnumShape::Tuple(a, b == 1)),
+            (float, proptest::option::of(any_string()))
+                .prop_map(|(x, y)| EnumShape::Struct { x, y }),
+        ]
+    }
+
+    fn any_shapes(float: fn() -> BoxedStrategy<f64>) -> impl Strategy<Value = Shapes> {
+        (
+            (0u64..=u64::MAX, i64::MIN..=i64::MAX, float(), any_string()),
+            (
+                proptest::option::of(0u32..=u32::MAX),
+                proptest::collection::vec(i32::MIN..=i32::MAX, 0..4),
+                (0u8..=u8::MAX, any_string()),
+            ),
+            (float(), 0u16..=u16::MAX, any_string(), any_string()),
+            (
+                proptest::collection::vec(any_enum(float()), 0..4),
+                proptest::collection::vec((any_string(), float()), 0..4),
+                0u8..2,
+            ),
+        )
+            .prop_map(
+                |(
+                    (unsigned, signed, float, text),
+                    (maybe, list, pair),
+                    (newtype, t0, t1, inner),
+                    (variants, map, flag),
+                )| Shapes {
+                    unsigned,
+                    signed,
+                    float,
+                    text,
+                    maybe,
+                    list,
+                    pair,
+                    unit: UnitShape,
+                    newtype: NewtypeShape(newtype),
+                    tuple: TupleShape(t0, t1),
+                    transparent: TransparentShape { inner },
+                    variants,
+                    map: map.into_iter().collect(),
+                    flag: flag == 1,
+                },
+            )
+    }
+
+    fn every_f64() -> BoxedStrategy<f64> {
+        any_f64().boxed()
+    }
+
+    /// Finite floats only: JSON writes a non-finite float as `null`,
+    /// which no `f64` reads back.
+    fn finite_f64() -> BoxedStrategy<f64> {
+        any_f64()
+            .prop_map(|x| if x.is_finite() { x } else { 0.5 })
+            .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn derived_shapes_write_the_oracle_bytes(s in any_shapes(every_f64)) {
+            let tree = shapes_value(&s);
+            prop_assert_eq!(to_string(&s).unwrap(), oracle_compact(&tree));
+            prop_assert_eq!(to_string_pretty(&s).unwrap(), oracle_pretty(&tree));
+        }
+
+        #[test]
+        fn derived_shapes_read_back_unchanged(s in any_shapes(finite_f64)) {
+            for json in [to_string(&s).unwrap(), to_string_pretty(&s).unwrap()] {
+                let back: Shapes = from_str(&json).unwrap();
+                // Byte-equal re-encoding also tells -0.0 from 0.0.
+                prop_assert_eq!(to_string(&back).unwrap(), to_string(&s).unwrap());
+                prop_assert_eq!(&back, &s);
+                let tree: Value = from_str(&json).unwrap();
+                prop_assert_eq!(tree, shapes_value(&s));
+            }
+        }
+    }
+
+    #[test]
+    fn readers_skip_unknown_fields_and_default_missing_options() {
+        let json = r#"{"x": 1.5, "extra": {"deep": [1, "two", null]}, "z": 3}"#;
+        let back: EnumShape = from_str(&format!(r#"{{"Struct": {json}}}"#)).unwrap();
+        assert_eq!(back, EnumShape::Struct { x: 1.5, y: None });
+        // Integers read as floats and whole floats as integers, as the
+        // tree's number classification allowed.
+        assert_eq!(from_str::<f64>("7").unwrap(), 7.0);
+        assert_eq!(from_str::<u64>("7.0").unwrap(), 7);
+        assert!(from_str::<u64>("7.5").is_err());
+    }
+
+    #[test]
+    fn repeated_struct_fields_are_a_typed_error() {
+        let err = from_str::<EnumShape>(r#"{"Struct":{"x":1.0,"x":2.0}}"#).unwrap_err();
+        assert!(err.to_string().contains("duplicate field `x`"), "{err}");
+        // An enum object names exactly one variant.
+        assert!(from_str::<EnumShape>(r#"{"Unit":null,"Newtype":1}"#).is_err());
+        assert!(from_str::<EnumShape>(r#"{"Newtype":1,"Newtype":1}"#).is_err());
+        // Maps (and the tree) keep the last of a repeated key.
+        let map: BTreeMap<String, u8> = from_str(r#"{"k":1,"k":2}"#).unwrap();
+        assert_eq!(map["k"], 2);
+    }
+
+    #[test]
+    fn nesting_cap_matches_the_tree_parser() {
+        // 129 nested arrays hold a value at depth 128: accepted; one more
+        // level puts it at 129: refused, for typed and tree reads alike.
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nest(129)).is_ok());
+        assert!(from_str::<Value>(&nest(130)).is_err());
+        let skipped = |n: usize| format!(r#"{{"Struct":{{"x":0.0,"pad":{}}}}}"#, nest(n));
+        assert!(from_str::<EnumShape>(&skipped(127)).is_ok());
+        assert!(from_str::<EnumShape>(&skipped(128)).is_err());
     }
 }

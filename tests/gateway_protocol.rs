@@ -899,3 +899,26 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Gateway and fleet frames are canonical: a frame that decodes
+    /// re-encodes to the same bytes.
+    #[test]
+    fn decoded_frames_reencode_to_the_same_bytes(
+        req in arb_request(),
+        resp in arb_response(),
+        freq in arb_fleet_request(),
+        fresp in arb_fleet_response(),
+    ) {
+        let f = encode_request(&req).unwrap();
+        prop_assert_eq!(encode_request(&decode_request(&f).unwrap()).unwrap(), f);
+        let f = encode_response(&resp).unwrap();
+        prop_assert_eq!(encode_response(&decode_response(&f).unwrap()).unwrap(), f);
+        let f = encode_fleet_request(&freq).unwrap();
+        prop_assert_eq!(encode_fleet_request(&decode_fleet_request(&f).unwrap()).unwrap(), f);
+        let f = encode_fleet_response(&fresp).unwrap();
+        prop_assert_eq!(encode_fleet_response(&decode_fleet_response(&f).unwrap()).unwrap(), f);
+    }
+}

@@ -5,7 +5,8 @@
 //! test fills two PDMEs with the 8-machine report mix of
 //! `tests/pdme_history.rs`, one volatile and one journaling to an
 //! in-memory store, first to 1k and then to 16k stored reports. At each
-//! size it counts the allocations of 32 single-report ingests. The
+//! size it counts the allocations of 32 single-report ingests, and for
+//! a third, volatile PDME those of 32 heartbeat-only ingests. The
 //! median per ingest must be the same at both sizes, so the work does
 //! not grow with the stored history, and must stay under a ceiling.
 //!
@@ -63,9 +64,12 @@ const BATCH: u64 = 64;
 /// Single-report ingests counted at each size.
 const SAMPLES: usize = 32;
 /// Median allocations per single-report ingest with no store attached.
-const CEILING_VOLATILE: u64 = 340;
+const CEILING_VOLATILE: u64 = 77;
 /// The same with an in-memory store, which journals every pass.
-const CEILING_JOURNALED: u64 = 375;
+const CEILING_JOURNALED: u64 = 84;
+/// Median allocations per heartbeat-only ingest with no store attached:
+/// nothing is posted or fused, so no machine property is rewritten.
+const CEILING_HEARTBEAT: u64 = 0;
 
 /// Report `i`: machines round-robin, three conditions per machine, as
 /// in `tests/pdme_history.rs`.
@@ -120,18 +124,26 @@ impl Filler {
         }
     }
 
-    /// Median allocations over [`SAMPLES`] single-report ingests.
-    fn median_ingest_allocations(&mut self) -> u64 {
+    /// Median allocations over [`SAMPLES`] single-message ingests: one
+    /// report each, or one heartbeat each (nothing posted or fused).
+    fn median_ingest_allocations(&mut self, heartbeat: bool) -> u64 {
         let mut counts: Vec<u64> = (0..SAMPLES)
             .map(|_| {
-                let msgs = [NetMessage::Report(report(self.next))];
+                let msg = if heartbeat {
+                    NetMessage::Heartbeat {
+                        dc: DcId::new(self.next % MACHINES + 1),
+                        at_secs: self.next as f64,
+                    }
+                } else {
+                    NetMessage::Report(report(self.next))
+                };
                 let now = self.now();
                 self.next += 1;
                 ALLOCATIONS.store(0, Ordering::SeqCst);
                 ARMED.store(true, Ordering::SeqCst);
-                let summary = self.pdme.ingest(&msgs, now);
+                let summary = self.pdme.ingest(&[msg], now);
                 ARMED.store(false, Ordering::SeqCst);
-                assert_eq!(summary.unwrap().fused, 1);
+                assert_eq!(summary.unwrap().fused, usize::from(!heartbeat));
                 ALLOCATIONS.load(Ordering::SeqCst)
             })
             .collect();
@@ -142,13 +154,17 @@ impl Filler {
 
 #[test]
 fn ingest_allocations_do_not_grow_with_history() {
-    for (journaled, ceiling) in [(false, CEILING_VOLATILE), (true, CEILING_JOURNALED)] {
+    let rows = [
+        ("volatile", false, false, CEILING_VOLATILE),
+        ("journaled", true, false, CEILING_JOURNALED),
+        ("heartbeat", false, true, CEILING_HEARTBEAT),
+    ];
+    for (what, journaled, heartbeat, ceiling) in rows {
         let mut filler = Filler::new(journaled);
         filler.fill_to(1_000);
-        let small = filler.median_ingest_allocations();
+        let small = filler.median_ingest_allocations(heartbeat);
         filler.fill_to(16_000);
-        let large = filler.median_ingest_allocations();
-        let what = if journaled { "journaled" } else { "volatile" };
+        let large = filler.median_ingest_allocations(heartbeat);
         assert_eq!(
             small, large,
             "{what}: median allocations per ingest at 1k vs 16k stored reports"

@@ -232,3 +232,56 @@ fn max_size_batch_roundtrips_and_oversize_is_rejected() {
     };
     assert!(encode_message(&over).is_err());
 }
+
+/// Any ship message, every variant, with arbitrary float bit patterns
+/// in the heartbeat clock (subnormals, -0.0, NaN and ±inf included).
+fn arb_message() -> impl Strategy<Value = NetMessage> {
+    prop_oneof![
+        arb_report().prop_map(NetMessage::Report),
+        arb_batch(),
+        (0u64..=u64::MAX, 0u64..=u64::MAX).prop_map(|(dc, machine)| NetMessage::RunTest {
+            dc: DcId::new(dc),
+            machine: MachineId::new(machine),
+        }),
+        (
+            0u64..64,
+            0u32..=u32::MAX,
+            proptest::collection::vec(0u8..=u8::MAX, 0..32)
+        )
+            .prop_map(|(dc, slot, image)| NetMessage::DownloadSbfr {
+                dc: DcId::new(dc),
+                slot,
+                image,
+            }),
+        (0u64..64, 0u64..=u64::MAX).prop_map(|(dc, bits)| NetMessage::Heartbeat {
+            dc: DcId::new(dc),
+            at_secs: f64::from_bits(bits),
+        }),
+        (0u64..64, 0u64..=u64::MAX, 0u64..=u64::MAX).prop_map(|(dc, epoch, last_seq)| {
+            NetMessage::Ack {
+                dc: DcId::new(dc),
+                epoch,
+                last_seq,
+            }
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The wire is canonical: a frame that decodes re-encodes to the
+    /// same bytes, so a decoded message can stand for its frame. Only a
+    /// non-finite heartbeat clock fails to decode (JSON writes it as
+    /// `null`).
+    #[test]
+    fn decoded_frames_reencode_to_the_same_bytes(msg in arb_message()) {
+        let frame = encode_message(&msg).unwrap();
+        match decode_message(&frame) {
+            Ok(back) => prop_assert_eq!(encode_message(&back).unwrap(), frame),
+            Err(_) => prop_assert!(
+                matches!(msg, NetMessage::Heartbeat { at_secs, .. } if !at_secs.is_finite())
+            ),
+        }
+    }
+}
