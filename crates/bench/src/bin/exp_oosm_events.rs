@@ -1,7 +1,7 @@
 //! E12 — §4.5: the OOSM event model lets clients be "notified of
 //! changes to property or relationship values without the need to
-//! poll". Measures the latency of posting a full report (object, seven
-//! properties, `refers-to` relation and event fan-out) and of one
+//! poll". Measures the latency of posting a full report (object, typed
+//! `reports` row, `refers-to` relation and event fan-out) and of one
 //! property change delivered to 1, 4 and 16 subscribers, and checks that
 //! every event is already queued when the call that caused it returns.
 

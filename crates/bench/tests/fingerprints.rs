@@ -49,7 +49,7 @@ const FINGERPRINTS: &[(&str, Pin)] = &[
     ("calm.net_retries", U(8)),
     ("calm.net_expired", U(0)),
     ("calm.wal_appends", U(22)),
-    ("calm.wal_bytes", U(20_110)),
+    ("calm.wal_bytes", U(20_264)),
     ("calm.recovery_tail_frames", U(21)),
     ("calm.dsp_plans_cached", U(8)),
     ("calm.dsp_scratch_reuses", U(1_720)),
@@ -67,7 +67,7 @@ const FINGERPRINTS: &[(&str, Pin)] = &[
     ("lossy.net_retries", U(11)),
     ("lossy.net_expired", U(0)),
     ("lossy.wal_appends", U(28)),
-    ("lossy.wal_bytes", U(20_496)),
+    ("lossy.wal_bytes", U(20_650)),
     ("lossy.recovery_tail_frames", U(27)),
     ("lossy.dsp_plans_cached", U(10)),
     ("lossy.dsp_scratch_reuses", U(1_690)),

@@ -245,10 +245,14 @@ impl Fleet {
                 .filter(|s| s.available)
                 .map(|shard| scope.spawn(move || shard.sim.step(dt)))
                 .collect();
-            // Joined in ascending ship order: the deterministic merge.
+            // Joined in ascending ship order: the deterministic merge. A
+            // panicking shard's panic carries on out of the step.
             handles
                 .into_iter()
-                .map(|h| h.join().expect("shard step thread panicked"))
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .collect()
         });
         for r in results {

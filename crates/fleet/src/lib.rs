@@ -26,6 +26,7 @@
 //! the rollup while the other shards keep serving unchanged bytes.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod client;
 mod fleet;

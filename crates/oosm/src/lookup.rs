@@ -1,8 +1,8 @@
 //! Derived lookups over the §4.6 mapping tables.
 //!
 //! The tables answer "which machine object holds machine id 7" or "what
-//! does this report refer to" only by scanning the objects, properties
-//! or relationships they hold. The model keeps those answers beside the
+//! does this report refer to" only by scanning the objects, properties,
+//! reports or relationships they hold. The model keeps those answers beside the
 //! tables instead, updated by every write path, so posting a report or
 //! exporting a machine costs the same with 1k or 40k stored reports.
 //! Like the store's own indexes this is derived state: it is never
@@ -10,6 +10,7 @@
 //! decode, so snapshot and WAL bytes do not depend on it.
 
 use crate::model::{decode_value, ObjectKind, Relation};
+use crate::reports::{report_column, typed_ids, REPORTS};
 use crate::store::{Store, Value};
 use mpros_core::{Error, ObjectId, Result};
 use std::collections::{HashMap, HashSet};
@@ -142,8 +143,11 @@ impl Lookups {
 
     /// Rebuild from the mapping tables, rejecting rows the model never
     /// writes: mistyped cells, unknown kinds or relations, references to
-    /// missing objects, a second row for one indexed property, and ids
-    /// the allocators `next_object` / `next_row` have not yet handed out.
+    /// missing objects, a `reports` row of an object that is not a
+    /// report, a `properties` row holding a report's typed column, a
+    /// second row for one indexed property, and ids the allocators
+    /// `next_object` / `next_row` have not yet handed out. A report's ids
+    /// are indexed from its `reports` row only.
     pub(crate) fn rebuild(store: &Store, next_object: u64, next_row: i64) -> Result<Lookups> {
         let corrupt = |what: &str| Error::invalid(format!("durable OOSM: {what}"));
         // Ids are stored as `Int`, so the allocators must stay below
@@ -173,6 +177,19 @@ impl Lookups {
         let row_id = |cell: &Value| matches!(cell, Value::Int(id) if (1..=next_row).contains(id));
 
         let mut lookups = Lookups::default();
+        for row in store.select(REPORTS, |_| true)? {
+            let Some((obj, report_id, machine_id)) = typed_ids(row) else {
+                return Err(corrupt("mistyped reports row"));
+            };
+            let Some((obj, ObjectKind::Report)) = object(&Value::Int(obj)) else {
+                return Err(corrupt(&format!(
+                    "reports row of object {obj}, which is missing or not a report"
+                )));
+            };
+            let kind = ObjectKind::Report;
+            lookups.reindex(obj, kind, IdKey::ReportId, None, Some(report_id));
+            lookups.reindex(obj, kind, IdKey::MachineId, None, Some(machine_id));
+        }
         let mut indexed = HashSet::new();
         for row in store.select("properties", |_| true)? {
             let (true, Some((obj, kind)), Value::Text(key), Value::Text(json)) =
@@ -180,6 +197,11 @@ impl Lookups {
             else {
                 return Err(corrupt("bad properties row"));
             };
+            if kind == ObjectKind::Report && report_column(key).is_some() {
+                return Err(corrupt(&format!(
+                    "report {obj} holds its typed column {key} as a property"
+                )));
+            }
             if let Some(key) = IdKey::of(key) {
                 if !indexed.insert((obj, key)) {
                     return Err(corrupt(&format!("{obj} repeats {}", key.as_str())));

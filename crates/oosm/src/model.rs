@@ -2,7 +2,8 @@
 
 use crate::events::{EventBus, OosmEvent, Subscription};
 use crate::lookup::{IdKey, Lookups};
-use crate::store::{Store, Value};
+use crate::reports::{report_column, REPORTS, REPORT_COLUMNS};
+use crate::store::{Row, Store, Value};
 use mpros_core::{Durable, Error, ObjectId, Result};
 use mpros_telemetry::{Counter, Telemetry};
 use std::fmt;
@@ -118,9 +119,10 @@ impl fmt::Display for Relation {
 }
 
 /// The §4.6 mapping tables: name, columns, and the secondarily indexed
-/// columns (property lookups by object, relationship traversal in both
-/// directions, object lookups by kind/name).
-const SCHEMA: [(&str, &[&str], &[&str]); 3] = [
+/// columns (object lookups by kind/name, property lookups by object).
+/// Relationship traversal and the report id queries are answered by the
+/// derived lookups, so those tables carry no secondary index.
+const SCHEMA: [(&str, &[&str], &[&str]); 4] = [
     ("objects", &["id", "kind", "name"], &["kind", "name"]),
     (
         "properties",
@@ -130,8 +132,9 @@ const SCHEMA: [(&str, &[&str], &[&str]); 3] = [
     (
         "relationships",
         &["row_id", "from_id", "relation", "to_id"],
-        &["from_id", "to_id"],
+        &[],
     ),
+    (REPORTS, &REPORT_COLUMNS, &[]),
 ];
 
 /// The Object-Oriented Ship Model: object graph over the relational
@@ -216,6 +219,24 @@ impl Oosm {
         self.lookups.holders(kind, key, value)
     }
 
+    /// The object's typed `reports` row, if it is a posted report.
+    pub(crate) fn report_row(&self, object: ObjectId) -> Option<&Row> {
+        self.store.get(REPORTS, object.raw() as i64).ok().flatten()
+    }
+
+    /// Store a posted report's typed row (see [`crate::reports`]) and
+    /// index its report and machine ids.
+    pub(crate) fn insert_report_row(&mut self, object: ObjectId, row: Row) -> Result<()> {
+        let (report_id, machine_id) = (row[1].as_int(), row[2].as_int());
+        self.store.insert(REPORTS, row)?;
+        let kind = ObjectKind::Report;
+        self.lookups
+            .reindex(object, kind, IdKey::ReportId, None, report_id);
+        self.lookups
+            .reindex(object, kind, IdKey::MachineId, None, machine_id);
+        Ok(())
+    }
+
     /// Create an object; returns its id.
     pub fn create_object(&mut self, kind: ObjectKind, name: &str) -> ObjectId {
         let id = ObjectId::new(self.next_object);
@@ -284,8 +305,16 @@ impl Oosm {
 
     /// Set (insert or overwrite) a property. Values are stored as JSON
     /// text in the `properties` helper table — the §4.6 column mapping.
+    /// A report's typed columns (see [`crate::reports`]) live only in
+    /// its `reports` row, written once when it is posted: setting one on
+    /// a report object is [`Error::InvalidInput`].
     pub fn set_property(&mut self, object: ObjectId, key: &str, value: Value) -> Result<()> {
         let kind = self.kind(object)?;
+        if kind == ObjectKind::Report && report_column(key).is_some() {
+            return Err(Error::invalid(format!(
+                "{object} is a report; its {key} column is set only by post_report"
+            )));
+        }
         let id_key = IdKey::of(key);
         let old_id = id_key.and_then(|_| self.property(object, key)?.as_int());
         let oid = Value::Int(object.raw() as i64);
@@ -318,8 +347,14 @@ impl Oosm {
         Ok(())
     }
 
-    /// Read a property.
+    /// Read a property. A posted report's typed columns are read from
+    /// its `reports` row.
     pub fn property(&self, object: ObjectId, key: &str) -> Option<Value> {
+        if let Some(col) = report_column(key) {
+            if let Some(row) = self.report_row(object) {
+                return Some(row[col].clone());
+            }
+        }
         let oid = Value::Int(object.raw() as i64);
         let key_v = Value::Text(key.into());
         self.store
@@ -346,6 +381,10 @@ impl Oosm {
                 )
             })
             .collect();
+        if let Some(row) = self.report_row(object) {
+            let typed = REPORT_COLUMNS.iter().zip(row).skip(1);
+            props.extend(typed.map(|(key, value)| (key.to_string(), value.clone())));
+        }
         props.sort_by(|a, b| a.0.cmp(&b.0));
         props
     }
@@ -385,7 +424,8 @@ impl Oosm {
         self.lookups.related_to(to, relation).to_vec()
     }
 
-    /// Delete an object with its properties and relationships.
+    /// Delete an object with its properties, relationships and typed
+    /// report row.
     pub fn delete_object(&mut self, object: ObjectId) -> Result<()> {
         let kind = self.kind(object)?;
         let old_ids = IdKey::ALL.map(|key| self.property(object, key.as_str())?.as_int());
@@ -398,6 +438,12 @@ impl Oosm {
             let oid = oid.clone();
             move |r| r[1] == oid
         })?;
+        if kind == ObjectKind::Report {
+            self.store.delete(REPORTS, {
+                let oid = oid.clone();
+                move |r| r[0] == oid
+            })?;
+        }
         self.store
             .delete("relationships", move |r| r[1] == oid || r[3] == oid)?;
         for (key, old) in IdKey::ALL.into_iter().zip(old_ids) {
@@ -440,6 +486,8 @@ impl Durable for Oosm {
                 .iter()
                 .all(|(table, columns, indexed)| store.has_schema(table, columns, indexed))
         {
+            // Also a snapshot from before the typed `reports` table: no
+            // deployed store predates it, so there is no migration.
             return Err(Error::invalid(
                 "durable OOSM store does not hold the mapping tables",
             ));
@@ -466,7 +514,7 @@ fn encode_value(v: &Value) -> Result<String> {
         Value::Float(f) => format!("{{\"f\":{f}}}"),
         Value::Text(s) => {
             // One buffer: the escaped text is written straight into the
-            // cell (a report payload is the report's whole JSON).
+            // cell.
             let mut cell = Vec::with_capacity(s.len() + 16);
             cell.extend_from_slice(b"{\"t\":");
             serde::Writer::new(&mut cell).str(s);

@@ -2,16 +2,28 @@
 //!
 //! §4.1: the OOSM "also serves as a repository of diagnostic conclusions
 //! – both those of the individual algorithms and those reached by KF."
-//! Reports are stored as OOSM objects of kind [`ObjectKind::Report`]
-//! whose full §7.2 payload lives in one JSON property, beside scalar
-//! property rows (`report_id`, `machine_id`, `condition`, belief,
-//! severity, timestamp), related by `refers-to` to the machine object
-//! they concern. Posting a report publishes the
-//! [`OosmEvent::ReportPosted`] event to any subscriber; the event
-//! carries the posted report, which equals what [`Oosm::report_payload`]
-//! decodes from the store because only reports whose every float is
-//! finite are accepted. The PDME fuses the report it posted directly,
-//! on the same invariant.
+//! §4.6 maps object types to tables, and reports, the object type that
+//! fills the store, get their own: a posted report is one
+//! [`ObjectKind::Report`] object, one row of the typed `reports` table
+//! and a `refers-to` relationship to the machine object it concerns
+//! (when that machine is registered). The row is
+//! `(object_id, report_id, machine_id, condition, belief, severity,
+//! timestamp, payload)`: `object_id` is its primary key, the ids and the
+//! condition index are `Int`, belief, severity and timestamp (seconds)
+//! are `Float`, and `payload` is the report's full §7.2 JSON, stored
+//! once. A report has no `properties` rows, yet [`Oosm::property`] and
+//! [`Oosm::properties`] answer the seven typed columns from the row, and
+//! a posted report never changes: [`Oosm::set_property`] refuses a typed
+//! column on any report object.
+//!
+//! Posting publishes [`OosmEvent::ObjectCreated`],
+//! [`OosmEvent::RelationAdded`] (registered machine only) and
+//! [`OosmEvent::ReportPosted`] to any subscriber, and no per-column
+//! [`OosmEvent::PropertyChanged`]. The `ReportPosted` event carries the
+//! posted report, which equals what [`Oosm::report_payload`] decodes
+//! from the store because only reports whose every float is finite are
+//! accepted. The PDME fuses the report it posted directly, on the same
+//! invariant.
 //!
 //! The id lookups here (`machine_object`, `report_object`,
 //! `reports_for_machine`, `report_count_for`) read the model's derived
@@ -21,10 +33,47 @@
 use crate::events::OosmEvent;
 use crate::lookup::IdKey;
 use crate::model::{ObjectKind, Oosm, Relation};
-use crate::store::Value;
+use crate::store::{Row, Value};
 use mpros_core::{ConditionReport, Error, MachineId, ObjectId, ReportId, Result};
 use mpros_telemetry::{Stage, WallTimer};
 use std::sync::Arc;
+
+/// The typed report table.
+pub(crate) const REPORTS: &str = "reports";
+
+/// Its columns. `object_id` is the primary key; the other seven are the
+/// report's typed columns, read as properties of the report object.
+pub(crate) const REPORT_COLUMNS: [&str; 8] = [
+    "object_id",
+    "report_id",
+    "machine_id",
+    "condition",
+    "belief",
+    "severity",
+    "timestamp",
+    "payload",
+];
+
+/// The `reports` column holding property `key` of a posted report.
+pub(crate) fn report_column(key: &str) -> Option<usize> {
+    REPORT_COLUMNS
+        .iter()
+        .skip(1)
+        .position(|&c| c == key)
+        .map(|i| i + 1)
+}
+
+/// The `object_id`, `report_id` and `machine_id` of a `reports` row
+/// whose every cell has its column's type, or `None` if one does not.
+pub(crate) fn typed_ids(row: &Row) -> Option<(i64, i64, i64)> {
+    use Value::{Float, Int, Text};
+    match row.as_slice() {
+        [Int(object), Int(report), Int(machine), Int(_), Float(_), Float(_), Float(_), Text(_)] => {
+            Some((*object, *report, *machine))
+        }
+        _ => None,
+    }
+}
 
 /// Report-repository operations on the OOSM.
 impl Oosm {
@@ -49,8 +98,9 @@ impl Oosm {
     }
 
     /// Post a failure-prediction report (§5.1 step 1: "New reports
-    /// arriving to the PDME are posted in the OOSM"). Returns the report
-    /// object. Publishes [`OosmEvent::ReportPosted`].
+    /// arriving to the PDME are posted in the OOSM") as one report
+    /// object with its typed `reports` row. Returns the report object.
+    /// Publishes [`OosmEvent::ReportPosted`].
     ///
     /// A report with a non-finite float (timestamp, belief, severity or
     /// a prognostic point) is refused with [`Error::InvalidInput`]
@@ -67,17 +117,19 @@ impl Oosm {
         let json = serde_json::to_string(report)
             .map_err(|e| Error::Encoding(format!("report serialization: {e}")))?;
         let obj = self.create_object(ObjectKind::Report, &format!("report-{}", report.id.raw()));
-        self.set_property(obj, "report_id", Value::Int(report.id.raw() as i64))?;
-        self.set_property(obj, "machine_id", Value::Int(report.machine.raw() as i64))?;
-        self.set_property(
+        self.insert_report_row(
             obj,
-            "condition",
-            Value::Int(report.condition.index() as i64),
+            vec![
+                Value::Int(obj.raw() as i64),
+                Value::Int(report.id.raw() as i64),
+                Value::Int(report.machine.raw() as i64),
+                Value::Int(report.condition.index() as i64),
+                Value::Float(report.belief.value()),
+                Value::Float(report.severity.value()),
+                Value::Float(report.timestamp.as_secs()),
+                Value::Text(json),
+            ],
         )?;
-        self.set_property(obj, "belief", Value::Float(report.belief.value()))?;
-        self.set_property(obj, "severity", Value::Float(report.severity.value()))?;
-        self.set_property(obj, "timestamp", Value::Float(report.timestamp.as_secs()))?;
-        self.set_property(obj, "payload", Value::Text(json))?;
         if let Some(machine_obj) = self.machine_object(report.machine) {
             self.relate(obj, Relation::RefersTo, machine_obj)?;
         }
@@ -243,6 +295,110 @@ mod tests {
         } else {
             panic!("ReportPosted must be the final event");
         }
+    }
+
+    #[test]
+    fn a_report_is_one_typed_row_read_as_seven_properties() {
+        let mut o = Oosm::new();
+        let machine = o.register_machine(MachineId::new(1), "motor 1");
+        let properties = o.store().row_count("properties").unwrap();
+        let r = report(10, 1, 0.7);
+        let obj = o.post_report(&r).unwrap();
+        assert_eq!(o.store().row_count("properties").unwrap(), properties);
+        assert_eq!(o.store().row_count(REPORTS).unwrap(), 1);
+        assert_eq!(o.related(obj, Relation::RefersTo), vec![machine]);
+        let props = o.properties(obj);
+        let keys: Vec<&str> = props.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "belief",
+                "condition",
+                "machine_id",
+                "payload",
+                "report_id",
+                "severity",
+                "timestamp"
+            ]
+        );
+        let json = serde_json::to_string(&r).unwrap();
+        for (key, value) in [
+            ("report_id", Value::Int(10)),
+            ("machine_id", Value::Int(1)),
+            ("condition", Value::Int(r.condition.index() as i64)),
+            ("belief", Value::Float(0.7)),
+            ("severity", Value::Float(r.severity.value())),
+            ("timestamp", Value::Float(10.0)),
+            ("payload", Value::Text(json)),
+        ] {
+            assert_eq!(o.property(obj, key), Some(value.clone()), "{key}");
+            assert!(props.contains(&(key.to_string(), value)), "{key}");
+        }
+    }
+
+    #[test]
+    fn a_posted_report_never_changes_but_takes_other_properties() {
+        let mut o = Oosm::new();
+        let obj = o.post_report(&report(3, 1, 0.5)).unwrap();
+        for key in &REPORT_COLUMNS[1..] {
+            assert!(
+                matches!(
+                    o.set_property(obj, key, Value::Int(0)),
+                    Err(Error::InvalidInput(_))
+                ),
+                "{key}"
+            );
+        }
+        assert_eq!(o.property(obj, "report_id"), Some(Value::Int(3)));
+        o.set_property(obj, "reviewed", Value::Bool(true)).unwrap();
+        assert_eq!(o.property(obj, "reviewed"), Some(Value::Bool(true)));
+        assert_eq!(o.properties(obj).len(), 8);
+        // Only `post_report` writes a typed column, on any report object.
+        let draft = o.create_object(ObjectKind::Report, "draft");
+        assert!(matches!(
+            o.set_property(draft, "belief", Value::Float(0.2)),
+            Err(Error::InvalidInput(_))
+        ));
+    }
+
+    #[test]
+    fn deleting_a_report_removes_its_typed_row_and_ids() {
+        let mut o = Oosm::new();
+        o.register_machine(MachineId::new(1), "motor 1");
+        let obj = o.post_report(&report(4, 1, 0.5)).unwrap();
+        o.delete_object(obj).unwrap();
+        assert_eq!(o.store().row_count(REPORTS).unwrap(), 0);
+        assert_eq!(o.store().row_count("relationships").unwrap(), 0);
+        assert_eq!(o.property(obj, "belief"), None);
+        assert!(o.properties(obj).is_empty());
+        assert_eq!(o.report_object(ReportId::new(4)), None);
+        assert!(o.reports_for_machine(MachineId::new(1)).is_empty());
+    }
+
+    #[test]
+    fn posting_emits_no_per_column_property_events() {
+        let mut o = Oosm::new();
+        let machine = o.register_machine(MachineId::new(1), "motor 1");
+        let sub = o.subscribe();
+        let obj = o.post_report(&report(5, 1, 0.5)).unwrap();
+        let events = sub.drain();
+        assert_eq!(events.len(), 3, "{events:?}");
+        assert_eq!(
+            events[0],
+            OosmEvent::ObjectCreated {
+                object: obj,
+                kind: ObjectKind::Report
+            }
+        );
+        assert_eq!(
+            events[1],
+            OosmEvent::RelationAdded {
+                from: obj,
+                relation: Relation::RefersTo,
+                to: machine
+            }
+        );
+        assert!(matches!(&events[2], OosmEvent::ReportPosted { object, .. } if *object == obj));
     }
 
     #[test]

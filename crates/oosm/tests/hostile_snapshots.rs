@@ -85,7 +85,7 @@ fn a_store_without_the_mapping_tables_is_rejected() {
 #[test]
 fn a_store_with_a_wrong_schema_is_rejected() {
     let mut store = Store::new();
-    for table in ["objects", "properties", "relationships"] {
+    for table in ["objects", "properties", "relationships", "reports"] {
         store.create_table(table, &["id"]).unwrap();
     }
     assert!(Oosm::from_durable_bytes(&snapshot(&store, 0, 0)).is_err());
@@ -93,12 +93,7 @@ fn a_store_with_a_wrong_schema_is_rejected() {
 
 #[test]
 fn rewound_allocators_are_rejected() {
-    let o = populated();
-    let bytes = o.to_durable_bytes();
-    let store = Store::from_durable_bytes(&bytes[..bytes.len() - 16]).unwrap();
-    let next_object =
-        u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap());
-    let next_row = i64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+    let (store, next_object, next_row) = parts(&populated());
     assert!(Oosm::from_durable_bytes(&snapshot(&store, next_object, next_row)).is_ok());
     // Rewound object ids would reissue a live id on the next create.
     assert!(Oosm::from_durable_bytes(&snapshot(&store, 0, next_row)).is_err());
@@ -116,6 +111,148 @@ fn a_real_snapshot_decodes_and_takes_writes() {
     let o = populated();
     let bytes = o.to_durable_bytes();
     drive(Oosm::from_durable_bytes(&bytes).unwrap());
+}
+
+/// The snapshot's store and allocators, split apart for editing.
+fn parts(o: &Oosm) -> (Store, u64, i64) {
+    let bytes = o.to_durable_bytes();
+    let tail = &bytes[bytes.len() - 16..];
+    let store = Store::from_durable_bytes(&bytes[..bytes.len() - 16]).unwrap();
+    let next_object = u64::from_le_bytes(tail[..8].try_into().unwrap());
+    let next_row = i64::from_le_bytes(tail[8..].try_into().unwrap());
+    (store, next_object, next_row)
+}
+
+#[test]
+fn every_corrupt_reports_table_is_rejected() {
+    let mut o = populated();
+    let machine = o.machine_object(MachineId::new(1)).unwrap();
+    // An object with no property a report's typed columns could clash with.
+    let ship = o.objects_of_kind(ObjectKind::Ship)[0];
+    let report_obj = o.report_object(ReportId::new(0)).unwrap();
+    let deleted = o.report_object(ReportId::new(3)).unwrap();
+    o.delete_object(deleted).unwrap();
+    // A report object with no typed row, which `post_report` never makes.
+    let draft = o.create_object(ObjectKind::Report, "draft");
+    let (store, next_object, next_row) = parts(&o);
+    assert!(Oosm::from_durable_bytes(&snapshot(&store, next_object, next_row)).is_ok());
+    let row = store.select("reports", |_| true).unwrap()[0].clone();
+    let object_cell = row[0].clone();
+    let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
+
+    // Each cell given a type its column never holds.
+    for col in 0..row.len() {
+        let wrong = match row[col] {
+            Value::Int(_) | Value::Float(_) => Value::Text("7".into()),
+            _ => Value::Int(7),
+        };
+        for bad in [wrong, Value::Null, Value::Bool(true)] {
+            // The store keeps a primary key immutable, so the row is
+            // replaced rather than updated.
+            let mut store = parts(&o).0;
+            let cell = object_cell.clone();
+            store.delete("reports", move |r| r[0] == cell).unwrap();
+            let mut mistyped = row.clone();
+            mistyped[col] = bad;
+            store.insert("reports", mistyped).unwrap();
+            cases.push((
+                format!("column {col} mistyped"),
+                snapshot(&store, next_object, next_row),
+            ));
+        }
+    }
+    // A typed row whose object is missing (deleted) or not a report.
+    for (what, object) in [("missing", deleted), ("a ship", ship)] {
+        let mut store = parts(&o).0;
+        let mut orphan = row.clone();
+        orphan[0] = Value::Int(object.raw() as i64);
+        store.insert("reports", orphan).unwrap();
+        cases.push((
+            format!("reports row of {what} object"),
+            snapshot(&store, next_object, next_row),
+        ));
+    }
+    // A properties row holding one of a report's typed columns, on a
+    // posted report (repeating its row) or on a report with no row.
+    for key in [
+        "report_id",
+        "machine_id",
+        "condition",
+        "belief",
+        "severity",
+        "timestamp",
+        "payload",
+    ] {
+        for (what, report_obj) in [("posted", report_obj), ("draft", draft)] {
+            let mut store = parts(&o).0;
+            store
+                .insert(
+                    "properties",
+                    vec![
+                        Value::Int(next_row + 1),
+                        Value::Int(report_obj.raw() as i64),
+                        Value::Text(key.into()),
+                        Value::Text("{\"i\":1}".into()),
+                    ],
+                )
+                .unwrap();
+            cases.push((
+                format!("properties row holding {key} on a {what} report"),
+                snapshot(&store, next_object, next_row + 1),
+            ));
+        }
+    }
+    for (what, bytes) in cases {
+        assert!(Oosm::from_durable_bytes(&bytes).is_err(), "{what}");
+    }
+    // The same properties row on a machine object is an ordinary property.
+    let mut store = parts(&o).0;
+    store
+        .insert(
+            "properties",
+            vec![
+                Value::Int(next_row + 1),
+                Value::Int(machine.raw() as i64),
+                Value::Text("belief".into()),
+                Value::Text("{\"f\":0.5}".into()),
+            ],
+        )
+        .unwrap();
+    let decoded = Oosm::from_durable_bytes(&snapshot(&store, next_object, next_row + 1)).unwrap();
+    assert_eq!(decoded.property(machine, "belief"), Some(Value::Float(0.5)));
+}
+
+#[test]
+fn a_snapshot_from_before_the_reports_table_is_refused() {
+    // An empty model's store as it stood before reports had their own
+    // table: three tables, relationships indexed in both directions.
+    let mut store = Store::new();
+    for (table, columns, indexed) in [
+        (
+            "objects",
+            &["id", "kind", "name"][..],
+            &["kind", "name"][..],
+        ),
+        (
+            "properties",
+            &["row_id", "object_id", "key", "value_json"],
+            &["object_id"],
+        ),
+        (
+            "relationships",
+            &["row_id", "from_id", "relation", "to_id"],
+            &["from_id", "to_id"],
+        ),
+    ] {
+        store.create_table(table, columns).unwrap();
+        for column in indexed {
+            store.create_index(table, column).unwrap();
+        }
+    }
+    assert!(matches!(
+        Oosm::from_durable_bytes(&snapshot(&store, 0, 0)),
+        Err(mpros_core::Error::InvalidInput(_))
+    ));
 }
 
 proptest! {

@@ -57,7 +57,14 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u64..5).prop_map(Op::Register),
         (
             0usize..64,
-            prop_oneof![Just("machine_id"), Just("report_id"), Just("status")],
+            // `belief` is a typed report column: refused on a report
+            // object, an ordinary property row on any other object.
+            prop_oneof![
+                Just("machine_id"),
+                Just("report_id"),
+                Just("belief"),
+                Just("status")
+            ],
             arb_value()
         )
             .prop_map(|(o, k, v)| Op::SetProperty(o, k, v)),

@@ -41,6 +41,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use mpros_core::{Error, Result};
 use mpros_telemetry::{Counter, Histogram, Telemetry};
@@ -203,36 +204,32 @@ pub enum FrameScan {
 
 /// Decode the frame at the front of `bytes` without consuming it.
 pub fn scan_frame(bytes: &[u8]) -> FrameScan {
-    if bytes.is_empty() {
-        return FrameScan::Incomplete;
-    }
-    if bytes.len() < FRAME_HEADER_LEN {
+    let Some(&header) = bytes.first_chunk::<FRAME_HEADER_LEN>() else {
         // A prefix of a valid header is a torn write; a wrong magic byte
         // is corruption even when short.
-        if bytes[0] != WAL_MAGIC[0] || (bytes.len() > 1 && bytes[1] != WAL_MAGIC[1]) {
+        if !WAL_MAGIC.starts_with(&bytes[..bytes.len().min(2)]) {
             return FrameScan::Corrupt("bad frame magic".into());
         }
         return FrameScan::Incomplete;
-    }
-    if bytes[0..2] != WAL_MAGIC {
+    };
+    let [m0, m1, version, kind, seq @ .., l0, l1, l2, l3] = header;
+    if [m0, m1] != WAL_MAGIC {
         return FrameScan::Corrupt("bad frame magic".into());
     }
-    let version = bytes[2];
     if version != WAL_VERSION {
         return FrameScan::Corrupt(format!("unsupported frame version {version}"));
     }
-    let kind = bytes[3];
-    let seq = u64::from_le_bytes(bytes[4..12].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
+    let seq = u64::from_le_bytes(seq);
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     if len > MAX_FRAME_PAYLOAD {
         return FrameScan::Corrupt(format!("frame payload length {len} exceeds cap"));
     }
-    let total = FRAME_HEADER_LEN + len + FRAME_TRAILER_LEN;
-    if bytes.len() < total {
-        return FrameScan::Incomplete;
-    }
     let body_end = FRAME_HEADER_LEN + len;
-    let expected = u32::from_le_bytes(bytes[body_end..total].try_into().expect("4 bytes"));
+    let total = body_end + FRAME_TRAILER_LEN;
+    let Some(&trailer) = bytes.get(body_end..).and_then(|rest| rest.first_chunk()) else {
+        return FrameScan::Incomplete;
+    };
+    let expected = u32::from_le_bytes(trailer);
     let actual = crc32(&bytes[2..body_end]);
     if expected != actual {
         return FrameScan::Corrupt(format!(
@@ -416,13 +413,18 @@ impl Wal {
             .last()
             .map(|f| f.seq.saturating_add(1))
             .unwrap_or(0);
-        Ok(Wal {
+        Ok(Wal::resume(medium, next_seq, telemetry))
+    }
+
+    /// A WAL over `medium` whose next frame gets sequence `next_seq`.
+    fn resume(medium: Box<dyn Medium>, next_seq: u64, telemetry: &Telemetry) -> Self {
+        Wal {
             medium,
             next_seq,
             m_appends: telemetry.counter("store", "wal_appends"),
             m_bytes: telemetry.counter("store", "wal_bytes"),
             h_snapshot: telemetry.histogram("store", "snapshot_duration_s"),
-        })
+        }
     }
 
     /// Append one record frame; returns its assigned sequence number.
@@ -608,8 +610,8 @@ pub struct StoreHandle {
 impl StoreHandle {
     /// A store over a fresh in-memory medium.
     pub fn in_memory(telemetry: &Telemetry) -> Self {
-        let wal =
-            Wal::open(Box::new(MemMedium::new()), telemetry).expect("mem medium is infallible");
+        // An empty medium holds no frame, so numbering starts at 0.
+        let wal = Wal::resume(Box::new(MemMedium::new()), 0, telemetry);
         StoreHandle {
             inner: Arc::new(Mutex::new(wal)),
         }

@@ -89,7 +89,9 @@ cargo run --release -p mpros-bench --bin exp_serving
 
 # Paper verdicts for the OOSM event model and fusion: E12, the §4.5
 # push contract (every post's ReportPosted and every subscriber's
-# PropertyChanged is queued when the call returns); E2, the §5.3
+# PropertyChanged is queued when the call returns; a post emits
+# ObjectCreated, RelationAdded and ReportPosted, not one PropertyChanged
+# per report column, since a report is one typed row); E2, the §5.3
 # Dempster-Shafer worked example (A 14%, B or C 64%, unknown 22%); E8,
 # logical groups keeping concurrent faults apart. A failed verdict
 # exits non-zero.

@@ -331,17 +331,34 @@ impl<'a> Reader<'a> {
         Ok(cp)
     }
 
+    /// A number in RFC 8259's grammar (§6): `-? int frac? exp?`, where
+    /// `int` is `0` or a digit run not starting with `0`, and `frac` and
+    /// `exp` each carry at least one digit. So `087`, `-01`, `00`, `1.`
+    /// and `1.e5`, which Rust's number parsers accept, are refused.
     fn parse_number(&mut self) -> Result<Number> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        self.skip_digits();
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                    return Err(self.bad_number(start, "a leading zero"));
+                }
+            }
+            Some(b'1'..=b'9') => {
+                self.skip_digits();
+            }
+            _ => return Err(self.bad_number(start, "no integer digit")),
+        }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            self.skip_digits();
+            if !self.skip_digits() {
+                return Err(self.bad_number(start, "no fraction digit"));
+            }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -349,7 +366,9 @@ impl<'a> Reader<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            self.skip_digits();
+            if !self.skip_digits() {
+                return Err(self.bad_number(start, "no exponent digit"));
+            }
         }
         // Every byte consumed above is ASCII.
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
@@ -367,9 +386,17 @@ impl<'a> Reader<'a> {
             .map_err(|_| DeError::custom(format!("invalid number `{text}`")))
     }
 
-    fn skip_digits(&mut self) {
+    /// The error for a number at `start` that breaks the grammar.
+    fn bad_number(&self, start: usize, why: &str) -> DeError {
+        DeError::custom(format!("invalid number at offset {start}: {why}"))
+    }
+
+    /// Skip a digit run; `false` if there was none.
+    fn skip_digits(&mut self) -> bool {
+        let start = self.pos;
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
         }
+        self.pos > start
     }
 }

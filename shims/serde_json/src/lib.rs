@@ -173,6 +173,36 @@ mod tests {
     }
 
     #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        // Leading zeros, and a fraction or exponent with no digit.
+        for doc in [
+            "087", "-01", "00", "-00", "01.5", "1.", "1.e5", "-1.", "1e", "1e+", "1E-", "-", "-.5",
+            ".5", "+1",
+        ] {
+            assert!(from_str::<Value>(doc).is_err(), "{doc:?} should fail");
+            assert!(from_str::<f64>(doc).is_err(), "{doc:?} should fail as f64");
+            assert!(from_str::<u64>(doc).is_err(), "{doc:?} should fail as u64");
+            let field = format!("{{\"a\":{doc}}}");
+            assert!(from_str::<Value>(&field).is_err(), "{field:?} should fail");
+        }
+        for (doc, want) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.0", 0.0),
+            ("1e5", 1e5),
+            ("1E+5", 1e5),
+            ("2.5e-3", 2.5e-3),
+            ("0e0", 0.0),
+        ] {
+            assert_eq!(from_str::<f64>(doc).unwrap(), want, "{doc:?}");
+        }
+        assert_eq!(from_str::<u64>("0").unwrap(), 0);
+        assert_eq!(from_str::<i64>("-10").unwrap(), -10);
+    }
+
+    #[test]
     fn deep_nesting_is_rejected_not_crashed() {
         let doc = "[".repeat(100_000);
         assert!(from_str::<Value>(&doc).is_err());

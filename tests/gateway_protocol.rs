@@ -695,6 +695,41 @@ fn accepting_families(frame: &[u8]) -> Vec<Family> {
     .collect()
 }
 
+/// `frame` with its payload's first `from` replaced by `to`, the
+/// header's payload length patched to match.
+fn rewrite_payload(frame: &[u8], from: &str, to: &str) -> Vec<u8> {
+    let (header, payload) = frame.split_at(8);
+    let text = std::str::from_utf8(payload).unwrap();
+    assert!(text.contains(from), "{text}");
+    let payload = text.replacen(from, to, 1).into_bytes();
+    let mut out = header.to_vec();
+    out[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend(payload);
+    out
+}
+
+#[test]
+fn a_frame_with_a_non_json_number_is_refused() {
+    let resp = GatewayResponse::NotFound {
+        snapshot_version: 87,
+        detail: "machine 3".into(),
+    };
+    let frame = encode_response(&resp).unwrap();
+    let same = rewrite_payload(&frame, "\"snapshot_version\":87", "\"snapshot_version\":87");
+    assert_eq!(decode_response(&same).unwrap(), resp);
+    // A leading zero is not JSON (RFC 8259 §6), and accepting it would
+    // decode bytes the encoder never writes.
+    for bad in ["087", "0087", "-087", "87.", "87.e0", "87e"] {
+        let frame = rewrite_payload(
+            &frame,
+            "\"snapshot_version\":87",
+            &format!("\"snapshot_version\":{bad}"),
+        );
+        assert!(decode_response(&frame).is_err(), "{bad}");
+        assert_eq!(accepting_families(&frame), Vec::<Family>::new(), "{bad}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

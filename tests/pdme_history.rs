@@ -7,7 +7,8 @@
 //! rows its queries examine is not. This test fills one PDME to 1k and
 //! then to 16k stored reports and requires the same rows visited at
 //! both sizes for one further ingest, one further `post_report`, and
-//! one ICAS export.
+//! one ICAS export. Between the two sizes it also bounds the snapshot
+//! bytes each stored report adds: every checkpoint rewrites them all.
 
 use mpros::core::{
     Belief, ConditionReport, DcId, MachineCondition, MachineId, ReportId, SimDuration, SimTime,
@@ -19,6 +20,10 @@ use mpros::pdme::PdmeExecutive;
 const MACHINES: u64 = 8;
 /// Reports per ingest call while filling.
 const BATCH: u64 = 64;
+/// Snapshot bytes per stored report, at most: one typed `reports` row,
+/// its object row (kind, name) and its `refers_to` row. Measured 403
+/// (790 when a report was seven property rows).
+const SNAPSHOT_BYTES_PER_REPORT: usize = 423;
 
 /// Report `i`: machines round-robin, three conditions per machine, so
 /// every (machine, condition) pair has fused long before 1k reports.
@@ -99,13 +104,26 @@ impl Filler {
     }
 }
 
+/// Snapshot length and stored reports.
+fn snapshot_size(pdme: &PdmeExecutive) -> (usize, usize) {
+    (pdme.snapshot_bytes().len(), pdme.oosm().report_count())
+}
+
 #[test]
 fn ingest_post_and_export_visit_the_same_rows_at_1k_and_16k_reports() {
     let mut filler = Filler::new();
     filler.fill_to(1_000);
     let small = filler.measure();
+    let (bytes_small, reports_small) = snapshot_size(&filler.pdme);
     filler.fill_to(16_000);
     let large = filler.measure();
+    let (bytes_large, reports_large) = snapshot_size(&filler.pdme);
+    let per_report = (bytes_large - bytes_small) / (reports_large - reports_small);
+    assert!(
+        per_report <= SNAPSHOT_BYTES_PER_REPORT,
+        "{per_report} snapshot bytes per stored report between {reports_small} and \
+         {reports_large} reports, ceiling {SNAPSHOT_BYTES_PER_REPORT}"
+    );
     assert!(
         small.iter().all(|&rows| rows > 0),
         "rows counted: {small:?}"

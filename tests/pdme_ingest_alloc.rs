@@ -64,9 +64,9 @@ const BATCH: u64 = 64;
 /// Single-report ingests counted at each size.
 const SAMPLES: usize = 32;
 /// Median allocations per single-report ingest with no store attached.
-const CEILING_VOLATILE: u64 = 77;
+const CEILING_VOLATILE: u64 = 40;
 /// The same with an in-memory store, which journals every pass.
-const CEILING_JOURNALED: u64 = 84;
+const CEILING_JOURNALED: u64 = 48;
 /// Median allocations per heartbeat-only ingest with no store attached:
 /// nothing is posted or fused, so no machine property is rewritten.
 const CEILING_HEARTBEAT: u64 = 0;

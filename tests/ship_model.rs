@@ -74,11 +74,33 @@ fn persistence_mapping_is_observable() {
     let store = oosm.store();
     assert_eq!(
         store.table_names(),
-        vec!["objects", "properties", "relationships"]
+        vec!["objects", "properties", "relationships", "reports"]
     );
     assert_eq!(store.row_count("objects").unwrap(), 8); // ship+deck+system+5
     assert_eq!(store.row_count("properties").unwrap(), 10);
     assert_eq!(store.row_count("relationships").unwrap(), 10); // 7 part-of + 1 prox + 2 flow
+    assert_eq!(store.row_count("reports").unwrap(), 0);
+
+    // A report is its own object type, so it maps to its own table: one
+    // object row, one typed `reports` row, its refers-to row and no
+    // property rows.
+    oosm.register_machine(MachineId::new(1), "motor");
+    let tables = ["objects", "reports", "relationships", "properties"];
+    let rows = |oosm: &Oosm| tables.map(|t| oosm.store().row_count(t).unwrap());
+    let before = rows(&oosm);
+    let report = ConditionReport::builder(
+        MachineId::new(1),
+        MachineCondition::MotorImbalance,
+        Belief::new(0.7),
+    )
+    .id(ReportId::new(1))
+    .build();
+    let obj = oosm.post_report(&report).unwrap();
+    let after = rows(&oosm);
+    let added: Vec<usize> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(added, [1, 1, 1, 0], "rows added to {tables:?}");
+    // The column is read back as the report object's property.
+    assert_eq!(oosm.property(obj, "belief"), Some(Value::Float(0.7)));
 }
 
 #[test]
