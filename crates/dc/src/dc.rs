@@ -33,6 +33,7 @@ use mpros_telemetry::{
     Counter, HopKind, Instrumented, Stage, Telemetry, TraceHop, TraceId, WallTimer,
 };
 use mpros_wnn::WnnClassifier;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -271,9 +272,9 @@ impl DataConcentrator {
         &mut self.chain
     }
 
-    /// Channels whose last survey looked electrically dead (flatline) —
-    /// the §4.9 self-diagnosis that keeps a broken transducer from
-    /// silently blinding an algorithm.
+    /// Channels whose last survey looked electrically dead (flatline) or
+    /// read non-finite samples — the §4.9 self-diagnosis that keeps a
+    /// broken transducer from silently blinding an algorithm.
     pub fn suspect_channels(&self) -> &[mpros_chiller::vibration::AccelLocation] {
         &self.suspect_channels
     }
@@ -316,22 +317,21 @@ impl DataConcentrator {
     pub fn tick(&mut self, plant: &ChillerPlant, now: SimTime) -> Result<Vec<ConditionReport>> {
         let mut reports = Vec::new();
         for task in self.scheduler.due(now) {
-            self.db.log_task(now, task_name(task))?;
             match task {
                 Task::VibrationSurvey => self.run_survey(plant, now, &mut reports)?,
                 Task::ProcessSample => self.run_process_sample(plant, now, &mut reports)?,
-                Task::SbfrCycle => self.run_sbfr_cycle(plant, now, &mut reports),
+                Task::SbfrCycle => self.run_sbfr_cycle(plant, now, &mut reports)?,
             }
         }
         for r in &reports {
             let timer = WallTimer::start();
-            self.db.record_diagnosis(&DiagnosisRecord {
+            self.db.record_diagnosis(DiagnosisRecord {
                 at: now,
                 source: source_of(r, self.config.id),
                 condition: r.condition,
                 severity: r.severity.value(),
                 belief: r.belief.value(),
-            })?;
+            });
             self.m_reports_emitted.inc();
             // The trace root: this report's journey starts here. The
             // wall cost of emission is in the hop; the network and PDME
@@ -381,11 +381,13 @@ impl DataConcentrator {
         self.m_surveys.inc();
         self.telemetry
             .record_span_wall(Stage::Acquire, timer.elapsed());
-        // Channel self-check: an electrically dead block means a failed
-        // transducer, not a silent machine — exclude it from analysis so
-        // the rules reason only over live channels. Live blocks are
-        // compacted in place (order preserved); dead blocks return their
-        // allocations to the spare pool.
+        // Channel self-check: an electrically dead block, or one whose
+        // statistics are not finite (a NaN or infinite sample, or an
+        // overflowing sum), means a failed transducer, not a silent
+        // machine — exclude it from analysis so the rules and the
+        // spectra see only live channels. Live blocks are compacted in
+        // place (order preserved); dead blocks return their allocations
+        // to the spare pool.
         self.suspect_channels.clear();
         self.block_stats.clear();
         let blocks = &mut survey.blocks;
@@ -393,21 +395,22 @@ impl DataConcentrator {
         for read in 0..blocks.len() {
             let loc = blocks[read].0;
             let stats = WaveformStats::of(&blocks[read].1);
-            self.db.record_measurement(&MeasurementRecord {
+            self.db.record_measurement(MeasurementRecord {
                 at: now,
-                channel: format!("{loc:?}"),
+                channel: loc,
                 rms: stats.rms,
                 peak: stats.peak,
-            })?;
-            if stats.rms < 1e-6 {
+            });
+            let finite = all_finite(&stats);
+            if !finite || stats.rms < 1e-6 {
                 self.suspect_channels.push(loc);
-                self.db.log_task(now, "suspect_channel")?;
-                self.telemetry.event_at(
-                    now,
-                    &self.component,
-                    "quarantine",
-                    format!("channel {loc:?} flatlined (rms {:.1e})", stats.rms),
-                );
+                let detail = if finite {
+                    format!("channel {loc:?} flatlined (rms {:.1e})", stats.rms)
+                } else {
+                    format!("channel {loc:?} read non-finite samples")
+                };
+                self.telemetry
+                    .event_at(now, &self.component, "quarantine", detail);
                 self.spare_blocks.push(std::mem::take(&mut blocks[read].1));
             } else {
                 blocks.swap(live, read);
@@ -430,7 +433,7 @@ impl DataConcentrator {
         let diagnoses = self.dli.diagnose(&self.features);
         self.telemetry.record_span_wall(Stage::Dli, timer.elapsed());
         for d in diagnoses {
-            self.record_severity(Source::Dli, d.condition, d.severity.value(), now);
+            self.record_severity(Source::Dli, d.condition, d.severity.value(), now)?;
             if self.should_emit(
                 Source::Dli,
                 d.condition,
@@ -445,7 +448,7 @@ impl DataConcentrator {
                     self.config.machine,
                     now,
                 );
-                self.refine_prognostic(Source::Dli, d.condition, &mut report);
+                self.refine_prognostic(Source::Dli, d.condition, &mut report)?;
                 reports.push(report);
             }
         }
@@ -542,7 +545,7 @@ impl DataConcentrator {
         self.telemetry
             .record_span_wall(Stage::Fuzzy, timer.elapsed());
         for d in diagnoses {
-            self.record_severity(Source::Fuzzy, d.condition, d.severity.value(), now);
+            self.record_severity(Source::Fuzzy, d.condition, d.severity.value(), now)?;
             if self.should_emit(
                 Source::Fuzzy,
                 d.condition,
@@ -557,7 +560,7 @@ impl DataConcentrator {
                     self.config.machine,
                     now,
                 );
-                self.refine_prognostic(Source::Fuzzy, d.condition, &mut report);
+                self.refine_prognostic(Source::Fuzzy, d.condition, &mut report)?;
                 reports.push(report);
             }
         }
@@ -569,7 +572,7 @@ impl DataConcentrator {
         plant: &ChillerPlant,
         now: SimTime,
         reports: &mut Vec<ConditionReport>,
-    ) {
+    ) -> Result<()> {
         let snap = plant.sample_process(now);
         // Channel 0: drive current; channel 1: commanded load (the CPOS
         // analogue for the chiller).
@@ -586,7 +589,7 @@ impl DataConcentrator {
         if flagged {
             // Repeated uncommanded current spikes: the compressor is
             // hunting (surge precursor). Consume the flag.
-            self.sbfr.set_status(1, 0).expect("machine 1 exists");
+            self.sbfr.set_status(1, 0)?;
             if self.should_emit(
                 Source::Sbfr,
                 MachineCondition::CompressorSurge,
@@ -612,6 +615,7 @@ impl DataConcentrator {
                 );
             }
         }
+        Ok(())
     }
 
     /// Feed the severity history that data-driven prognosis trends on.
@@ -621,13 +625,14 @@ impl DataConcentrator {
         condition: MachineCondition,
         severity: f64,
         now: SimTime,
-    ) {
-        let tracker = self
-            .severity_trends
-            .entry((source.label(), condition))
-            .or_insert_with(|| TrendTracker::new(16).expect("3 <= 16"));
+    ) -> Result<()> {
+        let tracker = match self.severity_trends.entry((source.label(), condition)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(TrendTracker::new(16)?),
+        };
         // Equal-or-later timestamps only; the scheduler guarantees it.
         let _ = tracker.record(now, severity);
+        Ok(())
     }
 
     /// §1: "next generation software will use more complex failure
@@ -642,19 +647,18 @@ impl DataConcentrator {
         source: Source,
         condition: MachineCondition,
         report: &mut ConditionReport,
-    ) {
+    ) -> Result<()> {
         let Some(tracker) = self.severity_trends.get(&(source.label(), condition)) else {
-            return;
+            return Ok(());
         };
         let Some(eta) = tracker.time_to_threshold(1.0, 0.85) else {
-            return;
+            return Ok(());
         };
         let trend_curve = PrognosticVector::new(vec![
             PrognosticPoint::new(eta * 0.5, 0.2),
             PrognosticPoint::new(eta, 0.6),
             PrognosticPoint::new(eta * 1.5, 0.9),
-        ])
-        .expect("trend curves are valid");
+        ])?;
         let earlier = |v: &PrognosticVector| {
             v.horizon_for_probability(0.5)
                 .map(|d| d.as_secs())
@@ -665,6 +669,7 @@ impl DataConcentrator {
                 format!("trend-refined: severity history projects functional failure in {eta}");
             report.prognostic = trend_curve;
         }
+        Ok(())
     }
 
     /// Re-report gate: first sighting, material severity or belief
@@ -715,21 +720,28 @@ impl Instrumented for DataConcentrator {
     }
 }
 
-fn task_name(task: Task) -> &'static str {
-    match task {
-        Task::VibrationSurvey => "vibration_survey",
-        Task::ProcessSample => "process_sample",
-        Task::SbfrCycle => "sbfr_cycle",
-    }
-}
-
-fn source_of(report: &ConditionReport, dc: DcId) -> String {
+fn source_of(report: &ConditionReport, dc: DcId) -> &'static str {
     for s in [Source::Dli, Source::Sbfr, Source::Wnn, Source::Fuzzy] {
         if s.ks_id(dc) == report.knowledge_source {
-            return s.label().to_string();
+            return s.label();
         }
     }
-    "unknown".to_string()
+    "unknown"
+}
+
+/// Every statistic of the block is a finite number.
+fn all_finite(stats: &WaveformStats) -> bool {
+    [
+        stats.mean,
+        stats.rms,
+        stats.peak,
+        stats.std_dev,
+        stats.crest_factor,
+        stats.kurtosis,
+        stats.skewness,
+    ]
+    .iter()
+    .all(|v| v.is_finite())
 }
 
 #[cfg(test)]
@@ -780,7 +792,10 @@ mod tests {
             reports.iter().map(|r| r.condition).collect::<Vec<_>>()
         );
         assert!(d.db().measurement_count() > 0, "surveys ran");
-        assert!(d.db().task_log_count() > 100, "scheduler ran");
+        assert!(
+            d.telemetry().counter("dc", "process_samples").get() > 100,
+            "scheduler ran"
+        );
     }
 
     #[test]
@@ -1077,5 +1092,47 @@ mod sensor_robustness_tests {
         assert!(!reports
             .iter()
             .any(|r| r.condition == MachineCondition::GearToothWear));
+    }
+
+    /// A transducer stuck at NaN or infinity poisons every statistic of
+    /// its block; the self-check quarantines it like a flatline instead
+    /// of handing it to the spectra.
+    #[test]
+    fn non_finite_channel_is_quarantined() {
+        for value in [f64::NAN, f64::INFINITY] {
+            let mut cfg = DcConfig::new(DcId::new(1), MachineId::new(1));
+            cfg.survey_period = SimDuration::from_secs(30.0);
+            let mut dc = DataConcentrator::new(cfg).unwrap();
+            dc.chain_mut()
+                .fail_sensor(0, SensorFault::Stuck(value))
+                .unwrap();
+            let mut plant = ChillerPlant::new(PlantConfig::new(MachineId::new(1), 91));
+            plant.seed_fault(FaultSeed {
+                condition: MachineCondition::GearToothWear,
+                onset: SimTime::ZERO,
+                time_to_failure: SimDuration::from_secs(1.0),
+                profile: FaultProfile::Step(0.9),
+            });
+            let mut reports = Vec::new();
+            for i in 0..=240 {
+                let now = SimTime::from_secs(i as f64 * 0.25);
+                reports.extend(dc.tick(&plant, now).unwrap());
+            }
+            assert_eq!(
+                dc.suspect_channels(),
+                &[AccelLocation::MotorDriveEnd],
+                "channel stuck at {value} flagged"
+            );
+            assert!(!reports.is_empty(), "the live channels still report");
+            for r in &reports {
+                assert!(
+                    r.belief.value().is_finite() && r.severity.value().is_finite(),
+                    "stuck at {value}: {:?} belief {} severity {}",
+                    r.condition,
+                    r.belief.value(),
+                    r.severity.value()
+                );
+            }
+        }
     }
 }

@@ -11,16 +11,15 @@
 //!   scheduler. It coordinates standard vibration test\[s\] ... wavelet and
 //!   neural network testing and analysis, and state based feature
 //!   recognition routines"; on-demand tests can be commanded remotely.
-//! * [`db`] — the embedded relational database "designed to store all of
-//!   the instrumentation configuration information, machinery
-//!   configuration information, test schedules, resultant measurements,
-//!   diagnostic results, and condition reports."
+//! * [`db`] — the embedded database (§5.8): the latest measurement
+//!   summaries and diagnostic results, in fixed-size windows.
 //! * [`dc`] — the concentrator itself, hosting the four §1.1 algorithm
 //!   suites (DLI, SBFR, WNN, fuzzy logic) and emitting §7.2 condition
 //!   reports for the PDME.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod db;
 pub mod dc;

@@ -89,7 +89,7 @@ impl Scheduler {
         self.periodic
             .iter()
             .map(|p| p.next_due)
-            .min_by(|a, b| a.partial_cmp(b).expect("times are finite"))
+            .min_by(|a, b| a.as_secs().total_cmp(&b.as_secs()))
     }
 }
 

@@ -63,9 +63,15 @@ cargo test --workspace --release -q
 
 # The outside-in benchmark's smoke test: every perfbench workload at a
 # tiny size, untraced and traced, with every output check the full
-# runs apply (about 22 s). perfbench is its own cargo workspace, and
-# its lockfile is stale, so any build of it rewrites the file; the
-# original is put back on exit, pass or fail, and the tree stays clean.
+# runs apply. The runs take about 22 s, but perfbench is its own cargo
+# workspace with its own target directory and release profile, so the
+# step first compiles the workspace's crates again (about 54 s on a
+# 2-vCPU host). Pointing CARGO_TARGET_DIR at the workspace's target/
+# does not help: after a workspace release build it still compiled 23
+# crates (51 s). Sharing the build needs a change under perfbench/,
+# which waits for the next benchmark change. perfbench's lockfile is
+# stale, so any build of it rewrites the file; the original is put back
+# on exit, pass or fail, and the tree stays clean.
 echo "==> perfbench smoke test"
 perfbench_lock=$(mktemp)
 cp perfbench/Cargo.lock "$perfbench_lock"
