@@ -326,7 +326,8 @@ pub struct ObsBench {
     /// `GetMetrics` calls answered.
     pub metrics_calls: u64,
     /// Service time of a full `GetMetrics` round trip (snapshot fields
-    /// plus the pre-rendered exposition), median seconds.
+    /// plus the exposition, rendered by the first call per version),
+    /// median seconds.
     pub metrics_p50_s: f64,
     /// The same, 95th percentile.
     pub metrics_p95_s: f64,

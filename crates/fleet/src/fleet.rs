@@ -271,7 +271,8 @@ impl Fleet {
     }
 
     /// Assemble and publish a fleet snapshot from every shard's pinned
-    /// serving snapshot, in ascending ship order.
+    /// serving snapshot, in ascending ship order, reusing what the
+    /// published one already folded.
     pub fn publish(&mut self) -> Result<()> {
         self.version += 1;
         let ships: Vec<ShipEntry> = self
@@ -283,7 +284,7 @@ impl Fleet {
                 snapshot: s.gateway.snapshot(),
             })
             .collect();
-        let snapshot = FleetSnapshot::build(self.version, ships)?;
+        let snapshot = FleetSnapshot::build_after(&self.gateway.snapshot(), self.version, ships)?;
         self.gateway.publish(snapshot);
         Ok(())
     }

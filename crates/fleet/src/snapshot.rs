@@ -6,7 +6,10 @@
 //! contributes its already-deterministic [`ServingSnapshot`] — pinned
 //! as an `Arc`, never rebuilt — so the fleet snapshot inherits the
 //! per-ship byte-identity guarantees wholesale and adds only the
-//! rollup, itself a pure fold over the pinned ship states.
+//! rollup, itself a pure fold over the pinned ship states. A publish
+//! folds only what moved: the census and the prognostic envelopes of
+//! the previous fleet snapshot are taken over while every available
+//! ship still pins the same machine entries and prognostic list.
 
 use crate::proto::{FleetRequest, FleetResponse, ShipDelta};
 use mpros_core::{PrognosticVector, Result};
@@ -102,10 +105,21 @@ pub struct FleetRollup {
 }
 
 impl FleetRollup {
-    /// Fold the available ships of `ships` into a rollup. Deterministic:
-    /// inputs are visited in ascending ship order and every output list
-    /// is explicitly sorted.
+    /// Fold the available ships of `ships` into a rollup from scratch:
+    /// [`Self::build_after`] against [`FleetSnapshot::empty`].
     pub fn build(ships: &[ShipEntry]) -> Result<FleetRollup> {
+        Self::build_after(&FleetSnapshot::empty(), ships)
+    }
+
+    /// Fold the available ships of `ships` into the rollup that follows
+    /// `prev`'s. The census and the prognostic envelopes are `prev`'s
+    /// again when the available set is the same and every available
+    /// ship's ICAS machine entries and prognostic list are the very
+    /// `Arc`s `prev` pinned; otherwise they are folded afresh. The SLO
+    /// verdict and the counter sums are folded every time.
+    /// Deterministic: inputs are visited in ascending ship order and
+    /// every output list is sorted.
+    pub fn build_after(prev: &FleetSnapshot, ships: &[ShipEntry]) -> Result<FleetRollup> {
         let available: Vec<&ShipEntry> = ships.iter().filter(|s| s.available).collect();
         let available_ships: Vec<u64> = available.iter().map(|s| s.ship_id).collect();
         let unavailable_ships: Vec<u64> = ships
@@ -113,52 +127,19 @@ impl FleetRollup {
             .filter(|s| !s.available)
             .map(|s| s.ship_id)
             .collect();
-
-        // Census: group ICAS machines by machine id across ships.
-        let mut census: BTreeMap<u64, FleetMachine> = BTreeMap::new();
-        for ship in &available {
-            for machine in &ship.snapshot.icas.machines {
-                let entry = census
-                    .entry(machine.machine_id)
-                    .or_insert_with(|| FleetMachine {
-                        machine_id: machine.machine_id,
-                        name: machine.name.clone(),
-                        ships: Vec::new(),
-                        status: "ok".into(),
-                        health: machine.health,
-                        degraded_ships: Vec::new(),
-                    });
-                entry.ships.push(ship.ship_id);
-                entry.health = entry.health.min(machine.health);
-                if machine.status == "degraded" {
-                    entry.status = "degraded".into();
-                    entry.degraded_ships.push(ship.ship_id);
-                }
-            }
-        }
-
-        // Prognostics: envelope-fuse each (machine, condition) pair's
-        // per-ship curves. Ships are visited ascending, so the fusion
-        // input order — and with it the output — is fixed.
-        let mut curves: BTreeMap<(u64, usize), (Vec<u64>, Vec<PrognosticVector>)> = BTreeMap::new();
-        for ship in &available {
-            for entry in &ship.snapshot.prognostics {
-                let slot = curves
-                    .entry((entry.machine_id, entry.condition_id))
-                    .or_default();
-                slot.0.push(ship.ship_id);
-                slot.1.push(entry.vector.clone());
-            }
-        }
-        let mut prognostics = Vec::with_capacity(curves.len());
-        for ((machine_id, condition_id), (ships, vectors)) in curves {
-            prognostics.push(FleetPrognostic {
-                machine_id,
-                condition_id,
-                ships,
-                vector: fuse_prognostics(&vectors)?,
+        let unchanged = available_ships == prev.rollup.available_ships
+            && available.iter().all(|ship| {
+                prev.ship(ship.ship_id)
+                    .is_some_and(|before| same_knowledge(&before.snapshot, &ship.snapshot))
             });
-        }
+        let (machines, prognostics) = if unchanged {
+            (
+                prev.rollup.machines.clone(),
+                prev.rollup.prognostics.clone(),
+            )
+        } else {
+            (census(&available), envelopes(&available)?)
+        };
 
         let failing_ships: Vec<u64> = available
             .iter()
@@ -171,35 +152,104 @@ impl FleetRollup {
             unavailable_ships: unavailable_ships.clone(),
         };
 
-        // Counters: sum the (already sim-domain-filtered) ship counters
-        // by (component, name).
-        let mut summed: BTreeMap<(String, String), u64> = BTreeMap::new();
-        for ship in &available {
-            for c in &ship.snapshot.counters {
-                *summed
-                    .entry((c.component.clone(), c.name.clone()))
-                    .or_insert(0) += c.value;
-            }
-        }
-        let counters = summed
-            .into_iter()
-            .map(|((component, name), value)| CounterSnapshot {
-                component,
-                name,
-                value,
-            })
-            .collect();
-
         Ok(FleetRollup {
             ship_count: ships.len(),
             available_ships,
             unavailable_ships,
-            machines: census.into_values().collect(),
+            machines,
             prognostics,
             slo,
-            counters,
+            counters: sum_counters(&available),
         })
     }
+}
+
+/// Whether two pinned ship snapshots share their machine entries and
+/// prognostic list, `Arc` for `Arc`. Both snapshots are alive, so no
+/// address can have been reused between them.
+fn same_knowledge(a: &ServingSnapshot, b: &ServingSnapshot) -> bool {
+    Arc::ptr_eq(&a.prognostics, &b.prognostics)
+        && a.icas.machines.len() == b.icas.machines.len()
+        && a.icas
+            .machines
+            .iter()
+            .zip(&b.icas.machines)
+            .all(|(x, y)| Arc::ptr_eq(x, y))
+}
+
+/// Census: the ICAS machines grouped by machine id across ships,
+/// worst-status-wins.
+fn census(available: &[&ShipEntry]) -> Vec<FleetMachine> {
+    let mut census: BTreeMap<u64, FleetMachine> = BTreeMap::new();
+    for ship in available {
+        for machine in &ship.snapshot.icas.machines {
+            let entry = census
+                .entry(machine.machine_id)
+                .or_insert_with(|| FleetMachine {
+                    machine_id: machine.machine_id,
+                    name: machine.name.clone(),
+                    ships: Vec::new(),
+                    status: "ok".into(),
+                    health: machine.health,
+                    degraded_ships: Vec::new(),
+                });
+            entry.ships.push(ship.ship_id);
+            entry.health = entry.health.min(machine.health);
+            if machine.status == "degraded" {
+                entry.status = "degraded".into();
+                entry.degraded_ships.push(ship.ship_id);
+            }
+        }
+    }
+    census.into_values().collect()
+}
+
+/// Prognostics: envelope-fuse each (machine, condition) pair's per-ship
+/// curves. Ships are visited ascending, so the fusion input order — and
+/// with it the output — is fixed.
+fn envelopes(available: &[&ShipEntry]) -> Result<Vec<FleetPrognostic>> {
+    let mut curves: BTreeMap<(u64, usize), (Vec<u64>, Vec<PrognosticVector>)> = BTreeMap::new();
+    for ship in available {
+        for entry in ship.snapshot.prognostics.iter() {
+            let slot = curves
+                .entry((entry.machine_id, entry.condition_id))
+                .or_default();
+            slot.0.push(ship.ship_id);
+            slot.1.push(entry.vector.clone());
+        }
+    }
+    let mut prognostics = Vec::with_capacity(curves.len());
+    for ((machine_id, condition_id), (ships, vectors)) in curves {
+        prognostics.push(FleetPrognostic {
+            machine_id,
+            condition_id,
+            ships,
+            vector: fuse_prognostics(&vectors)?,
+        });
+    }
+    Ok(prognostics)
+}
+
+/// Counters: the (already sim-domain-filtered) ship counters summed by
+/// `(component, name)`. Each ship's list is sorted by that key, so one
+/// stable sort of the borrowed entries merges them and equal keys end
+/// up adjacent; only the summed output is cloned.
+fn sum_counters(available: &[&ShipEntry]) -> Vec<CounterSnapshot> {
+    let mut all: Vec<&CounterSnapshot> = available
+        .iter()
+        .flat_map(|s| &s.snapshot.counters)
+        .collect();
+    all.sort_by(|a, b| (&a.component, &a.name).cmp(&(&b.component, &b.name)));
+    let mut summed: Vec<CounterSnapshot> = Vec::new();
+    for c in all {
+        match summed.last_mut() {
+            Some(last) if last.component == c.component && last.name == c.name => {
+                last.value += c.value;
+            }
+            _ => summed.push(c.clone()),
+        }
+    }
+    summed
 }
 
 /// An immutable, epoch-stamped view of the whole fleet: every ship's
@@ -242,9 +292,17 @@ impl FleetSnapshot {
     }
 
     /// Assemble a fleet snapshot from per-ship entries (must already be
-    /// in ascending ship order — the fleet's shard-index merge order).
+    /// in ascending ship order — the fleet's shard-index merge order),
+    /// from scratch: [`Self::build_after`] against [`Self::empty`].
     pub fn build(version: u64, ships: Vec<ShipEntry>) -> Result<Self> {
-        let rollup = FleetRollup::build(&ships)?;
+        Self::build_after(&FleetSnapshot::empty(), version, ships)
+    }
+
+    /// Assemble the fleet snapshot that follows `prev`, reusing the
+    /// parts of `prev`'s rollup no ship changed (see
+    /// [`FleetRollup::build_after`]).
+    pub fn build_after(prev: &FleetSnapshot, version: u64, ships: Vec<ShipEntry>) -> Result<Self> {
+        let rollup = FleetRollup::build_after(prev, &ships)?;
         let at_secs = ships
             .iter()
             .filter(|s| s.available)
@@ -311,13 +369,15 @@ mod tests {
             at_secs: 0.0,
             machines: statuses
                 .iter()
-                .map(|&(id, status, health)| IcasMachine {
-                    machine_id: id,
-                    name: format!("machine {id}"),
-                    health,
-                    status: status.to_string(),
-                    report_count: 0,
-                    conditions: Vec::new(),
+                .map(|&(id, status, health)| {
+                    Arc::new(IcasMachine {
+                        machine_id: id,
+                        name: format!("machine {id}"),
+                        health,
+                        status: status.to_string(),
+                        report_count: 0,
+                        conditions: Vec::new(),
+                    })
                 })
                 .collect(),
             data_concentrators: Vec::new(),
@@ -363,5 +423,65 @@ mod tests {
         assert_eq!(rollup.slo.unavailable_ships, vec![1]);
         assert!(rollup.slo.pass);
         assert_eq!(rollup.counters[0].value, 3);
+    }
+
+    #[test]
+    fn an_unchanged_fleet_reuses_its_census_and_envelopes() {
+        let ships = vec![
+            entry(0, true, &[(1, "ok", 1.0)]),
+            entry(1, true, &[(1, "degraded", 0.4)]),
+        ];
+        let mut prev = FleetSnapshot::build(1, ships.clone()).unwrap();
+        // Mark the folded census: only a reused one carries the mark.
+        prev.rollup.machines[0].name = "folded at the previous publish".into();
+        let next = FleetSnapshot::build_after(&prev, 2, ships.clone()).unwrap();
+        assert_eq!(next.rollup.machines, prev.rollup.machines, "reused");
+        assert_eq!(next.rollup.prognostics, prev.rollup.prognostics);
+        assert_eq!(
+            next.rollup.counters[0].value, 6,
+            "counters are summed afresh"
+        );
+
+        // Equal content behind new `Arc`s is folded again.
+        let rebuilt = vec![
+            entry(0, true, &[(1, "ok", 1.0)]),
+            entry(1, true, &[(1, "degraded", 0.4)]),
+        ];
+        let next = FleetSnapshot::build_after(&prev, 3, rebuilt).unwrap();
+        assert_eq!(next.rollup.machines[0].name, "machine 1");
+        // So is a change in the available set, even with the same `Arc`s.
+        let mut crashed = ships;
+        crashed[1].available = false;
+        let next = FleetSnapshot::build_after(&prev, 4, crashed).unwrap();
+        assert_eq!(next.rollup.machines[0].name, "machine 1");
+        assert_eq!(next.rollup.machines[0].status, "ok");
+    }
+
+    #[test]
+    fn counters_merge_across_ships_by_component_and_name() {
+        let counter = |component: &str, name: &str, value| CounterSnapshot {
+            component: component.into(),
+            name: name.into(),
+            value,
+        };
+        let mut a = entry(0, true, &[]);
+        let mut b = entry(1, true, &[]);
+        Arc::make_mut(&mut a.snapshot).counters =
+            vec![counter("net", "a", 1), counter("pdme", "b", 2)];
+        Arc::make_mut(&mut b.snapshot).counters = vec![
+            counter("net", "a", 3),
+            counter("net", "c", 4),
+            counter("store", "d", 5),
+        ];
+        let rollup = FleetRollup::build(&[a, b]).unwrap();
+        assert_eq!(
+            rollup.counters,
+            vec![
+                counter("net", "a", 4),
+                counter("net", "c", 4),
+                counter("pdme", "b", 2),
+                counter("store", "d", 5),
+            ]
+        );
     }
 }

@@ -54,8 +54,8 @@ pub enum GatewayRequest {
         session: u64,
     },
     /// The full sim-domain telemetry view at snapshot time — structured
-    /// counters/gauges/histograms plus the pre-rendered Prometheus-style
-    /// text exposition (wire v5).
+    /// counters/gauges/histograms plus the Prometheus-style text
+    /// exposition, rendered once per snapshot version (wire v5).
     GetMetrics,
     /// One page of the normalized journal tail: a cursor-based bounded
     /// oldest-drop stream; pass cursor 0 to start, then feed the

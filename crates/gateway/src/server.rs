@@ -137,14 +137,15 @@ impl Gateway {
                 }
             }
             GatewayRequest::GetMetrics => {
-                self.exposition_bytes.add(snap.exposition.len() as u64);
+                let exposition = snap.exposition();
+                self.exposition_bytes.add(exposition.len() as u64);
                 GatewayResponse::Metrics {
                     snapshot_version,
                     at_secs: snap.at_secs,
                     counters: snap.counters.clone(),
                     gauges: snap.gauges.clone(),
                     histograms: snap.sim_histograms.clone(),
-                    exposition: snap.exposition.clone(),
+                    exposition: exposition.to_owned(),
                 }
             }
             GatewayRequest::StreamJournal { cursor, max } => {
@@ -223,13 +224,15 @@ mod tests {
             at_secs: version as f64,
             machines: statuses
                 .iter()
-                .map(|&(id, status)| IcasMachine {
-                    machine_id: id,
-                    name: format!("machine {id}"),
-                    health: 1.0,
-                    status: status.to_string(),
-                    report_count: 0,
-                    conditions: Vec::new(),
+                .map(|&(id, status)| {
+                    Arc::new(IcasMachine {
+                        machine_id: id,
+                        name: format!("machine {id}"),
+                        health: 1.0,
+                        status: status.to_string(),
+                        report_count: 0,
+                        conditions: Vec::new(),
+                    })
                 })
                 .collect(),
             data_concentrators: Vec::new(),

@@ -27,7 +27,7 @@ use mpros_core::{
 };
 use mpros_fusion::{FusionEngine, MaintenanceItem};
 use mpros_network::NetMessage;
-use mpros_oosm::{ObjectKind, Oosm, Value};
+use mpros_oosm::{ObjectKind, Oosm, Relation, Value};
 use mpros_store::{RecoveredState, StoreHandle};
 use mpros_telemetry::{
     Counter, Histogram, HopKind, Instrumented, SpanId, Stage, Telemetry, TraceHop, TraceId,
@@ -35,11 +35,87 @@ use mpros_telemetry::{
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Reserved DC id for PDME-resident knowledge sources (§5.7); their
 /// reports skip the resident-algorithm pass to bound recursion.
 pub const PDME_RESIDENT_DC: DcId = DcId(u64::MAX);
+
+/// The ship-model property under which the executive surfaces a
+/// condition's fused belief: `fused_belief:<catalog index>`.
+pub fn fused_belief_key(condition: MachineCondition) -> &'static str {
+    const KEYS: [&str; MachineCondition::ALL.len()] = [
+        "fused_belief:0",
+        "fused_belief:1",
+        "fused_belief:2",
+        "fused_belief:3",
+        "fused_belief:4",
+        "fused_belief:5",
+        "fused_belief:6",
+        "fused_belief:7",
+        "fused_belief:8",
+        "fused_belief:9",
+        "fused_belief:10",
+        "fused_belief:11",
+    ];
+    KEYS[condition.index()]
+}
+
+/// A point in one engine's history of changes to what it serves: a
+/// machine's ICAS entry (its fused conditions, health, status, report
+/// count) or the maintenance list. Two equal revisions name the same
+/// engine instance after the same number of changes, so whatever a
+/// publisher built at the first still holds at the second. Every engine
+/// instance — fresh, decoded or restored — draws its own process-unique
+/// base, so no revision of a restored engine equals one from before the
+/// restore. Derived, never encoded. The default revision precedes every
+/// engine's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Revision {
+    engine: u64,
+    change: u64,
+}
+
+/// The executive's change stamps behind [`Revision`]: the engine
+/// instance's base, its change count, and the count at each machine's
+/// last change.
+#[derive(Debug)]
+struct Revisions {
+    engine: u64,
+    changes: u64,
+    machines: HashMap<MachineId, u64>,
+}
+
+impl Revisions {
+    fn new() -> Self {
+        static NEXT_ENGINE: AtomicU64 = AtomicU64::new(1);
+        Revisions {
+            engine: NEXT_ENGINE.fetch_add(1, Ordering::Relaxed),
+            changes: 0,
+            machines: HashMap::new(),
+        }
+    }
+
+    fn touch(&mut self, machine: MachineId) {
+        self.changes += 1;
+        self.machines.insert(machine, self.changes);
+    }
+
+    fn current(&self) -> Revision {
+        Revision {
+            engine: self.engine,
+            change: self.changes,
+        }
+    }
+
+    fn machine(&self, machine: MachineId) -> Revision {
+        Revision {
+            engine: self.engine,
+            change: self.machines.get(&machine).copied().unwrap_or(0),
+        }
+    }
+}
 
 /// A PDME-resident diagnostic/prognostic algorithm (§5.7): invoked on
 /// every externally posted report with read access to the ship model;
@@ -115,6 +191,9 @@ pub struct PdmeExecutive {
     /// writes them. Derived, never encoded: a restored engine recomputes
     /// it from the model ([`Self::unsurfaced_frames`]).
     unsurfaced: BTreeSet<(MachineId, FailureGroup)>,
+    /// What changed since a publisher last looked (see [`Revision`]).
+    /// Derived, never encoded: a restored engine starts a new base.
+    revisions: Revisions,
     /// Durable store for WAL + snapshots; `None` runs the executive
     /// volatile (unit tests, replay). Attached via
     /// [`PdmeExecutive::attach_store`].
@@ -151,6 +230,7 @@ impl PdmeExecutive {
             batch_last_seq: HashMap::new(),
             historian: Historian::new(),
             unsurfaced: BTreeSet::new(),
+            revisions: Revisions::new(),
             store: None,
             telemetry,
             m_reports_received,
@@ -186,6 +266,7 @@ impl PdmeExecutive {
     /// WAL discipline for entry points that cannot surface an error:
     /// losing a journal record silently would make recovery diverge, so
     /// an append failure (possible only on I/O-backed media) halts.
+    #[allow(clippy::expect_used)] // halting is the documented contract
     fn journal_or_die(&self, record: &PdmeWalRecord) {
         self.journal(record).expect("PDME WAL append failed");
     }
@@ -197,6 +278,7 @@ impl PdmeExecutive {
             name: name.to_string(),
         });
         self.oosm.register_machine(machine, name);
+        self.revisions.touch(machine);
     }
 
     /// Install a PDME-resident algorithm (§5.7).
@@ -214,8 +296,54 @@ impl PdmeExecutive {
     /// posted here is stored but neither journaled nor fused: only
     /// [`Self::ingest`] feeds fusion, so the fused state always matches
     /// what a WAL restore rebuilds.
+    ///
+    /// The executive cannot see what the caller changes, so the call
+    /// starts a new [`Revision`] base: every machine counts as changed.
     pub fn oosm_mut(&mut self) -> &mut Oosm {
+        self.revisions = Revisions::new();
         &mut self.oosm
+    }
+
+    /// The engine's current [`Revision`]. It moves whenever a machine's
+    /// ICAS entry or the maintenance list may have changed: a machine
+    /// registered, a report posted, a fused belief surfaced, a `status`
+    /// flip, or any [`Self::oosm_mut`] call.
+    pub fn revision(&self) -> Revision {
+        self.revisions.current()
+    }
+
+    /// The [`Revision`] at which `machine`'s ICAS entry last changed:
+    /// its registration, a report posted for it, a fused belief
+    /// surfaced on it or on any machine `part-of` it (its health folds
+    /// theirs), or its `status` flipping.
+    pub fn machine_revision(&self, machine: MachineId) -> Revision {
+        self.revisions.machine(machine)
+    }
+
+    /// Mark `machine` changed, with every machine it is transitively
+    /// `part-of`: their health folds its fused beliefs.
+    fn touch_with_ancestors(&mut self, machine: MachineId) {
+        self.revisions.touch(machine);
+        let Some(object) = self.oosm.machine_object(machine) else {
+            return;
+        };
+        let mut up = self.oosm.related(object, Relation::PartOf);
+        let mut seen = BTreeSet::new();
+        while let Some(parent) = up.pop() {
+            if !seen.insert(parent) {
+                continue;
+            }
+            if self.oosm.kind(parent) == Ok(ObjectKind::Machine) {
+                if let Some(id) = self
+                    .oosm
+                    .property(parent, "machine_id")
+                    .and_then(|v| v.as_int())
+                {
+                    self.revisions.touch(MachineId::new(id as u64));
+                }
+            }
+            up.extend(self.oosm.related(parent, Relation::PartOf));
+        }
     }
 
     /// The fusion engine state.
@@ -237,6 +365,7 @@ impl PdmeExecutive {
         let timer = WallTimer::start();
         self.dc_last_seen.insert(report.dc, now);
         self.oosm.post_report(report)?;
+        self.revisions.touch(report.machine);
         self.m_reports_received.inc();
         if self.supervisor.clear_degraded(report.machine) {
             if let Some(obj) = self.oosm.machine_object(report.machine) {
@@ -440,6 +569,7 @@ impl PdmeExecutive {
                 for mut extra in emitted {
                     extra.dc = PDME_RESIDENT_DC;
                     self.oosm.post_report(&extra)?;
+                    self.revisions.touch(extra.machine);
                     posted.push_back((Cow::Owned(extra), None));
                 }
             }
@@ -450,18 +580,25 @@ impl PdmeExecutive {
         // can have changed; they are rewritten in maintenance-list
         // order, which fixes the row order of newly inserted keys.
         frames.append(&mut self.unsurfaced);
+        let mut surfaced = BTreeSet::new();
         for item in self.fusion.maintenance_list_for(&frames) {
             match self.oosm.machine_object(item.machine) {
-                Some(obj) => self.oosm.set_property(
-                    obj,
-                    &format!("fused_belief:{}", item.condition.index()),
-                    Value::Float(item.belief),
-                )?,
+                Some(obj) => {
+                    self.oosm.set_property(
+                        obj,
+                        fused_belief_key(item.condition),
+                        Value::Float(item.belief),
+                    )?;
+                    surfaced.insert(item.machine);
+                }
                 None => {
                     self.unsurfaced
                         .insert((item.machine, item.condition.group()));
                 }
             }
+        }
+        for machine in surfaced {
+            self.touch_with_ancestors(machine);
         }
         Ok(fused)
     }
@@ -475,8 +612,9 @@ impl PdmeExecutive {
             .into_iter()
             .filter(|item| {
                 self.oosm.machine_object(item.machine).is_none_or(|obj| {
-                    let key = format!("fused_belief:{}", item.condition.index());
-                    self.oosm.property(obj, &key).is_none()
+                    self.oosm
+                        .property(obj, fused_belief_key(item.condition))
+                        .is_none()
                 })
             })
             .map(|item| (item.machine, item.condition.group()))
@@ -570,13 +708,21 @@ impl PdmeExecutive {
         // replayed liveness map, so journaling the inputs reproduces the
         // state machine exactly.
         self.journal(&PdmeWalRecord::Supervise { now, timeout })?;
-        self.supervisor.supervise(
+        let degraded = self.supervisor.degraded_machines();
+        let commands = self.supervisor.supervise(
             now,
             timeout,
             &self.dc_last_seen,
             &mut self.oosm,
             &self.telemetry,
-        )
+        )?;
+        // The pass only ever adds marks; each new one flipped a status.
+        for machine in self.supervisor.degraded_machines() {
+            if degraded.binary_search(&machine).is_err() {
+                self.revisions.touch(machine);
+            }
+        }
+        Ok(commands)
     }
 
     /// Machines currently marked `degraded` (their DC went silent and
@@ -728,6 +874,7 @@ impl PdmeExecutive {
             batch_last_seq,
             historian,
             unsurfaced: BTreeSet::new(),
+            revisions: Revisions::new(),
             store: None,
             telemetry,
             m_reports_received,
@@ -1379,6 +1526,66 @@ mod tests {
         assert!(recovered.snapshot.is_none());
         let restored = PdmeExecutive::restore(&recovered).unwrap();
         assert_eq!(restored.snapshot_bytes(), p.snapshot_bytes());
+    }
+
+    #[test]
+    fn fused_belief_keys_name_the_catalog_index() {
+        for condition in MachineCondition::ALL {
+            let key = format!("fused_belief:{}", condition.index());
+            assert_eq!(fused_belief_key(condition), key);
+        }
+    }
+
+    #[test]
+    fn revisions_move_with_what_a_machine_entry_shows() {
+        let mut p = pdme();
+        p.register_machine(MachineId::new(2), "pump");
+        p.register_machine(MachineId::new(3), "A/C plant");
+        let (m1, m3) = (MachineId::new(1), MachineId::new(3));
+        let parent = p.oosm().machine_object(m3).unwrap();
+        let child = p.oosm().machine_object(m1).unwrap();
+        p.oosm_mut()
+            .relate(child, mpros_oosm::Relation::PartOf, parent)
+            .unwrap();
+        let at = |p: &PdmeExecutive| {
+            let machines = [1, 2, 3].map(|m| p.machine_revision(MachineId::new(m)));
+            (p.revision(), machines)
+        };
+        let start = at(&p);
+        // A heartbeat changes no entry.
+        let heartbeat = NetMessage::Heartbeat {
+            dc: DcId::new(1),
+            at_secs: 1.0,
+        };
+        p.ingest(&[heartbeat], SimTime::from_secs(1.0)).unwrap();
+        assert_eq!(at(&p), start);
+        // A fused report moves its machine and the machine it is part of.
+        let r = NetMessage::Report(report(1, 1, MachineCondition::MotorImbalance, 0.7));
+        p.ingest(&[r], SimTime::from_secs(2.0)).unwrap();
+        let fused = at(&p);
+        assert_ne!(fused.0, start.0);
+        assert_eq!(
+            [0, 1, 2].map(|i| fused.1[i] != start.1[i]),
+            [true, false, true]
+        );
+        // A status flip moves only the degraded machine.
+        p.assign_dc(DcId::new(1), vec![MachineId::new(2)], Vec::new());
+        p.supervise(SimTime::from_secs(100.0), SimDuration::from_secs(30.0))
+            .unwrap();
+        let flipped = at(&p);
+        assert_eq!(
+            [0, 1, 2].map(|i| flipped.1[i] != fused.1[i]),
+            [false, true, false]
+        );
+        // A second pass with nothing new moves nothing.
+        p.supervise(SimTime::from_secs(101.0), SimDuration::from_secs(30.0))
+            .unwrap();
+        assert_eq!(at(&p), flipped);
+        // A restored engine shares no revision with the one it copies.
+        let restored = PdmeExecutive::from_snapshot_bytes(&p.snapshot_bytes()).unwrap();
+        let copy = at(&restored);
+        assert_ne!(copy.0, flipped.0);
+        assert!((0..3).all(|i| copy.1[i] != flipped.1[i]));
     }
 
     #[test]

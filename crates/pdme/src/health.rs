@@ -12,7 +12,7 @@
 //! ship model — so a failing chiller motor drags down its A/C plant and
 //! the ship readiness figure, exactly the rollup the paper sketches.
 
-use crate::executive::PdmeExecutive;
+use crate::executive::{fused_belief_key, PdmeExecutive};
 use mpros_core::{MachineCondition, ObjectId};
 use mpros_oosm::{ObjectKind, Relation};
 use std::fmt::Write as _;
@@ -40,8 +40,7 @@ fn machine_health(pdme: &PdmeExecutive, object: ObjectId) -> (f64, Option<Machin
     let mut worst = 0.0f64;
     let mut driver = None;
     for condition in MachineCondition::ALL {
-        let key = format!("fused_belief:{}", condition.index());
-        if let Some(v) = pdme.oosm().property(object, &key) {
+        if let Some(v) = pdme.oosm().property(object, fused_belief_key(condition)) {
             if let Some(b) = v.as_float() {
                 if b > worst {
                     worst = b;

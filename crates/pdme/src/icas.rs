@@ -11,10 +11,13 @@
 //! versioned, self-describing JSON document another shipboard system
 //! can consume without linking against MPROS.
 
-use crate::executive::PdmeExecutive;
+use crate::executive::{PdmeExecutive, Revision};
 use crate::health;
-use mpros_core::{Result, SimDuration, SimTime};
+use mpros_core::{MachineId, Result, SimDuration, SimTime};
+use mpros_fusion::MaintenanceItem;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Interchange schema version. v2 added the per-machine `status` field
 /// (`ok` / `degraded`) surfaced by the fleet supervisor.
@@ -72,71 +75,112 @@ pub struct IcasSnapshot {
     pub schema_version: u32,
     /// Snapshot time, seconds of simulated time.
     pub at_secs: f64,
-    /// Monitored machines.
-    pub machines: Vec<IcasMachine>,
-    /// Data-concentrator liveness.
+    /// Monitored machines, ascending by machine id. Entries are shared:
+    /// a publisher reuses an unchanged machine's entry from its previous
+    /// snapshot.
+    pub machines: Vec<Arc<IcasMachine>>,
+    /// Data-concentrator liveness, ascending by DC id.
     pub data_concentrators: Vec<IcasDc>,
 }
 
-/// Export the PDME's current state for ICAS consumption.
+/// Export the PDME's current state for ICAS consumption: every entry
+/// built fresh from one maintenance list.
 pub fn export_snapshot(
     pdme: &PdmeExecutive,
     now: SimTime,
     dc_timeout: SimDuration,
 ) -> IcasSnapshot {
     let list = pdme.maintenance_list();
-    let mut machines: Vec<IcasMachine> = pdme
-        .machines()
+    let machines = export_machines(pdme, &list, |_, _| None)
         .into_iter()
-        .map(|machine| {
-            let obj = pdme
-                .oosm()
-                .machine_object(machine)
-                .expect("listed machines are registered");
-            let name = pdme.oosm().name(obj).unwrap_or_default();
-            let status = pdme
-                .oosm()
-                .property(obj, "status")
-                .and_then(|v| v.as_text().map(str::to_string))
-                .unwrap_or_else(|| "ok".to_string());
-            let tree = health::health_of(pdme, obj);
-            let conditions = list
-                .iter()
-                .filter(|i| i.machine == machine)
-                .map(|i| IcasCondition {
-                    condition_id: i.condition.index(),
-                    description: i.condition.to_string(),
-                    group: i.condition.group().to_string(),
-                    belief: i.belief,
-                    severity: i.severity.value(),
-                    median_ttf_secs: i.median_time_to_failure.map(|d| d.as_secs()),
-                })
-                .collect();
-            IcasMachine {
-                machine_id: machine.raw(),
-                name,
-                health: tree.health,
-                status,
-                report_count: pdme.oosm().report_count_for(machine),
-                conditions,
-            }
-        })
-        .collect();
-    machines.sort_by_key(|m| m.machine_id);
-    let data_concentrators = pdme
-        .dc_health(now, dc_timeout)
-        .into_iter()
-        .map(|(dc, alive)| IcasDc {
-            dc_id: dc.raw(),
-            alive,
-        })
+        .map(|(entry, _)| entry)
         .collect();
     IcasSnapshot {
         schema_version: ICAS_SCHEMA_VERSION,
         at_secs: now.as_secs(),
         machines,
-        data_concentrators,
+        data_concentrators: export_dcs(pdme, now, dc_timeout),
     }
+}
+
+/// The ICAS entries of every registered machine, ascending by machine
+/// id, each with the [`Revision`] of the machine state it shows.
+///
+/// `reuse(machine, revision)` is asked first: an entry it returns is
+/// shared as it is (a publisher returns the entry it built at the same
+/// machine revision). `None` builds the entry fresh from `list`, the
+/// engine's current [`PdmeExecutive::maintenance_list`], which is
+/// grouped by machine once.
+pub fn export_machines(
+    pdme: &PdmeExecutive,
+    list: &[MaintenanceItem],
+    mut reuse: impl FnMut(MachineId, Revision) -> Option<Arc<IcasMachine>>,
+) -> Vec<(Arc<IcasMachine>, Revision)> {
+    let mut rows: HashMap<MachineId, Vec<&MaintenanceItem>> = HashMap::new();
+    for item in list {
+        rows.entry(item.machine).or_default().push(item);
+    }
+    let mut machines = pdme.machines();
+    machines.sort_unstable();
+    machines
+        .into_iter()
+        .filter_map(|machine| {
+            let revision = pdme.machine_revision(machine);
+            if let Some(entry) = reuse(machine, revision) {
+                return Some((entry, revision));
+            }
+            let rows = rows.get(&machine).map_or(&[][..], Vec::as_slice);
+            let entry = machine_entry(pdme, machine, rows)?;
+            Some((Arc::new(entry), revision))
+        })
+        .collect()
+}
+
+/// One machine's entry from its maintenance rows (most urgent first);
+/// `None` when the machine has no object in the ship model.
+fn machine_entry(
+    pdme: &PdmeExecutive,
+    machine: MachineId,
+    rows: &[&MaintenanceItem],
+) -> Option<IcasMachine> {
+    let oosm = pdme.oosm();
+    let obj = oosm.machine_object(machine)?;
+    let status = oosm
+        .property(obj, "status")
+        .and_then(|v| v.as_text().map(str::to_string))
+        .unwrap_or_else(|| "ok".to_string());
+    let conditions = rows
+        .iter()
+        .map(|i| IcasCondition {
+            condition_id: i.condition.index(),
+            description: i.condition.to_string(),
+            group: i.condition.group().to_string(),
+            belief: i.belief,
+            severity: i.severity.value(),
+            median_ttf_secs: i.median_time_to_failure.map(|d| d.as_secs()),
+        })
+        .collect();
+    Some(IcasMachine {
+        machine_id: machine.raw(),
+        name: oosm.name(obj).unwrap_or_default(),
+        health: health::health_of(pdme, obj).health,
+        status,
+        report_count: oosm.report_count_for(machine),
+        conditions,
+    })
+}
+
+/// DC liveness entries, ascending by DC id. Runs
+/// [`PdmeExecutive::dc_health`], so it also sets the
+/// `pdme.dc_staleness_max` gauge and journals newly stale DCs.
+pub fn export_dcs(pdme: &PdmeExecutive, now: SimTime, dc_timeout: SimDuration) -> Vec<IcasDc> {
+    pdme.dc_health(now, dc_timeout)
+        .into_iter()
+        .map(|(dc, alive)| IcasDc {
+            dc_id: dc.raw(),
+            alive,
+        })
+        .collect()
 }
 
 impl IcasSnapshot {

@@ -16,6 +16,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 //! The §10.1 future directions are implemented as extensions: multi-
 //! level health rollup over the ship model ([`health`]) and spatial/
@@ -30,7 +31,9 @@ pub mod journal;
 pub mod resident;
 pub mod supervisor;
 
-pub use executive::{BatchAck, IngestSummary, PdmeExecutive, ResidentAlgorithm};
+pub use executive::{
+    fused_belief_key, BatchAck, IngestSummary, PdmeExecutive, ResidentAlgorithm, Revision,
+};
 pub use health::{health_of, HealthReport};
 pub use historian::{Historian, MaintenanceRecord, Outcome};
 pub use icas::{export_snapshot, IcasSnapshot};

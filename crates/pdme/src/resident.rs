@@ -16,7 +16,7 @@
 //! [`FlowCorrelator`] does the analogous thing along `flows-to` edges
 //! for process faults (fouling propagating downstream).
 
-use crate::executive::ResidentAlgorithm;
+use crate::executive::{fused_belief_key, ResidentAlgorithm};
 use mpros_core::{
     Belief, ConditionReport, KnowledgeSourceId, MachineCondition, MachineId, ObjectId, ReportId,
 };
@@ -36,8 +36,10 @@ fn strongest_in_group(
 ) -> Option<(MachineCondition, f64)> {
     let mut best: Option<(MachineCondition, f64)> = None;
     for c in like.group().members() {
-        let key = format!("fused_belief:{}", c.index());
-        if let Some(b) = oosm.property(obj, &key).and_then(|v| v.as_float()) {
+        if let Some(b) = oosm
+            .property(obj, fused_belief_key(c))
+            .and_then(|v| v.as_float())
+        {
             if best.map(|(_, bb)| b > bb).unwrap_or(true) {
                 best = Some((c, b));
             }

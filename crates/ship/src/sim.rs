@@ -369,14 +369,17 @@ impl ShipboardSim {
         self.gateway.as_ref()
     }
 
-    /// Build and publish the post-step serving snapshot. Runs on the
-    /// control thread while the engine is quiet; a no-op without an
-    /// attached gateway, so un-served simulations pay nothing.
+    /// Build and publish the post-step serving snapshot, sharing with
+    /// the gateway's current snapshot whatever the engine has not
+    /// changed since. Runs on the control thread while the engine is
+    /// quiet; a no-op without an attached gateway, so un-served
+    /// simulations pay nothing.
     fn publish_serving_snapshot(&self) {
         let Some(gateway) = &self.gateway else {
             return;
         };
-        let snapshot = ServingSnapshot::build(
+        let snapshot = ServingSnapshot::build_after(
+            &gateway.snapshot(),
             self.steps,
             self.clock.now(),
             &self.pdme,

@@ -49,6 +49,12 @@ cargo test -q
 #  - the fleet plane: responses are byte-identical across exec modes
 #    and one-thread-per-shard stepping, ship 0 is independent of fleet
 #    size, a crashed shard degrades only itself (fleet_serving);
+#  - incremental publish: under a DC crash, a partition, a PDME stall
+#    and a crash-restore, every published serving snapshot equals a
+#    from-scratch build with the same wire answers, a quiet step
+#    rebuilds no ICAS machine entry, a report rebuilds only its machine
+#    and the machines it is part of, and the first publish after the
+#    restore rebuilds every entry (incremental_publish);
 #  - DSP: golden vectors against closed-form spectra (dsp_golden),
 #    property round-trips and window identities (dsp_props), and zero
 #    heap allocations in a steady-state survey (dsp_alloc).

@@ -28,6 +28,7 @@ pub use serde_derive::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Error produced while reading JSON: a syntax error, a value of the
 /// wrong shape, or a duplicated struct field.
@@ -230,6 +231,20 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
 impl<T: Deserialize> Deserialize for Box<T> {
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
         T::deserialize(r).map(Box::new)
+    }
+}
+
+/// A shared value is written as the value itself, so `Arc<T>` and `T`
+/// are the same document.
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        (**self).serialize(w);
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        T::deserialize(r).map(Arc::new)
     }
 }
 

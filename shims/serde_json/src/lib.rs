@@ -173,6 +173,24 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_value_is_the_value_on_the_wire() {
+        use std::sync::Arc;
+        let plain: Vec<Option<String>> = vec![Some("a \"b\"".into()), None];
+        let shared: Arc<Vec<Option<Arc<String>>>> =
+            Arc::new(vec![Some(Arc::new("a \"b\"".into())), None]);
+        let json = to_string(&shared).unwrap();
+        assert_eq!(json, to_string(&plain).unwrap());
+        assert_eq!(
+            to_string_pretty(&shared).unwrap(),
+            to_string_pretty(&plain).unwrap()
+        );
+        let back: Arc<Vec<Option<Arc<String>>>> = from_str(&json).unwrap();
+        assert_eq!(back, shared);
+        let back: Vec<Option<String>> = from_str(&json).unwrap();
+        assert_eq!(back, plain);
+    }
+
+    #[test]
     fn numbers_follow_the_rfc_8259_grammar() {
         // Leading zeros, and a fraction or exponent with no digit.
         for doc in [

@@ -25,6 +25,7 @@ use mpros::telemetry::{
     INCIDENT_SCHEMA_VERSION,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_request() -> impl Strategy<Value = GatewayRequest> {
     prop_oneof![
@@ -298,7 +299,7 @@ fn arb_response() -> impl Strategy<Value = GatewayResponse> {
                     icas: IcasSnapshot {
                         schema_version: ICAS_SCHEMA_VERSION,
                         at_secs,
-                        machines,
+                        machines: machines.into_iter().map(Arc::new).collect(),
                         data_concentrators: dcs
                             .into_iter()
                             .map(|(dc_id, alive)| IcasDc { dc_id, alive })
@@ -598,7 +599,7 @@ fn arb_fleet_response() -> impl Strategy<Value = FleetResponse> {
                         icas: IcasSnapshot {
                             schema_version: ICAS_SCHEMA_VERSION,
                             at_secs,
-                            machines,
+                            machines: machines.into_iter().map(Arc::new).collect(),
                             data_concentrators: Vec::new(),
                         },
                     }

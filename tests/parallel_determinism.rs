@@ -242,7 +242,7 @@ fn run(scenario: &Scenario, exec: ExecMode) -> Fingerprint {
         journal_by_component,
         chrome_trace: mpros::telemetry::export::chrome_trace(&hops),
         trace_jsonl: mpros::telemetry::export::jsonl(&hops),
-        exposition: serving.exposition,
+        exposition: serving.exposition().to_owned(),
         incidents_json,
     }
 }
