@@ -11,7 +11,7 @@
 //! subscription is open, so an unobserved model pays nothing for it.
 
 use crate::model::{ObjectKind, Relation};
-use crate::store::Value;
+use crate::tables::Value;
 use mpros_core::{ConditionReport, ObjectId};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;

@@ -9,11 +9,11 @@
 //!
 //! Three layers, mirroring the paper's architecture:
 //!
-//! * [`store`] — the persistence substrate: an embedded relational-style
-//!   store with typed columns and row predicates, standing in for the
-//!   NT/ADO database of §4.7. Object types map to tables, properties and
-//!   relationships to columns and helper tables — the mapping of §4.6 is
-//!   implemented literally.
+//! * [`tables`] — the persistence substrate, standing in for the NT/ADO
+//!   database of §4.7: the four tables of §4.6's mapping (objects,
+//!   properties, relationships and reports), each a vector of typed rows
+//!   with only the maps its queries read beside it, written in the
+//!   relational byte format of earlier versions.
 //! * [`model`] — the object API of §4.4: create/retrieve objects, read
 //!   and update properties, add and traverse relationships. "Save for
 //!   retrieving the first object in a connected graph of objects, no
@@ -27,14 +27,14 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod events;
-mod lookup;
 pub mod model;
 pub mod reports;
-pub mod store;
+pub mod tables;
 
 pub use events::{OosmEvent, Subscription};
 pub use model::{ObjectKind, Oosm, Relation};
 
-pub use store::{Store, Value};
+pub use tables::{Tables, Value};

@@ -1,9 +1,8 @@
 //! The object model API (§4.2–§4.4).
 
 use crate::events::{EventBus, OosmEvent, Subscription};
-use crate::lookup::{IdKey, Lookups};
-use crate::reports::{report_column, REPORTS, REPORT_COLUMNS};
-use crate::store::{Row, Store, Value};
+use crate::reports::{report_column, REPORT_COLUMNS};
+use crate::tables::{Property, Tables, Value};
 use mpros_core::{Durable, Error, ObjectId, Result};
 use mpros_telemetry::{Counter, Telemetry};
 use std::fmt;
@@ -118,36 +117,12 @@ impl fmt::Display for Relation {
     }
 }
 
-/// The §4.6 mapping tables: name, columns, and the secondarily indexed
-/// columns (object lookups by kind/name, property lookups by object).
-/// Relationship traversal and the report id queries are answered by the
-/// derived lookups, so those tables carry no secondary index.
-const SCHEMA: [(&str, &[&str], &[&str]); 4] = [
-    ("objects", &["id", "kind", "name"], &["kind", "name"]),
-    (
-        "properties",
-        &["row_id", "object_id", "key", "value_json"],
-        &["object_id"],
-    ),
-    (
-        "relationships",
-        &["row_id", "from_id", "relation", "to_id"],
-        &[],
-    ),
-    (REPORTS, &REPORT_COLUMNS, &[]),
-];
-
-/// The Object-Oriented Ship Model: object graph over the relational
-/// store, with change events.
+/// The Object-Oriented Ship Model: object graph over the §4.6 mapping
+/// tables, with change events.
 #[derive(Debug)]
 pub struct Oosm {
-    store: Store,
-    /// Indexed answers to the id and relationship lookups (derived from
-    /// `store`, never encoded; see [`crate::lookup`]).
-    lookups: Lookups,
+    pub(crate) tables: Tables,
     bus: EventBus,
-    next_object: u64,
-    next_row: i64,
     telemetry: Telemetry,
     pub(crate) m_reports_posted: Arc<Counter>,
 }
@@ -159,23 +134,18 @@ impl Default for Oosm {
 }
 
 impl Oosm {
-    /// An empty model with the relational mapping tables created.
+    /// An empty model.
     pub fn new() -> Self {
-        let mut store = Store::new();
-        for (table, columns, indexed) in SCHEMA {
-            store.create_table(table, columns).expect("fresh store");
-            for column in indexed {
-                store.create_index(table, column).expect("fresh schema");
-            }
-        }
+        Self::with_tables(Tables::default())
+    }
+
+    /// A model over `tables`, observing a fresh private telemetry domain.
+    fn with_tables(tables: Tables) -> Self {
         let telemetry = Telemetry::new();
         let m_reports_posted = telemetry.counter("oosm", "reports_posted");
         Oosm {
-            store,
-            lookups: Lookups::default(),
+            tables,
             bus: EventBus::new(),
-            next_object: 0,
-            next_row: 0,
             telemetry,
             m_reports_posted,
         }
@@ -203,187 +173,114 @@ impl Oosm {
         self.bus.publish(event);
     }
 
-    pub(crate) fn next_row_id(&mut self) -> i64 {
-        self.next_row += 1;
-        self.next_row
-    }
-
-    /// Direct read access to the persistence layer (debugging, row
-    /// counts; §4.6's mapping is observable here).
-    pub fn store(&self) -> &Store {
-        &self.store
-    }
-
-    /// Objects of `kind` whose `key` property is `Int(value)`, ascending.
-    pub(crate) fn holders(&self, kind: ObjectKind, key: IdKey, value: i64) -> &[ObjectId] {
-        self.lookups.holders(kind, key, value)
-    }
-
-    /// The object's typed `reports` row, if it is a posted report.
-    pub(crate) fn report_row(&self, object: ObjectId) -> Option<&Row> {
-        self.store.get(REPORTS, object.raw() as i64).ok().flatten()
-    }
-
-    /// Store a posted report's typed row (see [`crate::reports`]) and
-    /// index its report and machine ids.
-    pub(crate) fn insert_report_row(&mut self, object: ObjectId, row: Row) -> Result<()> {
-        let (report_id, machine_id) = (row[1].as_int(), row[2].as_int());
-        self.store.insert(REPORTS, row)?;
-        let kind = ObjectKind::Report;
-        self.lookups
-            .reindex(object, kind, IdKey::ReportId, None, report_id);
-        self.lookups
-            .reindex(object, kind, IdKey::MachineId, None, machine_id);
-        Ok(())
+    /// Read-only view of the persistence layer: row counts, the rows
+    /// queries visited, and each table's live rows (§4.6's mapping is
+    /// observable here).
+    pub fn store(&self) -> &Tables {
+        &self.tables
     }
 
     /// Create an object; returns its id.
     pub fn create_object(&mut self, kind: ObjectKind, name: &str) -> ObjectId {
-        let id = ObjectId::new(self.next_object);
-        self.next_object += 1;
-        self.store
-            .insert(
-                "objects",
-                vec![
-                    Value::Int(id.raw() as i64),
-                    Value::Text(kind.as_str().into()),
-                    Value::Text(name.into()),
-                ],
-            )
-            .expect("object ids are unique by construction");
+        let id = self.tables.insert_object(kind, name);
         self.publish(|| OosmEvent::ObjectCreated { object: id, kind });
         id
     }
 
     /// True if the object exists.
     pub fn exists(&self, object: ObjectId) -> bool {
-        self.store
-            .get("objects", object.raw() as i64)
-            .map(|r| r.is_some())
-            .unwrap_or(false)
+        self.tables.object(object).is_some()
     }
 
     /// The object's kind.
     pub fn kind(&self, object: ObjectId) -> Result<ObjectKind> {
-        let row = self
-            .store
-            .get("objects", object.raw() as i64)?
-            .ok_or_else(|| Error::not_found(object.to_string()))?;
-        ObjectKind::parse(row[1].as_text().unwrap_or(""))
-            .ok_or_else(|| Error::Encoding("bad kind cell".into()))
+        self.tables
+            .object(object)
+            .map(|o| o.kind)
+            .ok_or_else(|| Error::not_found(object.to_string()))
     }
 
     /// The object's name.
     pub fn name(&self, object: ObjectId) -> Result<String> {
-        let row = self
-            .store
-            .get("objects", object.raw() as i64)?
-            .ok_or_else(|| Error::not_found(object.to_string()))?;
-        Ok(row[2].as_text().unwrap_or("").to_string())
+        self.tables
+            .object(object)
+            .map(|o| o.name.clone())
+            .ok_or_else(|| Error::not_found(object.to_string()))
     }
 
-    /// All objects of a kind.
+    /// All objects of a kind, ascending.
     pub fn objects_of_kind(&self, kind: ObjectKind) -> Vec<ObjectId> {
-        self.store
-            .select_eq("objects", "kind", &Value::Text(kind.as_str().into()))
-            .expect("objects table exists")
-            .iter()
-            .filter_map(|r| r[0].as_int())
-            .map(|i| ObjectId::new(i as u64))
-            .collect()
+        self.tables.objects_of_kind(kind).to_vec()
     }
 
-    /// Find an object by its (unique-by-convention) name.
+    /// Find an object by its (unique-by-convention) name: the lowest id
+    /// holding it. Scans the objects table (a browser helper, off every
+    /// ingest and export path).
     pub fn find_by_name(&self, name: &str) -> Option<ObjectId> {
-        self.store
-            .select_eq("objects", "name", &Value::Text(name.into()))
-            .expect("objects table exists")
-            .first()
-            .and_then(|r| r[0].as_int())
-            .map(|i| ObjectId::new(i as u64))
+        self.tables.find_by_name(name)
     }
 
     /// Set (insert or overwrite) a property. Values are stored as JSON
-    /// text in the `properties` helper table — the §4.6 column mapping.
-    /// A report's typed columns (see [`crate::reports`]) live only in
-    /// its `reports` row, written once when it is posted: setting one on
-    /// a report object is [`Error::InvalidInput`].
+    /// text in the `properties` helper table — the §4.6 column mapping;
+    /// an overwrite keeps the row where it is. A non-finite
+    /// `Value::Float` is [`Error::InvalidInput`]: JSON has no text for
+    /// it. A report's typed columns (see [`crate::reports`]) live only
+    /// in its `reports` row, written once when it is posted: setting one
+    /// on a report object is [`Error::InvalidInput`].
     pub fn set_property(&mut self, object: ObjectId, key: &str, value: Value) -> Result<()> {
+        if matches!(value, Value::Float(f) if !f.is_finite()) {
+            return Err(Error::invalid(format!(
+                "property {key} of {object} is not finite"
+            )));
+        }
         let kind = self.kind(object)?;
         if kind == ObjectKind::Report && report_column(key).is_some() {
             return Err(Error::invalid(format!(
                 "{object} is a report; its {key} column is set only by post_report"
             )));
         }
-        let id_key = IdKey::of(key);
-        let old_id = id_key.and_then(|_| self.property(object, key)?.as_int());
-        let oid = Value::Int(object.raw() as i64);
-        let key_v = Value::Text(key.into());
-        let json = encode_value(&value)?;
-        let updated = self.store.update_eq(
-            "properties",
-            "object_id",
-            &oid,
-            |r| r[2] == key_v,
-            |r| r[3] = Value::Text(json.clone()),
-        )?;
-        if updated == 0 {
-            let row_id = self.next_row_id();
-            self.store.insert(
-                "properties",
-                vec![Value::Int(row_id), oid, key_v, Value::Text(json)],
-            )?;
-        }
-        if let Some(id_key) = id_key {
-            // `Int` values round-trip exactly through the JSON cell.
-            self.lookups
-                .reindex(object, kind, id_key, old_id, value.as_int());
-        }
+        self.write_property(object, kind, key, value);
+        Ok(())
+    }
+
+    /// Set a property of `object`, of `kind`, that the caller has
+    /// checked may be set, and publish the change.
+    pub(crate) fn write_property(
+        &mut self,
+        object: ObjectId,
+        kind: ObjectKind,
+        key: &str,
+        value: Value,
+    ) {
+        self.tables.set_property(object, kind, key, &value);
         self.publish(|| OosmEvent::PropertyChanged {
             object,
             property: key.to_string(),
             value,
         });
-        Ok(())
     }
 
     /// Read a property. A posted report's typed columns are read from
     /// its `reports` row.
     pub fn property(&self, object: ObjectId, key: &str) -> Option<Value> {
         if let Some(col) = report_column(key) {
-            if let Some(row) = self.report_row(object) {
-                return Some(row[col].clone());
+            if let Some(row) = self.tables.report(object) {
+                return Some(row.cell(col));
             }
         }
-        let oid = Value::Int(object.raw() as i64);
-        let key_v = Value::Text(key.into());
-        self.store
-            .select_eq("properties", "object_id", &oid)
-            .expect("properties table exists")
-            .iter()
-            .find(|r| r[2] == key_v)
-            .and_then(|r| r[3].as_text())
-            .map(decode_value)
+        self.tables.property(object, key).map(Property::value)
     }
 
-    /// All properties of an object.
+    /// All properties of an object, sorted by key.
     pub fn properties(&self, object: ObjectId) -> Vec<(String, Value)> {
-        let oid = Value::Int(object.raw() as i64);
         let mut props: Vec<(String, Value)> = self
-            .store
-            .select_eq("properties", "object_id", &oid)
-            .expect("properties table exists")
-            .iter()
-            .map(|r| {
-                (
-                    r[2].as_text().unwrap_or("").to_string(),
-                    r[3].as_text().map(decode_value).unwrap_or(Value::Null),
-                )
-            })
+            .tables
+            .properties(object)
+            .map(|p| (p.key.clone(), p.value()))
             .collect();
-        if let Some(row) = self.report_row(object) {
-            let typed = REPORT_COLUMNS.iter().zip(row).skip(1);
-            props.extend(typed.map(|(key, value)| (key.to_string(), value.clone())));
+        if let Some(row) = self.tables.report(object) {
+            let typed = REPORT_COLUMNS.iter().enumerate().skip(1);
+            props.extend(typed.map(|(col, key)| (key.to_string(), row.cell(col))));
         }
         props.sort_by(|a, b| a.0.cmp(&b.0));
         props
@@ -397,18 +294,7 @@ impl Oosm {
         if !self.exists(to) {
             return Err(Error::not_found(to.to_string()));
         }
-        if !self.lookups.is_related(from, relation, to) {
-            let row_id = self.next_row_id();
-            self.store.insert(
-                "relationships",
-                vec![
-                    Value::Int(row_id),
-                    Value::Int(from.raw() as i64),
-                    Value::Text(relation.as_str().into()),
-                    Value::Int(to.raw() as i64),
-                ],
-            )?;
-            self.lookups.relate(from, relation, to);
+        if self.tables.relate(from, relation, to) {
             self.publish(|| OosmEvent::RelationAdded { from, relation, to });
         }
         Ok(())
@@ -416,140 +302,43 @@ impl Oosm {
 
     /// Outgoing related objects: `from --relation--> ?`.
     pub fn related(&self, from: ObjectId, relation: Relation) -> Vec<ObjectId> {
-        self.lookups.related(from, relation).to_vec()
+        self.tables.related(from, relation)
     }
 
     /// Incoming related objects: `? --relation--> to`.
     pub fn related_to(&self, to: ObjectId, relation: Relation) -> Vec<ObjectId> {
-        self.lookups.related_to(to, relation).to_vec()
+        self.tables.related_to(to, relation)
     }
 
     /// Delete an object with its properties, relationships and typed
     /// report row.
     pub fn delete_object(&mut self, object: ObjectId) -> Result<()> {
         let kind = self.kind(object)?;
-        let old_ids = IdKey::ALL.map(|key| self.property(object, key.as_str())?.as_int());
-        let oid = Value::Int(object.raw() as i64);
-        self.store.delete("objects", {
-            let oid = oid.clone();
-            move |r| r[0] == oid
-        })?;
-        self.store.delete("properties", {
-            let oid = oid.clone();
-            move |r| r[1] == oid
-        })?;
-        if kind == ObjectKind::Report {
-            self.store.delete(REPORTS, {
-                let oid = oid.clone();
-                move |r| r[0] == oid
-            })?;
-        }
-        self.store
-            .delete("relationships", move |r| r[1] == oid || r[3] == oid)?;
-        for (key, old) in IdKey::ALL.into_iter().zip(old_ids) {
-            self.lookups.reindex(object, kind, key, old, None);
-        }
-        self.lookups.remove_edges(object);
+        self.tables.delete_object(object, kind);
         self.publish(|| OosmEvent::ObjectDeleted { object });
         Ok(())
     }
 
     /// Number of live objects.
     pub fn object_count(&self) -> usize {
-        self.store
-            .row_count("objects")
-            .expect("objects table exists")
+        self.tables.object_count()
     }
 }
 
-/// Persistence: the relational store plus the two id allocators. The
-/// event bus is volatile by design — subscriptions belong to their
-/// clients, which re-subscribe after a restore — and the
-/// decoded model observes a fresh private telemetry domain until the
-/// host rebinds it. The lookups are derived: decode rebuilds them from
-/// the tables, after checking the tables hold the §4.6 schema and only
-/// rows the model could have written, so a hostile snapshot is an
+/// Persistence: the mapping tables and the two id allocators, in the
+/// byte format [`crate::tables`] describes. The event bus is volatile by
+/// design — subscriptions belong to their clients, which re-subscribe
+/// after a restore — and the decoded model observes a fresh private
+/// telemetry domain until the host rebinds it. Decode refuses any table
+/// or row the model could not have written, so a hostile snapshot is an
 /// `Err` here rather than a panic on the next write.
 impl Durable for Oosm {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.store.encode(out);
-        self.next_object.encode(out);
-        self.next_row.encode(out);
+        self.tables.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self> {
-        let store = Store::decode(input)?;
-        let next_object = u64::decode(input)?;
-        let next_row = i64::decode(input)?;
-        if store.table_names().len() != SCHEMA.len()
-            || !SCHEMA
-                .iter()
-                .all(|(table, columns, indexed)| store.has_schema(table, columns, indexed))
-        {
-            // Also a snapshot from before the typed `reports` table: no
-            // deployed store predates it, so there is no migration.
-            return Err(Error::invalid(
-                "durable OOSM store does not hold the mapping tables",
-            ));
-        }
-        let lookups = Lookups::rebuild(&store, next_object, next_row)?;
-        let telemetry = Telemetry::new();
-        let m_reports_posted = telemetry.counter("oosm", "reports_posted");
-        Ok(Oosm {
-            store,
-            lookups,
-            bus: EventBus::new(),
-            next_object,
-            next_row,
-            telemetry,
-            m_reports_posted,
-        })
-    }
-}
-
-/// Encode a store value as JSON text for the properties table.
-fn encode_value(v: &Value) -> Result<String> {
-    Ok(match v {
-        Value::Int(i) => format!("{{\"i\":{i}}}"),
-        Value::Float(f) => format!("{{\"f\":{f}}}"),
-        Value::Text(s) => {
-            // One buffer: the escaped text is written straight into the
-            // cell.
-            let mut cell = Vec::with_capacity(s.len() + 16);
-            cell.extend_from_slice(b"{\"t\":");
-            serde::Writer::new(&mut cell).str(s);
-            cell.push(b'}');
-            return String::from_utf8(cell)
-                .map_err(|e| Error::Encoding(format!("property cell: {e}")));
-        }
-        Value::Bool(b) => format!("{{\"b\":{b}}}"),
-        Value::Null => "null".to_string(),
-    })
-}
-
-/// Decode the JSON property representation.
-pub(crate) fn decode_value(json: &str) -> Value {
-    let parsed: serde_json::Value = match serde_json::from_str(json) {
-        Ok(v) => v,
-        Err(_) => return Value::Null,
-    };
-    if parsed.is_null() {
-        return Value::Null;
-    }
-    let obj = match parsed.as_object() {
-        Some(o) => o,
-        None => return Value::Null,
-    };
-    if let Some(i) = obj.get("i").and_then(|v| v.as_i64()) {
-        Value::Int(i)
-    } else if let Some(f) = obj.get("f").and_then(|v| v.as_f64()) {
-        Value::Float(f)
-    } else if let Some(t) = obj.get("t").and_then(|v| v.as_str()) {
-        Value::Text(t.to_string())
-    } else if let Some(b) = obj.get("b").and_then(|v| v.as_bool()) {
-        Value::Bool(b)
-    } else {
-        Value::Null
+        Tables::decode(input).map(Self::with_tables)
     }
 }
 
@@ -625,6 +414,23 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_float_property_is_refused() {
+        let (mut o, _, _, motor) = ship_model();
+        let sub = o.subscribe();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                o.set_property(motor, "x", Value::Float(bad)),
+                Err(Error::InvalidInput(_))
+            ));
+        }
+        assert_eq!(o.property(motor, "x"), None);
+        assert_eq!(o.store().row_count("properties").unwrap(), 0);
+        assert!(sub.drain().is_empty(), "nothing was published");
+        o.set_property(motor, "x", Value::Float(f64::MAX)).unwrap();
+        assert_eq!(o.property(motor, "x"), Some(Value::Float(f64::MAX)));
+    }
+
+    #[test]
     fn set_property_on_missing_object_fails() {
         let mut o = Oosm::new();
         assert!(o
@@ -636,11 +442,12 @@ mod tests {
     fn relate_is_idempotent_and_validated() {
         let (mut o, ship, chiller, _) = ship_model();
         o.relate(chiller, Relation::PartOf, ship).unwrap(); // duplicate
-        let rels = o
-            .store()
-            .select("relationships", |r| r[2] == Value::Text("part_of".into()))
-            .unwrap();
-        assert_eq!(rels.len(), 3, "no duplicate rows");
+        assert_eq!(
+            o.store().row_count("relationships").unwrap(),
+            5,
+            "no duplicate rows"
+        );
+        assert_eq!(o.related(chiller, Relation::PartOf), vec![ship]);
         assert!(o.relate(ship, Relation::PartOf, ObjectId::new(88)).is_err());
     }
 

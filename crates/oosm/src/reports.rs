@@ -26,23 +26,20 @@
 //! invariant.
 //!
 //! The id lookups here (`machine_object`, `report_object`,
-//! `reports_for_machine`, `report_count_for`) read the model's derived
-//! lookups rather than scanning reports, so their cost does not grow
-//! with the stored history.
+//! `reports_for_machine`, `report_count_for`) read the tables' id maps
+//! rather than scanning reports, so their cost does not grow with the
+//! stored history.
 
 use crate::events::OosmEvent;
-use crate::lookup::IdKey;
 use crate::model::{ObjectKind, Oosm, Relation};
-use crate::store::{Row, Value};
+use crate::tables::{Report, Value};
 use mpros_core::{ConditionReport, Error, MachineId, ObjectId, ReportId, Result};
 use mpros_telemetry::{Stage, WallTimer};
 use std::sync::Arc;
 
-/// The typed report table.
-pub(crate) const REPORTS: &str = "reports";
-
-/// Its columns. `object_id` is the primary key; the other seven are the
-/// report's typed columns, read as properties of the report object.
+/// The columns of the typed `reports` table. `object_id` names the
+/// report object; the other seven are the report's typed columns, read
+/// as properties of the report object.
 pub(crate) const REPORT_COLUMNS: [&str; 8] = [
     "object_id",
     "report_id",
@@ -63,18 +60,6 @@ pub(crate) fn report_column(key: &str) -> Option<usize> {
         .map(|i| i + 1)
 }
 
-/// The `object_id`, `report_id` and `machine_id` of a `reports` row
-/// whose every cell has its column's type, or `None` if one does not.
-pub(crate) fn typed_ids(row: &Row) -> Option<(i64, i64, i64)> {
-    use Value::{Float, Int, Text};
-    match row.as_slice() {
-        [Int(object), Int(report), Int(machine), Int(_), Float(_), Float(_), Float(_), Text(_)] => {
-            Some((*object, *report, *machine))
-        }
-        _ => None,
-    }
-}
-
 /// Report-repository operations on the OOSM.
 impl Oosm {
     /// Register a machine object for a machine id, so reports can be
@@ -84,15 +69,16 @@ impl Oosm {
             return existing;
         }
         let obj = self.create_object(ObjectKind::Machine, name);
-        self.set_property(obj, "machine_id", Value::Int(machine.raw() as i64))
-            .expect("object was just created");
+        let id = Value::Int(machine.raw() as i64);
+        self.write_property(obj, ObjectKind::Machine, "machine_id", id);
         obj
     }
 
     /// The OOSM object registered for a machine id (the lowest id if
     /// several machine objects hold it).
     pub fn machine_object(&self, machine: MachineId) -> Option<ObjectId> {
-        self.holders(ObjectKind::Machine, IdKey::MachineId, machine.raw() as i64)
+        self.tables
+            .machine_objects(machine.raw() as i64)
             .first()
             .copied()
     }
@@ -117,19 +103,16 @@ impl Oosm {
         let json = serde_json::to_string(report)
             .map_err(|e| Error::Encoding(format!("report serialization: {e}")))?;
         let obj = self.create_object(ObjectKind::Report, &format!("report-{}", report.id.raw()));
-        self.insert_report_row(
-            obj,
-            vec![
-                Value::Int(obj.raw() as i64),
-                Value::Int(report.id.raw() as i64),
-                Value::Int(report.machine.raw() as i64),
-                Value::Int(report.condition.index() as i64),
-                Value::Float(report.belief.value()),
-                Value::Float(report.severity.value()),
-                Value::Float(report.timestamp.as_secs()),
-                Value::Text(json),
-            ],
-        )?;
+        self.tables.insert_report(Report {
+            object: obj,
+            report_id: report.id.raw() as i64,
+            machine_id: report.machine.raw() as i64,
+            condition: report.condition.index() as i64,
+            belief: report.belief.value(),
+            severity: report.severity.value(),
+            timestamp: report.timestamp.as_secs(),
+            payload: json,
+        });
         if let Some(machine_obj) = self.machine_object(report.machine) {
             self.relate(obj, Relation::RefersTo, machine_obj)?;
         }
@@ -156,7 +139,8 @@ impl Oosm {
     /// Find the report object holding a report id (the lowest id if
     /// several report objects hold it).
     pub fn report_object(&self, report: ReportId) -> Option<ObjectId> {
-        self.holders(ObjectKind::Report, IdKey::ReportId, report.raw() as i64)
+        self.tables
+            .report_objects(report.raw() as i64)
             .first()
             .copied()
     }
@@ -179,12 +163,12 @@ impl Oosm {
 
     /// Report objects whose `machine_id` is `machine`, ascending.
     fn report_objects_for(&self, machine: MachineId) -> &[ObjectId] {
-        self.holders(ObjectKind::Report, IdKey::MachineId, machine.raw() as i64)
+        self.tables.machine_reports(machine.raw() as i64)
     }
 
     /// Total number of stored reports.
     pub fn report_count(&self) -> usize {
-        self.objects_of_kind(ObjectKind::Report).len()
+        self.tables.objects_of_kind(ObjectKind::Report).len()
     }
 }
 
@@ -305,7 +289,7 @@ mod tests {
         let r = report(10, 1, 0.7);
         let obj = o.post_report(&r).unwrap();
         assert_eq!(o.store().row_count("properties").unwrap(), properties);
-        assert_eq!(o.store().row_count(REPORTS).unwrap(), 1);
+        assert_eq!(o.store().row_count("reports").unwrap(), 1);
         assert_eq!(o.related(obj, Relation::RefersTo), vec![machine]);
         let props = o.properties(obj);
         let keys: Vec<&str> = props.iter().map(|(k, _)| k.as_str()).collect();
@@ -367,7 +351,7 @@ mod tests {
         o.register_machine(MachineId::new(1), "motor 1");
         let obj = o.post_report(&report(4, 1, 0.5)).unwrap();
         o.delete_object(obj).unwrap();
-        assert_eq!(o.store().row_count(REPORTS).unwrap(), 0);
+        assert_eq!(o.store().row_count("reports").unwrap(), 0);
         assert_eq!(o.store().row_count("relationships").unwrap(), 0);
         assert_eq!(o.property(obj, "belief"), None);
         assert!(o.properties(obj).is_empty());

@@ -2,8 +2,9 @@
 //! mapping tables answers, in the same order, across random sequences
 //! of writes and encode/decode round trips.
 //!
-//! The `scan_*` functions are the scan implementations the indexed
-//! lookups replaced, kept here as the reference.
+//! The `scan_*` functions are the reference: each scans the live rows
+//! the tables hold, as their snapshot cells (`Tables::rows`), and so
+//! reads none of the maps kept beside the rows.
 
 use mpros_core::{
     Belief, ConditionReport, Durable, MachineCondition, MachineId, ObjectId, ReportId,
@@ -85,95 +86,146 @@ fn report(id: u64, machine: u64) -> ConditionReport {
     .build()
 }
 
-fn scan_holder(o: &Oosm, kind: ObjectKind, key: &str, value: i64) -> Vec<ObjectId> {
-    let want = Value::Int(value);
-    o.objects_of_kind(kind)
-        .into_iter()
-        .filter(|&obj| o.property(obj, key).as_ref() == Some(&want))
+/// The live rows of the four tables, read once per check.
+struct Tables {
+    objects: Vec<Vec<Value>>,
+    properties: Vec<Vec<Value>>,
+    relationships: Vec<Vec<Value>>,
+    reports: Vec<Vec<Value>>,
+}
+
+impl Tables {
+    fn of(o: &Oosm) -> Tables {
+        let rows = |table| o.store().rows(table).unwrap();
+        Tables {
+            objects: rows("objects"),
+            properties: rows("properties"),
+            relationships: rows("relationships"),
+            reports: rows("reports"),
+        }
+    }
+}
+
+fn object(cell: &Value) -> Option<ObjectId> {
+    cell.as_int().map(|i| ObjectId::new(i as u64))
+}
+
+/// Objects of `kind`, ascending, from the objects table.
+fn scan_kind(t: &Tables, kind: ObjectKind) -> Vec<ObjectId> {
+    let kind = Value::Text(kind.as_str().into());
+    t.objects
+        .iter()
+        .filter(|row| row[1] == kind)
+        .filter_map(|row| object(&row[0]))
         .collect()
 }
 
-fn scan_machine_object(o: &Oosm, machine: MachineId) -> Option<ObjectId> {
-    scan_holder(o, ObjectKind::Machine, "machine_id", machine.raw() as i64)
+/// Objects of `kind` holding `Int(value)` under `key`, ascending: in a
+/// `properties` row, or in the `reports` row's column of that name.
+fn scan_holder(t: &Tables, kind: ObjectKind, key: &str, value: i64) -> Vec<ObjectId> {
+    let key_cell = Value::Text(key.into());
+    let json_cell = Value::Text(format!("{{\"i\":{value}}}"));
+    let column = ["report_id", "machine_id"]
+        .iter()
+        .position(|&c| c == key)
+        .map(|i| i + 1);
+    scan_kind(t, kind)
+        .into_iter()
+        .filter(|&obj| {
+            let obj = Value::Int(obj.raw() as i64);
+            t.properties
+                .iter()
+                .any(|row| row[1] == obj && row[2] == key_cell && row[3] == json_cell)
+                || column.is_some_and(|col| {
+                    t.reports
+                        .iter()
+                        .any(|row| row[0] == obj && row[col] == Value::Int(value))
+                })
+        })
+        .collect()
+}
+
+fn scan_machine_object(t: &Tables, machine: MachineId) -> Option<ObjectId> {
+    scan_holder(t, ObjectKind::Machine, "machine_id", machine.raw() as i64)
         .first()
         .copied()
 }
 
-fn scan_report_object(o: &Oosm, report: ReportId) -> Option<ObjectId> {
-    scan_holder(o, ObjectKind::Report, "report_id", report.raw() as i64)
+fn scan_report_object(t: &Tables, report: ReportId) -> Option<ObjectId> {
+    scan_holder(t, ObjectKind::Report, "report_id", report.raw() as i64)
         .first()
         .copied()
 }
 
-fn scan_reports_for_machine(o: &Oosm, machine: MachineId) -> Vec<ConditionReport> {
-    let mut objs = scan_holder(o, ObjectKind::Report, "machine_id", machine.raw() as i64);
+fn scan_reports_for_machine(o: &Oosm, t: &Tables, machine: MachineId) -> Vec<ConditionReport> {
+    let mut objs = scan_holder(t, ObjectKind::Report, "machine_id", machine.raw() as i64);
     objs.sort();
     objs.into_iter()
         .filter_map(|obj| o.report_payload(obj).ok())
         .collect()
 }
 
-fn scan_related(o: &Oosm, from: ObjectId, relation: Relation) -> Vec<ObjectId> {
+fn scan_related(t: &Tables, from: ObjectId, relation: Relation) -> Vec<ObjectId> {
     let r = Value::Text(relation.as_str().into());
-    o.store()
-        .select_eq("relationships", "from_id", &Value::Int(from.raw() as i64))
-        .unwrap()
-        .into_iter()
-        .filter(|row| row[2] == r)
-        .filter_map(|row| row[3].as_int())
-        .map(|i| ObjectId::new(i as u64))
+    let from = Value::Int(from.raw() as i64);
+    t.relationships
+        .iter()
+        .filter(|row| row[1] == from && row[2] == r)
+        .filter_map(|row| object(&row[3]))
         .collect()
 }
 
-fn scan_related_to(o: &Oosm, to: ObjectId, relation: Relation) -> Vec<ObjectId> {
+fn scan_related_to(t: &Tables, to: ObjectId, relation: Relation) -> Vec<ObjectId> {
     let r = Value::Text(relation.as_str().into());
-    o.store()
-        .select_eq("relationships", "to_id", &Value::Int(to.raw() as i64))
-        .unwrap()
-        .into_iter()
-        .filter(|row| row[2] == r)
-        .filter_map(|row| row[1].as_int())
-        .map(|i| ObjectId::new(i as u64))
+    let to = Value::Int(to.raw() as i64);
+    t.relationships
+        .iter()
+        .filter(|row| row[3] == to && row[2] == r)
+        .filter_map(|row| object(&row[1]))
         .collect()
 }
 
 /// Every indexed lookup equals its scan reference on `o`.
 fn assert_lookups_match_scans(o: &Oosm, objects: &[ObjectId], step: usize) {
+    let t = &Tables::of(o);
     for m in MACHINES.map(MachineId::new) {
         assert_eq!(
             o.machine_object(m),
-            scan_machine_object(o, m),
+            scan_machine_object(t, m),
             "step {step} {m}"
         );
         assert_eq!(
             o.report_count_for(m),
-            scan_holder(o, ObjectKind::Report, "machine_id", m.raw() as i64).len(),
+            scan_holder(t, ObjectKind::Report, "machine_id", m.raw() as i64).len(),
             "step {step} {m}"
         );
         assert_eq!(
             o.reports_for_machine(m),
-            scan_reports_for_machine(o, m),
+            scan_reports_for_machine(o, t, m),
             "step {step} {m}"
         );
     }
     for r in (0..8).map(ReportId::new) {
-        assert_eq!(o.report_object(r), scan_report_object(o, r), "step {step}");
+        assert_eq!(o.report_object(r), scan_report_object(t, r), "step {step}");
     }
     assert_eq!(
         o.report_count(),
         o.objects_of_kind(ObjectKind::Report).len(),
         "step {step}"
     );
+    for kind in KINDS {
+        assert_eq!(o.objects_of_kind(kind), scan_kind(t, kind), "step {step}");
+    }
     for &obj in objects {
         for rel in RELATIONS {
             assert_eq!(
                 o.related(obj, rel),
-                scan_related(o, obj, rel),
+                scan_related(t, obj, rel),
                 "step {step}"
             );
             assert_eq!(
                 o.related_to(obj, rel),
-                scan_related_to(o, obj, rel),
+                scan_related_to(t, obj, rel),
                 "step {step}"
             );
         }
