@@ -169,13 +169,32 @@ pub struct DataConcentrator {
     telemetry: Telemetry,
     /// Journal component label, e.g. `dc1`.
     component: String,
-    m_surveys: Arc<Counter>,
-    m_process_samples: Arc<Counter>,
-    m_sbfr_cycles: Arc<Counter>,
-    m_reports_emitted: Arc<Counter>,
-    m_dsp_plans: Arc<Counter>,
-    m_dsp_reuses: Arc<Counter>,
-    m_dsp_bytes: Arc<Counter>,
+    metrics: DcCounters,
+}
+
+/// The DC's instruments, named once.
+struct DcCounters {
+    surveys: Arc<Counter>,
+    process_samples: Arc<Counter>,
+    sbfr_cycles: Arc<Counter>,
+    reports_emitted: Arc<Counter>,
+    dsp_plans: Arc<Counter>,
+    dsp_reuses: Arc<Counter>,
+    dsp_bytes: Arc<Counter>,
+}
+
+impl DcCounters {
+    fn wire(telemetry: &Telemetry) -> Self {
+        DcCounters {
+            surveys: telemetry.counter("dc", "surveys"),
+            process_samples: telemetry.counter("dc", "process_samples"),
+            sbfr_cycles: telemetry.counter("dc", "sbfr_cycles"),
+            reports_emitted: telemetry.counter("dc", "reports_emitted"),
+            dsp_plans: telemetry.counter("dsp", "plans_cached"),
+            dsp_reuses: telemetry.counter("dsp", "scratch_reuses"),
+            dsp_bytes: telemetry.counter("dsp", "bytes_avoided"),
+        }
+    }
 }
 
 impl DataConcentrator {
@@ -193,23 +212,10 @@ impl DataConcentrator {
         sbfr.add_program(&stiction_machine(1, 0))?;
         let telemetry = Telemetry::new();
         let component = format!("dc{}", config.id.raw());
-        let m_surveys = telemetry.counter("dc", "surveys");
-        let m_process_samples = telemetry.counter("dc", "process_samples");
-        let m_sbfr_cycles = telemetry.counter("dc", "sbfr_cycles");
-        let m_reports_emitted = telemetry.counter("dc", "reports_emitted");
-        let m_dsp_plans = telemetry.counter("dsp", "plans_cached");
-        let m_dsp_reuses = telemetry.counter("dsp", "scratch_reuses");
-        let m_dsp_bytes = telemetry.counter("dsp", "bytes_avoided");
         Ok(DataConcentrator {
+            metrics: DcCounters::wire(&telemetry),
             telemetry,
             component,
-            m_surveys,
-            m_process_samples,
-            m_sbfr_cycles,
-            m_reports_emitted,
-            m_dsp_plans,
-            m_dsp_reuses,
-            m_dsp_bytes,
             ids: IdAllocator::starting_at(config.id.raw() * 1_000_000),
             config,
             chain,
@@ -332,7 +338,7 @@ impl DataConcentrator {
                 severity: r.severity.value(),
                 belief: r.belief.value(),
             });
-            self.m_reports_emitted.inc();
+            self.metrics.reports_emitted.inc();
             // The trace root: this report's journey starts here. The
             // wall cost of emission is in the hop; the network and PDME
             // add their hops under the same (purely derived) trace id.
@@ -378,7 +384,7 @@ impl DataConcentrator {
         }
         let timer = WallTimer::start();
         self.chain.survey_into(plant, now, &mut survey.blocks);
-        self.m_surveys.inc();
+        self.metrics.surveys.inc();
         self.telemetry
             .record_span_wall(Stage::Acquire, timer.elapsed());
         // Channel self-check: an electrically dead block, or one whose
@@ -506,13 +512,10 @@ impl DataConcentrator {
     /// from the (deterministic) analysis workload, so fleet snapshots
     /// agree across sequential and parallel execution modes.
     fn publish_dsp_stats(&mut self) {
-        let stats = self.ctx.stats();
-        self.m_dsp_plans
-            .add(stats.plans_created - self.dsp_published.plans_created);
-        self.m_dsp_reuses
-            .add(stats.scratch_reuses - self.dsp_published.scratch_reuses);
-        self.m_dsp_bytes
-            .add(stats.bytes_avoided - self.dsp_published.bytes_avoided);
+        let (stats, old, m) = (self.ctx.stats(), self.dsp_published, &self.metrics);
+        m.dsp_plans.add(stats.plans_created - old.plans_created);
+        m.dsp_reuses.add(stats.scratch_reuses - old.scratch_reuses);
+        m.dsp_bytes.add(stats.bytes_avoided - old.bytes_avoided);
         self.dsp_published = stats;
     }
 
@@ -533,7 +536,7 @@ impl DataConcentrator {
             self.process_window.pop_front();
         }
         self.process_samples += 1;
-        self.m_process_samples.inc();
+        self.metrics.process_samples.inc();
         if !self.process_samples.is_multiple_of(FUZZY_EVERY)
             || self.process_window.len() < FUZZY_EVERY
         {
@@ -578,7 +581,7 @@ impl DataConcentrator {
         // analogue for the chiller).
         let timer = WallTimer::start();
         self.sbfr.cycle(&[snap.motor_current_a, snap.load]);
-        self.m_sbfr_cycles.inc();
+        self.metrics.sbfr_cycles.inc();
         self.telemetry
             .record_span_wall(Stage::Sbfr, timer.elapsed());
         let flagged = self
@@ -699,19 +702,8 @@ impl DataConcentrator {
 }
 
 impl Instrumented for DataConcentrator {
-    /// Record into `telemetry` from now on.
     fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        for (component, name, slot) in [
-            ("dc", "surveys", &mut self.m_surveys),
-            ("dc", "process_samples", &mut self.m_process_samples),
-            ("dc", "sbfr_cycles", &mut self.m_sbfr_cycles),
-            ("dc", "reports_emitted", &mut self.m_reports_emitted),
-            ("dsp", "plans_cached", &mut self.m_dsp_plans),
-            ("dsp", "scratch_reuses", &mut self.m_dsp_reuses),
-            ("dsp", "bytes_avoided", &mut self.m_dsp_bytes),
-        ] {
-            *slot = telemetry.counter(component, name);
-        }
+        self.metrics = DcCounters::wire(telemetry);
         self.telemetry = telemetry.clone();
     }
 

@@ -49,8 +49,23 @@ pub struct FusionEngine {
     /// Conflict already journaled per frame, to detect renormalizations.
     seen_conflict: HashMap<(MachineId, FailureGroup), f64>,
     telemetry: Telemetry,
-    m_ingested: Arc<Counter>,
-    m_conflicts: Arc<Counter>,
+    metrics: FusionCounters,
+}
+
+/// The engine's instruments, named once.
+#[derive(Debug)]
+struct FusionCounters {
+    ingested: Arc<Counter>,
+    conflicts: Arc<Counter>,
+}
+
+impl FusionCounters {
+    fn wire(telemetry: &Telemetry) -> Self {
+        FusionCounters {
+            ingested: telemetry.counter("fusion", "reports_ingested"),
+            conflicts: telemetry.counter("fusion", "conflicts"),
+        }
+    }
 }
 
 impl Default for FusionEngine {
@@ -64,16 +79,13 @@ impl FusionEngine {
     /// domain until [`FusionEngine::set_telemetry`] joins the scenario's.
     pub fn new() -> Self {
         let telemetry = Telemetry::new();
-        let m_ingested = telemetry.counter("fusion", "reports_ingested");
-        let m_conflicts = telemetry.counter("fusion", "conflicts");
         FusionEngine {
             diagnostic: DiagnosticFusion::new(),
             prognostics: HashMap::new(),
             worst_severity: HashMap::new(),
             seen_conflict: HashMap::new(),
+            metrics: FusionCounters::wire(&telemetry),
             telemetry,
-            m_ingested,
-            m_conflicts,
         }
     }
 
@@ -93,7 +105,7 @@ impl FusionEngine {
         let k = diagnosis.accumulated_conflict - *seen;
         if k > 1e-12 {
             *seen = diagnosis.accumulated_conflict;
-            self.m_conflicts.inc();
+            self.metrics.conflicts.inc();
             self.telemetry.event(
                 "fusion",
                 "conflict_renorm",
@@ -114,7 +126,7 @@ impl FusionEngine {
         }
         let worst = self.worst_severity.entry(key).or_insert(Severity::NONE);
         *worst = worst.max(report.severity);
-        self.m_ingested.inc();
+        self.metrics.ingested.inc();
         self.telemetry
             .record_span_wall(Stage::Fusion, timer.elapsed());
         Ok(diagnosis)
@@ -137,7 +149,7 @@ impl FusionEngine {
 
     /// Number of reports ingested (read from the telemetry registry).
     pub fn reports_ingested(&self) -> usize {
-        self.m_ingested.get() as usize
+        self.metrics.ingested.get() as usize
     }
 
     /// Render the prioritized maintenance list: every condition with
@@ -275,27 +287,19 @@ impl Durable for FusionEngine {
                 )));
             }
         }
-        let telemetry = Telemetry::new();
-        let m_ingested = telemetry.counter("fusion", "reports_ingested");
-        let m_conflicts = telemetry.counter("fusion", "conflicts");
         Ok(FusionEngine {
             diagnostic,
             prognostics,
             worst_severity,
             seen_conflict,
-            telemetry,
-            m_ingested,
-            m_conflicts,
+            ..FusionEngine::new()
         })
     }
 }
 
 impl Instrumented for FusionEngine {
-    /// Record the ingest and conflict counts into `telemetry` from now
-    /// on.
     fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        self.m_ingested = telemetry.counter("fusion", "reports_ingested");
-        self.m_conflicts = telemetry.counter("fusion", "conflicts");
+        self.metrics = FusionCounters::wire(telemetry);
         self.telemetry = telemetry.clone();
     }
 

@@ -12,10 +12,11 @@
 //!
 //! * [`snapshot`] — [`snapshot::ServingSnapshot`]: a versioned,
 //!   immutable, epoch-stamped view of the fused state (ICAS document,
-//!   prognostic curves, SLO verdict, counters) built once per sim step
-//!   on the control thread and published by pointer swap. Readers never
-//!   contend with the publisher beyond an `Arc` clone under a briefly
-//!   held read lock.
+//!   prognostic curves, SLO verdict, the sim-domain series that
+//!   `mpros-telemetry` lists straight from its registry) built once per
+//!   sim step on the control thread and published by pointer swap.
+//!   Readers never contend with the publisher beyond an `Arc` clone
+//!   under a briefly held read lock.
 //! * [`proto`] — the framed query protocol. Same wire discipline as
 //!   `mpros-network` (magic, version byte, type tag, length-prefixed
 //!   JSON payload, one generic codec), with its own request and

@@ -124,7 +124,20 @@ pub struct Oosm {
     pub(crate) tables: Tables,
     bus: EventBus,
     telemetry: Telemetry,
-    pub(crate) m_reports_posted: Arc<Counter>,
+    pub(crate) metrics: OosmCounters,
+}
+
+/// The model's instruments, named once.
+#[derive(Debug)]
+pub(crate) struct OosmCounters {
+    pub(crate) reports_posted: Arc<Counter>,
+}
+
+impl OosmCounters {
+    fn wire(telemetry: &Telemetry) -> Self {
+        let reports_posted = telemetry.counter("oosm", "reports_posted");
+        OosmCounters { reports_posted }
+    }
 }
 
 impl Default for Oosm {
@@ -142,19 +155,18 @@ impl Oosm {
     /// A model over `tables`, observing a fresh private telemetry domain.
     fn with_tables(tables: Tables) -> Self {
         let telemetry = Telemetry::new();
-        let m_reports_posted = telemetry.counter("oosm", "reports_posted");
         Oosm {
             tables,
             bus: EventBus::new(),
+            metrics: OosmCounters::wire(&telemetry),
             telemetry,
-            m_reports_posted,
         }
     }
 
     /// Record into `telemetry` from now on; nothing recorded so far
     /// moves over (see [`mpros_telemetry::Instrumented`]).
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        self.m_reports_posted = telemetry.counter("oosm", "reports_posted");
+        self.metrics = OosmCounters::wire(telemetry);
         self.telemetry = telemetry.clone();
     }
 
@@ -402,6 +414,20 @@ mod tests {
         assert_eq!(o.property(motor, "notes"), Some(Value::Null));
         assert_eq!(o.property(motor, "missing"), None);
         assert_eq!(o.properties(motor).len(), 5);
+    }
+
+    #[test]
+    fn a_negative_zero_float_keeps_its_sign() {
+        let (mut o, _, _, motor) = ship_model();
+        o.set_property(motor, "offset", Value::Float(-0.0)).unwrap();
+        // `-0.0 == 0.0`, so compare the sign bit.
+        let negative_zero = |o: &Oosm| {
+            matches!(o.property(motor, "offset"),
+                Some(Value::Float(f)) if f.to_bits() == (-0.0f64).to_bits())
+        };
+        assert!(negative_zero(&o));
+        let restored = Oosm::from_durable_bytes(&o.to_durable_bytes()).unwrap();
+        assert!(negative_zero(&restored));
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl Oosm {
             report: Arc::new(report.clone()),
             object: obj,
         });
-        self.m_reports_posted.inc();
+        self.metrics.reports_posted.inc();
         self.telemetry()
             .record_span_wall(Stage::OosmPost, timer.elapsed());
         Ok(obj)

@@ -305,6 +305,7 @@ fn a_property_cell_that_is_not_a_value_is_rejected() {
             "nul",
             "{\"i\":1.5}",
             "{\"i\":1e3}",
+            "{\"i\":-0}",
             "{\"i\":\"1\"}",
             "{\"i\":99999999999999999999}",
             "{\"f\":NaN}",

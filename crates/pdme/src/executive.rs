@@ -199,9 +199,24 @@ pub struct PdmeExecutive {
     /// [`PdmeExecutive::attach_store`].
     store: Option<StoreHandle>,
     telemetry: Telemetry,
-    m_reports_received: Arc<Counter>,
-    m_batch_replays: Arc<Counter>,
-    h_report_latency: Arc<Histogram>,
+    metrics: PdmeCounters,
+}
+
+/// The executive's own instruments, named once.
+struct PdmeCounters {
+    reports_received: Arc<Counter>,
+    batch_replays: Arc<Counter>,
+    report_latency: Arc<Histogram>,
+}
+
+impl PdmeCounters {
+    fn wire(telemetry: &Telemetry) -> Self {
+        PdmeCounters {
+            reports_received: telemetry.counter("pdme", "reports_received"),
+            batch_replays: telemetry.counter("pdme", "batch_replays_dropped"),
+            report_latency: telemetry.histogram("pdme", "report_latency_s"),
+        }
+    }
 }
 
 impl Default for PdmeExecutive {
@@ -213,14 +228,11 @@ impl Default for PdmeExecutive {
 impl PdmeExecutive {
     /// A fresh executive with an empty ship model.
     pub fn new() -> Self {
-        let mut oosm = Oosm::new();
         let telemetry = Telemetry::new();
-        let m_reports_received = telemetry.counter("pdme", "reports_received");
-        let m_batch_replays = telemetry.counter("pdme", "batch_replays_dropped");
-        let h_report_latency = telemetry.histogram("pdme", "report_latency_s");
+        let mut oosm = Oosm::new();
+        oosm.set_telemetry(&telemetry);
         let mut fusion = FusionEngine::new();
         fusion.set_telemetry(&telemetry);
-        oosm.set_telemetry(&telemetry);
         PdmeExecutive {
             oosm,
             fusion,
@@ -232,10 +244,8 @@ impl PdmeExecutive {
             unsurfaced: BTreeSet::new(),
             revisions: Revisions::new(),
             store: None,
+            metrics: PdmeCounters::wire(&telemetry),
             telemetry,
-            m_reports_received,
-            m_batch_replays,
-            h_report_latency,
         }
     }
 
@@ -353,7 +363,7 @@ impl PdmeExecutive {
 
     /// Reports received over the network so far.
     pub fn reports_received(&self) -> usize {
-        self.m_reports_received.get() as usize
+        self.metrics.reports_received.get() as usize
     }
 
     /// Post one report to the OOSM, recording liveness and the
@@ -366,7 +376,7 @@ impl PdmeExecutive {
         self.dc_last_seen.insert(report.dc, now);
         self.oosm.post_report(report)?;
         self.revisions.touch(report.machine);
-        self.m_reports_received.inc();
+        self.metrics.reports_received.inc();
         if self.supervisor.clear_degraded(report.machine) {
             if let Some(obj) = self.oosm.machine_object(report.machine) {
                 self.oosm
@@ -383,7 +393,7 @@ impl PdmeExecutive {
         // to ingestion here, in simulated time.
         let e2e = now.since(report.timestamp);
         if !e2e.is_negative() {
-            self.h_report_latency.record(e2e.as_secs());
+            self.metrics.report_latency.record(e2e.as_secs());
             self.telemetry.record_span_sim(Stage::PdmeIngest, e2e);
         }
         self.telemetry
@@ -420,7 +430,7 @@ impl PdmeExecutive {
                     };
                     if !fresh {
                         summary.replays += 1;
-                        self.m_batch_replays.inc();
+                        self.metrics.batch_replays.inc();
                         self.telemetry.record_hop(TraceHop::new(
                             entry.trace.trace,
                             HopKind::Replay,
@@ -826,8 +836,8 @@ impl PdmeExecutive {
     /// queued for fusion, and that queue was never part of a snapshot.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self> {
         let mut input = bytes;
-        let mut oosm = Oosm::decode(&mut input)?;
-        let mut fusion = FusionEngine::decode(&mut input)?;
+        let oosm = Oosm::decode(&mut input)?;
+        let fusion = FusionEngine::decode(&mut input)?;
         let supervisor = Supervisor::decode(&mut input)?;
         let historian = Historian::decode(&mut input)?;
         fn decode_dc_map<V: Durable>(input: &mut &[u8], what: &str) -> Result<HashMap<DcId, V>> {
@@ -859,28 +869,18 @@ impl PdmeExecutive {
                 input.len()
             )));
         }
-        let telemetry = Telemetry::new();
-        let m_reports_received = telemetry.counter("pdme", "reports_received");
-        let m_batch_replays = telemetry.counter("pdme", "batch_replays_dropped");
-        let h_report_latency = telemetry.histogram("pdme", "report_latency_s");
-        fusion.set_telemetry(&telemetry);
-        oosm.set_telemetry(&telemetry);
         let mut pdme = PdmeExecutive {
             oosm,
             fusion,
-            resident: Vec::new(),
             supervisor,
             dc_last_seen,
             batch_last_seq,
             historian,
-            unsurfaced: BTreeSet::new(),
-            revisions: Revisions::new(),
-            store: None,
-            telemetry,
-            m_reports_received,
-            m_batch_replays,
-            h_report_latency,
+            ..PdmeExecutive::new()
         };
+        // The decoded model and engine join the executive's domain.
+        let telemetry = pdme.telemetry.clone();
+        pdme.set_telemetry(&telemetry);
         pdme.unsurfaced = pdme.unsurfaced_frames();
         Ok(pdme)
     }
@@ -941,9 +941,7 @@ impl Instrumented for PdmeExecutive {
     /// Record into `telemetry` from now on, cascading to the fusion
     /// engine and the ship model.
     fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        self.m_reports_received = telemetry.counter("pdme", "reports_received");
-        self.m_batch_replays = telemetry.counter("pdme", "batch_replays_dropped");
-        self.h_report_latency = telemetry.histogram("pdme", "report_latency_s");
+        self.metrics = PdmeCounters::wire(telemetry);
         self.fusion.set_telemetry(telemetry);
         self.oosm.set_telemetry(telemetry);
         self.telemetry = telemetry.clone();

@@ -260,8 +260,6 @@ pub struct ShipboardSim {
     /// transitions, crash-restores, explicit captures); drained into
     /// the recorder at the end of every step.
     pending_triggers: Vec<IncidentTrigger>,
-    /// The previous step's SLO pass/fail, for violation edge detection.
-    last_slo_pass: Option<bool>,
 }
 
 impl ShipboardSim {
@@ -346,7 +344,6 @@ impl ShipboardSim {
             gateway: None,
             recorder: Arc::new(FlightRecorder::new(RecorderConfig::default(), config.seed)),
             pending_triggers: Vec::new(),
-            last_slo_pass: None,
         })
     }
 
@@ -411,27 +408,6 @@ impl ShipboardSim {
         self.pending_triggers.push(IncidentTrigger::Manual {
             label: label.into(),
         });
-    }
-
-    /// End-of-step flight capture, on the control thread with the
-    /// engine quiet: detect the SLO violation edge, then feed the
-    /// step's record and any raised triggers to the recorder.
-    fn record_flight(&mut self) {
-        let verdict = self.watchdog.last_verdict().cloned();
-        if let Some(v) = &verdict {
-            if !v.pass && self.last_slo_pass.unwrap_or(true) {
-                self.pending_triggers.push(IncidentTrigger::SloViolation);
-            }
-            self.last_slo_pass = Some(v.pass);
-        }
-        let triggers = std::mem::take(&mut self.pending_triggers);
-        self.recorder.observe_step(
-            self.steps,
-            self.clock.now().as_secs(),
-            &self.telemetry,
-            verdict.as_ref(),
-            &triggers,
-        );
     }
 
     /// Crash the PDME process and rebuild it from the durable store:
@@ -782,9 +758,7 @@ impl ShipboardSim {
         // acks back onto the wire, then a supervision pass. A stalled
         // PDME leaves its inbox queueing.
         if self.stalled {
-            self.watchdog.evaluate(&self.telemetry);
-            self.record_flight();
-            self.publish_serving_snapshot();
+            self.end_step()?;
             return Ok(0);
         }
         let msgs = self.network.recv(Endpoint::Pdme, now);
@@ -808,22 +782,37 @@ impl ShipboardSim {
             };
             self.network.post(now, Envelope::to_dc(*dc, cmd))?;
         }
-        // The SLO watchdog reads the shared registry after supervision,
-        // on the control thread — deterministic under any worker count.
-        self.watchdog.evaluate(&self.telemetry);
-        // Periodic durable checkpoint, on the control thread so the
-        // store's counters are identical under any worker count.
-        if self.snapshot_every > 0 && self.steps.is_multiple_of(self.snapshot_every) {
+        self.end_step()?;
+        Ok(summary.fused)
+    }
+
+    /// End a step, stalled or not, on the control thread (deterministic
+    /// under any worker count): the SLO watchdog, the checkpoint unless
+    /// stalled, the flight capture (the step's complete counter
+    /// movement; an incident opens on an SLO violation edge or a raised
+    /// trigger), then the serving publish, stamped with the step ordinal.
+    fn end_step(&mut self) -> Result<()> {
+        let was_passing = self.watchdog.last_verdict().is_none_or(|v| v.pass);
+        let verdict = self.watchdog.evaluate(&self.telemetry);
+        if !self.stalled
+            && self.snapshot_every > 0
+            && self.steps.is_multiple_of(self.snapshot_every)
+        {
             self.pdme.snapshot_to_store()?;
         }
-        // Flight capture after everything the step did (fusion,
-        // supervision, SLO, checkpoint) so the step record holds the
-        // step's complete counter movement; serving snapshot last, so
-        // clients see the state *after* this step's fusion, supervision
-        // and SLO verdict, stamped with the step ordinal as its version.
-        self.record_flight();
+        if was_passing && !verdict.pass {
+            self.pending_triggers.push(IncidentTrigger::SloViolation);
+        }
+        let triggers = std::mem::take(&mut self.pending_triggers);
+        self.recorder.observe_step(
+            self.steps,
+            self.clock.now().as_secs(),
+            &self.telemetry,
+            Some(&verdict),
+            &triggers,
+        );
         self.publish_serving_snapshot();
-        Ok(summary.fused)
+        Ok(())
     }
 
     /// Run for `duration` in steps of `dt`; returns total reports fused.

@@ -12,7 +12,7 @@
 //! deterministic for a seeded scenario regardless of worker count or
 //! host speed.
 
-use crate::snapshot::TelemetrySnapshot;
+use crate::metrics::Registry;
 use crate::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -76,29 +76,34 @@ impl SloRule {
         }
     }
 
-    /// Evaluate against one snapshot.
-    pub fn evaluate(&self, snap: &TelemetrySnapshot) -> SloCheck {
+    /// Evaluate against the series of `registry` the rule names, each
+    /// through a lookup that never registers it: an unregistered series
+    /// reads 0 and stays unregistered.
+    pub fn evaluate(&self, registry: &Registry) -> SloCheck {
+        let counter = |c: &str, n: &str| registry.find_counter(c, n).map_or(0, |c| c.get());
         let (value, limit) = match self {
             SloRule::HistogramP95Max {
                 component,
                 name,
                 max,
             } => {
-                let p95 = snap
-                    .histogram(component, name)
-                    .and_then(|h| h.p95)
-                    .unwrap_or(0.0);
-                (p95, *max)
+                let p95 = registry
+                    .find_histogram(component, name)
+                    .and_then(|h| h.p95());
+                (p95.unwrap_or(0.0), *max)
             }
             SloRule::GaugeMax {
                 component,
                 name,
                 max,
-            } => (snap.gauge(component, name).unwrap_or(0.0), *max),
-            SloRule::CounterZero { component, name } => (snap.counter(component, name) as f64, 0.0),
+            } => {
+                let gauge = registry.find_gauge(component, name);
+                (gauge.map_or(0.0, |g| g.get()), *max)
+            }
+            SloRule::CounterZero { component, name } => (counter(component, name) as f64, 0.0),
             SloRule::CounterRatioMax { num, den, max } => {
-                let d = snap.counter(&den.0, &den.1);
-                let n = snap.counter(&num.0, &num.1);
+                let d = counter(&den.0, &den.1);
+                let n = counter(&num.0, &num.1);
                 let ratio = if d == 0 { 0.0 } else { n as f64 / d as f64 };
                 (ratio, *max)
             }
@@ -251,15 +256,15 @@ impl SloWatchdog {
         self.last.as_ref()
     }
 
-    /// Evaluate every rule against a fresh snapshot of `telemetry`,
+    /// Evaluate every rule against the series of `telemetry` it names,
     /// journal edges, and return (a clone of) the verdict.
     pub fn evaluate(&mut self, telemetry: &Telemetry) -> SloVerdict {
-        let snap = telemetry.snapshot();
+        let registry = telemetry.registry();
         let checks: Vec<SloCheck> = self
             .policy
             .rules
             .iter()
-            .map(|r| r.evaluate(&snap))
+            .map(|r| r.evaluate(registry))
             .collect();
         for c in &checks {
             if !c.pass && self.failing.insert(c.rule.clone()) {
@@ -277,7 +282,7 @@ impl SloWatchdog {
             }
         }
         let verdict = SloVerdict {
-            at_secs: snap.at_secs,
+            at_secs: telemetry.sim_now().as_secs(),
             pass: checks.iter().all(|c| c.pass),
             checks,
         };
@@ -299,6 +304,24 @@ mod tests {
         assert!(v.pass);
         assert!(v.checks.is_empty());
         assert!(t.events().is_empty());
+    }
+
+    #[test]
+    fn an_absent_series_reads_zero_and_stays_absent() {
+        let t = Telemetry::new();
+        let mut w = SloWatchdog::new(SloPolicy::standard(120.0, 90.0, 0.5));
+        let v = w.evaluate(&t);
+        assert!(v.pass);
+        assert!(v.checks.iter().all(|c| c.value == 0.0), "{v:?}");
+        let snap = t.snapshot();
+        assert_eq!(snap.gauge("pdme", "dc_staleness_max"), None);
+        assert!(snap.histogram("pdme", "report_latency_s").is_none());
+        assert!(
+            snap.counters
+                .iter()
+                .all(|c| c.component != "net" && c.component != "fusion"),
+            "the watchdog registered a counter"
+        );
     }
 
     #[test]

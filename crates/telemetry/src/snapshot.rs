@@ -70,6 +70,18 @@ pub struct EventSnapshot {
     pub detail: String,
 }
 
+impl From<crate::Event> for EventSnapshot {
+    fn from(e: crate::Event) -> Self {
+        EventSnapshot {
+            seq: e.seq,
+            at_secs: e.at.as_secs(),
+            component: e.component,
+            kind: e.kind,
+            detail: e.detail,
+        }
+    }
+}
+
 /// The full telemetry document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {

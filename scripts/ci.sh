@@ -49,6 +49,10 @@ cargo test -q
 #    same store rows with 1k and 16k reports stored (pdme_history), and
 #    one ingest makes the same heap allocations at both sizes, under a
 #    ceiling (pdme_ingest_alloc);
+#  - per-step readers: a quiet 8-DC ship step with the standard SLO
+#    policy and a gateway attached stays under a ceiling of heap
+#    allocations, so the watchdog, the flight recorder and the serving
+#    publish copy only what they use (ship_step_alloc);
 #  - the fleet plane: responses are byte-identical across exec modes
 #    and one-thread-per-shard stepping, ship 0 is independent of fleet
 #    size, a crashed shard degrades only itself (fleet_serving);

@@ -373,7 +373,8 @@ impl<'a> Reader<'a> {
         // Every byte consumed above is ASCII.
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| DeError::custom("invalid number"))?;
-        if !is_float {
+        // `-0` is the float −0.0: as the integer 0 it would lose its sign.
+        if !is_float && text != "-0" {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Number::from_u64(u));
             }

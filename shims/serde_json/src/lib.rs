@@ -218,6 +218,10 @@ mod tests {
         }
         assert_eq!(from_str::<u64>("0").unwrap(), 0);
         assert_eq!(from_str::<i64>("-10").unwrap(), -10);
+        // `-0` has no integer form that keeps its sign: it is a float.
+        let zero: Value = from_str("-0").unwrap();
+        assert!(matches!(&zero, Value::Number(n) if n.is_f64()));
+        assert!(from_str::<f64>("-0").unwrap().is_sign_negative());
     }
 
     #[test]

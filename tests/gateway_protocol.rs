@@ -20,9 +20,8 @@ use mpros::gateway::{
 use mpros::network::{decode, decode_message, encode_message, Family, NetMessage, Tag, Wire};
 use mpros::pdme::icas::{IcasCondition, IcasDc, IcasMachine, IcasSnapshot, ICAS_SCHEMA_VERSION};
 use mpros::telemetry::{
-    CounterDelta, CounterSnapshot, EventSnapshot, GaugeSample, GaugeSnapshot, HistogramSnapshot,
-    HopRecord, Incident, IncidentTrigger, SloCheck, SloVerdict, StepRecord,
-    INCIDENT_SCHEMA_VERSION,
+    CounterDelta, CounterSnapshot, EventSnapshot, GaugeSnapshot, HistogramSnapshot, HopRecord,
+    Incident, IncidentTrigger, SloCheck, SloVerdict, StepRecord, INCIDENT_SCHEMA_VERSION,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -233,10 +232,12 @@ fn arb_step_record() -> impl Strategy<Value = StepRecord> {
             0..3,
         ),
         proptest::collection::vec(
-            (".{0,10}", ".{0,10}", -1e3..1e3f64).prop_map(|(component, name, value)| GaugeSample {
-                component,
-                name,
-                value,
+            (".{0,10}", ".{0,10}", -1e3..1e3f64).prop_map(|(component, name, value)| {
+                GaugeSnapshot {
+                    component,
+                    name,
+                    value,
+                }
             }),
             0..3,
         ),
