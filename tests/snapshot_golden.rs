@@ -1,7 +1,8 @@
 //! Snapshot golden bytes: the durable encoding of an OOSM built by a
-//! fixed sequence of writes, and of a PDME after a short seeded ship
-//! run, are checked against a committed length and 64-bit FNV-1a
-//! digest. The determinism fingerprints pin the WAL only as a byte
+//! fixed sequence of writes, of a PDME after a short seeded ship run,
+//! and of a PDME driven by direct calls until every keyed map it
+//! snapshots holds entries, are checked against a committed length and
+//! 64-bit FNV-1a digest. The determinism fingerprints pin the WAL only as a byte
 //! count; this test pins the content a snapshot carries, so a change
 //! to how the OOSM holds its tables cannot silently move the bytes it
 //! writes.
@@ -14,8 +15,11 @@ use mpros::core::{
     Belief, ConditionReport, DcId, Durable, MachineCondition, MachineId, PrognosticVector,
     ReportId, SimDuration, SimTime,
 };
+use mpros::network::{BatchEntry, NetMessage};
 use mpros::oosm::{ObjectKind, Oosm, Relation, Value};
+use mpros::pdme::{MaintenanceRecord, Outcome, PdmeExecutive};
 use mpros::sim::{ShipboardSim, ShipboardSimConfig};
+use mpros::telemetry::{SpanId, TraceContext, TraceId};
 
 /// `(length, FNV-1a 64)` of `Oosm::to_durable_bytes` after [`oosm_ops`].
 const OOSM_GOLDEN: (usize, u64) = (2773, 0x238b_9808_6deb_0923);
@@ -23,6 +27,10 @@ const OOSM_GOLDEN: (usize, u64) = (2773, 0x238b_9808_6deb_0923);
 /// `(length, FNV-1a 64)` of `PdmeExecutive::snapshot_bytes` after
 /// [`ship_run`].
 const PDME_GOLDEN: (usize, u64) = (3735, 0x40a3_ad9b_96a4_1b75);
+
+/// `(length, FNV-1a 64)` of `PdmeExecutive::snapshot_bytes` after
+/// [`pdme_calls`].
+const PDME_MAPS_GOLDEN: (usize, u64) = (7674, 0xe9ea_c1e6_cf6e_17f0);
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -120,6 +128,112 @@ fn ship_run() -> ShipboardSim {
     sim
 }
 
+/// A PDME driven by direct calls so that every keyed map in its
+/// snapshot is non-empty: fusion frames with journaled conflict
+/// (contradictory reports), fused prognostics and worst severities,
+/// supervisor assignments, DC states and a degraded set (DC 2 goes
+/// silent past the timeout), the historian's archive and in-service
+/// clocks, and the liveness map and replay guards of two batching DCs.
+fn pdme_calls() -> PdmeExecutive {
+    let mut p = PdmeExecutive::new();
+    for m in 1..=4 {
+        p.register_machine(MachineId::new(m), &format!("machine {m}"));
+    }
+    for dc in 1..=2u64 {
+        let machines = vec![MachineId::new(2 * dc - 1), MachineId::new(2 * dc)];
+        p.assign_dc(DcId::new(dc), machines, vec![(0, vec![dc as u8, 7])]);
+    }
+    // Machine 1 alternates between two rotor-dynamics conditions, so its
+    // frame renormalizes conflict; every other report carries a curve.
+    let plan = [
+        [
+            MachineCondition::MotorImbalance,
+            MachineCondition::RefrigerantLeak,
+        ],
+        [
+            MachineCondition::MotorMisalignment,
+            MachineCondition::CompressorBearingDefect,
+        ],
+        [
+            MachineCondition::MotorImbalance,
+            MachineCondition::CondenserFouling,
+        ],
+    ];
+    let mut id = 0;
+    for (round, conditions) in plan.iter().enumerate() {
+        let now = SimTime::from_secs(10.0 * round as f64);
+        let mut msgs = Vec::new();
+        for dc in 1..=2u64 {
+            // DC 2 falls silent after the second round.
+            if dc == 2 && round == 2 {
+                continue;
+            }
+            let entries = (0..2u64)
+                .map(|slot| {
+                    id += 1;
+                    let machine = 2 * dc - 1 + slot;
+                    let condition = conditions[slot as usize];
+                    let mut report = report(id, machine, condition, 0.9);
+                    report.dc = DcId::new(dc);
+                    report.timestamp = now;
+                    if id % 2 == 0 {
+                        report.prognostic = PrognosticVector::empty();
+                    }
+                    BatchEntry {
+                        seq: id,
+                        trace: TraceContext {
+                            trace: TraceId(id),
+                            parent: SpanId(100 + id),
+                        },
+                        report,
+                    }
+                })
+                .collect();
+            msgs.push(NetMessage::ReportBatch {
+                dc: DcId::new(dc),
+                epoch: round as u64 / 2,
+                entries,
+            });
+        }
+        p.ingest(&msgs, now).expect("ingest");
+    }
+    p.ingest(
+        &[NetMessage::Heartbeat {
+            dc: DcId::new(1),
+            at_secs: 90.0,
+        }],
+        SimTime::from_secs(90.0),
+    )
+    .expect("heartbeat");
+    p.supervise(SimTime::from_secs(100.0), SimDuration::from_secs(45.0))
+        .expect("supervise");
+    for (i, (machine, outcome)) in [(1, Outcome::Confirmed), (3, Outcome::Reversed)]
+        .into_iter()
+        .enumerate()
+    {
+        p.record_maintenance(MaintenanceRecord {
+            at: SimTime::from_secs(200.0 + i as f64),
+            machine: MachineId::new(machine),
+            condition: MachineCondition::MotorImbalance,
+            outcome,
+            service_life: Some(SimDuration::from_hours(500.0 + 100.0 * i as f64)),
+        })
+        .expect("maintenance");
+    }
+    for (machine, condition) in [
+        (4, MachineCondition::RefrigerantLeak),
+        (1, MachineCondition::MotorImbalance),
+    ] {
+        p.component_installed(
+            MachineId::new(machine),
+            condition,
+            SimTime::from_secs(250.0),
+        )
+        .expect("install");
+    }
+    p
+}
+
 #[test]
 fn oosm_snapshot_bytes_are_golden() {
     let bytes = oosm_ops().to_durable_bytes();
@@ -138,6 +252,34 @@ fn pdme_snapshot_bytes_after_a_ship_run_are_golden() {
     let got = (bytes.len(), fnv1a64(&bytes));
     assert_eq!(
         got, PDME_GOLDEN,
+        "PDME snapshot bytes moved: got ({}, 0x{:016x})",
+        got.0, got.1
+    );
+}
+
+#[test]
+fn pdme_snapshot_bytes_with_every_map_filled_are_golden() {
+    let p = pdme_calls();
+    // Not vacuous: the maps the ship run leaves empty are filled here.
+    assert_eq!(
+        p.degraded_machines(),
+        vec![MachineId::new(3), MachineId::new(4)]
+    );
+    let frame = p
+        .fusion()
+        .diagnostic()
+        .diagnosis(MachineId::new(1), MachineCondition::MotorImbalance.group())
+        .expect("frame fused");
+    assert!(frame.accumulated_conflict > 0.0, "no conflict journaled");
+    assert!(p
+        .fusion()
+        .prognostic(MachineId::new(1), MachineCondition::MotorImbalance)
+        .is_some());
+    assert_eq!(p.historian().len(), 2);
+    let bytes = p.snapshot_bytes();
+    let got = (bytes.len(), fnv1a64(&bytes));
+    assert_eq!(
+        got, PDME_MAPS_GOLDEN,
         "PDME snapshot bytes moved: got ({}, 0x{:016x})",
         got.0, got.1
     );
