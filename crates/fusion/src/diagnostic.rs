@@ -209,34 +209,17 @@ impl Durable for FrameState {
     }
 }
 
-/// Wire form: frames sorted by `(machine, group)` key so the encoding is
-/// canonical regardless of `HashMap` iteration order; decoding enforces
-/// the ordering, which also rules out duplicate keys.
+/// Wire form: the frames in the one keyed-map encoding (ascending
+/// `(machine, group)` keys, enforced on decode); decoding then checks
+/// each frame's hypothesis count against its group.
 impl Durable for DiagnosticFusion {
     fn encode(&self, out: &mut Vec<u8>) {
-        let mut keys: Vec<(MachineId, FailureGroup)> = self.frames.keys().copied().collect();
-        keys.sort_unstable();
-        keys.len().encode(out);
-        for key in keys {
-            key.0.encode(out);
-            key.1.encode(out);
-            self.frames[&key].encode(out);
-        }
+        self.frames.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self> {
-        let count = usize::decode(input)?;
-        let mut frames = HashMap::with_capacity(count.min(input.len()));
-        let mut prev: Option<(MachineId, FailureGroup)> = None;
-        for _ in 0..count {
-            let machine = MachineId::decode(input)?;
-            let group = FailureGroup::decode(input)?;
-            let key = (machine, group);
-            if prev.is_some_and(|p| key <= p) {
-                return Err(Error::invalid("durable diagnosis: frames out of order"));
-            }
-            prev = Some(key);
-            let state = FrameState::decode(input)?;
+        let frames: HashMap<(MachineId, FailureGroup), FrameState> = HashMap::decode(input)?;
+        for ((_, group), state) in &frames {
             let expected = group.members().len() + 1;
             if state.mass.frame_size() != expected {
                 return Err(Error::invalid(format!(
@@ -244,7 +227,6 @@ impl Durable for DiagnosticFusion {
                     state.mass.frame_size()
                 )));
             }
-            frames.insert(key, state);
         }
         Ok(DiagnosticFusion { frames })
     }

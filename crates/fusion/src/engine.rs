@@ -226,59 +226,22 @@ impl FusionEngine {
 }
 
 /// Wire form: the diagnostic state followed by the three per-key maps,
-/// each sorted by key for a canonical encoding (decoding enforces the
-/// ordering, which also rules out duplicates). The decoded engine observes
-/// a fresh private telemetry domain until re-bound.
+/// each in the one keyed-map encoding (ascending keys, enforced on
+/// decode). The decoded engine observes a fresh private telemetry
+/// domain until re-bound.
 impl Durable for FusionEngine {
     fn encode(&self, out: &mut Vec<u8>) {
         self.diagnostic.encode(out);
-        let mut prog: Vec<&(MachineId, MachineCondition)> = self.prognostics.keys().collect();
-        prog.sort_unstable();
-        prog.len().encode(out);
-        for key in prog {
-            key.encode(out);
-            self.prognostics[key].encode(out);
-        }
-        let mut worst: Vec<&(MachineId, MachineCondition)> = self.worst_severity.keys().collect();
-        worst.sort_unstable();
-        worst.len().encode(out);
-        for key in worst {
-            key.encode(out);
-            self.worst_severity[key].encode(out);
-        }
-        let mut seen: Vec<&(MachineId, FailureGroup)> = self.seen_conflict.keys().collect();
-        seen.sort_unstable();
-        seen.len().encode(out);
-        for key in seen {
-            key.encode(out);
-            self.seen_conflict[key].encode(out);
-        }
+        self.prognostics.encode(out);
+        self.worst_severity.encode(out);
+        self.seen_conflict.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self> {
-        fn decode_map<K: Durable + Ord + std::hash::Hash + Copy, V: Durable>(
-            input: &mut &[u8],
-            what: &str,
-        ) -> Result<HashMap<K, V>> {
-            let count = usize::decode(input)?;
-            let mut map = HashMap::with_capacity(count.min(input.len()));
-            let mut prev: Option<K> = None;
-            for _ in 0..count {
-                let key = K::decode(input)?;
-                if prev.is_some_and(|p| key <= p) {
-                    return Err(Error::invalid(format!(
-                        "durable fusion: {what} keys out of order"
-                    )));
-                }
-                prev = Some(key);
-                map.insert(key, V::decode(input)?);
-            }
-            Ok(map)
-        }
         let diagnostic = DiagnosticFusion::decode(input)?;
-        let prognostics = decode_map(input, "prognostic")?;
-        let worst_severity = decode_map(input, "severity")?;
-        let seen_conflict: HashMap<(MachineId, FailureGroup), f64> = decode_map(input, "conflict")?;
+        let prognostics = HashMap::decode(input)?;
+        let worst_severity = HashMap::decode(input)?;
+        let seen_conflict: HashMap<(MachineId, FailureGroup), f64> = HashMap::decode(input)?;
         for (key, k) in &seen_conflict {
             if !k.is_finite() || *k < 0.0 {
                 return Err(Error::invalid(format!(

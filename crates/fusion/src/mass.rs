@@ -124,7 +124,7 @@ pub struct MassFunction {
     n: usize,
     /// Focal subsets → mass; deterministic iteration (BTreeMap) keeps
     /// combination results reproducible.
-    masses: BTreeMap<u16, f64>,
+    masses: BTreeMap<Subset, f64>,
 }
 
 impl MassFunction {
@@ -136,7 +136,7 @@ impl MassFunction {
             )));
         }
         let mut masses = BTreeMap::new();
-        masses.insert(Subset::full(n).0, 1.0);
+        masses.insert(Subset::full(n), 1.0);
         Ok(MassFunction { n, masses })
     }
 
@@ -158,10 +158,10 @@ impl MassFunction {
                 // Support for Θ is vacuous regardless of belief.
                 return Ok(m);
             }
-            m.masses.insert(focus.0, belief);
-            m.masses.insert(Subset::full(n).0, 1.0 - belief);
+            m.masses.insert(focus, belief);
+            m.masses.insert(Subset::full(n), 1.0 - belief);
             if belief == 1.0 {
-                m.masses.remove(&Subset::full(n).0);
+                m.masses.remove(&Subset::full(n));
             }
         }
         Ok(m)
@@ -187,7 +187,7 @@ impl MassFunction {
                 return Err(Error::invalid("masses must be non-negative"));
             }
             if m > 0.0 {
-                *masses.entry(s.0).or_insert(0.0) += m;
+                *masses.entry(s).or_insert(0.0) += m;
             }
             sum += m;
         }
@@ -204,19 +204,19 @@ impl MassFunction {
 
     /// Mass assigned to exactly `s`.
     pub fn mass(&self, s: Subset) -> f64 {
-        self.masses.get(&s.0).copied().unwrap_or(0.0)
+        self.masses.get(&s).copied().unwrap_or(0.0)
     }
 
     /// The focal subsets and their masses.
     pub fn focals(&self) -> impl Iterator<Item = (Subset, f64)> + '_ {
-        self.masses.iter().map(|(&b, &m)| (Subset(b), m))
+        self.masses.iter().map(|(&b, &m)| (b, m))
     }
 
     /// Belief in `s`: total mass of subsets contained in `s`.
     pub fn belief(&self, s: Subset) -> f64 {
         self.masses
             .iter()
-            .filter(|(&b, _)| Subset(b).is_subset_of(s))
+            .filter(|(b, _)| b.is_subset_of(s))
             .map(|(_, &m)| m)
             .sum()
     }
@@ -225,7 +225,7 @@ impl MassFunction {
     pub fn plausibility(&self, s: Subset) -> f64 {
         self.masses
             .iter()
-            .filter(|(&b, _)| !Subset(b).intersect(s).is_empty())
+            .filter(|(b, _)| !b.intersect(s).is_empty())
             .map(|(_, &m)| m)
             .sum()
     }
@@ -249,13 +249,13 @@ impl MassFunction {
                 self.n, other.n
             )));
         }
-        let mut out: BTreeMap<u16, f64> = BTreeMap::new();
+        let mut out: BTreeMap<Subset, f64> = BTreeMap::new();
         let mut conflict = 0.0;
         for (&a, &ma) in &self.masses {
             for (&b, &mb) in &other.masses {
-                let c = a & b;
+                let c = a.intersect(b);
                 let w = ma * mb;
-                if c == 0 {
+                if c.is_empty() {
                     conflict += w;
                 } else {
                     *out.entry(c).or_insert(0.0) += w;
@@ -288,19 +288,29 @@ impl MassFunction {
     }
 }
 
-/// Bit-exact wire form: frame size, then the focal subsets in ascending
-/// bitmask order with their raw `f64` masses. Decoding revalidates every
-/// invariant `from_masses` enforces (nonempty focals inside the frame,
-/// masses positive and summing to one) plus canonical ordering, so a
-/// decoded function is indistinguishable from the one encoded.
+/// A subset travels as a `u32` bitmask; bits above the `u16` frame
+/// limit are refused.
+impl Durable for Subset {
+    fn encode(&self, out: &mut Vec<u8>) {
+        u32::from(self.0).encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self> {
+        u16::try_from(u32::decode(input)?)
+            .map(Subset)
+            .map_err(|_| Error::invalid("durable mass: focal bits exceed u16"))
+    }
+}
+
+/// Bit-exact wire form: frame size, then the focal map in the keyed
+/// encoding (ascending bitmask order, raw `f64` masses). Decoding
+/// revalidates every invariant `from_masses` enforces (nonempty focals
+/// inside the frame, masses positive and summing to one), so a decoded
+/// function is indistinguishable from the one encoded.
 impl Durable for MassFunction {
     fn encode(&self, out: &mut Vec<u8>) {
         self.n.encode(out);
-        self.masses.len().encode(out);
-        for (&bits, &m) in &self.masses {
-            u32::from(bits).encode(out);
-            m.encode(out);
-        }
+        self.masses.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self> {
@@ -309,28 +319,17 @@ impl Durable for MassFunction {
             return Err(Error::invalid(format!("durable mass: bad frame size {n}")));
         }
         let full = Subset::full(n);
-        let count = usize::decode(input)?;
-        let mut masses = BTreeMap::new();
-        let mut prev: Option<u16> = None;
+        let masses = BTreeMap::<Subset, f64>::decode(input)?;
         let mut sum = 0.0;
-        for _ in 0..count {
-            let bits = u16::try_from(u32::decode(input)?)
-                .map_err(|_| Error::invalid("durable mass: focal bits exceed u16"))?;
-            if prev.is_some_and(|p| bits <= p) {
-                return Err(Error::invalid("durable mass: focals out of order"));
-            }
-            prev = Some(bits);
-            let s = Subset(bits);
+        for (&s, &m) in &masses {
             if s.is_empty() || !s.is_subset_of(full) {
                 return Err(Error::invalid(format!(
                     "durable mass: focal {s} outside the {n}-hypothesis frame"
                 )));
             }
-            let m = f64::decode(input)?;
             if !m.is_finite() || m <= 0.0 {
                 return Err(Error::invalid(format!("durable mass: bad mass {m}")));
             }
-            masses.insert(bits, m);
             sum += m;
         }
         if (sum - 1.0).abs() > SUM_TOL {

@@ -185,38 +185,17 @@ impl Durable for MaintenanceRecord {
 
 /// Wire form: the archive in arrival order (record order matters to
 /// nothing today, but a byte-identical restore must not invent one),
-/// then the in-service clocks sorted by `(machine, condition)` key.
+/// then the in-service clocks in the keyed-map encoding.
 impl Durable for Historian {
     fn encode(&self, out: &mut Vec<u8>) {
         self.records.encode(out);
-        let mut keys: Vec<(MachineId, MachineCondition)> =
-            self.in_service.keys().copied().collect();
-        keys.sort_unstable();
-        keys.len().encode(out);
-        for key in keys {
-            key.encode(out);
-            self.in_service[&key].encode(out);
-        }
+        self.in_service.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self> {
-        let records = Vec::<MaintenanceRecord>::decode(input)?;
-        let count = usize::decode(input)?;
-        let mut in_service = HashMap::with_capacity(count.min(input.len()));
-        let mut prev: Option<(MachineId, MachineCondition)> = None;
-        for _ in 0..count {
-            let key = <(MachineId, MachineCondition)>::decode(input)?;
-            if prev.is_some_and(|p| key <= p) {
-                return Err(Error::invalid(
-                    "durable historian: service clocks out of order",
-                ));
-            }
-            prev = Some(key);
-            in_service.insert(key, SimTime::decode(input)?);
-        }
         Ok(Historian {
-            records,
-            in_service,
+            records: Vec::decode(input)?,
+            in_service: HashMap::decode(input)?,
         })
     }
 }

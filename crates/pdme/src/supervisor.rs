@@ -173,63 +173,20 @@ impl Durable for DcState {
     }
 }
 
-/// Wire form: the three collections in key order (they are ordered maps
-/// and sets already, so the encoding is canonical for free); decoding
-/// enforces strictly ascending keys.
+/// Wire form: the two maps and the degraded set, each in the keyed
+/// encoding (ascending keys, enforced on decode).
 impl Durable for Supervisor {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.assignments.len().encode(out);
-        for (dc, assignment) in &self.assignments {
-            dc.encode(out);
-            assignment.encode(out);
-        }
-        self.states.len().encode(out);
-        for (dc, state) in &self.states {
-            dc.encode(out);
-            state.encode(out);
-        }
-        self.degraded.len().encode(out);
-        for machine in &self.degraded {
-            machine.encode(out);
-        }
+        self.assignments.encode(out);
+        self.states.encode(out);
+        self.degraded.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self> {
-        fn decode_btree<V: Durable>(input: &mut &[u8], what: &str) -> Result<BTreeMap<DcId, V>> {
-            let count = usize::decode(input)?;
-            let mut map = BTreeMap::new();
-            let mut prev: Option<DcId> = None;
-            for _ in 0..count {
-                let dc = DcId::decode(input)?;
-                if prev.is_some_and(|p| dc <= p) {
-                    return Err(Error::invalid(format!(
-                        "durable supervisor: {what} out of order"
-                    )));
-                }
-                prev = Some(dc);
-                map.insert(dc, V::decode(input)?);
-            }
-            Ok(map)
-        }
-        let assignments = decode_btree(input, "assignments")?;
-        let states = decode_btree(input, "states")?;
-        let count = usize::decode(input)?;
-        let mut degraded = BTreeSet::new();
-        let mut prev: Option<MachineId> = None;
-        for _ in 0..count {
-            let machine = MachineId::decode(input)?;
-            if prev.is_some_and(|p| machine <= p) {
-                return Err(Error::invalid(
-                    "durable supervisor: degraded set out of order",
-                ));
-            }
-            prev = Some(machine);
-            degraded.insert(machine);
-        }
         Ok(Supervisor {
-            assignments,
-            states,
-            degraded,
+            assignments: BTreeMap::decode(input)?,
+            states: BTreeMap::decode(input)?,
+            degraded: BTreeSet::decode(input)?,
         })
     }
 }
