@@ -340,9 +340,10 @@ impl DataConcentrator {
             });
             self.metrics.reports_emitted.inc();
             // The trace root: this report's journey starts here. The
-            // wall cost of emission is in the hop; the network and PDME
-            // add their hops under the same (purely derived) trace id.
-            let mut hop = TraceHop::new(
+            // wall cost of emission goes to the `Emit` stage; the network
+            // and PDME add their hops under the same (purely derived)
+            // trace id.
+            self.telemetry.record_hop(TraceHop::new(
                 TraceId::for_report(self.config.trace_seed, r.id.raw()),
                 HopKind::DcEmit,
                 0,
@@ -351,9 +352,7 @@ impl DataConcentrator {
                 r.timestamp.as_secs(),
                 now.as_secs(),
                 format!("{} {:?}", source_of(r, self.config.id), r.condition),
-            );
-            hop.wall_ns = timer.elapsed().as_nanos() as u64;
-            self.telemetry.record_hop(hop);
+            ));
             self.telemetry
                 .record_span_wall(Stage::Emit, timer.elapsed());
         }

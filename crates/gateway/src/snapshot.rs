@@ -196,9 +196,6 @@ impl ServingSnapshot {
                 let rebuilt = machines.len() - reused;
                 (machines, machine_revisions, prognostics.into(), rebuilt)
             };
-        // Liveness runs every publish, and before the telemetry read:
-        // it sets the `pdme.dc_staleness_max` gauge and journals stale
-        // DCs, and both are served.
         let data_concentrators = export_dcs(pdme, now, dc_timeout);
         ServingSnapshot {
             version,

@@ -170,9 +170,7 @@ fn machine_entry(
     })
 }
 
-/// DC liveness entries, ascending by DC id. Runs
-/// [`PdmeExecutive::dc_health`], so it also sets the
-/// `pdme.dc_staleness_max` gauge and journals newly stale DCs.
+/// DC liveness entries, ascending by DC id.
 pub fn export_dcs(pdme: &PdmeExecutive, now: SimTime, dc_timeout: SimDuration) -> Vec<IcasDc> {
     pdme.dc_health(now, dc_timeout)
         .into_iter()

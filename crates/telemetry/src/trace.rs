@@ -214,9 +214,6 @@ pub struct TraceHop {
     pub sim_start: f64,
     /// Simulated end time, seconds (≥ `sim_start`).
     pub sim_end: f64,
-    /// Wall-clock nanoseconds spent recording-side. Diagnostic only;
-    /// **never** part of a canonical export.
-    pub wall_ns: u64,
     /// Free-form annotation (machine, drop reason, …).
     pub detail: String,
 }
@@ -243,7 +240,6 @@ impl TraceHop {
             track: track.into(),
             sim_start,
             sim_end,
-            wall_ns: 0,
             detail: detail.into(),
         }
     }

@@ -42,9 +42,13 @@ cargo test -q
 #    truncated at any tail offset recovers to the last valid frame
 #    (wal_torn_write), and a fusion frame built from 1,000 reports
 #    restores from a snapshot byte-identically (pdme_ingest_pass);
-#  - snapshot bytes: an OOSM after a fixed write sequence and a PDME
-#    after a short seeded ship run encode to a committed length and
-#    FNV-1a digest (snapshot_golden);
+#  - snapshot bytes: an OOSM after a fixed write sequence, a PDME
+#    after a short seeded ship run, and a PDME with every keyed map it
+#    snapshots filled encode to a committed length and FNV-1a digest
+#    (snapshot_golden);
+#  - DC staleness: the max(pdme.dc_staleness_max) objective fails on
+#    the step a crashed DC goes stale, on an unserved ship and on its
+#    served twin alike (staleness_slo);
 #  - history independence: ingest, OOSM post and ICAS export visit the
 #    same store rows with 1k and 16k reports stored (pdme_history), and
 #    one ingest makes the same heap allocations at both sizes, under a
