@@ -1,12 +1,13 @@
 //! Shared experiment infrastructure.
 //!
-//! Each `exp_*` binary in `src/bin/` regenerates one paper artifact
-//! (table, figure or quantitative claim) and prints a comparison table;
-//! EXPERIMENTS.md records paper-vs-measured for each. This library
-//! holds the common pieces: aligned table rendering, the labeled survey
-//! generator the accuracy experiments share, a pass/fail verdict line
-//! format, and (in [`scenario`]) the seeded E7/E11 scenarios that
-//! `tests/fingerprints.rs` pins.
+//! The paper's claims are asserted by `tests/paper_claims.rs`, one test
+//! per experiment of EXPERIMENTS.md, each printing its paper-vs-measured
+//! table. The `exp_throughput` and `exp_serving` binaries measure the
+//! E7/E11 wall-clock rates that `perf_gate` judges. This library holds
+//! the common pieces: aligned table rendering, the labeled survey
+//! generator the accuracy tests share, the pass/fail verdict line the
+//! binaries print, and (in [`scenario`]) the seeded E7/E11 scenarios
+//! that `tests/fingerprints.rs` pins.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -85,9 +86,9 @@ pub fn verdict(label: &str, ok: bool, detail: &str) {
     println!("[{}] {label}: {detail}", if ok { "PASS" } else { "FAIL" });
 }
 
-/// Exit with status 1 if any [`verdict`] so far failed. Every `exp_*`
-/// binary calls this after its last verdict, so a `[FAIL]` line fails
-/// the script that ran it.
+/// Exit with status 1 if any [`verdict`] so far failed. Each binary
+/// that prints verdicts calls this after its last one, so a `[FAIL]`
+/// line fails the script that ran it.
 pub fn exit_on_failed_verdict() {
     if VERDICT_FAILED.load(Ordering::Relaxed) {
         std::process::exit(1);
@@ -106,7 +107,7 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 /// Generate one labeled five-channel survey with a single seeded fault
 /// (or none) at the given severity / load / noise seed — the shared
-/// corpus generator of the accuracy experiments.
+/// corpus generator of the accuracy tests.
 pub fn labeled_survey(
     condition: Option<MachineCondition>,
     severity: f64,

@@ -10,10 +10,10 @@
 //! network with noisy-OR conditional distributions — the standard form
 //! for diagnostic BNs — with exact posterior inference by enumeration
 //! over fault configurations (the fault layer is small: one logical
-//! group at a time, matching the DS engine's frames). The
-//! `exp_bayes_vs_ds` experiment feeds both engines identical evidence
-//! and shows where priors help and what DS's "unknown" buys when priors
-//! are wrong.
+//! group at a time, matching the DS engine's frames). The E-BN paper
+//! claim (`mpros-bench`'s `paper_claims` test `e_bn_bayes_vs_ds`) feeds
+//! both engines identical evidence and shows where priors help and what
+//! DS's "unknown" buys when priors are wrong.
 
 use mpros_core::{Error, Result};
 

@@ -19,8 +19,8 @@
 //! kind, series keep the registry's `(component, name)` sort order, so
 //! the output for a given snapshot is unique — [`validate`] enforces
 //! exactly that (no duplicate series, no unsorted series, every line
-//! well-formed), and the `exposition_lint` CI bin runs it against a
-//! live gateway.
+//! well-formed), and `tests/gateway_serving.rs` runs it on the text
+//! a live gateway serves.
 //!
 //! Determinism: values are rendered with Rust's `f64` `Display`, which
 //! is exact shortest-roundtrip formatting — two runs producing the same

@@ -68,13 +68,21 @@ cargo test -q
 #    restore rebuilds every entry (incremental_publish);
 #  - DSP: golden vectors against closed-form spectra (dsp_golden),
 #    property round-trips and window identities (dsp_props), and zero
-#    heap allocations in a steady-state survey (dsp_alloc).
-# It also runs the bench crate's determinism fingerprints
-# (crates/bench/tests/fingerprints.rs): every seeded value of the
-# E7/E11 scenarios — network, WAL and DSP counts, sim-time latency
-# quantiles, serving and fleet accounting — checked exactly against one
-# committed table, the 8-DC fleet run under the calm and the lossy sea
-# in sequential, 1-worker and 4-worker modes.
+#    heap allocations in a steady-state survey (dsp_alloc);
+#  - the exposition grammar: the Prometheus text a faulted ship serves
+#    validates, and corrupted variants of it are refused
+#    (gateway_serving).
+# It also runs the bench crate's tests:
+#  - determinism fingerprints (crates/bench/tests/fingerprints.rs):
+#    every seeded value of the E7/E11 scenarios — network, WAL and DSP
+#    counts, sim-time latency quantiles, serving and fleet accounting —
+#    checked exactly against one committed table, the 8-DC fleet run
+#    under the calm and the lossy sea in sequential, 1-worker and
+#    4-worker modes;
+#  - the paper's claims (crates/bench/tests/paper_claims.rs): one test
+#    per EXPERIMENTS.md experiment, one assert per verdict, from the
+#    ≥ 95% DLI agreement (E5) and the 12 FMEA modes (E9) to the seeded
+#    fault campaign (E10) and OOSM push delivery (E12); about 13 s.
 echo "==> cargo test --workspace --release -q"
 cargo test --workspace --release -q
 
@@ -109,27 +117,6 @@ cargo run --release -p mpros-bench --bin exp_throughput
 # Verdicts E11.2-E11.5 check the deterministic counts exactly.
 echo "==> exp_serving"
 cargo run --release -p mpros-bench --bin exp_serving
-
-# Paper verdicts for the OOSM event model and fusion: E12, the §4.5
-# push contract (every post's ReportPosted and every subscriber's
-# PropertyChanged is queued when the call returns; a post emits
-# ObjectCreated, RelationAdded and ReportPosted, not one PropertyChanged
-# per report column, since a report is one typed row); E2, the §5.3
-# Dempster-Shafer worked example (A 14%, B or C 64%, unknown 22%); E8,
-# logical groups keeping concurrent faults apart. A failed verdict
-# exits non-zero.
-echo "==> exp_oosm_events"
-cargo run --release -p mpros-bench --bin exp_oosm_events
-echo "==> exp_dempster_shafer"
-cargo run --release -p mpros-bench --bin exp_dempster_shafer
-echo "==> exp_logical_groups"
-cargo run --release -p mpros-bench --bin exp_logical_groups
-
-# Exposition-format lint: the Prometheus text the gateway serves must
-# obey its own grammar (headers, _total suffixes, sorted unique
-# series), and the validator must reject corrupted variants of it.
-echo "==> exposition_lint"
-cargo run --release -p mpros-bench --bin exposition_lint
 
 # Perf-regression gate: diff the fresh BENCH_throughput.json against
 # the committed BENCH_baseline.json. Its 24 wall-clock rates and times

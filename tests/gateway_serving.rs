@@ -13,6 +13,8 @@
 //! * **Concurrency** — many clients can hammer the gateway while the
 //!   sim thread keeps stepping; every call succeeds and each client
 //!   observes monotonically nondecreasing snapshot versions.
+//! * **Exposition grammar** — the served Prometheus text validates,
+//!   and corrupted variants of that same text are refused.
 
 use mpros::chiller::fault::{FaultProfile, FaultSeed};
 use mpros::core::{DcId, FaultPlan, MachineCondition, SimDuration, SimTime};
@@ -20,7 +22,7 @@ use mpros::gateway::{
     decode_response, encode_request, GatewayClient, GatewayRequest, GatewayResponse,
 };
 use mpros::sim::{ExecMode, ShipboardSim, ShipboardSimConfig};
-use mpros::telemetry::SloPolicy;
+use mpros::telemetry::{exposition, SloPolicy};
 
 /// Run the reference scenario under `exec` and answer a fixed request
 /// script from the final published snapshot, returning the raw
@@ -103,6 +105,49 @@ fn serve_fingerprint(exec: ExecMode) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// The served exposition obeys its own grammar, and the validator is
+/// not vacuously agreeable: three corruptions of the real text (a
+/// duplicated sample, a header moved after its sample, two counter
+/// blocks swapped) are each refused.
+fn assert_exposition_lints(text: &str) {
+    let stats = exposition::validate(text).expect("served exposition validates");
+    assert!(
+        stats.counters > 0 && stats.samples > 0,
+        "vacuous exposition: {} counters, {} samples",
+        stats.counters,
+        stats.samples
+    );
+    let lines: Vec<&str> = text.lines().collect();
+    let refused = |lines: &[&str]| exposition::validate(&lines.join("\n")).is_err();
+
+    let sample = lines
+        .iter()
+        .position(|l| !l.starts_with('#'))
+        .expect("a sample line");
+    let mut duplicated = lines.clone();
+    duplicated.insert(sample, lines[sample]);
+    assert!(refused(&duplicated), "a duplicated sample was accepted");
+
+    let counters: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].starts_with("# TYPE") && lines[i].ends_with("counter"))
+        .collect();
+    assert!(counters.len() >= 2, "too few counter blocks to reorder");
+    let (a, b) = (counters[0], counters[1]);
+    let mut late_header = lines.clone();
+    late_header.swap(a, a + 1);
+    assert!(
+        refused(&late_header),
+        "a sample before its header was accepted"
+    );
+    let mut unsorted = lines.clone();
+    unsorted.swap(a, b);
+    unsorted.swap(a + 1, b + 1);
+    assert!(
+        refused(&unsorted),
+        "two swapped counter blocks were accepted"
+    );
+}
+
 #[test]
 fn gateway_responses_are_byte_identical_across_exec_modes() {
     let reference = serve_fingerprint(ExecMode::Sequential);
@@ -131,9 +176,7 @@ fn gateway_responses_are_byte_identical_across_exec_modes() {
     // And the observability legs: real exposition text, a sealed
     // incident, a non-empty hop chain.
     match decode_response(&reference[13]).unwrap() {
-        GatewayResponse::Metrics { exposition, .. } => {
-            assert!(exposition.contains("# TYPE"), "empty exposition");
-        }
+        GatewayResponse::Metrics { exposition, .. } => assert_exposition_lints(&exposition),
         other => panic!("wrong response {other:?}"),
     }
     match decode_response(&reference[15]).unwrap() {

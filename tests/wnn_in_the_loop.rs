@@ -68,7 +68,8 @@ fn wnn_reports_flow_to_the_pdme() {
     // load than the training grid) and the throttle keeps only a couple
     // of WNN reports; what the integration must guarantee is that the
     // WNN called the seeded truth at least once (distribution-shift
-    // accuracy itself is measured by exp_wnn_accuracy).
+    // accuracy itself is measured by the paper_claims test
+    // e_wnn_accuracy).
     assert!(
         wnn_reports
             .iter()
