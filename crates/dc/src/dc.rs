@@ -12,6 +12,7 @@
 use crate::db::{DcDatabase, DiagnosisRecord, MeasurementRecord};
 use crate::hw::{AcquisitionChain, HwConfig};
 use crate::scheduler::{Scheduler, Task};
+use crate::workspace::SurveyWorkspace;
 use mpros_chiller::process::ProcessSnapshot;
 use mpros_chiller::vibration::AccelLocation;
 use mpros_chiller::ChillerPlant;
@@ -20,14 +21,14 @@ use mpros_core::{
     ReportId, Result, Severity, SimDuration, SimTime,
 };
 use mpros_core::{PrognosticPoint, PrognosticVector};
-use mpros_dli::{DliExpertSystem, SpectralFeatures, SurveyScratch, VibrationSurvey};
+use mpros_dli::{DliExpertSystem, SpectralFeatures, VibrationSurvey};
 use mpros_fuzzy::FuzzyDiagnostics;
 use mpros_network::NetMessage;
 use mpros_sbfr::builtin::{spike_machine, stiction_machine};
 use mpros_sbfr::Interpreter;
 use mpros_signal::features::WaveformStats;
 use mpros_signal::trend::TrendTracker;
-use mpros_signal::{DspContext, DspStats};
+use mpros_signal::{DspLedger, DspStats};
 use mpros_telemetry::trace::dc_trace_seed;
 use mpros_telemetry::{
     Counter, HopKind, Instrumented, Stage, Telemetry, TraceHop, TraceId, WallTimer,
@@ -49,6 +50,11 @@ const FUZZY_WINDOW: usize = 40;
 const MIN_REPORT_GAP_MIN: f64 = 30.0;
 /// Severity or belief change that forces immediate re-reporting.
 const REREPORT_DELTA: f64 = 0.15;
+/// Largest share of a block's samples that may sit at its own peak
+/// magnitude. A live accelerometer reaches its peak once or twice in a
+/// block; a block pinned at its peak for more than 1% of the samples is
+/// clipped at the converter's rail (or stuck), not reading the machine.
+const SATURATION_SHARE: f64 = 0.01;
 
 /// Configuration of one Data Concentrator. Construct via
 /// [`DcConfig::new`] and the `with_*` builders; the struct is
@@ -146,24 +152,19 @@ pub struct DataConcentrator {
     /// histories" input to next-generation prognostics (§1, §5.1).
     severity_trends: HashMap<(&'static str, MachineCondition), TrendTracker>,
     suspect_channels: Vec<AccelLocation>,
-    /// Reusable DSP execution context — cached FFT plans, window tables
-    /// and the scratch arena shared by every vibration suite on this DC.
-    ctx: DspContext,
-    /// Survey workspace reused across surveys: the blocks keep their
-    /// allocations between acquisitions, and the kinematic train is
-    /// captured from the plant at first use.
-    survey: Option<VibrationSurvey>,
-    /// Block allocations recovered when channels are quarantined; the
-    /// next survey's top-up hands them back before acquisition.
-    spare_blocks: Vec<Vec<f64>>,
-    /// Reused DLI feature set and its spectral workspaces.
+    /// This DC's DSP counters, kept across the workspaces it is lent:
+    /// counted as a private DSP context would count them.
+    dsp: DspLedger,
+    /// The workspace [`DataConcentrator::step`] and
+    /// [`DataConcentrator::tick`] lend this DC, built on first use. A
+    /// ship lends its own instead ([`DataConcentrator::step_with`]), so a
+    /// shipboard DC leaves this empty.
+    own_workspace: Option<Box<SurveyWorkspace>>,
+    /// The last survey's DLI feature set, reused in place.
     features: SpectralFeatures,
-    survey_scratch: SurveyScratch,
     /// Waveform statistics of the live blocks from the channel
     /// self-check, in block order, handed on to feature extraction.
     block_stats: Vec<WaveformStats>,
-    /// Reused WNN feature buffer.
-    wnn_features: Vec<f64>,
     /// DSP totals already published to telemetry (delta basis).
     dsp_published: DspStats,
     telemetry: Telemetry,
@@ -230,13 +231,10 @@ impl DataConcentrator {
             last_emitted: HashMap::new(),
             severity_trends: HashMap::new(),
             suspect_channels: Vec::new(),
-            ctx: DspContext::new(),
-            survey: None,
-            spare_blocks: Vec::new(),
+            dsp: DspLedger::default(),
+            own_workspace: None,
             features: SpectralFeatures::default(),
-            survey_scratch: SurveyScratch::default(),
             block_stats: Vec::new(),
-            wnn_features: Vec::new(),
             dsp_published: DspStats::default(),
         })
     }
@@ -278,9 +276,10 @@ impl DataConcentrator {
         &mut self.chain
     }
 
-    /// Channels whose last survey looked electrically dead (flatline) or
-    /// read non-finite samples — the §4.9 self-diagnosis that keeps a
-    /// broken transducer from silently blinding an algorithm.
+    /// Channels whose last survey looked electrically dead (flatline),
+    /// sat at its rail (saturated) or read non-finite samples — the §4.9
+    /// self-diagnosis that keeps a broken transducer from silently
+    /// blinding an algorithm.
     pub fn suspect_channels(&self) -> &[mpros_chiller::vibration::AccelLocation] {
         &self.suspect_channels
     }
@@ -302,10 +301,10 @@ impl DataConcentrator {
 
     /// One whole scheduling step as a self-contained unit of work:
     /// apply the step's delivered commands in arrival order, then run
-    /// everything due at `now`. This is the closure the scatter-gather
-    /// engine fans out per DC — it touches nothing but `self` and the
+    /// everything due at `now`. It touches nothing but `self` and the
     /// read-only plant, so concurrent `step`s on *different* DCs cannot
-    /// observe each other.
+    /// observe each other. A survey runs through this DC's private
+    /// workspace; [`DataConcentrator::step_with`] borrows one instead.
     pub fn step(
         &mut self,
         plant: &ChillerPlant,
@@ -318,13 +317,44 @@ impl DataConcentrator {
         self.tick(plant, now)
     }
 
-    /// Run everything due at `now` against the instrumented plant;
-    /// returns the condition reports to forward to the PDME.
+    /// [`DataConcentrator::step`] with `workspace` lent for the step's
+    /// survey, if one is due — the closure the scatter-gather engine fans
+    /// out per DC, each worker lending its own workspace. The reports,
+    /// the DC's state and its [`DataConcentrator::dsp_stats`] are the
+    /// same whichever workspace is lent and whoever used it before.
+    pub fn step_with(
+        &mut self,
+        workspace: &mut SurveyWorkspace,
+        plant: &ChillerPlant,
+        now: SimTime,
+        commands: &[NetMessage],
+    ) -> Result<Vec<ConditionReport>> {
+        for cmd in commands {
+            self.handle_command(cmd)?;
+        }
+        self.tick_in(workspace, plant, now)
+    }
+
+    /// Run everything due at `now` against the instrumented plant,
+    /// surveying through this DC's private workspace; returns the
+    /// condition reports to forward to the PDME.
     pub fn tick(&mut self, plant: &ChillerPlant, now: SimTime) -> Result<Vec<ConditionReport>> {
+        let mut workspace = self.own_workspace.take().unwrap_or_default();
+        let reports = self.tick_in(&mut workspace, plant, now);
+        self.own_workspace = Some(workspace);
+        reports
+    }
+
+    fn tick_in(
+        &mut self,
+        workspace: &mut SurveyWorkspace,
+        plant: &ChillerPlant,
+        now: SimTime,
+    ) -> Result<Vec<ConditionReport>> {
         let mut reports = Vec::new();
         for task in self.scheduler.due(now) {
             match task {
-                Task::VibrationSurvey => self.run_survey(plant, now, &mut reports)?,
+                Task::VibrationSurvey => self.run_survey(workspace, plant, now, &mut reports)?,
                 Task::ProcessSample => self.run_process_sample(plant, now, &mut reports)?,
                 Task::SbfrCycle => self.run_sbfr_cycle(plant, now, &mut reports)?,
             }
@@ -361,24 +391,34 @@ impl DataConcentrator {
 
     fn run_survey(
         &mut self,
+        workspace: &mut SurveyWorkspace,
         plant: &ChillerPlant,
         now: SimTime,
         reports: &mut Vec<ConditionReport>,
     ) -> Result<()> {
+        let SurveyWorkspace {
+            ctx,
+            survey,
+            spare_blocks,
+            scratch,
+            wnn_features,
+        } = workspace;
         let load = plant.load_at(now);
-        // The survey workspace persists across surveys so every block
-        // keeps its allocation; quarantined channels donate their buffers
-        // to `spare_blocks` and the top-up below hands them back before
-        // acquisition, so steady state allocates nothing.
-        let mut survey = self.survey.take().unwrap_or_else(|| VibrationSurvey {
+        let config = self.chain.config();
+        // The workspace keeps its blocks' allocations across surveys and
+        // DCs; everything else in the survey is set from this DC's plant.
+        // Quarantined channels donate their buffers to `spare_blocks` and
+        // the top-up below hands them back before acquisition, so steady
+        // state allocates nothing.
+        let blocks = survey.take().map(|s| s.blocks).unwrap_or_default();
+        let survey = survey.insert(VibrationSurvey {
             train: plant.train().clone(),
             load,
-            sample_rate: self.chain.config().sample_rate,
-            blocks: Vec::new(),
+            sample_rate: config.sample_rate,
+            blocks,
         });
-        survey.load = load;
-        while survey.blocks.len() < self.chain.config().channels.len() {
-            let spare = self.spare_blocks.pop().unwrap_or_default();
+        while survey.blocks.len() < config.channels.len() {
+            let spare = spare_blocks.pop().unwrap_or_default();
             survey.blocks.push((AccelLocation::MotorDriveEnd, spare));
         }
         let timer = WallTimer::start();
@@ -386,13 +426,13 @@ impl DataConcentrator {
         self.metrics.surveys.inc();
         self.telemetry
             .record_span_wall(Stage::Acquire, timer.elapsed());
-        // Channel self-check: an electrically dead block, or one whose
-        // statistics are not finite (a NaN or infinite sample, or an
-        // overflowing sum), means a failed transducer, not a silent
-        // machine — exclude it from analysis so the rules and the
-        // spectra see only live channels. Live blocks are compacted in
-        // place (order preserved); dead blocks return their allocations
-        // to the spare pool.
+        // Channel self-check: an electrically dead block, one pinned at
+        // its rail, or one whose statistics are not finite (a NaN or
+        // infinite sample, or an overflowing sum), means a failed
+        // transducer, not a silent machine — exclude it from analysis so
+        // the rules and the spectra see only live channels. Live blocks
+        // are compacted in place (order preserved); dead blocks return
+        // their allocations to the spare pool.
         self.suspect_channels.clear();
         self.block_stats.clear();
         let blocks = &mut survey.blocks;
@@ -406,17 +446,25 @@ impl DataConcentrator {
                 rms: stats.rms,
                 peak: stats.peak,
             });
-            let finite = all_finite(&stats);
-            if !finite || stats.rms < 1e-6 {
+            let fault = if !all_finite(&stats) {
+                Some(format!("channel {loc:?} read non-finite samples"))
+            } else if stats.rms < 1e-6 {
+                Some(format!("channel {loc:?} flatlined (rms {:.1e})", stats.rms))
+            } else {
+                let share = share_at_peak(&blocks[read].1, stats.peak);
+                (share > SATURATION_SHARE).then(|| {
+                    format!(
+                        "channel {loc:?} saturated ({:.1}% of samples at ±{:.3})",
+                        share * 100.0,
+                        stats.peak
+                    )
+                })
+            };
+            if let Some(detail) = fault {
                 self.suspect_channels.push(loc);
-                let detail = if finite {
-                    format!("channel {loc:?} flatlined (rms {:.1e})", stats.rms)
-                } else {
-                    format!("channel {loc:?} read non-finite samples")
-                };
                 self.telemetry
                     .event_at(now, &self.component, "quarantine", detail);
-                self.spare_blocks.push(std::mem::take(&mut blocks[read].1));
+                spare_blocks.push(std::mem::take(&mut blocks[read].1));
             } else {
                 blocks.swap(live, read);
                 self.block_stats.push(stats);
@@ -426,13 +474,15 @@ impl DataConcentrator {
         blocks.truncate(live);
         // DLI: shared feature extraction, rule evaluation.
         let timer = WallTimer::start();
-        SpectralFeatures::extract_with_stats_into(
-            &mut self.ctx,
-            &survey,
-            &self.block_stats,
-            &mut self.survey_scratch,
-            &mut self.features,
-        )?;
+        ctx.lent(&mut self.dsp, |ctx| {
+            SpectralFeatures::extract_with_stats_into(
+                ctx,
+                survey,
+                &self.block_stats,
+                scratch,
+                &mut self.features,
+            )
+        })?;
         self.telemetry.record_span_wall(Stage::Fft, timer.elapsed());
         let timer = WallTimer::start();
         let diagnoses = self.dli.diagnose(&self.features);
@@ -461,12 +511,9 @@ impl DataConcentrator {
         // configured length internally, so no copies are made here.
         if let Some(wnn) = &self.wnn {
             let timer = WallTimer::start();
-            let classified = wnn.classify_blocks_with(
-                &mut self.ctx,
-                &mut self.wnn_features,
-                &survey.blocks,
-                load,
-            );
+            let classified = ctx.lent(&mut self.dsp, |ctx| {
+                wnn.classify_blocks_with(ctx, wnn_features, &survey.blocks, load)
+            });
             self.telemetry.record_span_wall(Stage::Wnn, timer.elapsed());
             if let Ok(verdict) = classified {
                 if let Some(condition) = verdict.condition() {
@@ -501,26 +548,27 @@ impl DataConcentrator {
                 }
             }
         }
-        self.survey = Some(survey);
         self.publish_dsp_stats();
         Ok(())
     }
 
-    /// Publish the DSP context's counter growth since the last publish
+    /// Publish this DC's DSP counter growth since the last publish
     /// to the `dsp.*` telemetry counters. The deltas are derived purely
     /// from the (deterministic) analysis workload, so fleet snapshots
     /// agree across sequential and parallel execution modes.
     fn publish_dsp_stats(&mut self) {
-        let (stats, old, m) = (self.ctx.stats(), self.dsp_published, &self.metrics);
+        let (stats, old, m) = (self.dsp.stats(), self.dsp_published, &self.metrics);
         m.dsp_plans.add(stats.plans_created - old.plans_created);
         m.dsp_reuses.add(stats.scratch_reuses - old.scratch_reuses);
         m.dsp_bytes.add(stats.bytes_avoided - old.bytes_avoided);
         self.dsp_published = stats;
     }
 
-    /// Cumulative statistics of this DC's DSP execution context.
+    /// Cumulative DSP statistics of this DC's surveys: what a DSP
+    /// context private to this DC would have counted, whichever
+    /// workspaces it was lent.
     pub fn dsp_stats(&self) -> DspStats {
-        self.ctx.stats()
+        self.dsp.stats()
     }
 
     fn run_process_sample(
@@ -718,6 +766,13 @@ fn source_of(report: &ConditionReport, dc: DcId) -> &'static str {
         }
     }
     "unknown"
+}
+
+/// Share of `block`'s samples whose magnitude equals `peak`, the block's
+/// largest magnitude.
+fn share_at_peak(block: &[f64], peak: f64) -> f64 {
+    let at_peak = block.iter().filter(|x| x.abs() >= peak).count();
+    at_peak as f64 / block.len().max(1) as f64
 }
 
 /// Every statistic of the block is a finite number.
@@ -1083,6 +1138,103 @@ mod sensor_robustness_tests {
         assert!(!reports
             .iter()
             .any(|r| r.condition == MachineCondition::GearToothWear));
+    }
+
+    /// The peak magnitude of a healthy survey's block on `channel`.
+    fn healthy_peak(plant: &ChillerPlant, channel: usize) -> f64 {
+        let mut chain = AcquisitionChain::new(HwConfig::standard()).unwrap();
+        let blocks = chain.survey(plant, SimTime::ZERO);
+        WaveformStats::of(&blocks[channel].1).peak
+    }
+
+    fn quarantines(dc: &DataConcentrator) -> Vec<String> {
+        dc.telemetry()
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == "quarantine")
+            .map(|e| e.detail)
+            .collect()
+    }
+
+    /// A channel clipped at a rail a quarter of its healthy peak sits at
+    /// the rail for far more than 1% of its samples: the self-check
+    /// quarantines it as saturated, and the live channels still report.
+    #[test]
+    fn saturated_channel_is_quarantined() {
+        let mut plant = ChillerPlant::new(PlantConfig::new(MachineId::new(1), 91));
+        plant.seed_fault(FaultSeed {
+            condition: MachineCondition::MotorImbalance,
+            onset: SimTime::ZERO,
+            time_to_failure: SimDuration::from_secs(1.0),
+            profile: FaultProfile::Step(0.9),
+        });
+        let rail = healthy_peak(&plant, 1) / 4.0;
+        let mut cfg = DcConfig::new(DcId::new(1), MachineId::new(1));
+        cfg.survey_period = SimDuration::from_secs(30.0);
+        let mut dc = DataConcentrator::new(cfg).unwrap();
+        dc.chain_mut()
+            .fail_sensor(1, SensorFault::Saturated(rail))
+            .unwrap();
+        let mut reports = Vec::new();
+        for i in 0..=240 {
+            let now = SimTime::from_secs(i as f64 * 0.25);
+            reports.extend(dc.tick(&plant, now).unwrap());
+        }
+        assert_eq!(dc.suspect_channels(), &[AccelLocation::MotorNonDriveEnd]);
+        let events = quarantines(&dc);
+        assert_eq!(events.len(), 3, "one quarantine per survey: {events:?}");
+        assert!(
+            events
+                .iter()
+                .all(|d| d.contains("MotorNonDriveEnd") && d.contains("saturated")),
+            "{events:?}"
+        );
+        assert!(
+            reports
+                .iter()
+                .any(|r| r.condition == MachineCondition::MotorImbalance),
+            "the motor fault is still diagnosed from the drive-end channel"
+        );
+    }
+
+    /// Healthy and faulted blocks reach their peak a few times, not for
+    /// 1% of a block: none is quarantined, and a rail above the signal's
+    /// peak clips nothing.
+    #[test]
+    fn unclipped_blocks_are_not_quarantined() {
+        for condition in [
+            None,
+            Some(MachineCondition::MotorImbalance),
+            Some(MachineCondition::GearToothWear),
+            Some(MachineCondition::CompressorSurge),
+        ] {
+            let mut plant = ChillerPlant::new(PlantConfig::new(MachineId::new(1), 91));
+            if let Some(condition) = condition {
+                plant.seed_fault(FaultSeed {
+                    condition,
+                    onset: SimTime::ZERO,
+                    time_to_failure: SimDuration::from_secs(1.0),
+                    profile: FaultProfile::Step(0.9),
+                });
+            }
+            let rail = 2.0 * healthy_peak(&plant, 0);
+            let mut cfg = DcConfig::new(DcId::new(1), MachineId::new(1));
+            cfg.survey_period = SimDuration::from_secs(30.0);
+            let mut dc = DataConcentrator::new(cfg).unwrap();
+            dc.chain_mut()
+                .fail_sensor(0, SensorFault::Saturated(rail))
+                .unwrap();
+            for i in 0..=8 {
+                dc.tick(&plant, SimTime::from_secs(i as f64 * 15.0))
+                    .unwrap();
+            }
+            assert!(dc.suspect_channels().is_empty(), "{condition:?}");
+            assert!(
+                quarantines(&dc).is_empty(),
+                "{condition:?}: {:?}",
+                quarantines(&dc)
+            );
+        }
     }
 
     /// A transducer stuck at NaN or infinity poisons every statistic of

@@ -38,6 +38,9 @@ pub enum SensorFault {
     /// Loose connector: signal drops out in bursts (every other 256-
     /// sample chunk reads zero).
     Intermittent,
+    /// Over-ranged input or a failing amplifier: the converter clips
+    /// every sample to `±rail`, g.
+    Saturated(f64),
 }
 
 /// One configured channel.
@@ -190,6 +193,12 @@ impl AcquisitionChain {
                             if i % 2 == 1 {
                                 chunk.fill(0.0);
                             }
+                        }
+                    }
+                    Some(SensorFault::Saturated(rail)) => {
+                        let rail = rail.abs();
+                        for x in block.iter_mut().filter(|x| x.abs() > rail) {
+                            *x = rail.copysign(*x);
                         }
                     }
                 }
@@ -400,6 +409,29 @@ mod sensor_fault_tests {
         let b = &blocks[1].1;
         assert!(b[256..512].iter().all(|&x| x == 0.0), "odd chunk dropped");
         assert!(b[0..256].iter().any(|&x| x != 0.0), "even chunk alive");
+    }
+
+    #[test]
+    fn saturated_sensor_clips_to_its_rail() {
+        let p = plant();
+        let healthy = chain().survey(&p, SimTime::ZERO);
+        let peak = healthy[3].1.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        let rail = peak / 4.0;
+        let mut c = chain();
+        c.fail_sensor(3, SensorFault::Saturated(rail)).unwrap();
+        let blocks = c.survey(&p, SimTime::ZERO);
+        let clipped = &blocks[3].1;
+        assert!(clipped.iter().all(|x| x.abs() <= rail), "within ±rail");
+        assert!(
+            clipped.iter().filter(|x| x.abs() == rail).count() > clipped.len() / 100,
+            "a rail a quarter of the peak pins many samples"
+        );
+        for (x, y) in clipped.iter().zip(&healthy[3].1) {
+            if y.abs() < rail {
+                assert_eq!(x, y, "samples inside the rail pass unchanged");
+            }
+        }
+        assert_eq!(blocks[0].1, healthy[0].1, "others unaffected");
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! * [`dc`] — the concentrator itself, hosting the four §1.1 algorithm
 //!   suites (DLI, SBFR, WNN, fuzzy logic) and emitting §7.2 condition
 //!   reports for the PDME.
+//! * [`workspace`] — the survey-sized working memory a ship lends each
+//!   DC for the length of its survey, so a DC holds none between surveys.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,8 +27,10 @@ pub mod db;
 pub mod dc;
 pub mod hw;
 pub mod scheduler;
+pub mod workspace;
 
 pub use db::DcDatabase;
 pub use dc::{DataConcentrator, DcConfig};
 pub use hw::{AcquisitionChain, ChannelConfig, HwConfig, SensorFault};
 pub use scheduler::{Scheduler, Task};
+pub use workspace::SurveyWorkspace;

@@ -12,7 +12,10 @@
 //!    its plant. DCs share no mutable state with each other (per-DC id
 //!    allocators, per-DC databases, per-DC RNG streams), so jobs
 //!    commute. In parallel mode the jobs are cut into at most `workers`
-//!    contiguous chunks, one scoped thread per chunk.
+//!    contiguous chunks, one scoped thread per chunk. Chunk *i* lends its
+//!    DCs the ship's survey workspace *i* for their steps (sequentially,
+//!    every DC is lent workspace 0); what a DC computes does not depend
+//!    on which workspace it was lent (DESIGN.md §10.2).
 //! 2. *Gather*: the chunks are joined in order, so results come back in
 //!    ascending DC-index order; the caller
 //!    ([`crate::sim::ShipboardSim::step`]) merges them into the ship
@@ -25,7 +28,7 @@
 
 use mpros_chiller::ChillerPlant;
 use mpros_core::{ConditionReport, Result, SimTime};
-use mpros_dc::DataConcentrator;
+use mpros_dc::{DataConcentrator, SurveyWorkspace};
 use mpros_network::NetMessage;
 use mpros_telemetry::{Stage, Telemetry, WallTimer};
 
@@ -66,29 +69,41 @@ pub(crate) type DcJob<'a> = (
 );
 
 /// Step every job at `now` and return `(dc_index, reports)` in job
-/// order. Each step's wall cost is a [`Stage::DcStep`] span; in
-/// parallel mode the steps also count on `exec.jobs`.
+/// order, lending chunk *i*'s DCs `workspaces[i]` (`workspaces` holds
+/// at least one entry per worker, and one in sequential mode). Each
+/// step's wall cost is a [`Stage::DcStep`] span; in parallel mode the
+/// steps also count on `exec.jobs`.
 pub(crate) fn step_dcs(
     exec: ExecMode,
     telemetry: &Telemetry,
     now: SimTime,
     mut jobs: Vec<DcJob<'_>>,
+    workspaces: &mut [SurveyWorkspace],
 ) -> Vec<(usize, Result<Vec<ConditionReport>>)> {
-    let run = |(index, dc, plant, commands): &mut DcJob<'_>| {
+    let run = |workspace: &mut SurveyWorkspace, (index, dc, plant, commands): &mut DcJob<'_>| {
         let timer = WallTimer::start();
-        let result = dc.step(plant, now, commands);
+        let result = dc.step_with(workspace, plant, now, commands);
         telemetry.record_span_wall(Stage::DcStep, timer.elapsed());
         (*index, result)
     };
     let ExecMode::Parallel { .. } = exec else {
-        return jobs.iter_mut().map(run).collect();
+        let workspace = &mut workspaces[0];
+        return jobs.iter_mut().map(|job| run(workspace, job)).collect();
     };
     telemetry.counter("exec", "jobs").add(jobs.len() as u64);
     let per_chunk = jobs.len().div_ceil(exec.worker_count()).max(1);
     std::thread::scope(|scope| {
         let handles: Vec<_> = jobs
             .chunks_mut(per_chunk)
-            .map(|chunk| scope.spawn(|| chunk.iter_mut().map(&run).collect::<Vec<_>>()))
+            .zip(workspaces.iter_mut())
+            .map(|(chunk, workspace)| {
+                scope.spawn(|| {
+                    chunk
+                        .iter_mut()
+                        .map(|job| run(workspace, job))
+                        .collect::<Vec<_>>()
+                })
+            })
             .collect();
         // Joined in chunk order: the deterministic gather.
         handles

@@ -18,9 +18,11 @@
 //!    with the node.
 //! 2. **Execute** — each live DC applies its commands and runs
 //!    everything due at `now` against its plant
-//!    ([`DataConcentrator::step`]). Sequentially this happens inline;
-//!    in parallel mode the DCs are cut into contiguous chunks, one
-//!    scoped thread each, joined back in DC-index order.
+//!    ([`DataConcentrator::step_with`]), borrowing one of the ship's
+//!    survey workspaces for its survey. Sequentially this happens inline
+//!    through one workspace; in parallel mode the DCs are cut into
+//!    contiguous chunks, one scoped thread and one workspace each,
+//!    joined back in DC-index order.
 //! 3. **Merge** — each live DC's report buffer is parked in its
 //!    network outbox as one batched frame, its heartbeat posted if due,
 //!    again in ascending DC-index order; then every due outbox frame
@@ -68,7 +70,7 @@ use mpros_core::{
     derive_stream_seed, DcId, FaultKind, FaultPlan, FaultTarget, FaultTransition, MachineId,
     Result, SimClock, SimDuration, SimTime,
 };
-use mpros_dc::{DataConcentrator, DcConfig, SensorFault};
+use mpros_dc::{DataConcentrator, DcConfig, SensorFault, SurveyWorkspace};
 use mpros_gateway::{Gateway, ServingSnapshot};
 use mpros_network::{Endpoint, Envelope, NetMessage, NetworkConfig, ShipNetwork};
 use mpros_pdme::PdmeExecutive;
@@ -235,6 +237,10 @@ pub struct ShipboardSim {
     last_heartbeat: Vec<SimTime>,
     telemetry: Telemetry,
     exec: ExecMode,
+    /// Survey working memory, one per stepping worker (one when
+    /// sequential), lent to each DC for its step: a DC holds no
+    /// survey-sized buffer between surveys.
+    workspaces: Vec<SurveyWorkspace>,
     /// Master seed, kept to re-derive trace-id streams on restarts.
     master_seed: u64,
     /// Per-DC trace-id stream seed for the *current* restart epoch;
@@ -335,6 +341,9 @@ impl ShipboardSim {
             heartbeat_period: config.heartbeat_period,
             telemetry,
             exec: config.exec,
+            workspaces: (0..config.exec.worker_count().max(1))
+                .map(|_| SurveyWorkspace::new())
+                .collect(),
             master_seed: config.seed,
             trace_seeds,
             watchdog: SloWatchdog::new(config.slo),
@@ -727,7 +736,7 @@ impl ShipboardSim {
             .filter(|(i, _)| !self.crashed[*i])
             .map(|(i, ((dc, plant), commands))| (i, dc, plant, commands))
             .collect();
-        let outputs = step_dcs(self.exec, &self.telemetry, now, jobs);
+        let outputs = step_dcs(self.exec, &self.telemetry, now, jobs, &mut self.workspaces);
 
         // Phase 3: merge into the network in DC-index order — each DC's
         // reports parked in its outbox as one batched frame, then the
@@ -808,7 +817,7 @@ impl ShipboardSim {
             self.steps,
             self.clock.now().as_secs(),
             &self.telemetry,
-            Some(&verdict),
+            Some(verdict),
             &triggers,
         );
         self.publish_serving_snapshot();

@@ -22,14 +22,23 @@
 //! [`crate::features::FeatureVector::extract`]) run their `*_into`
 //! counterpart on a one-shot context, so the two agree bit for bit.
 //!
+//! A context need not belong to one user. A ship keeps one per stepping
+//! worker and lends it to each data concentrator for the length of its
+//! survey ([`DspContext::lent`]); plans and window tables are read-only
+//! once built, so they serve every borrower, and every buffer is cleared
+//! before it is filled, so no result depends on who used the context
+//! before. While lent, the counters go to the borrower's [`DspLedger`]
+//! and read what a private context of that borrower would have counted
+//! (DESIGN.md §10.2).
+//!
 //! Real blocks take the plan's real-input transform: one half-size
 //! complex FFT plus a split post-twiddle. The band-pass envelope takes
 //! one real forward and one complex inverse transform. Against a plain
 //! complex DFT of the same data these results agree to within 1e-12 of
 //! the peak magnitude, not bit for bit (DESIGN.md §10.5). Each call is a
-//! fixed sequence of f64 operations on the context's own buffers, so the
-//! per-DC context rides inside the deterministic simulation and
-//! reproduces exactly across execution modes.
+//! fixed sequence of f64 operations on freshly cleared buffers, so a
+//! context rides inside the deterministic simulation and reproduces
+//! exactly across execution modes, whichever DCs share it.
 
 use crate::cepstrum::{dominant_quefrency, LOG_FLOOR};
 use crate::dct::dct_features_into;
@@ -62,6 +71,127 @@ pub struct DspStats {
     pub bytes_avoided: u64,
 }
 
+/// The buffers a preparation can target: the context's scratch slots
+/// and the caller's output buffer of each call kind.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Half,
+    Full,
+    Real,
+    Cep,
+    FftOut,
+    IfftOut,
+    SpectrumOut,
+    CepstrumOut,
+    EnvelopeOut,
+    EnvSpectrumOut,
+    FeatureOut,
+}
+
+/// Number of [`Slot`]s.
+const SLOTS: usize = Slot::FeatureOut as usize + 1;
+
+/// One borrower's DSP counters for a context it borrows
+/// ([`DspContext::lent`]).
+///
+/// Besides the [`DspStats`] it keeps the borrower's request history: the
+/// plan sizes and window tables it has asked for, and the largest size
+/// it has requested of each buffer. Counts are judged against that
+/// history, not against the shared context's caches and capacities, so
+/// they are exactly what a private context of the borrower would count
+/// and do not depend on who borrowed the context before. A few hundred
+/// bytes, kept by the borrower across borrows.
+#[derive(Debug, Clone, Default)]
+pub struct DspLedger {
+    stats: DspStats,
+    /// High-water request per [`Slot`].
+    marks: [usize; SLOTS],
+    /// Plan sizes requested so far.
+    plans: Vec<usize>,
+    /// Window tables requested so far.
+    windows: Vec<(Window, usize)>,
+}
+
+impl DspLedger {
+    /// The borrower's cumulative counters.
+    pub fn stats(&self) -> DspStats {
+        self.stats
+    }
+}
+
+/// Where a context's counts go: its own [`DspStats`], or the ledger of
+/// the borrower it is lent to.
+#[derive(Debug, Default)]
+struct Tally {
+    own: DspStats,
+    lent: Option<DspLedger>,
+}
+
+impl Tally {
+    fn stats(&mut self) -> &mut DspStats {
+        match &mut self.lent {
+            Some(ledger) => &mut ledger.stats,
+            None => &mut self.own,
+        }
+    }
+
+    /// Count a buffer preparation — a reuse if the buffer already covers
+    /// `n` elements (by capacity, or by the borrower's high-water mark
+    /// while lent) — and clear the buffer.
+    fn prep<T>(&mut self, slot: Slot, buf: &mut Vec<T>, n: usize) {
+        let covered = match &mut self.lent {
+            Some(ledger) => {
+                let mark = &mut ledger.marks[slot as usize];
+                let covered = *mark >= n;
+                *mark = (*mark).max(n);
+                covered
+            }
+            None => buf.capacity() >= n,
+        };
+        if n > 0 && covered {
+            let stats = self.stats();
+            stats.scratch_reuses += 1;
+            stats.bytes_avoided += (n * std::mem::size_of::<T>()) as u64;
+        }
+        buf.clear();
+    }
+
+    /// Count a plan request: a hit if the plan was cached (or, while
+    /// lent, if the borrower has requested this size before).
+    fn plan(&mut self, n: usize, cached: bool) {
+        let hit = match &mut self.lent {
+            Some(ledger) => seen_before(&mut ledger.plans, n),
+            None => cached,
+        };
+        let stats = self.stats();
+        if hit {
+            stats.plan_hits += 1;
+        } else {
+            stats.plans_created += 1;
+        }
+    }
+
+    /// Count a window-table request, as [`Tally::plan`] does.
+    fn window(&mut self, key: (Window, usize), cached: bool) {
+        let hit = match &mut self.lent {
+            Some(ledger) => seen_before(&mut ledger.windows, key),
+            None => cached,
+        };
+        if !hit {
+            self.stats().windows_created += 1;
+        }
+    }
+}
+
+/// Whether `history` holds `key`; records it if not.
+fn seen_before<K: PartialEq>(history: &mut Vec<K>, key: K) -> bool {
+    let seen = history.contains(&key);
+    if !seen {
+        history.push(key);
+    }
+    seen
+}
+
 /// A cached window: materialized coefficients plus the coherent gain.
 #[derive(Debug, Clone)]
 struct WindowTable {
@@ -79,20 +209,26 @@ struct DspCache {
 }
 
 impl DspCache {
-    fn plan(&mut self, n: usize, stats: &mut DspStats) -> Result<Arc<FftPlan>> {
-        if let Some(plan) = self.plans.get(&n) {
-            stats.plan_hits += 1;
-            return Ok(Arc::clone(plan));
-        }
-        let plan = Arc::new(FftPlan::new(n)?);
-        stats.plans_created += 1;
-        self.plans.insert(n, Arc::clone(&plan));
+    fn plan(&mut self, n: usize, tally: &mut Tally) -> Result<Arc<FftPlan>> {
+        let plan = match self.plans.get(&n) {
+            Some(plan) => {
+                tally.plan(n, true);
+                Arc::clone(plan)
+            }
+            None => {
+                let plan = Arc::new(FftPlan::new(n)?);
+                tally.plan(n, false);
+                self.plans.insert(n, Arc::clone(&plan));
+                plan
+            }
+        };
         Ok(plan)
     }
 
-    fn window<'a>(&'a mut self, window: Window, n: usize, stats: &mut DspStats) -> &'a WindowTable {
-        self.windows.entry((window, n)).or_insert_with(|| {
-            stats.windows_created += 1;
+    fn window<'a>(&'a mut self, window: Window, n: usize, tally: &mut Tally) -> &'a WindowTable {
+        let key = (window, n);
+        tally.window(key, self.windows.contains_key(&key));
+        self.windows.entry(key).or_insert_with(|| {
             let coeffs = window.coefficients(n);
             let gain = coeffs.iter().sum::<f64>() / n as f64;
             WindowTable { coeffs, gain }
@@ -121,33 +257,15 @@ pub struct DspScratch {
 
 /// A reusable DSP execution context (see the module docs).
 ///
-/// One context serves one thread of execution — in MPROS, each data
-/// concentrator owns one across sim steps, so the parallel engine's
-/// per-worker stepping reuses exactly the state the sequential engine
-/// would.
+/// One context serves one thread of execution at a time. A standalone
+/// user owns one across calls; a ship owns one per stepping worker
+/// (inside each survey workspace) and lends it to every data
+/// concentrator that worker steps, with [`DspContext::lent`].
 #[derive(Debug, Default)]
 pub struct DspContext {
     cache: DspCache,
     scratch: DspScratch,
-    stats: DspStats,
-}
-
-/// Count a buffer preparation: a reuse if capacity already suffices.
-fn prep_f64(stats: &mut DspStats, buf: &mut Vec<f64>, n: usize) {
-    if n > 0 && buf.capacity() >= n {
-        stats.scratch_reuses += 1;
-        stats.bytes_avoided += (n * std::mem::size_of::<f64>()) as u64;
-    }
-    buf.clear();
-}
-
-/// Count a complex-buffer preparation: a reuse if capacity suffices.
-fn prep_complex(stats: &mut DspStats, buf: &mut Vec<Complex>, n: usize) {
-    if n > 0 && buf.capacity() >= n {
-        stats.scratch_reuses += 1;
-        stats.bytes_avoided += (n * std::mem::size_of::<Complex>()) as u64;
-    }
-    buf.clear();
+    tally: Tally,
 }
 
 /// Fill `out` with the real cepstrum of `signal`: one real forward
@@ -232,15 +350,29 @@ impl DspContext {
         Self::default()
     }
 
-    /// A snapshot of the context's avoidance counters.
+    /// A snapshot of the context's own avoidance counters: the counts of
+    /// every call made while the context was not lent.
     pub fn stats(&self) -> DspStats {
-        self.stats
+        self.tally.own
+    }
+
+    /// Run `f` on this context lent to the owner of `ledger`. Every count
+    /// `f` makes goes to `ledger`, judged against the ledger's own request
+    /// history rather than this context's caches and capacities, so it is
+    /// the count a private context of that owner would make (DESIGN.md
+    /// §10.2). Results do not depend on the lending: every buffer is
+    /// cleared before it is filled.
+    pub fn lent<R>(&mut self, ledger: &mut DspLedger, f: impl FnOnce(&mut DspContext) -> R) -> R {
+        let outer = self.tally.lent.replace(std::mem::take(ledger));
+        let out = f(self);
+        *ledger = std::mem::replace(&mut self.tally.lent, outer).unwrap_or_default();
+        out
     }
 
     /// The cached [`FftPlan`] for size `n`, building it on first
     /// request. Cloning the returned `Arc` is allocation-free.
     pub fn plan(&mut self, n: usize) -> Result<Arc<FftPlan>> {
-        self.cache.plan(n, &mut self.stats)
+        self.cache.plan(n, &mut self.tally)
     }
 
     /// Forward FFT of a real signal into `out` (all `n` bins).
@@ -248,7 +380,7 @@ impl DspContext {
     /// allocation-free once `out` has capacity.
     pub fn fft_real_into(&mut self, signal: &[f64], out: &mut Vec<Complex>) -> Result<()> {
         let plan = self.plan(signal.len())?;
-        prep_complex(&mut self.stats, out, signal.len());
+        self.tally.prep(Slot::FftOut, out, signal.len());
         plan.forward_real_into(signal, out)
     }
 
@@ -258,8 +390,8 @@ impl DspContext {
     pub fn ifft_real_into(&mut self, spectrum: &[Complex], out: &mut Vec<f64>) -> Result<()> {
         let n = spectrum.len();
         let plan = self.plan(n)?;
-        prep_complex(&mut self.stats, &mut self.scratch.full, n / 2);
-        prep_f64(&mut self.stats, out, n);
+        self.tally.prep(Slot::Full, &mut self.scratch.full, n / 2);
+        self.tally.prep(Slot::IfftOut, out, n);
         plan.inverse_real_into(&spectrum[..=n / 2], &mut self.scratch.full, out)
     }
 
@@ -277,10 +409,11 @@ impl DspContext {
         }
         let n = block.len();
         let plan = self.plan(n)?;
-        let table = self.cache.window(window, n, &mut self.stats);
+        let table = self.cache.window(window, n, &mut self.tally);
         let scratch = &mut self.scratch;
-        prep_complex(&mut self.stats, &mut scratch.half, n / 2 + 1);
-        prep_f64(&mut self.stats, &mut out.amplitudes, n / 2 + 1);
+        self.tally.prep(Slot::Half, &mut scratch.half, n / 2 + 1);
+        self.tally
+            .prep(Slot::SpectrumOut, &mut out.amplitudes, n / 2 + 1);
         let coeffs = &table.coeffs;
         spectrum_fill(
             &plan,
@@ -300,10 +433,10 @@ impl DspContext {
         let plan = self.plan(signal.len())?;
         let n = signal.len();
         let scratch = &mut self.scratch;
-        let stats = &mut self.stats;
-        prep_complex(stats, &mut scratch.half, n / 2 + 1);
-        prep_complex(stats, &mut scratch.full, n / 2);
-        prep_f64(stats, out, n);
+        let tally = &mut self.tally;
+        tally.prep(Slot::Half, &mut scratch.half, n / 2 + 1);
+        tally.prep(Slot::Full, &mut scratch.full, n / 2);
+        tally.prep(Slot::CepstrumOut, out, n);
         cepstrum_fill(&plan, signal, &mut scratch.half, &mut scratch.full, out)
     }
 
@@ -338,10 +471,10 @@ impl DspContext {
         let plan = self.plan(signal.len())?;
         let n = signal.len();
         let scratch = &mut self.scratch;
-        let stats = &mut self.stats;
-        prep_complex(stats, &mut scratch.half, n / 2 + 1);
-        prep_complex(stats, &mut scratch.full, n);
-        prep_f64(stats, out, n);
+        let tally = &mut self.tally;
+        tally.prep(Slot::Half, &mut scratch.half, n / 2 + 1);
+        tally.prep(Slot::Full, &mut scratch.full, n);
+        tally.prep(Slot::EnvelopeOut, out, n);
         envelope_fill(
             &plan,
             signal,
@@ -375,10 +508,10 @@ impl DspContext {
         let plan = self.plan(n)?;
         {
             let scratch = &mut self.scratch;
-            let stats = &mut self.stats;
-            prep_complex(stats, &mut scratch.half, n / 2 + 1);
-            prep_complex(stats, &mut scratch.full, n);
-            prep_f64(stats, &mut scratch.real, n);
+            let tally = &mut self.tally;
+            tally.prep(Slot::Half, &mut scratch.half, n / 2 + 1);
+            tally.prep(Slot::Full, &mut scratch.full, n);
+            tally.prep(Slot::Real, &mut scratch.real, n);
             let df = sample_rate / n as f64;
             envelope_fill(
                 &plan,
@@ -389,10 +522,11 @@ impl DspContext {
                 &mut scratch.real,
             )?;
         }
-        let table = self.cache.window(window, n, &mut self.stats);
+        let table = self.cache.window(window, n, &mut self.tally);
         let scratch = &mut self.scratch;
-        prep_complex(&mut self.stats, &mut scratch.half, n / 2 + 1);
-        prep_f64(&mut self.stats, &mut out.amplitudes, n / 2 + 1);
+        self.tally.prep(Slot::Half, &mut scratch.half, n / 2 + 1);
+        self.tally
+            .prep(Slot::EnvSpectrumOut, &mut out.amplitudes, n / 2 + 1);
         let (env, coeffs) = (&scratch.real, &table.coeffs);
         let mean = env.iter().sum::<f64>() / env.len() as f64;
         spectrum_fill(
@@ -424,10 +558,10 @@ impl DspContext {
         let n = block.len();
         {
             let scratch = &mut self.scratch;
-            let st = &mut self.stats;
-            prep_complex(st, &mut scratch.half, n / 2 + 1);
-            prep_complex(st, &mut scratch.full, n / 2);
-            prep_f64(st, &mut scratch.cep, n);
+            let tally = &mut self.tally;
+            tally.prep(Slot::Half, &mut scratch.half, n / 2 + 1);
+            tally.prep(Slot::Full, &mut scratch.full, n / 2);
+            tally.prep(Slot::Cep, &mut scratch.cep, n);
             cepstrum_fill(
                 &plan,
                 block,
@@ -469,8 +603,8 @@ impl DspContext {
         process_scalars: &[f64],
         out: &mut FeatureVector,
     ) -> Result<()> {
-        prep_f64(
-            &mut self.stats,
+        self.tally.prep(
+            Slot::FeatureOut,
             &mut out.values,
             FeatureVector::dimension(config, process_scalars.len()),
         );

@@ -15,7 +15,6 @@
 use crate::metrics::Registry;
 use crate::Telemetry;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// One declarative objective over the metric registry.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,12 +75,13 @@ impl SloRule {
         }
     }
 
-    /// Evaluate against the series of `registry` the rule names, each
-    /// through a lookup that never registers it: an unregistered series
-    /// reads 0 and stays unregistered.
-    pub fn evaluate(&self, registry: &Registry) -> SloCheck {
+    /// The observed value and the inclusive limit it must not exceed,
+    /// read from the series of `registry` the rule names, each through a
+    /// lookup that never registers it: an unregistered series reads 0 and
+    /// stays unregistered.
+    fn measure(&self, registry: &Registry) -> (f64, f64) {
         let counter = |c: &str, n: &str| registry.find_counter(c, n).map_or(0, |c| c.get());
-        let (value, limit) = match self {
+        match self {
             SloRule::HistogramP95Max {
                 component,
                 name,
@@ -107,12 +107,6 @@ impl SloRule {
                 let ratio = if d == 0 { 0.0 } else { n as f64 / d as f64 };
                 (ratio, *max)
             }
-        };
-        SloCheck {
-            rule: self.label(),
-            pass: value <= limit,
-            value,
-            limit,
         }
     }
 }
@@ -229,20 +223,42 @@ impl SloPolicy {
 /// Evaluates an [`SloPolicy`] against live telemetry, journaling
 /// violation/recovery *edges* (not every failing pass) under the `slo`
 /// component.
+///
+/// The watchdog keeps one verdict and updates it in place on every pass:
+/// each rule's label is rendered once, when the watchdog is built, and a
+/// passing step allocates nothing.
 #[derive(Debug, Clone)]
 pub struct SloWatchdog {
     policy: SloPolicy,
-    failing: BTreeSet<String>,
-    last: Option<SloVerdict>,
+    /// The latest verdict, one check per rule in policy order. Before the
+    /// first pass every check reads as passing, so a first failure is a
+    /// violation edge and a first pass is not a recovery.
+    last: SloVerdict,
+    /// Whether any pass has run.
+    evaluated: bool,
 }
 
 impl SloWatchdog {
     /// A watchdog for one policy.
     pub fn new(policy: SloPolicy) -> SloWatchdog {
+        let checks = policy
+            .rules
+            .iter()
+            .map(|rule| SloCheck {
+                rule: rule.label(),
+                pass: true,
+                value: 0.0,
+                limit: 0.0,
+            })
+            .collect();
         SloWatchdog {
             policy,
-            failing: BTreeSet::new(),
-            last: None,
+            last: SloVerdict {
+                at_secs: 0.0,
+                pass: true,
+                checks,
+            },
+            evaluated: false,
         }
     }
 
@@ -253,41 +269,37 @@ impl SloWatchdog {
 
     /// The most recent verdict, if any pass has run.
     pub fn last_verdict(&self) -> Option<&SloVerdict> {
-        self.last.as_ref()
+        self.evaluated.then_some(&self.last)
     }
 
     /// Evaluate every rule against the series of `telemetry` it names,
-    /// journal edges, and return (a clone of) the verdict.
-    pub fn evaluate(&mut self, telemetry: &Telemetry) -> SloVerdict {
+    /// journal edges, and return the verdict, which stays readable
+    /// through [`SloWatchdog::last_verdict`] until the next pass.
+    pub fn evaluate(&mut self, telemetry: &Telemetry) -> &SloVerdict {
         let registry = telemetry.registry();
-        let checks: Vec<SloCheck> = self
-            .policy
-            .rules
-            .iter()
-            .map(|r| r.evaluate(registry))
-            .collect();
-        for c in &checks {
-            if !c.pass && self.failing.insert(c.rule.clone()) {
+        for (rule, check) in self.policy.rules.iter().zip(&mut self.last.checks) {
+            let (value, limit) = rule.measure(registry);
+            let pass = value <= limit;
+            let edge = match (check.pass, pass) {
+                (true, false) => Some("slo_violation"),
+                (false, true) => Some("slo_recovered"),
+                _ => None,
+            };
+            check.pass = pass;
+            check.value = value;
+            check.limit = limit;
+            if let Some(kind) = edge {
                 telemetry.event(
                     "slo",
-                    "slo_violation",
-                    format!("{} value={:.6} limit={:.6}", c.rule, c.value, c.limit),
-                );
-            } else if c.pass && self.failing.remove(&c.rule) {
-                telemetry.event(
-                    "slo",
-                    "slo_recovered",
-                    format!("{} value={:.6} limit={:.6}", c.rule, c.value, c.limit),
+                    kind,
+                    format!("{} value={value:.6} limit={limit:.6}", check.rule),
                 );
             }
         }
-        let verdict = SloVerdict {
-            at_secs: telemetry.sim_now().as_secs(),
-            pass: checks.iter().all(|c| c.pass),
-            checks,
-        };
-        self.last = Some(verdict.clone());
-        verdict
+        self.last.at_secs = telemetry.sim_now().as_secs();
+        self.last.pass = self.last.checks.iter().all(|c| c.pass);
+        self.evaluated = true;
+        &self.last
     }
 }
 

@@ -62,11 +62,13 @@ const DCS: usize = 8;
 const WARM_UP: u64 = 100;
 /// Steps counted.
 const SAMPLES: usize = 101;
-/// Median heap allocations per quiet step. Measured: 183, of which the
-/// serving publish makes about 126 (the owned sim-domain lists it
-/// serves), the watchdog 17 and the recorder 5. When each reader copied
-/// the whole domain, the median was 520.
-const CEILING: u64 = 200;
+/// Median heap allocations per quiet step: 166 measured plus a margin
+/// of 9 (5%). Of the 166 the serving publish makes about 126 (the owned
+/// sim-domain lists it serves) and the recorder 5; the watchdog, which
+/// updates one verdict in place, makes none. When the watchdog rendered
+/// its labels and cloned its verdict every pass the median was 183, and
+/// when each reader copied the whole domain, 520.
+const CEILING: u64 = 175;
 
 #[test]
 fn a_quiet_step_allocates_under_a_ceiling() {
