@@ -45,7 +45,7 @@ const MAX_SAMPLES_PER_CLIENT: usize = 200_000;
 /// Bytes of the final Prometheus exposition after the observability
 /// phase; pinned also as `obs.exposition_len_final` in
 /// `tests/fingerprints.rs`.
-const EXPOSITION_LEN_FINAL: u64 = 5599;
+const EXPOSITION_LEN_FINAL: u64 = 5356;
 /// Machine classes and fused curves in the final fleet rollup; pinned
 /// also as `fleet.rollup_machines` / `fleet.rollup_prognostics`.
 const ROLLUP_MACHINES: u64 = 4;

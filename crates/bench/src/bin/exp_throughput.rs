@@ -163,7 +163,7 @@ fn main() {
     );
 
     // 1b. The DSP execution context itself.
-    let (dsp, dsp_stats) = dsp_bench();
+    let dsp = dsp_bench();
     println!(
         "DSP context (32k blocks): {:.0} windows/s, {:.0} spectra/s \
          ({:.0} via the allocating API), ifft {:.0}/s, dwt synthesize {:.0}/s",
@@ -174,13 +174,9 @@ fn main() {
         dsp.synthesize_per_s,
     );
     println!(
-        "5-channel survey extraction: p50={:.2} ms p95={:.2} ms; \
-         {} plans cached, {} scratch reuses, {:.1} MB reallocation avoided\n",
+        "5-channel survey extraction: p50={:.2} ms p95={:.2} ms\n",
         dsp.survey_extract_p50_s * 1e3,
         dsp.survey_extract_p95_s * 1e3,
-        dsp_stats.plans_created,
-        dsp_stats.scratch_reuses,
-        dsp_stats.bytes_avoided as f64 / 1e6,
     );
 
     // 2. Parallel fleet of DCs (one scoped worker thread per DC).

@@ -18,7 +18,7 @@ use mpros_network::{Endpoint, Envelope, NetMessage, NetStats, NetworkConfig, Shi
 use mpros_pdme::PdmeExecutive;
 use mpros_signal::dwt::{Wavelet, WaveletDecomposition};
 use mpros_signal::fft::{fft_real, ifft_real};
-use mpros_signal::{DspContext, DspStats, Spectrum, Window};
+use mpros_signal::{DspContext, Spectrum, Window};
 use mpros_telemetry::{Instrumented, Telemetry};
 use serde::Serialize;
 use std::sync::Arc;
@@ -137,8 +137,6 @@ pub struct FleetRun {
     pub wal_bytes: u64,
     /// The durable store's whole log.
     pub wal_log: Vec<u8>,
-    /// `dsp.plans_cached`, `dsp.scratch_reuses`, `dsp.bytes_avoided`.
-    pub dsp: [u64; 3],
 }
 
 /// Step [`bearing_ship`] under `sea` and `exec`: one warm-up step, then
@@ -163,7 +161,6 @@ pub fn fleet_run(exec: ExecMode, sea: Sea) -> FleetRun {
         wal_appends: snap.counter("store", "wal_appends"),
         wal_bytes: snap.counter("store", "wal_bytes"),
         wal_log: sim.store().contents().expect("store readable"),
-        dsp: ["plans_cached", "scratch_reuses", "bytes_avoided"].map(|n| snap.counter("dsp", n)),
     }
 }
 
@@ -190,9 +187,8 @@ pub struct DspBench {
 /// survey: raw windowed FFTs and amplitude spectra through the cached
 /// plans, the allocating spectrum for comparison, the legacy `ifft_real`
 /// and `WaveletDecomposition::synthesize`, and 24 full-survey feature
-/// extractions. Returns the rates and the context's counters, which the
-/// fixed workload makes deterministic.
-pub fn dsp_bench() -> (DspBench, DspStats) {
+/// extractions.
+pub fn dsp_bench() -> DspBench {
     const FS: f64 = 16_384.0;
     let survey = labeled_survey(
         Some(MachineCondition::MotorBearingDefect),
@@ -253,7 +249,7 @@ pub fn dsp_bench() -> (DspBench, DspStats) {
     }
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
 
-    let bench = DspBench {
+    DspBench {
         windows_per_s,
         spectra_per_s,
         alloc_spectra_per_s,
@@ -261,8 +257,7 @@ pub fn dsp_bench() -> (DspBench, DspStats) {
         synthesize_per_s,
         survey_extract_p50_s: percentile(&samples, 0.50),
         survey_extract_p95_s: percentile(&samples, 0.95),
-    };
-    (bench, ctx.stats())
+    }
 }
 
 /// PDME report handling over the ship network, once each for 10, 50,

@@ -15,8 +15,8 @@
 use mpros::sim::ExecMode;
 use mpros_bench::percentile;
 use mpros_bench::scenario::{
-    bearing_ship, dsp_bench, fleet_phase, fleet_run, obs_phase, pdme_fanin, ship8_config,
-    survey_dt, Sea, FLEET_CLIENTS, FLEET_ROUNDS, FLEET_SHIPS, SERVING_CLIENTS, SERVING_STEPS,
+    bearing_ship, fleet_phase, fleet_run, obs_phase, pdme_fanin, ship8_config, survey_dt, Sea,
+    FLEET_CLIENTS, FLEET_ROUNDS, FLEET_SHIPS, SERVING_CLIENTS, SERVING_STEPS,
 };
 use mpros_store::RecoveryManager;
 use mpros_telemetry::Telemetry;
@@ -51,9 +51,6 @@ const FINGERPRINTS: &[(&str, Pin)] = &[
     ("calm.wal_appends", U(22)),
     ("calm.wal_bytes", U(20_264)),
     ("calm.recovery_tail_frames", U(21)),
-    ("calm.dsp_plans_cached", U(8)),
-    ("calm.dsp_scratch_reuses", U(1_720)),
-    ("calm.dsp_bytes_avoided", U(416_302_016)),
     ("calm.trace.e2e_report_latency_s.count", U(8)),
     ("calm.trace.e2e_report_latency_s.p50_s", F(30.0)),
     ("calm.trace.e2e_report_latency_s.p95_s", F(30.0)),
@@ -69,9 +66,6 @@ const FINGERPRINTS: &[(&str, Pin)] = &[
     ("lossy.wal_appends", U(28)),
     ("lossy.wal_bytes", U(20_650)),
     ("lossy.recovery_tail_frames", U(27)),
-    ("lossy.dsp_plans_cached", U(10)),
-    ("lossy.dsp_scratch_reuses", U(1_690)),
-    ("lossy.dsp_bytes_avoided", U(408_830_648)),
     ("lossy.trace.e2e_report_latency_s.count", U(8)),
     ("lossy.trace.e2e_report_latency_s.p50_s", F(30.0)),
     ("lossy.trace.e2e_report_latency_s.p95_s", F(60.0)),
@@ -87,15 +81,11 @@ const FINGERPRINTS: &[(&str, Pin)] = &[
     ("fanin.pdme.report_latency_s.p50_s", F(1.0)),
     ("fanin.pdme.report_latency_s.p95_s", F(1.0)),
     ("fanin.pdme.report_latency_s.p99_s", F(1.0)),
-    // The DSP context's counters after its fixed microbench workload.
-    ("dsp.plans_cached", U(1)),
-    ("dsp.scratch_reuses", U(617)),
-    ("dsp.bytes_avoided", U(158_471_960)),
     // E11's serving phase shape, and the observability mix on the
     // unserved control ship after those steps.
     ("serving.clients", U(8)),
     ("serving.steps", U(30)),
-    ("obs.exposition_len_final", U(5_599)),
+    ("obs.exposition_len_final", U(5_356)),
     ("obs.incidents_sealed", U(1)),
     // The 3-ship fleet console mix.
     ("fleet.ships", U(3)),
@@ -162,7 +152,6 @@ fn fleet_run_holds_in_every_exec_mode(sea: Sea, group: &str) {
     ] {
         let run = fleet_run(exec, sea);
         let recovered = RecoveryManager::new(&Telemetry::new()).recover(&run.wal_log);
-        let [plans, reuses, bytes] = run.dsp;
         let mut actual = named([
             ("net_sent", U(run.net.sent as u64)),
             ("net_delivered", U(run.net.delivered as u64)),
@@ -172,9 +161,6 @@ fn fleet_run_holds_in_every_exec_mode(sea: Sea, group: &str) {
             ("wal_appends", U(run.wal_appends)),
             ("wal_bytes", U(run.wal_bytes)),
             ("recovery_tail_frames", U(recovered.tail.len() as u64)),
-            ("dsp_plans_cached", U(plans)),
-            ("dsp_scratch_reuses", U(reuses)),
-            ("dsp_bytes_avoided", U(bytes)),
         ]);
         actual.extend(quantile_rows(
             "trace.e2e_report_latency_s",
@@ -215,17 +201,6 @@ fn pdme_fanin_histograms_hold() {
         ));
     }
     assert_pinned("fanin", "PDME fan-in", &actual);
-}
-
-#[test]
-fn dsp_context_counters_hold() {
-    let (_, stats) = dsp_bench();
-    let actual = named([
-        ("plans_cached", U(stats.plans_created)),
-        ("scratch_reuses", U(stats.scratch_reuses)),
-        ("bytes_avoided", U(stats.bytes_avoided)),
-    ]);
-    assert_pinned("dsp", "DSP microbench", &actual);
 }
 
 #[test]

@@ -28,7 +28,6 @@ use mpros_sbfr::builtin::{spike_machine, stiction_machine};
 use mpros_sbfr::Interpreter;
 use mpros_signal::features::WaveformStats;
 use mpros_signal::trend::TrendTracker;
-use mpros_signal::{DspLedger, DspStats};
 use mpros_telemetry::trace::dc_trace_seed;
 use mpros_telemetry::{
     Counter, HopKind, Instrumented, Stage, Telemetry, TraceHop, TraceId, WallTimer,
@@ -152,21 +151,16 @@ pub struct DataConcentrator {
     /// histories" input to next-generation prognostics (§1, §5.1).
     severity_trends: HashMap<(&'static str, MachineCondition), TrendTracker>,
     suspect_channels: Vec<AccelLocation>,
-    /// This DC's DSP counters, kept across the workspaces it is lent:
-    /// counted as a private DSP context would count them.
-    dsp: DspLedger,
-    /// The workspace [`DataConcentrator::step`] and
-    /// [`DataConcentrator::tick`] lend this DC, built on first use. A
-    /// ship lends its own instead ([`DataConcentrator::step_with`]), so a
-    /// shipboard DC leaves this empty.
+    /// The workspace [`DataConcentrator::step`] lends this DC, built on
+    /// first use. A ship lends its own instead
+    /// ([`DataConcentrator::step_with`]), so a shipboard DC leaves this
+    /// empty.
     own_workspace: Option<Box<SurveyWorkspace>>,
     /// The last survey's DLI feature set, reused in place.
     features: SpectralFeatures,
     /// Waveform statistics of the live blocks from the channel
     /// self-check, in block order, handed on to feature extraction.
     block_stats: Vec<WaveformStats>,
-    /// DSP totals already published to telemetry (delta basis).
-    dsp_published: DspStats,
     telemetry: Telemetry,
     /// Journal component label, e.g. `dc1`.
     component: String,
@@ -179,9 +173,6 @@ struct DcCounters {
     process_samples: Arc<Counter>,
     sbfr_cycles: Arc<Counter>,
     reports_emitted: Arc<Counter>,
-    dsp_plans: Arc<Counter>,
-    dsp_reuses: Arc<Counter>,
-    dsp_bytes: Arc<Counter>,
 }
 
 impl DcCounters {
@@ -191,9 +182,6 @@ impl DcCounters {
             process_samples: telemetry.counter("dc", "process_samples"),
             sbfr_cycles: telemetry.counter("dc", "sbfr_cycles"),
             reports_emitted: telemetry.counter("dc", "reports_emitted"),
-            dsp_plans: telemetry.counter("dsp", "plans_cached"),
-            dsp_reuses: telemetry.counter("dsp", "scratch_reuses"),
-            dsp_bytes: telemetry.counter("dsp", "bytes_avoided"),
         }
     }
 }
@@ -231,11 +219,9 @@ impl DataConcentrator {
             last_emitted: HashMap::new(),
             severity_trends: HashMap::new(),
             suspect_channels: Vec::new(),
-            dsp: DspLedger::default(),
             own_workspace: None,
             features: SpectralFeatures::default(),
             block_stats: Vec::new(),
-            dsp_published: DspStats::default(),
         })
     }
 
@@ -311,17 +297,17 @@ impl DataConcentrator {
         now: SimTime,
         commands: &[NetMessage],
     ) -> Result<Vec<ConditionReport>> {
-        for cmd in commands {
-            self.handle_command(cmd)?;
-        }
-        self.tick(plant, now)
+        let mut workspace = self.own_workspace.take().unwrap_or_default();
+        let reports = self.step_with(&mut workspace, plant, now, commands);
+        self.own_workspace = Some(workspace);
+        reports
     }
 
     /// [`DataConcentrator::step`] with `workspace` lent for the step's
     /// survey, if one is due — the closure the scatter-gather engine fans
-    /// out per DC, each worker lending its own workspace. The reports,
-    /// the DC's state and its [`DataConcentrator::dsp_stats`] are the
-    /// same whichever workspace is lent and whoever used it before.
+    /// out per DC, each worker lending its own workspace. The reports
+    /// and the DC's state are the same whichever workspace is lent and
+    /// whoever used it before.
     pub fn step_with(
         &mut self,
         workspace: &mut SurveyWorkspace,
@@ -332,25 +318,6 @@ impl DataConcentrator {
         for cmd in commands {
             self.handle_command(cmd)?;
         }
-        self.tick_in(workspace, plant, now)
-    }
-
-    /// Run everything due at `now` against the instrumented plant,
-    /// surveying through this DC's private workspace; returns the
-    /// condition reports to forward to the PDME.
-    pub fn tick(&mut self, plant: &ChillerPlant, now: SimTime) -> Result<Vec<ConditionReport>> {
-        let mut workspace = self.own_workspace.take().unwrap_or_default();
-        let reports = self.tick_in(&mut workspace, plant, now);
-        self.own_workspace = Some(workspace);
-        reports
-    }
-
-    fn tick_in(
-        &mut self,
-        workspace: &mut SurveyWorkspace,
-        plant: &ChillerPlant,
-        now: SimTime,
-    ) -> Result<Vec<ConditionReport>> {
         let mut reports = Vec::new();
         for task in self.scheduler.due(now) {
             match task {
@@ -474,15 +441,13 @@ impl DataConcentrator {
         blocks.truncate(live);
         // DLI: shared feature extraction, rule evaluation.
         let timer = WallTimer::start();
-        ctx.lent(&mut self.dsp, |ctx| {
-            SpectralFeatures::extract_with_stats_into(
-                ctx,
-                survey,
-                &self.block_stats,
-                scratch,
-                &mut self.features,
-            )
-        })?;
+        SpectralFeatures::extract_with_stats_into(
+            ctx,
+            survey,
+            &self.block_stats,
+            scratch,
+            &mut self.features,
+        )?;
         self.telemetry.record_span_wall(Stage::Fft, timer.elapsed());
         let timer = WallTimer::start();
         let diagnoses = self.dli.diagnose(&self.features);
@@ -511,9 +476,7 @@ impl DataConcentrator {
         // configured length internally, so no copies are made here.
         if let Some(wnn) = &self.wnn {
             let timer = WallTimer::start();
-            let classified = ctx.lent(&mut self.dsp, |ctx| {
-                wnn.classify_blocks_with(ctx, wnn_features, &survey.blocks, load)
-            });
+            let classified = wnn.classify_blocks_with(ctx, wnn_features, &survey.blocks, load);
             self.telemetry.record_span_wall(Stage::Wnn, timer.elapsed());
             if let Ok(verdict) = classified {
                 if let Some(condition) = verdict.condition() {
@@ -548,27 +511,7 @@ impl DataConcentrator {
                 }
             }
         }
-        self.publish_dsp_stats();
         Ok(())
-    }
-
-    /// Publish this DC's DSP counter growth since the last publish
-    /// to the `dsp.*` telemetry counters. The deltas are derived purely
-    /// from the (deterministic) analysis workload, so fleet snapshots
-    /// agree across sequential and parallel execution modes.
-    fn publish_dsp_stats(&mut self) {
-        let (stats, old, m) = (self.dsp.stats(), self.dsp_published, &self.metrics);
-        m.dsp_plans.add(stats.plans_created - old.plans_created);
-        m.dsp_reuses.add(stats.scratch_reuses - old.scratch_reuses);
-        m.dsp_bytes.add(stats.bytes_avoided - old.bytes_avoided);
-        self.dsp_published = stats;
-    }
-
-    /// Cumulative DSP statistics of this DC's surveys: what a DSP
-    /// context private to this DC would have counted, whichever
-    /// workspaces it was lent.
-    pub fn dsp_stats(&self) -> DspStats {
-        self.dsp.stats()
     }
 
     fn run_process_sample(
@@ -823,7 +766,7 @@ mod tests {
         let steps = (secs / dt) as usize;
         for i in 0..=steps {
             let now = SimTime::from_secs(i as f64 * dt);
-            out.extend(dc.tick(plant, now).unwrap());
+            out.extend(dc.step(plant, now, &[]).unwrap());
         }
         out
     }
@@ -928,14 +871,14 @@ mod tests {
         let mut d = dc();
         let p = plant_with(Some(MachineCondition::MotorImbalance), 0.9);
         // Advance a little past the t=0 survey.
-        d.tick(&p, SimTime::ZERO).unwrap();
+        d.step(&p, SimTime::ZERO, &[]).unwrap();
         let before = d.db().measurement_count();
         d.handle_command(&NetMessage::RunTest {
             dc: DcId::new(1),
             machine: MachineId::new(1),
         })
         .unwrap();
-        d.tick(&p, SimTime::from_secs(1.0)).unwrap();
+        d.step(&p, SimTime::from_secs(1.0), &[]).unwrap();
         assert!(d.db().measurement_count() > before, "on-demand survey ran");
         // A command addressed elsewhere is ignored.
         let before = d.db().measurement_count();
@@ -944,7 +887,7 @@ mod tests {
             machine: MachineId::new(1),
         })
         .unwrap();
-        d.tick(&p, SimTime::from_secs(2.0)).unwrap();
+        d.step(&p, SimTime::from_secs(2.0), &[]).unwrap();
         assert_eq!(d.db().measurement_count(), before);
     }
 
@@ -1036,7 +979,7 @@ mod trend_tests {
         let mut refined = Vec::new();
         for i in 0..=2400 {
             let now = SimTime::from_secs(i as f64 * 0.25);
-            for r in dc.tick(&plant, now).unwrap() {
+            for r in dc.step(&plant, now, &[]).unwrap() {
                 if r.additional_info.contains("trend-refined") {
                     refined.push(r);
                 }
@@ -1075,7 +1018,7 @@ mod trend_tests {
         });
         for i in 0..=1200 {
             let now = SimTime::from_secs(i as f64 * 0.25);
-            for r in dc.tick(&plant, now).unwrap() {
+            for r in dc.step(&plant, now, &[]).unwrap() {
                 assert!(
                     !r.additional_info.contains("trend-refined"),
                     "flat severity must not be trend-refined"
@@ -1112,7 +1055,7 @@ mod sensor_robustness_tests {
         let mut reports = Vec::new();
         for i in 0..=480 {
             let now = SimTime::from_secs(i as f64 * 0.25);
-            reports.extend(dc.tick(&plant, now).unwrap());
+            reports.extend(dc.step(&plant, now, &[]).unwrap());
         }
         assert_eq!(
             dc.suspect_channels(),
@@ -1178,7 +1121,7 @@ mod sensor_robustness_tests {
         let mut reports = Vec::new();
         for i in 0..=240 {
             let now = SimTime::from_secs(i as f64 * 0.25);
-            reports.extend(dc.tick(&plant, now).unwrap());
+            reports.extend(dc.step(&plant, now, &[]).unwrap());
         }
         assert_eq!(dc.suspect_channels(), &[AccelLocation::MotorNonDriveEnd]);
         let events = quarantines(&dc);
@@ -1225,7 +1168,7 @@ mod sensor_robustness_tests {
                 .fail_sensor(0, SensorFault::Saturated(rail))
                 .unwrap();
             for i in 0..=8 {
-                dc.tick(&plant, SimTime::from_secs(i as f64 * 15.0))
+                dc.step(&plant, SimTime::from_secs(i as f64 * 15.0), &[])
                     .unwrap();
             }
             assert!(dc.suspect_channels().is_empty(), "{condition:?}");
@@ -1259,7 +1202,7 @@ mod sensor_robustness_tests {
             let mut reports = Vec::new();
             for i in 0..=240 {
                 let now = SimTime::from_secs(i as f64 * 0.25);
-                reports.extend(dc.tick(&plant, now).unwrap());
+                reports.extend(dc.step(&plant, now, &[]).unwrap());
             }
             assert_eq!(
                 dc.suspect_channels(),

@@ -11,9 +11,8 @@
 //!
 //! Nothing a DC computes depends on which workspace it was lent or who
 //! used it before: every buffer is cleared before it is filled, and the
-//! cached FFT plans and window tables are pure functions of their size.
-//! The DC's DSP counters stay its own through
-//! [`mpros_signal::DspLedger`] (DESIGN.md §10.2).
+//! cached FFT plans and window tables are pure functions of their size
+//! (DESIGN.md §10.2).
 
 use mpros_dli::{SurveyScratch, VibrationSurvey};
 use mpros_signal::DspContext;
@@ -54,7 +53,6 @@ mod workspace_order_tests {
     use mpros_core::{
         ConditionReport, DcId, KnowledgeSourceId, MachineCondition, MachineId, SimDuration, SimTime,
     };
-    use mpros_signal::DspStats;
     use mpros_wnn::{DatasetBuilder, TrainParams, WnnClassifier, WnnConfig};
 
     /// A report's identity and payload bits: id, source, timestamp,
@@ -126,12 +124,12 @@ mod workspace_order_tests {
     /// Step the fleet for two simulated minutes at the 4 Hz process
     /// cadence, the DCs in `order` each step, through one shared
     /// workspace or (`None`) each through its private one. Returns each
-    /// DC's report stream and DSP counters, in DC order.
+    /// DC's report stream, in DC order.
     fn run(
         wnn: &WnnClassifier,
         order: [usize; 3],
         shared: Option<&mut SurveyWorkspace>,
-    ) -> Vec<(Vec<ReportBits>, DspStats)> {
+    ) -> Vec<Vec<ReportBits>> {
         let mut fleet = fleet(wnn);
         let mut streams = vec![Vec::new(); fleet.len()];
         let mut shared = shared;
@@ -147,14 +145,10 @@ mod workspace_order_tests {
             }
         }
         streams
-            .into_iter()
-            .zip(&fleet)
-            .map(|(stream, (dc, _))| (stream, dc.dsp_stats()))
-            .collect()
     }
 
     #[test]
-    fn reports_and_counters_do_not_depend_on_the_lent_workspace() {
+    fn reports_do_not_depend_on_the_lent_workspace() {
         let wnn = wnn();
         let forward = run(&wnn, [0, 1, 2], Some(&mut SurveyWorkspace::new()));
         let backward = run(&wnn, [2, 1, 0], Some(&mut SurveyWorkspace::new()));
@@ -167,14 +161,13 @@ mod workspace_order_tests {
             (MachineCondition::CompressorSurge, 2),
         ];
         for (dc, (condition, slot)) in seeded.into_iter().enumerate() {
-            let (stream, stats) = &private[dc];
+            let stream = &private[dc];
             let source = KnowledgeSourceId::new((dc as u64 + 1) * 10 + slot);
             assert!(
                 stream.iter().any(|r| r.1 == source && r.3 == condition),
                 "DC {} never reported its seeded {condition:?} from {source:?}",
                 dc + 1
             );
-            assert!(stats.plans_created > 0 && stats.scratch_reuses > 0);
             assert_eq!(
                 &forward[dc],
                 &private[dc],

@@ -133,6 +133,14 @@ impl Fleet {
         if config.ship_count == 0 {
             return Err(Error::invalid("fleet needs at least one ship"));
         }
+        if let Some((&ship_id, _)) = config.fault_plans.last_key_value() {
+            if ship_id >= config.ship_count {
+                return Err(Error::invalid(format!(
+                    "fault plan for ship {ship_id}, but the fleet has {} ships",
+                    config.ship_count
+                )));
+            }
+        }
         let telemetry = Telemetry::new();
         let mut shards = Vec::with_capacity(config.ship_count);
         for i in 0..config.ship_count {
@@ -293,6 +301,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpros_core::SimTime;
 
     #[test]
     fn ship_seeds_are_independent_of_fleet_size() {
@@ -310,6 +319,17 @@ mod tests {
     #[test]
     fn empty_fleet_is_rejected() {
         assert!(Fleet::new(FleetConfig::new().with_ship_count(0)).is_err());
+    }
+
+    #[test]
+    fn fault_plan_for_a_missing_ship_is_rejected() {
+        let plan = FaultPlan::none().with_pdme_stall(SimTime::ZERO, SimTime::from_secs(1.0));
+        let config = FleetConfig::new().with_ship_count(2);
+        assert!(Fleet::new(config.clone().with_ship_fault_plan(1, plan.clone())).is_ok());
+        assert!(matches!(
+            Fleet::new(config.with_ship_fault_plan(2, plan)),
+            Err(Error::InvalidInput(_))
+        ));
     }
 
     #[test]

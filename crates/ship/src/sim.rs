@@ -67,7 +67,7 @@ use mpros_chiller::fault::FaultSeed;
 use mpros_chiller::plant::PlantConfig;
 use mpros_chiller::ChillerPlant;
 use mpros_core::{
-    derive_stream_seed, DcId, FaultKind, FaultPlan, FaultTarget, FaultTransition, MachineId,
+    derive_stream_seed, DcId, Error, FaultKind, FaultPlan, FaultTarget, FaultTransition, MachineId,
     Result, SimClock, SimDuration, SimTime,
 };
 use mpros_dc::{DataConcentrator, DcConfig, SensorFault, SurveyWorkspace};
@@ -276,6 +276,23 @@ impl ShipboardSim {
     /// and `exec.jobs` counter are registered here; sequential runs
     /// never carry them.
     pub fn new(config: ShipboardSimConfig) -> Result<Self> {
+        // A plan naming a DC this ship lacks would fail mid-run, at the
+        // window's first transition; refuse it before anything is built.
+        for window in config.fault_plan.windows() {
+            let dc = match window.kind {
+                FaultKind::DcCrash { dc } | FaultKind::SensorDropout { dc, .. } => dc,
+                FaultKind::Partition {
+                    target: FaultTarget::Dc(dc),
+                } => dc,
+                _ => continue,
+            };
+            if !(1..=config.dc_count as u64).contains(&dc.raw()) {
+                return Err(Error::invalid(format!(
+                    "fault plan names {dc}, but the ship has {} DCs",
+                    config.dc_count
+                )));
+            }
+        }
         // One shared observability domain for the whole ship: every
         // component joins it at wiring time, before any traffic flows.
         let telemetry = Telemetry::new();

@@ -12,9 +12,9 @@
 //! * **Window cache** — materialized coefficient tables plus the
 //!   coherent gain per `(window, size)`, replacing the per-sample
 //!   `coefficient()` calls and the per-call `coherent_gain()` vector.
-//! * **Scratch arena** — [`DspScratch`]: half-spectrum, full complex,
-//!   real-valued, cepstrum and DWT buffers that are cleared (capacity
-//!   retained) and refilled on every call.
+//! * **Scratch arena** — half-spectrum, full complex, real-valued,
+//!   cepstrum and DWT buffers that are cleared (capacity retained) and
+//!   refilled on every call.
 //!
 //! The context holds the only implementation of each transform. The
 //! allocating APIs (`fft_real`, `ifft_real`, [`crate::Spectrum::compute`],
@@ -24,11 +24,9 @@
 //!
 //! A context need not belong to one user. A ship keeps one per stepping
 //! worker and lends it to each data concentrator for the length of its
-//! survey ([`DspContext::lent`]); plans and window tables are read-only
-//! once built, so they serve every borrower, and every buffer is cleared
-//! before it is filled, so no result depends on who used the context
-//! before. While lent, the counters go to the borrower's [`DspLedger`]
-//! and read what a private context of that borrower would have counted
+//! survey; plans and window tables are read-only once built, so they
+//! serve every borrower, and every buffer is cleared before it is
+//! filled, so no result depends on who used the context before
 //! (DESIGN.md §10.2).
 //!
 //! Real blocks take the plan's real-input transform: one half-size
@@ -50,148 +48,6 @@ use mpros_core::{Error, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Counters describing how much work a [`DspContext`] has avoided.
-///
-/// All fields are monotone over the context's lifetime; consumers
-/// publish deltas to telemetry. Because scratch growth follows the
-/// deterministic call sequence, these counters are themselves
-/// deterministic and reproduce exactly across execution modes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DspStats {
-    /// FFT plans built and cached (one per distinct size).
-    pub plans_created: u64,
-    /// FFT plan cache hits (transforms that skipped table construction).
-    pub plan_hits: u64,
-    /// Window tables built and cached (one per distinct window/size).
-    pub windows_created: u64,
-    /// Buffer preparations that reused existing capacity instead of
-    /// allocating.
-    pub scratch_reuses: u64,
-    /// Bytes of buffer storage those reuses avoided allocating.
-    pub bytes_avoided: u64,
-}
-
-/// The buffers a preparation can target: the context's scratch slots
-/// and the caller's output buffer of each call kind.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Half,
-    Full,
-    Real,
-    Cep,
-    FftOut,
-    IfftOut,
-    SpectrumOut,
-    CepstrumOut,
-    EnvelopeOut,
-    EnvSpectrumOut,
-    FeatureOut,
-}
-
-/// Number of [`Slot`]s.
-const SLOTS: usize = Slot::FeatureOut as usize + 1;
-
-/// One borrower's DSP counters for a context it borrows
-/// ([`DspContext::lent`]).
-///
-/// Besides the [`DspStats`] it keeps the borrower's request history: the
-/// plan sizes and window tables it has asked for, and the largest size
-/// it has requested of each buffer. Counts are judged against that
-/// history, not against the shared context's caches and capacities, so
-/// they are exactly what a private context of the borrower would count
-/// and do not depend on who borrowed the context before. A few hundred
-/// bytes, kept by the borrower across borrows.
-#[derive(Debug, Clone, Default)]
-pub struct DspLedger {
-    stats: DspStats,
-    /// High-water request per [`Slot`].
-    marks: [usize; SLOTS],
-    /// Plan sizes requested so far.
-    plans: Vec<usize>,
-    /// Window tables requested so far.
-    windows: Vec<(Window, usize)>,
-}
-
-impl DspLedger {
-    /// The borrower's cumulative counters.
-    pub fn stats(&self) -> DspStats {
-        self.stats
-    }
-}
-
-/// Where a context's counts go: its own [`DspStats`], or the ledger of
-/// the borrower it is lent to.
-#[derive(Debug, Default)]
-struct Tally {
-    own: DspStats,
-    lent: Option<DspLedger>,
-}
-
-impl Tally {
-    fn stats(&mut self) -> &mut DspStats {
-        match &mut self.lent {
-            Some(ledger) => &mut ledger.stats,
-            None => &mut self.own,
-        }
-    }
-
-    /// Count a buffer preparation — a reuse if the buffer already covers
-    /// `n` elements (by capacity, or by the borrower's high-water mark
-    /// while lent) — and clear the buffer.
-    fn prep<T>(&mut self, slot: Slot, buf: &mut Vec<T>, n: usize) {
-        let covered = match &mut self.lent {
-            Some(ledger) => {
-                let mark = &mut ledger.marks[slot as usize];
-                let covered = *mark >= n;
-                *mark = (*mark).max(n);
-                covered
-            }
-            None => buf.capacity() >= n,
-        };
-        if n > 0 && covered {
-            let stats = self.stats();
-            stats.scratch_reuses += 1;
-            stats.bytes_avoided += (n * std::mem::size_of::<T>()) as u64;
-        }
-        buf.clear();
-    }
-
-    /// Count a plan request: a hit if the plan was cached (or, while
-    /// lent, if the borrower has requested this size before).
-    fn plan(&mut self, n: usize, cached: bool) {
-        let hit = match &mut self.lent {
-            Some(ledger) => seen_before(&mut ledger.plans, n),
-            None => cached,
-        };
-        let stats = self.stats();
-        if hit {
-            stats.plan_hits += 1;
-        } else {
-            stats.plans_created += 1;
-        }
-    }
-
-    /// Count a window-table request, as [`Tally::plan`] does.
-    fn window(&mut self, key: (Window, usize), cached: bool) {
-        let hit = match &mut self.lent {
-            Some(ledger) => seen_before(&mut ledger.windows, key),
-            None => cached,
-        };
-        if !hit {
-            self.stats().windows_created += 1;
-        }
-    }
-}
-
-/// Whether `history` holds `key`; records it if not.
-fn seen_before<K: PartialEq>(history: &mut Vec<K>, key: K) -> bool {
-    let seen = history.contains(&key);
-    if !seen {
-        history.push(key);
-    }
-    seen
-}
-
 /// A cached window: materialized coefficients plus the coherent gain.
 #[derive(Debug, Clone)]
 struct WindowTable {
@@ -209,26 +65,17 @@ struct DspCache {
 }
 
 impl DspCache {
-    fn plan(&mut self, n: usize, tally: &mut Tally) -> Result<Arc<FftPlan>> {
-        let plan = match self.plans.get(&n) {
-            Some(plan) => {
-                tally.plan(n, true);
-                Arc::clone(plan)
-            }
-            None => {
-                let plan = Arc::new(FftPlan::new(n)?);
-                tally.plan(n, false);
-                self.plans.insert(n, Arc::clone(&plan));
-                plan
-            }
-        };
+    fn plan(&mut self, n: usize) -> Result<Arc<FftPlan>> {
+        if let Some(plan) = self.plans.get(&n) {
+            return Ok(Arc::clone(plan));
+        }
+        let plan = Arc::new(FftPlan::new(n)?);
+        self.plans.insert(n, Arc::clone(&plan));
         Ok(plan)
     }
 
-    fn window<'a>(&'a mut self, window: Window, n: usize, tally: &mut Tally) -> &'a WindowTable {
-        let key = (window, n);
-        tally.window(key, self.windows.contains_key(&key));
-        self.windows.entry(key).or_insert_with(|| {
+    fn window(&mut self, window: Window, n: usize) -> &WindowTable {
+        self.windows.entry((window, n)).or_insert_with(|| {
             let coeffs = window.coefficients(n);
             let gain = coeffs.iter().sum::<f64>() / n as f64;
             WindowTable { coeffs, gain }
@@ -241,7 +88,7 @@ impl DspCache {
 /// Private to the context — callers never see intermediate state, they
 /// only provide the *output* buffers of each `*_into` call.
 #[derive(Debug, Default)]
-pub struct DspScratch {
+struct DspScratch {
     /// Bins `0..=n/2` of a real block's spectrum.
     half: Vec<Complex>,
     /// Full-length complex buffer: the analytic signal, or the half-size
@@ -260,12 +107,11 @@ pub struct DspScratch {
 /// One context serves one thread of execution at a time. A standalone
 /// user owns one across calls; a ship owns one per stepping worker
 /// (inside each survey workspace) and lends it to every data
-/// concentrator that worker steps, with [`DspContext::lent`].
+/// concentrator that worker steps.
 #[derive(Debug, Default)]
 pub struct DspContext {
     cache: DspCache,
     scratch: DspScratch,
-    tally: Tally,
 }
 
 /// Fill `out` with the real cepstrum of `signal`: one real forward
@@ -314,6 +160,7 @@ fn envelope_fill(
     let half = &*half;
     plan.inverse_unscaled_with(|k| half.get(k).copied().unwrap_or(Complex::ZERO), full);
     let inv = 1.0 / plan.len() as f64;
+    out.clear();
     out.extend(full.iter().map(|z| z.norm_sq().sqrt() * inv));
     Ok(())
 }
@@ -335,6 +182,7 @@ fn spectrum_fill(
     // Single-sided amplitude: 2|X[k]| / (N · gain) for 0 < k < N/2,
     // |X[k]| / (N · gain) at DC and Nyquist.
     let norm = 1.0 / (n as f64 * gain);
+    out.amplitudes.clear();
     out.amplitudes.reserve_exact(h + 1);
     out.amplitudes.push(half[0].norm_sq().sqrt() * norm);
     out.amplitudes
@@ -350,29 +198,10 @@ impl DspContext {
         Self::default()
     }
 
-    /// A snapshot of the context's own avoidance counters: the counts of
-    /// every call made while the context was not lent.
-    pub fn stats(&self) -> DspStats {
-        self.tally.own
-    }
-
-    /// Run `f` on this context lent to the owner of `ledger`. Every count
-    /// `f` makes goes to `ledger`, judged against the ledger's own request
-    /// history rather than this context's caches and capacities, so it is
-    /// the count a private context of that owner would make (DESIGN.md
-    /// §10.2). Results do not depend on the lending: every buffer is
-    /// cleared before it is filled.
-    pub fn lent<R>(&mut self, ledger: &mut DspLedger, f: impl FnOnce(&mut DspContext) -> R) -> R {
-        let outer = self.tally.lent.replace(std::mem::take(ledger));
-        let out = f(self);
-        *ledger = std::mem::replace(&mut self.tally.lent, outer).unwrap_or_default();
-        out
-    }
-
     /// The cached [`FftPlan`] for size `n`, building it on first
     /// request. Cloning the returned `Arc` is allocation-free.
     pub fn plan(&mut self, n: usize) -> Result<Arc<FftPlan>> {
-        self.cache.plan(n, &mut self.tally)
+        self.cache.plan(n)
     }
 
     /// Forward FFT of a real signal into `out` (all `n` bins).
@@ -380,7 +209,6 @@ impl DspContext {
     /// allocation-free once `out` has capacity.
     pub fn fft_real_into(&mut self, signal: &[f64], out: &mut Vec<Complex>) -> Result<()> {
         let plan = self.plan(signal.len())?;
-        self.tally.prep(Slot::FftOut, out, signal.len());
         plan.forward_real_into(signal, out)
     }
 
@@ -390,8 +218,6 @@ impl DspContext {
     pub fn ifft_real_into(&mut self, spectrum: &[Complex], out: &mut Vec<f64>) -> Result<()> {
         let n = spectrum.len();
         let plan = self.plan(n)?;
-        self.tally.prep(Slot::Full, &mut self.scratch.full, n / 2);
-        self.tally.prep(Slot::IfftOut, out, n);
         plan.inverse_real_into(&spectrum[..=n / 2], &mut self.scratch.full, out)
     }
 
@@ -409,18 +235,14 @@ impl DspContext {
         }
         let n = block.len();
         let plan = self.plan(n)?;
-        let table = self.cache.window(window, n, &mut self.tally);
-        let scratch = &mut self.scratch;
-        self.tally.prep(Slot::Half, &mut scratch.half, n / 2 + 1);
-        self.tally
-            .prep(Slot::SpectrumOut, &mut out.amplitudes, n / 2 + 1);
+        let table = self.cache.window(window, n);
         let coeffs = &table.coeffs;
         spectrum_fill(
             &plan,
             |i| block[i] * coeffs[i],
             table.gain,
             sample_rate,
-            &mut scratch.half,
+            &mut self.scratch.half,
             out,
         );
         Ok(())
@@ -431,12 +253,7 @@ impl DspContext {
     /// context.
     pub fn cepstrum_into(&mut self, signal: &[f64], out: &mut Vec<f64>) -> Result<()> {
         let plan = self.plan(signal.len())?;
-        let n = signal.len();
         let scratch = &mut self.scratch;
-        let tally = &mut self.tally;
-        tally.prep(Slot::Half, &mut scratch.half, n / 2 + 1);
-        tally.prep(Slot::Full, &mut scratch.full, n / 2);
-        tally.prep(Slot::CepstrumOut, out, n);
         cepstrum_fill(&plan, signal, &mut scratch.half, &mut scratch.full, out)
     }
 
@@ -469,12 +286,7 @@ impl DspContext {
         out: &mut Vec<f64>,
     ) -> Result<()> {
         let plan = self.plan(signal.len())?;
-        let n = signal.len();
         let scratch = &mut self.scratch;
-        let tally = &mut self.tally;
-        tally.prep(Slot::Half, &mut scratch.half, n / 2 + 1);
-        tally.prep(Slot::Full, &mut scratch.full, n);
-        tally.prep(Slot::EnvelopeOut, out, n);
         envelope_fill(
             &plan,
             signal,
@@ -506,27 +318,17 @@ impl DspContext {
         }
         let n = block.len();
         let plan = self.plan(n)?;
-        {
-            let scratch = &mut self.scratch;
-            let tally = &mut self.tally;
-            tally.prep(Slot::Half, &mut scratch.half, n / 2 + 1);
-            tally.prep(Slot::Full, &mut scratch.full, n);
-            tally.prep(Slot::Real, &mut scratch.real, n);
-            let df = sample_rate / n as f64;
-            envelope_fill(
-                &plan,
-                block,
-                Some((lo_hz, hi_hz, df)),
-                &mut scratch.half,
-                &mut scratch.full,
-                &mut scratch.real,
-            )?;
-        }
-        let table = self.cache.window(window, n, &mut self.tally);
         let scratch = &mut self.scratch;
-        self.tally.prep(Slot::Half, &mut scratch.half, n / 2 + 1);
-        self.tally
-            .prep(Slot::EnvSpectrumOut, &mut out.amplitudes, n / 2 + 1);
+        let df = sample_rate / n as f64;
+        envelope_fill(
+            &plan,
+            block,
+            Some((lo_hz, hi_hz, df)),
+            &mut scratch.half,
+            &mut scratch.full,
+            &mut scratch.real,
+        )?;
+        let table = self.cache.window(window, n);
         let (env, coeffs) = (&scratch.real, &table.coeffs);
         let mean = env.iter().sum::<f64>() / env.len() as f64;
         spectrum_fill(
@@ -556,20 +358,14 @@ impl DspContext {
         let stats = WaveformStats::of(block);
         let plan = self.plan(block.len())?;
         let n = block.len();
-        {
-            let scratch = &mut self.scratch;
-            let tally = &mut self.tally;
-            tally.prep(Slot::Half, &mut scratch.half, n / 2 + 1);
-            tally.prep(Slot::Full, &mut scratch.full, n / 2);
-            tally.prep(Slot::Cep, &mut scratch.cep, n);
-            cepstrum_fill(
-                &plan,
-                block,
-                &mut scratch.half,
-                &mut scratch.full,
-                &mut scratch.cep,
-            )?;
-        }
+        let scratch = &mut self.scratch;
+        cepstrum_fill(
+            &plan,
+            block,
+            &mut scratch.half,
+            &mut scratch.full,
+            &mut scratch.cep,
+        )?;
         let cep = &self.scratch.cep;
         let max_q = n / 2;
         let q = dominant_quefrency(cep, 2, max_q).unwrap_or(0);
@@ -603,11 +399,7 @@ impl DspContext {
         process_scalars: &[f64],
         out: &mut FeatureVector,
     ) -> Result<()> {
-        self.tally.prep(
-            Slot::FeatureOut,
-            &mut out.values,
-            FeatureVector::dimension(config, process_scalars.len()),
-        );
+        out.values.clear();
         self.feature_values_into(block, config, process_scalars, &mut out.values)
     }
 }

@@ -43,7 +43,7 @@ pub mod spectrum;
 pub mod trend;
 pub mod window;
 
-pub use context::{DspContext, DspLedger, DspScratch, DspStats};
+pub use context::DspContext;
 pub use dwt::MultiLevelDwt;
 pub use fft::Complex;
 pub use spectrum::Spectrum;

@@ -41,7 +41,7 @@ fn main() -> mpros::core::Result<()> {
     let steps = (horizon.as_secs() / dt.as_secs()) as usize;
     for i in 0..steps {
         let now = SimTime::ZERO + dt * i as f64;
-        for r in dc.tick(&plant, now)? {
+        for r in dc.step(&plant, now, &[])? {
             if !detected.contains(&r.condition) {
                 detected.push(r.condition);
                 println!(

@@ -68,13 +68,14 @@ cargo test -q
 #    restore rebuilds every entry (incremental_publish);
 #  - DSP: golden vectors against closed-form spectra (dsp_golden),
 #    property round-trips and window identities (dsp_props), and zero
-#    heap allocations in a steady-state survey (dsp_alloc);
+#    heap allocations in a steady-state survey and in every warm
+#    DspContext::*_into call (dsp_alloc);
 #  - the exposition grammar: the Prometheus text a faulted ship serves
 #    validates, and corrupted variants of it are refused
 #    (gateway_serving).
 # It also runs the bench crate's tests:
 #  - determinism fingerprints (crates/bench/tests/fingerprints.rs):
-#    every seeded value of the E7/E11 scenarios — network, WAL and DSP
+#    every seeded value of the E7/E11 scenarios — network and WAL
 #    counts, sim-time latency quantiles, serving and fleet accounting —
 #    checked exactly against one committed table, the 8-DC fleet run
 #    under the calm and the lossy sea in sequential, 1-worker and

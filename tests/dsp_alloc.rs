@@ -2,9 +2,12 @@
 //!
 //! A counting global allocator wraps the system allocator; the test runs
 //! one full DC survey pass (acquisition → spectral features → WNN
-//! preprocessing) to warm every scratch buffer and cached plan, then
-//! runs a second pass at a different sim time with counting enabled and
-//! asserts that the steady state performs **zero** heap allocations.
+//! preprocessing) and one call of every public `DspContext::*_into`
+//! method to warm every scratch buffer and cached plan, then runs both
+//! again at a different sim time with counting enabled and asserts that
+//! the steady state performs **zero** heap allocations. A plan cache
+//! that rebuilt a plan, or a buffer swapped for a fresh one instead of
+//! cleared, would allocate here.
 //!
 //! This file holds exactly one `#[test]` so no sibling test can allocate
 //! on another thread while the counter is armed.
@@ -17,7 +20,8 @@ use mpros_chiller::vibration::AccelLocation;
 use mpros_core::{MachineId, SimTime};
 use mpros_dc::hw::{AcquisitionChain, HwConfig};
 use mpros_dli::{SpectralFeatures, SurveyScratch, VibrationSurvey};
-use mpros_signal::DspContext;
+use mpros_signal::features::{FeatureConfig, FeatureVector};
+use mpros_signal::{Complex, DspContext, Spectrum, Window};
 use mpros_wnn::WnnConfig;
 
 /// Wraps [`System`]; counts alloc/realloc/alloc_zeroed while armed.
@@ -78,6 +82,50 @@ fn survey_pass(
         .expect("wnn preprocessing");
 }
 
+/// The output buffers of every public `DspContext::*_into` method,
+/// reused across passes.
+#[derive(Default)]
+struct Outputs {
+    freq: Vec<Complex>,
+    time: Vec<f64>,
+    spectrum: Spectrum,
+    cepstrum: Vec<f64>,
+    hilbert: Vec<f64>,
+    bandpass: Vec<f64>,
+    env_spectrum: Spectrum,
+    values: Vec<f64>,
+    vector: FeatureVector,
+}
+
+/// One call of every public `DspContext::*_into` method on `block`.
+fn transforms_pass(ctx: &mut DspContext, block: &[f64], fs: f64, out: &mut Outputs) {
+    let config = FeatureConfig::default();
+    ctx.fft_real_into(block, &mut out.freq).expect("fft");
+    ctx.ifft_real_into(&out.freq, &mut out.time).expect("ifft");
+    ctx.spectrum_into(block, fs, Window::Hann, &mut out.spectrum)
+        .expect("spectrum");
+    ctx.cepstrum_into(block, &mut out.cepstrum)
+        .expect("cepstrum");
+    ctx.hilbert_envelope_into(block, &mut out.hilbert)
+        .expect("hilbert envelope");
+    ctx.bandpass_envelope_into(block, fs, 500.0, 4_000.0, &mut out.bandpass)
+        .expect("band-pass envelope");
+    ctx.envelope_spectrum_into(
+        block,
+        fs,
+        500.0,
+        4_000.0,
+        Window::Hann,
+        &mut out.env_spectrum,
+    )
+    .expect("envelope spectrum");
+    out.values.clear();
+    ctx.feature_values_into(block, &config, &[1.0, 2.0], &mut out.values)
+        .expect("feature values");
+    ctx.feature_vector_into(block, &config, &[1.0, 2.0], &mut out.vector)
+        .expect("feature vector");
+}
+
 #[test]
 fn steady_state_survey_performs_zero_dsp_allocations() {
     let plant = ChillerPlant::new(PlantConfig::new(MachineId::new(1), 42));
@@ -101,6 +149,7 @@ fn steady_state_survey_performs_zero_dsp_allocations() {
     let mut features = SpectralFeatures::default();
     let wnn = WnnConfig::small_test();
     let mut wnn_features = Vec::new();
+    let mut outputs = Outputs::default();
 
     // Cold pass: sizes every block, scratch buffer, and FFT plan.
     survey_pass(
@@ -114,8 +163,12 @@ fn steady_state_survey_performs_zero_dsp_allocations() {
         &mut wnn_features,
         SimTime::from_secs(0.0),
     );
-    let cold_stats = ctx.stats();
-    assert!(cold_stats.plans_created > 0, "cold pass must create plans");
+    transforms_pass(
+        &mut ctx,
+        &survey.blocks[0].1,
+        survey.sample_rate,
+        &mut outputs,
+    );
 
     // Warm pass at a different instant: everything must be reused.
     ALLOCATIONS.store(0, Ordering::SeqCst);
@@ -131,22 +184,20 @@ fn steady_state_survey_performs_zero_dsp_allocations() {
         &mut wnn_features,
         SimTime::from_secs(120.0),
     );
+    let survey_hits = ALLOCATIONS.swap(0, Ordering::SeqCst);
+    transforms_pass(
+        &mut ctx,
+        &survey.blocks[0].1,
+        survey.sample_rate,
+        &mut outputs,
+    );
     ARMED.store(false, Ordering::SeqCst);
-    let heap_hits = ALLOCATIONS.load(Ordering::SeqCst);
+    let transform_hits = ALLOCATIONS.load(Ordering::SeqCst);
 
-    let warm_stats = ctx.stats();
     assert_eq!(
-        warm_stats.plans_created, cold_stats.plans_created,
-        "warm pass must not create new FFT plans"
-    );
-    assert!(
-        warm_stats.scratch_reuses > cold_stats.scratch_reuses,
-        "warm pass must reuse scratch buffers"
-    );
-    assert_eq!(
-        heap_hits, 0,
-        "steady-state DC survey allocated {heap_hits} times in the DSP path \
-         (plans {:?} -> {:?})",
-        cold_stats, warm_stats
+        (survey_hits, transform_hits),
+        (0, 0),
+        "steady state allocated {survey_hits} times in the DC survey and \
+         {transform_hits} times across the DspContext::*_into methods"
     );
 }

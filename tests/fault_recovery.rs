@@ -8,7 +8,7 @@
 
 use mpros::chiller::fault::{FaultProfile, FaultSeed};
 use mpros::core::{
-    DcId, FaultPlan, FaultTarget, MachineCondition, MachineId, SimDuration, SimTime,
+    DcId, Error, FaultPlan, FaultTarget, MachineCondition, MachineId, SimDuration, SimTime,
 };
 use mpros::network::{decode_message, encode_message, NetMessage};
 use mpros::pdme::icas::export_snapshot;
@@ -198,6 +198,28 @@ fn pdme_stall_defers_fusion_without_losing_reports() {
     assert!(!sim.is_pdme_stalled());
     assert!(sim.pdme().reports_received() > before);
     assert_eq!(sim.network().stats().expired, 0);
+}
+
+#[test]
+fn fault_plan_naming_a_missing_dc_is_refused() {
+    let (from, until) = (SimTime::from_secs(10.0), SimTime::from_secs(20.0));
+    let missing = DcId::new(4);
+    for plan in [
+        FaultPlan::none().with_dc_crash(missing, from, until),
+        FaultPlan::none().with_sensor_dropout(missing, 0, from, until),
+        FaultPlan::none().with_partition(FaultTarget::Dc(missing), from, until),
+    ] {
+        let built = ShipboardSim::new(
+            ShipboardSimConfig::new()
+                .with_dc_count(3)
+                .with_fault_plan(plan.clone()),
+        );
+        assert!(
+            matches!(built, Err(Error::InvalidInput(_))),
+            "{:?} built a 3-DC ship",
+            plan.windows()
+        );
+    }
 }
 
 proptest! {
