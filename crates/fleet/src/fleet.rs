@@ -22,7 +22,7 @@ use crate::snapshot::{FleetSnapshot, ShipEntry};
 use mpros_core::{derive_salted_seed, Error, FaultPlan, Result, SimDuration};
 use mpros_gateway::Gateway;
 use mpros_ship::sim::{ShipboardSim, ShipboardSimConfig};
-use mpros_telemetry::Telemetry;
+use mpros_telemetry::{Counter, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -118,9 +118,27 @@ pub struct Fleet {
     shards: Vec<Shard>,
     gateway: Arc<FleetGateway>,
     telemetry: Telemetry,
+    counters: FleetCounters,
     parallel_ships: bool,
     /// Fleet publishes so far (the fleet snapshot version stamp).
     version: u64,
+}
+
+/// The fleet's own shard counters, named once.
+struct FleetCounters {
+    shard_steps: Arc<Counter>,
+    shard_crashes: Arc<Counter>,
+    shard_restores: Arc<Counter>,
+}
+
+impl FleetCounters {
+    fn wire(telemetry: &Telemetry) -> Self {
+        FleetCounters {
+            shard_steps: telemetry.counter("fleet", "shard_steps"),
+            shard_crashes: telemetry.counter("fleet", "shard_crashes"),
+            shard_restores: telemetry.counter("fleet", "shard_restores"),
+        }
+    }
 }
 
 impl Fleet {
@@ -163,6 +181,7 @@ impl Fleet {
         let mut fleet = Fleet {
             shards,
             gateway,
+            counters: FleetCounters::wire(&telemetry),
             telemetry,
             parallel_ships: config.parallel_ships,
             version: 0,
@@ -208,7 +227,7 @@ impl Fleet {
     pub fn crash_shard(&mut self, ship_id: usize) {
         if self.shards[ship_id].available {
             self.shards[ship_id].available = false;
-            self.telemetry.counter("fleet", "shard_crashes").inc();
+            self.counters.shard_crashes.inc();
         }
     }
 
@@ -221,7 +240,7 @@ impl Fleet {
         }
         self.shards[ship_id].sim.crash_restore_pdme()?;
         self.shards[ship_id].available = true;
-        self.telemetry.counter("fleet", "shard_restores").inc();
+        self.counters.shard_restores.inc();
         Ok(())
     }
 
@@ -239,8 +258,8 @@ impl Fleet {
                 }
             }
         }
-        self.telemetry
-            .counter("fleet", "shard_steps")
+        self.counters
+            .shard_steps
             .add(self.shards.iter().filter(|s| s.available).count() as u64);
         self.publish()
     }
@@ -339,6 +358,6 @@ mod tests {
         assert_eq!(snap.version, 1);
         assert_eq!(snap.ships.len(), 3);
         assert!(snap.ships.iter().all(|s| s.available));
-        assert_eq!(snap.rollup.available_ships, vec![0, 1, 2]);
+        assert_eq!(snap.rollup().available_ships, vec![0, 1, 2]);
     }
 }

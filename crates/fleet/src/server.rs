@@ -114,7 +114,7 @@ impl FleetGateway {
             FleetRequest::GetFleetRollup => FleetResponse::FleetRollup {
                 fleet_version,
                 at_secs: snap.at_secs,
-                rollup: snap.rollup.clone(),
+                rollup: snap.rollup(),
             },
             FleetRequest::GetShipIcas { ship } => match self.pinned(snap, *ship) {
                 Ok((entry, _)) => FleetResponse::ShipIcas {

@@ -8,8 +8,14 @@
 //! per-ship byte-identity guarantees wholesale and adds only the
 //! rollup, itself a pure fold over the pinned ship states. A publish
 //! folds only what moved: the census and the prognostic envelopes of
-//! the previous fleet snapshot are taken over while every available
-//! ship still pins the same machine entries and prognostic list.
+//! the previous fleet snapshot are shared by `Arc` while every
+//! available ship still pins the same machine entries and prognostic
+//! list. The rest of the rollup is left to the serving thread: the
+//! first `GetFleetRollup` of a version folds the counter sums and keeps
+//! them, and each answer assembles the served [`FleetRollup`] from the
+//! pinned ships, the shared census and the kept sums. An answer copies
+//! the rollup onto the wire either way, so assembling it there costs
+//! the step thread nothing.
 
 use crate::proto::{FleetRequest, FleetResponse, ShipDelta};
 use mpros_core::{PrognosticVector, Result};
@@ -18,7 +24,7 @@ use mpros_gateway::{Published, ServingSnapshot};
 use mpros_telemetry::CounterSnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One shard's contribution to a [`FleetSnapshot`].
 #[derive(Debug, Clone)]
@@ -83,7 +89,8 @@ pub struct FleetSloVerdict {
 }
 
 /// The fleet-wide knowledge rollup: a pure fold over the available
-/// ships' pinned serving snapshots.
+/// ships' pinned serving snapshots, as served by `GetFleetRollup`
+/// ([`FleetSnapshot::rollup`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetRollup {
     /// Total shards in the fleet.
@@ -104,63 +111,38 @@ pub struct FleetRollup {
     pub counters: Vec<CounterSnapshot>,
 }
 
-impl FleetRollup {
-    /// Fold the available ships of `ships` into a rollup from scratch:
-    /// [`Self::build_after`] against [`FleetSnapshot::empty`].
-    pub fn build(ships: &[ShipEntry]) -> Result<FleetRollup> {
-        Self::build_after(&FleetSnapshot::empty(), ships)
-    }
+/// The census and the prognostic envelopes, folded over one set of
+/// available ships.
+#[derive(Debug, Default)]
+struct Knowledge {
+    /// The ships folded, ascending.
+    available_ships: Vec<u64>,
+    machines: Vec<FleetMachine>,
+    prognostics: Vec<FleetPrognostic>,
+}
 
-    /// Fold the available ships of `ships` into the rollup that follows
-    /// `prev`'s. The census and the prognostic envelopes are `prev`'s
-    /// again when the available set is the same and every available
-    /// ship's ICAS machine entries and prognostic list are the very
-    /// `Arc`s `prev` pinned; otherwise they are folded afresh. The SLO
-    /// verdict and the counter sums are folded every time.
-    /// Deterministic: inputs are visited in ascending ship order and
-    /// every output list is sorted.
-    pub fn build_after(prev: &FleetSnapshot, ships: &[ShipEntry]) -> Result<FleetRollup> {
-        let available: Vec<&ShipEntry> = ships.iter().filter(|s| s.available).collect();
-        let available_ships: Vec<u64> = available.iter().map(|s| s.ship_id).collect();
-        let unavailable_ships: Vec<u64> = ships
-            .iter()
-            .filter(|s| !s.available)
-            .map(|s| s.ship_id)
-            .collect();
-        let unchanged = available_ships == prev.rollup.available_ships
-            && available.iter().all(|ship| {
+impl Knowledge {
+    /// `prev`'s knowledge again when the available set is the same and
+    /// every available ship's ICAS machine entries and prognostic list
+    /// are the very `Arc`s `prev` pinned; otherwise a fresh fold.
+    fn after(prev: &FleetSnapshot, ships: &[ShipEntry]) -> Result<Arc<Knowledge>> {
+        let available = || ships.iter().filter(|s| s.available);
+        let same_set =
+            (available().map(|s| s.ship_id)).eq(prev.knowledge.available_ships.iter().copied());
+        let unchanged = same_set
+            && available().all(|ship| {
                 prev.ship(ship.ship_id)
                     .is_some_and(|before| same_knowledge(&before.snapshot, &ship.snapshot))
             });
-        let (machines, prognostics) = if unchanged {
-            (
-                prev.rollup.machines.clone(),
-                prev.rollup.prognostics.clone(),
-            )
-        } else {
-            (census(&available), envelopes(&available)?)
-        };
-
-        let failing_ships: Vec<u64> = available
-            .iter()
-            .filter(|s| s.snapshot.slo.as_ref().is_some_and(|v| !v.pass))
-            .map(|s| s.ship_id)
-            .collect();
-        let slo = FleetSloVerdict {
-            pass: failing_ships.is_empty(),
-            failing_ships,
-            unavailable_ships: unavailable_ships.clone(),
-        };
-
-        Ok(FleetRollup {
-            ship_count: ships.len(),
-            available_ships,
-            unavailable_ships,
-            machines,
-            prognostics,
-            slo,
-            counters: sum_counters(&available),
-        })
+        if unchanged {
+            return Ok(Arc::clone(&prev.knowledge));
+        }
+        let available: Vec<&ShipEntry> = available().collect();
+        Ok(Arc::new(Knowledge {
+            available_ships: available.iter().map(|s| s.ship_id).collect(),
+            machines: census(&available),
+            prognostics: envelopes(&available)?,
+        }))
     }
 }
 
@@ -230,30 +212,40 @@ fn envelopes(available: &[&ShipEntry]) -> Result<Vec<FleetPrognostic>> {
     Ok(prognostics)
 }
 
-/// Counters: the (already sim-domain-filtered) ship counters summed by
-/// `(component, name)`. Each ship's list is sorted by that key, so one
-/// stable sort of the borrowed entries merges them and equal keys end
-/// up adjacent; only the summed output is cloned.
-fn sum_counters(available: &[&ShipEntry]) -> Vec<CounterSnapshot> {
-    let mut all: Vec<&CounterSnapshot> = available
+/// Counters: the available ships' sim-domain counters summed by
+/// `(component, name)`. Each ship's list is in that key order, so one
+/// stable sort of the borrowed rows merges them and equal keys end up
+/// adjacent; only the summed output is copied.
+fn sum_counters(ships: &[ShipEntry]) -> Vec<CounterSnapshot> {
+    let mut all: Vec<(&str, &str, u64)> = ships
         .iter()
-        .flat_map(|s| &s.snapshot.counters)
+        .filter(|s| s.available)
+        .flat_map(|s| s.snapshot.series.counter_values())
         .collect();
-    all.sort_by(|a, b| (&a.component, &a.name).cmp(&(&b.component, &b.name)));
+    all.sort_by_key(|&(component, name, _)| (component, name));
     let mut summed: Vec<CounterSnapshot> = Vec::new();
-    for c in all {
+    for (component, name, value) in all {
         match summed.last_mut() {
-            Some(last) if last.component == c.component && last.name == c.name => {
-                last.value += c.value;
+            Some(last) if last.component == component && last.name == name => {
+                last.value += value;
             }
-            _ => summed.push(c.clone()),
+            _ => summed.push(CounterSnapshot {
+                component: component.to_owned(),
+                name: name.to_owned(),
+                value,
+            }),
         }
     }
     summed
 }
 
 /// An immutable, epoch-stamped view of the whole fleet: every ship's
-/// pinned serving snapshot plus the knowledge rollup folded from them.
+/// pinned serving snapshot plus the knowledge folded from them.
+///
+/// The census and the prognostic envelopes are shared by `Arc` with
+/// the previous snapshot while no ship's knowledge moved; the counter
+/// sums are folded on the first [`FleetSnapshot::rollup`] of a version
+/// (the first `GetFleetRollup`) and kept.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct FleetSnapshot {
@@ -264,8 +256,9 @@ pub struct FleetSnapshot {
     pub at_secs: f64,
     /// Per-ship entries, ascending ship id.
     pub ships: Vec<ShipEntry>,
-    /// The fleet-wide rollup over the available ships.
-    pub rollup: FleetRollup,
+    knowledge: Arc<Knowledge>,
+    /// The counter sums, folded on first use.
+    counters: OnceLock<Vec<CounterSnapshot>>,
 }
 
 impl FleetSnapshot {
@@ -275,19 +268,8 @@ impl FleetSnapshot {
             version: 0,
             at_secs: 0.0,
             ships: Vec::new(),
-            rollup: FleetRollup {
-                ship_count: 0,
-                available_ships: Vec::new(),
-                unavailable_ships: Vec::new(),
-                machines: Vec::new(),
-                prognostics: Vec::new(),
-                slo: FleetSloVerdict {
-                    pass: true,
-                    failing_ships: Vec::new(),
-                    unavailable_ships: Vec::new(),
-                },
-                counters: Vec::new(),
-            },
+            knowledge: Arc::default(),
+            counters: OnceLock::new(),
         }
     }
 
@@ -298,11 +280,14 @@ impl FleetSnapshot {
         Self::build_after(&FleetSnapshot::empty(), version, ships)
     }
 
-    /// Assemble the fleet snapshot that follows `prev`, reusing the
-    /// parts of `prev`'s rollup no ship changed (see
-    /// [`FleetRollup::build_after`]).
+    /// Assemble the fleet snapshot that follows `prev`, taking over
+    /// `prev`'s census and prognostic envelopes when the available set
+    /// is the same and every available ship still pins the machine
+    /// entries and prognostic list `prev` pinned; otherwise they are
+    /// folded afresh. Deterministic: inputs are visited in ascending
+    /// ship order and every folded list is sorted.
     pub fn build_after(prev: &FleetSnapshot, version: u64, ships: Vec<ShipEntry>) -> Result<Self> {
-        let rollup = FleetRollup::build_after(prev, &ships)?;
+        let knowledge = Knowledge::after(prev, &ships)?;
         let at_secs = ships
             .iter()
             .filter(|s| s.available)
@@ -312,13 +297,45 @@ impl FleetSnapshot {
             version,
             at_secs,
             ships,
-            rollup,
+            knowledge,
+            counters: OnceLock::new(),
         })
     }
 
     /// The entry for `ship_id`, if the fleet has such a shard.
     pub fn ship(&self, ship_id: u64) -> Option<&ShipEntry> {
         self.ships.iter().find(|s| s.ship_id == ship_id)
+    }
+
+    /// The knowledge rollup over the available ships, as served. The
+    /// SLO verdict is pass iff every available ship with a verdict
+    /// passes.
+    pub fn rollup(&self) -> FleetRollup {
+        let ship_ids = |available: bool| -> Vec<u64> {
+            (self.ships.iter())
+                .filter(|s| s.available == available)
+                .map(|s| s.ship_id)
+                .collect()
+        };
+        let failing_ships: Vec<u64> = (self.ships.iter())
+            .filter(|s| s.available && s.snapshot.slo.as_ref().is_some_and(|v| !v.pass))
+            .map(|s| s.ship_id)
+            .collect();
+        let unavailable_ships = ship_ids(false);
+        let counters = self.counters.get_or_init(|| sum_counters(&self.ships));
+        FleetRollup {
+            ship_count: self.ships.len(),
+            available_ships: ship_ids(true),
+            unavailable_ships: unavailable_ships.clone(),
+            machines: self.knowledge.machines.clone(),
+            prognostics: self.knowledge.prognostics.clone(),
+            slo: FleetSloVerdict {
+                pass: failing_ships.is_empty(),
+                failing_ships,
+                unavailable_ships,
+            },
+            counters: counters.clone(),
+        }
     }
 }
 
@@ -360,6 +377,17 @@ impl Published for FleetSnapshot {
 mod tests {
     use super::*;
     use mpros_pdme::icas::{IcasMachine, IcasSnapshot, ICAS_SCHEMA_VERSION};
+    use mpros_telemetry::{SimSeries, Telemetry};
+
+    /// A sim-domain reading holding `counters` (and the trace counter
+    /// every domain registers).
+    fn series(counters: &[(&str, &str, u64)]) -> SimSeries {
+        let telemetry = Telemetry::new();
+        for &(component, name, value) in counters {
+            telemetry.counter(component, name).add(value);
+        }
+        telemetry.sim_series(&SimSeries::default())
+    }
 
     fn entry(ship_id: u64, available: bool, statuses: &[(u64, &str, f64)]) -> ShipEntry {
         let mut snap = ServingSnapshot::empty();
@@ -382,11 +410,7 @@ mod tests {
                 .collect(),
             data_concentrators: Vec::new(),
         };
-        snap.counters = vec![CounterSnapshot {
-            component: "net".into(),
-            name: "sent".into(),
-            value: 3,
-        }];
+        snap.series = series(&[("net", "sent", 3)]);
         ShipEntry {
             ship_id,
             available,
@@ -394,13 +418,16 @@ mod tests {
         }
     }
 
+    fn rollup(ships: Vec<ShipEntry>) -> FleetRollup {
+        FleetSnapshot::build(1, ships).unwrap().rollup()
+    }
+
     #[test]
     fn census_is_worst_status_wins() {
-        let rollup = FleetRollup::build(&[
+        let rollup = rollup(vec![
             entry(0, true, &[(1, "ok", 1.0)]),
             entry(1, true, &[(1, "degraded", 0.4)]),
-        ])
-        .unwrap();
+        ]);
         assert_eq!(rollup.machines.len(), 1);
         let m = &rollup.machines[0];
         assert_eq!(m.status, "degraded");
@@ -412,11 +439,11 @@ mod tests {
 
     #[test]
     fn unavailable_ships_are_excluded_and_listed() {
-        let rollup = FleetRollup::build(&[
+        let rollup = rollup(vec![
             entry(0, true, &[(1, "ok", 1.0)]),
             entry(1, false, &[(1, "degraded", 0.1)]),
-        ])
-        .unwrap();
+        ]);
+        assert_eq!(rollup.ship_count, 2);
         assert_eq!(rollup.available_ships, vec![0]);
         assert_eq!(rollup.unavailable_ships, vec![1]);
         assert_eq!(rollup.machines[0].status, "ok", "crashed shard excluded");
@@ -426,21 +453,15 @@ mod tests {
     }
 
     #[test]
-    fn an_unchanged_fleet_reuses_its_census_and_envelopes() {
+    fn an_unchanged_fleet_shares_its_census_and_envelopes() {
         let ships = vec![
             entry(0, true, &[(1, "ok", 1.0)]),
             entry(1, true, &[(1, "degraded", 0.4)]),
         ];
-        let mut prev = FleetSnapshot::build(1, ships.clone()).unwrap();
-        // Mark the folded census: only a reused one carries the mark.
-        prev.rollup.machines[0].name = "folded at the previous publish".into();
+        let prev = FleetSnapshot::build(1, ships.clone()).unwrap();
         let next = FleetSnapshot::build_after(&prev, 2, ships.clone()).unwrap();
-        assert_eq!(next.rollup.machines, prev.rollup.machines, "reused");
-        assert_eq!(next.rollup.prognostics, prev.rollup.prognostics);
-        assert_eq!(
-            next.rollup.counters[0].value, 6,
-            "counters are summed afresh"
-        );
+        assert!(Arc::ptr_eq(&next.knowledge, &prev.knowledge));
+        assert_eq!(next.rollup(), prev.rollup());
 
         // Equal content behind new `Arc`s is folded again.
         let rebuilt = vec![
@@ -448,40 +469,75 @@ mod tests {
             entry(1, true, &[(1, "degraded", 0.4)]),
         ];
         let next = FleetSnapshot::build_after(&prev, 3, rebuilt).unwrap();
-        assert_eq!(next.rollup.machines[0].name, "machine 1");
+        assert!(!Arc::ptr_eq(&next.knowledge, &prev.knowledge));
+        assert_eq!(next.rollup(), prev.rollup());
         // So is a change in the available set, even with the same `Arc`s.
         let mut crashed = ships;
         crashed[1].available = false;
         let next = FleetSnapshot::build_after(&prev, 4, crashed).unwrap();
-        assert_eq!(next.rollup.machines[0].name, "machine 1");
-        assert_eq!(next.rollup.machines[0].status, "ok");
+        assert!(!Arc::ptr_eq(&next.knowledge, &prev.knowledge));
+        assert_eq!(next.rollup().machines[0].status, "ok");
+    }
+
+    /// Reference: the counter sum as a fold over each ship's owned rows.
+    fn summed_rows(ships: &[ShipEntry]) -> Vec<CounterSnapshot> {
+        let rows: Vec<Vec<CounterSnapshot>> = (ships.iter())
+            .filter(|s| s.available)
+            .map(|s| s.snapshot.series.counters())
+            .collect();
+        let mut all: Vec<&CounterSnapshot> = rows.iter().flatten().collect();
+        all.sort_by(|a, b| (&a.component, &a.name).cmp(&(&b.component, &b.name)));
+        let mut summed: Vec<CounterSnapshot> = Vec::new();
+        for c in all {
+            match summed.last_mut() {
+                Some(last) if last.component == c.component && last.name == c.name => {
+                    last.value += c.value;
+                }
+                _ => summed.push(c.clone()),
+            }
+        }
+        summed
     }
 
     #[test]
-    fn counters_merge_across_ships_by_component_and_name() {
+    fn counters_fold_on_first_rollup_and_match_the_row_sum() {
         let counter = |component: &str, name: &str, value| CounterSnapshot {
             component: component.into(),
             name: name.into(),
             value,
         };
-        let mut a = entry(0, true, &[]);
-        let mut b = entry(1, true, &[]);
-        Arc::make_mut(&mut a.snapshot).counters =
-            vec![counter("net", "a", 1), counter("pdme", "b", 2)];
-        Arc::make_mut(&mut b.snapshot).counters = vec![
-            counter("net", "a", 3),
-            counter("net", "c", 4),
-            counter("store", "d", 5),
+        let with = |ship_id, available, counters: &[(&str, &str, u64)]| {
+            let mut e = entry(ship_id, available, &[]);
+            Arc::make_mut(&mut e.snapshot).series = series(counters);
+            e
+        };
+        let ships = vec![
+            with(0, true, &[("net", "a", 1), ("pdme", "b", 2)]),
+            with(
+                1,
+                true,
+                &[("net", "a", 3), ("net", "c", 4), ("store", "d", 5)],
+            ),
+            with(2, false, &[("net", "a", 100), ("zeta", "e", 7)]),
+            with(3, true, &[("dc", "z", 9), ("net", "c", 1)]),
         ];
-        let rollup = FleetRollup::build(&[a, b]).unwrap();
+        let snapshot = FleetSnapshot::build(1, ships.clone()).unwrap();
+        assert!(snapshot.counters.get().is_none(), "not folded at publish");
+        let counters = snapshot.rollup().counters;
+        assert!(snapshot.counters.get().is_some(), "kept for the version");
+        assert_eq!(counters, summed_rows(&ships));
         assert_eq!(
-            rollup.counters,
+            counters,
             vec![
+                counter("dc", "z", 9),
                 counter("net", "a", 4),
-                counter("net", "c", 4),
+                counter("net", "c", 5),
                 counter("pdme", "b", 2),
                 counter("store", "d", 5),
-            ]
+                counter("trace", "hops_evicted", 0),
+            ],
+            "ship 2 is unavailable and left out"
         );
+        assert_eq!(snapshot.rollup().counters, counters);
     }
 }

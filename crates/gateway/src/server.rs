@@ -125,7 +125,7 @@ impl Gateway {
             },
             GatewayRequest::GetCounters => GatewayResponse::Counters {
                 snapshot_version,
-                counters: snap.counters.clone(),
+                counters: snap.series.counters(),
             },
             GatewayRequest::Subscribe { session } => {
                 let (dropped, deltas) = self.core.drain(*session);
@@ -142,9 +142,9 @@ impl Gateway {
                 GatewayResponse::Metrics {
                     snapshot_version,
                     at_secs: snap.at_secs,
-                    counters: snap.counters.clone(),
-                    gauges: snap.gauges.clone(),
-                    histograms: snap.sim_histograms.clone(),
+                    counters: snap.series.counters(),
+                    gauges: snap.series.gauges(),
+                    histograms: snap.series.histograms(),
                     exposition: exposition.to_owned(),
                 }
             }

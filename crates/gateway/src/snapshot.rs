@@ -14,25 +14,24 @@
 //! and shares, by `Arc`, every ICAS machine entry whose
 //! [`Revision`] has not moved, and the whole prognostic list when the
 //! engine's revision has not moved. `at_secs`, DC liveness and the SLO
-//! verdict are copied fresh every time, and so are the sim-domain
-//! series, read straight from the registry by
-//! [`Telemetry::sim_counters`], [`Telemetry::sim_gauges`] and
-//! [`Telemetry::sim_histograms`], which hold the one statement of which
-//! series are served. A from-scratch [`ServingSnapshot::build`] is the
-//! same builder run against [`ServingSnapshot::empty`], which has
-//! nothing to reuse. The text exposition is not built on the step
-//! thread at all: it is rendered on the first
-//! [`ServingSnapshot::exposition`] call for the version (the first
-//! `GetMetrics`) and kept.
+//! verdict are copied fresh every time. The sim-domain series are read
+//! by [`Telemetry::sim_series`] against `prev`'s: their names stay in
+//! `prev`'s shared key table while no series has been registered since,
+//! and only their values are read fresh. A from-scratch
+//! [`ServingSnapshot::build`] is the same builder run against
+//! [`ServingSnapshot::empty`], which has nothing to reuse. Nothing is
+//! turned into owned wire rows on the step thread: `GetCounters`,
+//! `GetMetrics` and the text exposition build them from the
+//! [`SimSeries`] on the serving thread, and the exposition is rendered
+//! on the first [`ServingSnapshot::exposition`] call for the version
+//! (the first `GetMetrics`) and kept.
 
 use crate::proto::{DeltaKind, GatewayRequest, GatewayResponse, StatusDelta};
 use crate::serving::Published;
 use mpros_core::{PrognosticVector, SimDuration, SimTime};
 use mpros_pdme::icas::{export_dcs, export_machines, IcasMachine};
 use mpros_pdme::{IcasSnapshot, PdmeExecutive, Revision};
-use mpros_telemetry::{
-    exposition, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, SloVerdict, Telemetry,
-};
+use mpros_telemetry::{exposition, SimSeries, SloVerdict, Telemetry};
 use std::sync::{Arc, OnceLock};
 
 /// One fused prognostic curve, keyed for lookup.
@@ -64,17 +63,12 @@ pub struct ServingSnapshot {
     pub icas: IcasSnapshot,
     /// The SLO watchdog's verdict from the publishing step, if any.
     pub slo: Option<SloVerdict>,
-    /// The sim-domain counters, sorted by `(component, name)`: every
+    /// The sim-domain series: the counters and gauges of every
     /// component but `exec` (scheduling) and `gateway` (client
-    /// traffic), so what remains is a deterministic product of the
-    /// seeded simulation ([`Telemetry::sim_counters`]).
-    pub counters: Vec<CounterSnapshot>,
-    /// Sim-domain gauges ([`Telemetry::sim_gauges`]).
-    pub gauges: Vec<GaugeSnapshot>,
-    /// Sim-domain histograms of simulated time (`*sim_s`,
-    /// `*latency_s`, `*transit_s`); wall-clock ones describe the host
-    /// and stay out ([`Telemetry::sim_histograms`]).
-    pub sim_histograms: Vec<HistogramSnapshot>,
+    /// traffic), and the histograms of simulated time, so what remains
+    /// is a deterministic product of the seeded simulation
+    /// ([`Telemetry::sim_series`]).
+    pub series: SimSeries,
     /// Fused prognostic curves, sorted by `(machine_id, condition_id)`.
     /// Shared with the previous snapshot while the engine is unchanged.
     pub prognostics: Arc<[PrognosticEntry]>,
@@ -94,9 +88,7 @@ impl PartialEq for ServingSnapshot {
             && self.at_secs == other.at_secs
             && self.icas == other.icas
             && self.slo == other.slo
-            && self.counters == other.counters
-            && self.gauges == other.gauges
-            && self.sim_histograms == other.sim_histograms
+            && self.series == other.series
             && self.prognostics == other.prognostics
     }
 }
@@ -115,9 +107,7 @@ impl ServingSnapshot {
                 data_concentrators: Vec::new(),
             },
             slo: None,
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            sim_histograms: Vec::new(),
+            series: SimSeries::default(),
             prognostics: Arc::new([]),
             revision: Revision::default(),
             machine_revisions: Vec::new(),
@@ -207,9 +197,7 @@ impl ServingSnapshot {
                 data_concentrators,
             },
             slo: slo.cloned(),
-            counters: telemetry.sim_counters(),
-            gauges: telemetry.sim_gauges(),
-            sim_histograms: telemetry.sim_histograms(),
+            series: telemetry.sim_series(&prev.series),
             prognostics,
             revision,
             machine_revisions,
@@ -225,13 +213,15 @@ impl ServingSnapshot {
         self.rebuilt_machines
     }
 
-    /// Prometheus-style text exposition of `counters` + `gauges` +
-    /// `sim_histograms`. Rendered on the first call and kept, so every
-    /// `GetMetrics` answer for one snapshot version is the same bytes
-    /// and the step thread never pays for it.
+    /// Prometheus-style text exposition of `series`. Rendered on the
+    /// first call and kept, so every `GetMetrics` answer for one
+    /// snapshot version is the same bytes and the step thread never
+    /// pays for it.
     pub fn exposition(&self) -> &str {
-        self.exposition
-            .get_or_init(|| exposition::render(&self.counters, &self.gauges, &self.sim_histograms))
+        self.exposition.get_or_init(|| {
+            let s = &self.series;
+            exposition::render(&s.counters(), &s.gauges(), &s.histograms())
+        })
     }
 
     /// The machine's ICAS entry, if it exists.
@@ -387,6 +377,56 @@ mod tests {
     }
 
     #[test]
+    fn quiet_publishes_share_one_key_table() {
+        let p = engine();
+        let sent = p.telemetry().counter("net", "sent");
+        let first = build_after(&ServingSnapshot::empty(), 1, &p);
+        sent.add(5);
+        let second = build_after(&first, 2, &p);
+        let third = build_after(&second, 3, &p);
+        assert!(second.series.shares_keys_with(&first.series));
+        assert!(third.series.shares_keys_with(&first.series));
+        assert_ne!(second.series, first.series, "values are read fresh");
+        let sent = |s: &ServingSnapshot| {
+            s.series
+                .counter_values()
+                .find(|&(c, n, _)| (c, n) == ("net", "sent"))
+                .map(|(_, _, v)| v)
+        };
+        assert_eq!((sent(&first), sent(&second)), (Some(0), Some(5)));
+    }
+
+    #[test]
+    fn a_series_registered_between_publishes_is_in_the_next() {
+        let p = engine();
+        let first = build_after(&ServingSnapshot::empty(), 1, &p);
+        p.telemetry().counter("net", "late").add(2);
+        p.telemetry().histogram("net", "late_latency_s").record(0.5);
+        let second = build_after(&first, 2, &p);
+        assert!(!second.series.shares_keys_with(&first.series));
+        assert!(second
+            .series
+            .counter_values()
+            .any(|c| c == ("net", "late", 2)));
+        assert!(second
+            .series
+            .histograms()
+            .iter()
+            .any(|h| h.name == "late_latency_s" && h.count == 1));
+        let scratch = ServingSnapshot::build(
+            2,
+            SimTime::from_secs(2.0),
+            &p,
+            timeout(),
+            None,
+            p.telemetry(),
+        );
+        assert_eq!(second, scratch);
+        let third = build_after(&second, 3, &p);
+        assert!(third.series.shares_keys_with(&second.series));
+    }
+
+    #[test]
     fn a_report_rebuilds_only_its_machine() {
         let mut p = engine();
         let first = build_after(&ServingSnapshot::empty(), 1, &p);
@@ -440,9 +480,9 @@ mod tests {
         assert_eq!(
             snapshot.exposition(),
             exposition::render(
-                &snapshot.counters,
-                &snapshot.gauges,
-                &snapshot.sim_histograms
+                &snapshot.series.counters(),
+                &snapshot.series.gauges(),
+                &snapshot.series.histograms()
             )
         );
         assert!(!snapshot.exposition().is_empty());

@@ -25,10 +25,11 @@
 //!
 //! The three per-step readers read only what they use: the SLO watchdog
 //! looks up the series its rules name (a lookup that never registers
-//! one), the flight recorder reads the journal from its cursor, and it
-//! and the serving publish take the sim-domain lists
-//! ([`Telemetry::sim_counters`] and siblings), whose rule lives once,
-//! in this file.
+//! one), the flight recorder reads the journal from its cursor and the
+//! sim-domain counters and gauges, and the serving publish reads the
+//! sim-domain series as a [`SimSeries`] ([`Telemetry::sim_series`]),
+//! whose key table it shares from one publish to the next. Which series
+//! are sim-domain is stated once, in this file.
 
 #![forbid(unsafe_code)]
 
@@ -38,6 +39,7 @@ pub mod exposition;
 pub mod journal;
 pub mod metrics;
 pub mod recorder;
+pub mod series;
 pub mod slo;
 pub mod snapshot;
 pub mod span;
@@ -45,11 +47,12 @@ pub mod trace;
 
 pub use exposition::ExpositionStats;
 pub use journal::{Event, Journal};
-pub use metrics::{Counter, Gauge, Histogram, Registry};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, Registry};
 pub use recorder::{
     incident_id, CounterDelta, FlightRecorder, HopRecord, Incident, IncidentSummary,
     IncidentTrigger, JournalBatch, RecorderConfig, StepRecord, INCIDENT_SCHEMA_VERSION,
 };
+pub use series::SimSeries;
 pub use slo::{SloCheck, SloPolicy, SloRule, SloVerdict, SloWatchdog};
 pub use snapshot::{
     CounterSnapshot, EventSnapshot, GaugeSnapshot, HistogramSnapshot, TelemetrySnapshot,
@@ -69,9 +72,16 @@ const JOURNAL_CAPACITY: usize = 256;
 /// Whether `component`'s series are sim-domain, what a gateway serves
 /// and a flight recorder captures byte-identically across execution
 /// modes: not `exec` (scheduling, parallel mode only) nor `gateway`
-/// (client traffic). [`Telemetry::sim_histograms`] adds the name rule.
+/// (client traffic). Histograms must also pass [`sim_time`].
 pub(crate) fn sim_domain(component: &str) -> bool {
     component != "exec" && component != "gateway"
+}
+
+/// Whether the histogram `name` measures simulated time (`*sim_s`,
+/// `*latency_s`, `*transit_s`). Wall-clock histograms describe the
+/// host, not the scenario, and would break cross-mode byte identity.
+pub(crate) fn sim_time(name: &str) -> bool {
+    name.ends_with("sim_s") || name.ends_with("latency_s") || name.ends_with("transit_s")
 }
 
 /// A component that records into a [`Telemetry`] domain.
@@ -285,28 +295,31 @@ impl Telemetry {
         }
     }
 
-    /// The sim-domain counters, sorted by `(component, name)`: what a
-    /// gateway serves.
+    /// The sim-domain series as of now: what a gateway serves. Shares
+    /// `prev`'s key table when `prev` was read from this domain and no
+    /// series has been registered since; otherwise reads the keys
+    /// afresh. Pass [`SimSeries::default`] for a reading that shares
+    /// nothing.
+    pub fn sim_series(&self, prev: &SimSeries) -> SimSeries {
+        SimSeries::read(&self.inner.registry, prev)
+    }
+
+    /// The sim-domain counters, sorted by `(component, name)`: a fresh
+    /// [`SimSeries`]'s counters.
     pub fn sim_counters(&self) -> Vec<CounterSnapshot> {
-        self.inner.registry.counters_where(|c, _| sim_domain(c))
+        self.sim_series(&SimSeries::default()).counters()
     }
 
-    /// The sim-domain gauges, sorted by `(component, name)`: what a
-    /// gateway serves and a flight recorder captures.
+    /// The sim-domain gauges, sorted by `(component, name)`: a fresh
+    /// [`SimSeries`]'s gauges.
     pub fn sim_gauges(&self) -> Vec<GaugeSnapshot> {
-        self.inner.registry.gauges_where(|c, _| sim_domain(c))
+        self.sim_series(&SimSeries::default()).gauges()
     }
 
-    /// The sim-domain histograms of simulated time (`*sim_s`,
-    /// `*latency_s`, `*transit_s`), sorted by `(component, name)`: what
-    /// a gateway serves. Wall-clock histograms describe the host, not
-    /// the scenario, and would break cross-mode byte identity.
+    /// The sim-domain histograms of simulated time, sorted by
+    /// `(component, name)`: a fresh [`SimSeries`]'s histograms.
     pub fn sim_histograms(&self) -> Vec<HistogramSnapshot> {
-        let sim_time =
-            |n: &str| n.ends_with("sim_s") || n.ends_with("latency_s") || n.ends_with("transit_s");
-        self.inner
-            .registry
-            .histograms_where(|c, n| sim_domain(c) && sim_time(n))
+        self.sim_series(&SimSeries::default()).histograms()
     }
 
     /// Render the current state as the text dashboard.
@@ -436,6 +449,31 @@ mod tests {
             2,
             "pdme.dc_staleness_max and the trace watermark"
         );
+    }
+
+    #[test]
+    fn a_series_reading_shares_keys_until_a_key_is_added_to_its_domain() {
+        let t = Telemetry::new();
+        let sent = t.counter("net", "sent");
+        let first = t.sim_series(&SimSeries::default());
+        sent.add(2);
+        t.counter("net", "sent").inc();
+        t.counter("exec", "jobs");
+        let second = t.sim_series(&first);
+        assert!(!second.shares_keys_with(&first), "exec.jobs is a new key");
+        let third = t.sim_series(&second);
+        assert!(third.shares_keys_with(&second), "no key added");
+        assert_eq!(third.counters(), t.sim_counters());
+        assert_eq!(
+            third,
+            t.sim_series(&SimSeries::default()),
+            "content equality"
+        );
+        // Another domain with the same keys never takes the table over.
+        let u = Telemetry::new();
+        u.counter("net", "sent");
+        u.counter("exec", "jobs");
+        assert!(!u.sim_series(&third).shares_keys_with(&third));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!
 //! The [`Registry`] maps `(component, metric)` keys to shared handles.
 //! Registration takes a lock (it happens once, at wiring time);
-//! recording afterwards is lock-free on the `Arc` handles.
+//! recording afterwards is lock-free on the `Arc` handles. Every new key
+//! moves the registry's key generation, so a reader that kept the keys
+//! it visited can tell, without a visit, whether they are still all.
 
 use crate::snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot};
 use std::collections::BTreeMap;
@@ -231,6 +233,66 @@ impl Histogram {
     pub fn p99(&self) -> Option<f64> {
         self.quantile(0.99)
     }
+
+    /// Count, extremes, mean, p50, p95 and p99 from one pass over the
+    /// buckets. Each quantile equals what [`Histogram::quantile`] gives
+    /// for it, bit for bit, while no sample is recorded concurrently.
+    pub fn summary(&self) -> HistogramSummary {
+        let n = self.count();
+        if n == 0 {
+            return HistogramSummary::default();
+        }
+        let lo = f64::from_bits(self.min_bits.load(Ordering::Relaxed));
+        let hi = f64::from_bits(self.max_bits.load(Ordering::Relaxed));
+        let mean = f64::from_bits(self.sum_bits.load(Ordering::Relaxed)) / n as f64;
+        let ranks = QUANTILES.map(|q| ((q * n as f64).ceil() as u64).clamp(1, n));
+        let mut estimates = [bucket_upper(HISTOGRAM_BUCKETS - 1); 3];
+        let mut next = 0;
+        let mut cumulative = 0u64;
+        for (i, b) in self.buckets.iter().enumerate() {
+            cumulative += b.load(Ordering::Relaxed);
+            while next < ranks.len() && cumulative >= ranks[next] {
+                estimates[next] = bucket_upper(i);
+                next += 1;
+            }
+            if next == ranks.len() {
+                break;
+            }
+        }
+        let [p50, p95, p99] = estimates.map(|e| Some(e.clamp(lo, hi)));
+        HistogramSummary {
+            count: n,
+            min: Some(lo),
+            max: Some(hi),
+            mean: Some(mean),
+            p50,
+            p95,
+            p99,
+        }
+    }
+}
+
+/// The quantiles a [`HistogramSummary`] reports, ascending.
+const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
+
+/// One reading of a [`Histogram`] ([`Histogram::summary`]). Every
+/// statistic is `None` while the histogram is empty.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct HistogramSummary {
+    /// Number of recorded samples.
+    pub count: u64,
+    /// Exact minimum.
+    pub min: Option<f64>,
+    /// Exact maximum.
+    pub max: Option<f64>,
+    /// Mean.
+    pub mean: Option<f64>,
+    /// Estimated median.
+    pub p50: Option<f64>,
+    /// Estimated 95th percentile.
+    pub p95: Option<f64>,
+    /// Estimated 99th percentile.
+    pub p99: Option<f64>,
 }
 
 /// `component → name → handle`; iterating it visits keys in
@@ -241,11 +303,34 @@ type Map<T> = RwLock<BTreeMap<String, BTreeMap<String, Arc<T>>>>;
 ///
 /// Components look their handles up once at wiring time and then record
 /// through the `Arc` without touching the registry again.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Registry {
     counters: Map<Counter>,
     gauges: Map<Gauge>,
     histograms: Map<Histogram>,
+    /// The key generation: a fresh draw from [`next_generation`] at
+    /// construction and at every key inserted, taken under the write
+    /// lock before the insert. Draws are process-unique, so one value
+    /// names one registry's key set, never another registry's.
+    generation: AtomicU64,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry {
+            counters: Map::default(),
+            gauges: Map::default(),
+            histograms: Map::default(),
+            generation: AtomicU64::new(next_generation()),
+        }
+    }
+}
+
+/// A key generation no registry has had. Starts at 1, so 0 names no
+/// registry's keys.
+fn next_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 fn find<T>(map: &Map<T>, component: &str, name: &str) -> Option<Arc<T>> {
@@ -256,16 +341,7 @@ fn find<T>(map: &Map<T>, component: &str, name: &str) -> Option<Arc<T>> {
         .map(Arc::clone)
 }
 
-fn get_or_insert<T: Default>(map: &Map<T>, component: &str, name: &str) -> Arc<T> {
-    if let Some(existing) = find(map, component, name) {
-        return existing;
-    }
-    let mut w = map.write().unwrap_or_else(PoisonError::into_inner);
-    let names = w.entry(component.to_owned()).or_default();
-    Arc::clone(names.entry(name.to_owned()).or_default())
-}
-
-fn for_each<T>(map: &Map<T>, mut f: impl FnMut(&str, &str, &T)) {
+fn for_each<T>(map: &Map<T>, mut f: impl FnMut(&str, &str, &Arc<T>)) {
     let map = map.read().unwrap_or_else(PoisonError::into_inner);
     for (component, names) in map.iter() {
         for (name, handle) in names {
@@ -279,7 +355,7 @@ fn for_each<T>(map: &Map<T>, mut f: impl FnMut(&str, &str, &T)) {
 fn rows<T, R>(
     map: &Map<T>,
     keep: impl Fn(&str, &str) -> bool,
-    row: impl Fn(String, String, &T) -> R,
+    row: impl Fn(String, String, &Arc<T>) -> R,
 ) -> Vec<R> {
     let mut out = Vec::new();
     for_each(map, |component, name, handle| {
@@ -298,17 +374,37 @@ impl Registry {
 
     /// The counter `(component, name)`, created on first use.
     pub fn counter(&self, component: &str, name: &str) -> Arc<Counter> {
-        get_or_insert(&self.counters, component, name)
+        self.get_or_insert(&self.counters, component, name)
     }
 
     /// The gauge `(component, name)`, created on first use.
     pub fn gauge(&self, component: &str, name: &str) -> Arc<Gauge> {
-        get_or_insert(&self.gauges, component, name)
+        self.get_or_insert(&self.gauges, component, name)
     }
 
     /// The histogram `(component, name)`, created on first use.
     pub fn histogram(&self, component: &str, name: &str) -> Arc<Histogram> {
-        get_or_insert(&self.histograms, component, name)
+        self.get_or_insert(&self.histograms, component, name)
+    }
+
+    fn get_or_insert<T: Default>(&self, map: &Map<T>, component: &str, name: &str) -> Arc<T> {
+        if let Some(existing) = find(map, component, name) {
+            return existing;
+        }
+        let mut w = map.write().unwrap_or_else(PoisonError::into_inner);
+        let names = w.entry(component.to_owned()).or_default();
+        if let Some(existing) = names.get(name) {
+            return Arc::clone(existing);
+        }
+        self.generation.store(next_generation(), Ordering::SeqCst);
+        Arc::clone(names.entry(name.to_owned()).or_default())
+    }
+
+    /// The key generation: equal at two reads only if no key was added
+    /// in between. A reader that reads it before visiting the keys and
+    /// finds it unchanged later has visited every key there is.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
     }
 
     /// The counter `(component, name)` if registered; never registers it.
@@ -327,8 +423,18 @@ impl Registry {
     }
 
     /// Visit every counter in `(component, name)` order.
-    pub(crate) fn for_each_counter(&self, f: impl FnMut(&str, &str, &Counter)) {
+    pub(crate) fn for_each_counter(&self, f: impl FnMut(&str, &str, &Arc<Counter>)) {
         for_each(&self.counters, f)
+    }
+
+    /// Visit every gauge in `(component, name)` order.
+    pub(crate) fn for_each_gauge(&self, f: impl FnMut(&str, &str, &Arc<Gauge>)) {
+        for_each(&self.gauges, f)
+    }
+
+    /// Visit every histogram in `(component, name)` order.
+    pub(crate) fn for_each_histogram(&self, f: impl FnMut(&str, &str, &Arc<Histogram>)) {
+        for_each(&self.histograms, f)
     }
 
     /// The counters whose key passes `keep`, in key order.
@@ -355,17 +461,7 @@ impl Registry {
         keep: impl Fn(&str, &str) -> bool,
     ) -> Vec<HistogramSnapshot> {
         rows(&self.histograms, keep, |component, name, h| {
-            HistogramSnapshot {
-                component,
-                name,
-                count: h.count(),
-                min: h.min(),
-                max: h.max(),
-                mean: h.mean(),
-                p50: h.p50(),
-                p95: h.p95(),
-                p99: h.p99(),
-            }
+            HistogramSnapshot::new(component, name, h.summary())
         })
     }
 }

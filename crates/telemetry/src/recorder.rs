@@ -469,7 +469,7 @@ impl FlightRecorder {
                 });
             }
         });
-        let gauges = telemetry.sim_gauges();
+        let gauges = registry.gauges_where(|component, _| sim_domain(component));
 
         let record = StepRecord {
             step,

@@ -5,6 +5,7 @@
 //! shipboard system (or a CI artifact consumer) can read the fleet's
 //! observability state without linking against MPROS.
 
+use crate::metrics::HistogramSummary;
 use serde::{Deserialize, Serialize};
 
 /// Telemetry interchange schema version.
@@ -53,6 +54,23 @@ pub struct HistogramSnapshot {
     pub p95: Option<f64>,
     /// Estimated 99th percentile.
     pub p99: Option<f64>,
+}
+
+impl HistogramSnapshot {
+    /// The summary `s` of the histogram `(component, name)`.
+    pub fn new(component: String, name: String, s: HistogramSummary) -> Self {
+        HistogramSnapshot {
+            component,
+            name,
+            count: s.count,
+            min: s.min,
+            max: s.max,
+            mean: s.mean,
+            p50: s.p50,
+            p95: s.p95,
+            p99: s.p99,
+        }
+    }
 }
 
 /// One journaled event.

@@ -1,7 +1,8 @@
 //! Property and concurrency tests for the telemetry substrate.
 //!
 //! * Histogram quantiles must be monotone in `q` and bounded by the
-//!   exact observed min/max, whatever the sample distribution.
+//!   exact observed min/max, whatever the sample distribution, and the
+//!   one-pass summary must report exactly what the per-quantile calls do.
 //! * Counters and histograms must stay exact when hammered from many
 //!   threads at once (the DC-per-worker fleet shape of `exp_throughput`).
 
@@ -31,6 +32,25 @@ proptest! {
             prop_assert!(v <= hi, "quantile {v} above observed max {hi}");
         }
         prop_assert_eq!(h.count(), samples.len() as u64);
+    }
+
+    #[test]
+    fn one_summary_pass_matches_the_quantile_calls_bit_for_bit(
+        exponents in proptest::collection::vec(-10.0f64..7.0, 0..200),
+    ) {
+        let h = Histogram::new();
+        for &e in &exponents {
+            h.record(10f64.powf(e));
+        }
+        let s = h.summary();
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        prop_assert_eq!(s.count, h.count());
+        prop_assert_eq!(bits(s.min), bits(h.min()));
+        prop_assert_eq!(bits(s.max), bits(h.max()));
+        prop_assert_eq!(bits(s.mean), bits(h.mean()));
+        prop_assert_eq!(bits(s.p50), bits(h.quantile(0.50)));
+        prop_assert_eq!(bits(s.p95), bits(h.quantile(0.95)));
+        prop_assert_eq!(bits(s.p99), bits(h.quantile(0.99)));
     }
 
     #[test]

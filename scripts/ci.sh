@@ -57,6 +57,10 @@ cargo test -q
 #    policy and a gateway attached stays under a ceiling of heap
 #    allocations, so the watchdog, the flight recorder and the serving
 #    publish copy only what they use (ship_step_alloc);
+#  - fleet publish: a quiet 4-ship fleet step stays under a ceiling of
+#    heap allocations, so no ship publish copies its series names and
+#    the fleet publish neither sums counters nor copies its census
+#    (fleet_publish_alloc);
 #  - the fleet plane: responses are byte-identical across exec modes
 #    and one-thread-per-shard stepping, ship 0 is independent of fleet
 #    size, a crashed shard degrades only itself (fleet_serving);
