@@ -49,7 +49,7 @@ const FINGERPRINTS: &[(&str, Pin)] = &[
     ("calm.net_retries", U(8)),
     ("calm.net_expired", U(0)),
     ("calm.wal_appends", U(22)),
-    ("calm.wal_bytes", U(20_264)),
+    ("calm.wal_bytes", U(20_256)),
     ("calm.recovery_tail_frames", U(21)),
     ("calm.trace.e2e_report_latency_s.count", U(8)),
     ("calm.trace.e2e_report_latency_s.p50_s", F(30.0)),
@@ -64,7 +64,7 @@ const FINGERPRINTS: &[(&str, Pin)] = &[
     ("lossy.net_retries", U(11)),
     ("lossy.net_expired", U(0)),
     ("lossy.wal_appends", U(28)),
-    ("lossy.wal_bytes", U(20_650)),
+    ("lossy.wal_bytes", U(20_639)),
     ("lossy.recovery_tail_frames", U(27)),
     ("lossy.trace.e2e_report_latency_s.count", U(8)),
     ("lossy.trace.e2e_report_latency_s.p50_s", F(30.0)),

@@ -22,6 +22,7 @@
 #![forbid(unsafe_code)]
 
 pub mod fault;
+mod kernels;
 pub mod machine;
 pub mod plant;
 pub mod process;

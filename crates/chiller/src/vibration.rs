@@ -20,6 +20,7 @@
 //! * surge → low-frequency (≈ 4 Hz) pulsation at the compressor.
 
 use crate::fault::FaultState;
+use crate::kernels;
 use crate::machine::{MachineTrain, RotatingElement};
 use mpros_core::{MachineCondition, SimTime};
 use rand::rngs::StdRng;
@@ -174,17 +175,30 @@ impl VibrationSynthesizer {
     ) {
         out.clear();
         out.resize(n, 0.0);
-        let out = &mut out[..];
+        self.synthesize::<Phasor>(location, t0, sample_rate, load, faults, out);
+    }
+
+    /// Fill the zeroed `out` with the block that starts at `t0`, using
+    /// kernel set `K` for its tones, bursts and noise.
+    fn synthesize<K: Kernels>(
+        &self,
+        location: AccelLocation,
+        t0: SimTime,
+        sample_rate: f64,
+        load: f64,
+        faults: &FaultState,
+        out: &mut [f64],
+    ) {
         let dt = 1.0 / sample_rate;
         let shaft = self.train.shaft_hz(location.element(), load);
 
         // Healthy baseline: residual 1× plus (at the gear case) the mesh tone.
-        add_tone(out, t0, dt, shaft, self.baseline_1x, 0.3);
+        K::tone(out, t0, dt, shaft, self.baseline_1x, 0.3);
         if location == AccelLocation::GearCase {
-            add_tone(out, t0, dt, self.train.gear_mesh_hz(load), 0.04, 1.1);
+            K::tone(out, t0, dt, self.train.gear_mesh_hz(load), 0.04, 1.1);
         }
         if location == AccelLocation::PumpBearing {
-            add_tone(out, t0, dt, self.train.pump_vane_pass_hz(), 0.03, 2.0);
+            K::tone(out, t0, dt, self.train.pump_vane_pass_hz(), 0.03, 2.0);
         }
 
         // Fault signatures.
@@ -197,12 +211,12 @@ impl VibrationSynthesizer {
             if k <= 0.0 {
                 continue;
             }
-            self.add_fault_signature(out, location, t0, dt, load, c, sev * k);
+            self.add_fault_signature::<K>(out, location, t0, dt, load, c, sev * k);
         }
 
         // Broadband noise, deterministic per (seed, location, block start).
         let mut rng = self.block_rng(location, t0);
-        add_gaussian_noise(out, &mut rng, self.noise_rms);
+        K::noise(out, &mut rng, self.noise_rms);
     }
 
     fn block_rng(&self, location: AccelLocation, t0: SimTime) -> StdRng {
@@ -221,7 +235,7 @@ impl VibrationSynthesizer {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn add_fault_signature(
+    fn add_fault_signature<K: Kernels>(
         &self,
         out: &mut [f64],
         location: AccelLocation,
@@ -235,15 +249,15 @@ impl VibrationSynthesizer {
         let motor = self.train.motor_hz(load);
         match condition {
             MotorImbalance => {
-                add_tone(out, t0, dt, motor, IMBALANCE_AMP * strength, 0.0);
+                K::tone(out, t0, dt, motor, IMBALANCE_AMP * strength, 0.0);
             }
             MotorMisalignment => {
-                add_tone(out, t0, dt, 2.0 * motor, MISALIGN_AMP * strength, 0.7);
-                add_tone(out, t0, dt, motor, 0.3 * MISALIGN_AMP * strength, 0.9);
+                K::tone(out, t0, dt, 2.0 * motor, MISALIGN_AMP * strength, 0.7);
+                K::tone(out, t0, dt, motor, 0.3 * MISALIGN_AMP * strength, 0.9);
             }
             MotorBearingDefect => {
                 let bpfo = self.train.motor_bearing.bpfo(motor);
-                add_bearing_bursts(
+                K::bursts(
                     out,
                     t0,
                     dt,
@@ -261,38 +275,38 @@ impl VibrationSynthesizer {
                 let comp = self.train.compressor_hz(load);
                 let bpfi = self.train.compressor_bearing.bpfi(comp);
                 let amp = COMP_BEARING_TONE_AMP * strength;
-                add_tone(out, t0, dt, bpfi, amp, 0.4);
-                add_tone(out, t0, dt, 2.0 * bpfi, 0.4 * amp, 1.1);
-                add_tone(out, t0, dt, bpfi - comp, 0.3 * amp, 1.9);
-                add_tone(out, t0, dt, bpfi + comp, 0.3 * amp, 2.4);
+                K::tone(out, t0, dt, bpfi, amp, 0.4);
+                K::tone(out, t0, dt, 2.0 * bpfi, 0.4 * amp, 1.1);
+                K::tone(out, t0, dt, bpfi - comp, 0.3 * amp, 1.9);
+                K::tone(out, t0, dt, bpfi + comp, 0.3 * amp, 2.4);
             }
             MotorRotorBarCrack => {
                 let pp = self.train.pole_pass_hz(load).max(0.5);
                 let amp = ROTOR_BAR_SIDEBAND_AMP * strength;
-                add_tone(out, t0, dt, motor - pp, amp, 1.3);
-                add_tone(out, t0, dt, motor + pp, amp, 2.1);
-                add_tone(out, t0, dt, motor, 0.4 * amp, 0.2);
+                K::tone(out, t0, dt, motor - pp, amp, 1.3);
+                K::tone(out, t0, dt, motor + pp, amp, 2.1);
+                K::tone(out, t0, dt, motor, 0.4 * amp, 0.2);
             }
             GearToothWear => {
                 let gmf = self.train.gear_mesh_hz(load);
                 let amp = GEAR_WEAR_AMP * strength;
-                add_tone(out, t0, dt, gmf, amp, 0.0);
-                add_tone(out, t0, dt, 2.0 * gmf, 0.5 * amp, 0.5);
+                K::tone(out, t0, dt, gmf, amp, 0.0);
+                K::tone(out, t0, dt, 2.0 * gmf, 0.5 * amp, 0.5);
                 // Shaft-rate sidebands around the mesh.
-                add_tone(out, t0, dt, gmf - motor, 0.4 * amp, 1.0);
-                add_tone(out, t0, dt, gmf + motor, 0.4 * amp, 1.5);
+                K::tone(out, t0, dt, gmf - motor, 0.4 * amp, 1.0);
+                K::tone(out, t0, dt, gmf + motor, 0.4 * amp, 1.5);
             }
             BearingHousingLooseness => {
                 let amp = LOOSENESS_AMP * strength;
                 for h in 1..=6 {
-                    add_tone(out, t0, dt, h as f64 * motor, amp / h as f64, h as f64);
+                    K::tone(out, t0, dt, h as f64 * motor, amp / h as f64, h as f64);
                 }
-                add_tone(out, t0, dt, 0.5 * motor, 0.3 * amp, 0.1);
+                K::tone(out, t0, dt, 0.5 * motor, 0.3 * amp, 0.1);
             }
             CompressorSurge => {
                 if location == AccelLocation::CompressorBearing {
-                    add_tone(out, t0, dt, 4.0, SURGE_AMP * strength, 0.0);
-                    add_tone(out, t0, dt, 8.0, 0.4 * SURGE_AMP * strength, 0.8);
+                    K::tone(out, t0, dt, 4.0, SURGE_AMP * strength, 0.0);
+                    K::tone(out, t0, dt, 8.0, 0.4 * SURGE_AMP * strength, 0.8);
                 }
             }
             MotorWindingInsulation | RefrigerantLeak | CondenserFouling | LubeOilDegradation => { /* process-only faults */
@@ -301,62 +315,131 @@ impl VibrationSynthesizer {
     }
 }
 
-/// Add a sinusoid to a block.
-fn add_tone(out: &mut [f64], t0: SimTime, dt: f64, freq: f64, amp: f64, phase: f64) {
-    if amp == 0.0 || freq <= 0.0 {
-        return;
-    }
-    let w = 2.0 * PI * freq;
-    let base = t0.as_secs();
-    for (i, s) in out.iter_mut().enumerate() {
-        *s += amp * (w * (base + i as f64 * dt) + phase).sin();
-    }
+/// Samples between exact re-anchors of a tone's phasor recurrence.
+const REANCHOR: usize = 1024;
+/// Phasors per tone: lane `l` carries samples `l, l + LANES, …`, so the
+/// lanes advance independently and the loop vectorizes.
+const LANES: usize = 4;
+/// Noise pairs drawn before any is mapped, so the mapping of one pair
+/// overlaps the next instead of waiting on it.
+const NOISE_BATCH: usize = 16;
+
+/// The three waveform kernels a block is built from. The synthesizer
+/// runs [`Phasor`]; the tests keep the per-sample forms it replaced and
+/// compare the two (DESIGN.md §10.6).
+trait Kernels {
+    /// Add `amp·sin(2π·freq·t + phase)` at `t = t0 + i·dt`.
+    fn tone(out: &mut [f64], t0: SimTime, dt: f64, freq: f64, amp: f64, phase: f64);
+    /// Add periodic exponentially decaying resonance bursts (bearing-impact
+    /// model): an impulse train at `rate` Hz ringing a resonance at `res_hz`.
+    fn bursts(out: &mut [f64], t0: SimTime, dt: f64, rate: f64, res_hz: f64, amp: f64);
+    /// Add white Gaussian noise of RMS `rms`: Box–Muller over the
+    /// crate-approved `rand`, one pair of uniform draws per two samples.
+    fn noise(out: &mut [f64], rng: &mut StdRng, rms: f64);
 }
 
-/// Add periodic exponentially decaying resonance bursts (bearing-impact
-/// model): an impulse train at `rate` Hz ringing a resonance at `res_hz`.
-fn add_bearing_bursts(out: &mut [f64], t0: SimTime, dt: f64, rate: f64, res_hz: f64, amp: f64) {
-    if amp == 0.0 || rate <= 0.0 {
-        return;
-    }
-    let period = 1.0 / rate;
-    let tau = period / 8.0; // burst decays well before the next impact
-    let w = 2.0 * PI * res_hz;
-    let base = t0.as_secs();
-    let block_len = out.len() as f64 * dt;
-    // Bursts whose ring-down can reach into this block.
-    let first = ((base - 6.0 * tau) / period).floor() as i64;
-    let last = ((base + block_len) / period).ceil() as i64;
-    for k in first..=last {
-        let impact = k as f64 * period;
-        // Index range influenced by this burst.
-        let start = (((impact - base) / dt).ceil()).max(0.0) as usize;
-        let end = ((((impact + 6.0 * tau) - base) / dt).ceil()).max(0.0) as usize;
-        for i in start..end.min(out.len()) {
-            let t = base + i as f64 * dt - impact;
-            if t >= 0.0 {
-                out[i] += amp * (-t / tau).exp() * (w * t).sin();
+/// Recurrences in place of per-sample transcendentals: a rotating
+/// phasor per tone, a damped one per burst, and branch-free `ln` and
+/// `sin_cos` for the noise.
+struct Phasor;
+
+impl Kernels for Phasor {
+    fn tone(out: &mut [f64], t0: SimTime, dt: f64, freq: f64, amp: f64, phase: f64) {
+        if amp == 0.0 || freq <= 0.0 {
+            return;
+        }
+        let w = 2.0 * PI * freq;
+        let base = t0.as_secs();
+        let (step_im, step_re) = (w * (LANES as f64 * dt)).sin_cos();
+        for (c, chunk) in out.chunks_mut(REANCHOR).enumerate() {
+            // Each lane starts from the exact phase of its first sample.
+            let i0 = c * REANCHOR;
+            let mut re = [0.0; LANES];
+            let mut im = [0.0; LANES];
+            for l in 0..LANES {
+                let (s, co) = (w * (base + (i0 + l) as f64 * dt) + phase).sin_cos();
+                (re[l], im[l]) = (amp * co, amp * s);
+            }
+            let mut quads = chunk.chunks_exact_mut(LANES);
+            for quad in &mut quads {
+                for l in 0..LANES {
+                    quad[l] += im[l];
+                    (re[l], im[l]) = (
+                        re[l] * step_re - im[l] * step_im,
+                        re[l] * step_im + im[l] * step_re,
+                    );
+                }
+            }
+            for (s, v) in quads.into_remainder().iter_mut().zip(im) {
+                *s += v;
             }
         }
     }
-}
 
-/// Add white Gaussian noise (Box–Muller over the crate-approved `rand`).
-fn add_gaussian_noise(out: &mut [f64], rng: &mut StdRng, rms: f64) {
-    if rms <= 0.0 {
-        return;
-    }
-    let mut i = 0;
-    while i < out.len() {
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let r = (-2.0 * u1.ln()).sqrt();
-        let (s, c) = (2.0 * PI * u2).sin_cos();
-        out[i] += rms * r * c;
-        if i + 1 < out.len() {
-            out[i + 1] += rms * r * s;
+    fn bursts(out: &mut [f64], t0: SimTime, dt: f64, rate: f64, res_hz: f64, amp: f64) {
+        if amp == 0.0 || rate <= 0.0 {
+            return;
         }
-        i += 2;
+        let period = 1.0 / rate;
+        let tau = period / 8.0; // burst decays well before the next impact
+        let w = 2.0 * PI * res_hz;
+        let base = t0.as_secs();
+        let block_len = out.len() as f64 * dt;
+        // One sample's decay and rotation.
+        let decay = (-dt / tau).exp();
+        let (rot_im, rot_re) = (w * dt).sin_cos();
+        let (step_re, step_im) = (decay * rot_re, decay * rot_im);
+        // Bursts whose ring-down can reach into this block.
+        let first = ((base - 6.0 * tau) / period).floor() as i64;
+        let last = ((base + block_len) / period).ceil() as i64;
+        for k in first..=last {
+            let impact = k as f64 * period;
+            // Index range influenced by this burst.
+            let start = (((impact - base) / dt).ceil()).max(0.0) as usize;
+            let end = ((((impact + 6.0 * tau) - base) / dt).ceil()).max(0.0) as usize;
+            let end = end.min(out.len());
+            // The first sample at or after the impact anchors the phasor.
+            let Some(i) = (start..end).find(|&i| base + i as f64 * dt - impact >= 0.0) else {
+                continue;
+            };
+            let t = base + i as f64 * dt - impact;
+            let (s, c) = (w * t).sin_cos();
+            let a = amp * (-t / tau).exp();
+            let (mut re, mut im) = (a * c, a * s);
+            for x in &mut out[i..end] {
+                *x += im;
+                (re, im) = (re * step_re - im * step_im, re * step_im + im * step_re);
+            }
+        }
+    }
+
+    fn noise(out: &mut [f64], rng: &mut StdRng, rms: f64) {
+        if rms <= 0.0 {
+            return;
+        }
+        for batch in out.chunks_mut(2 * NOISE_BATCH) {
+            // A short last batch maps its unused slots too; 0.5 keeps
+            // them in `ln`'s domain.
+            let mut u1 = [0.5; NOISE_BATCH];
+            let mut u2 = [0.0; NOISE_BATCH];
+            for (a, b) in u1.iter_mut().zip(&mut u2).take(batch.len().div_ceil(2)) {
+                *a = rng.gen_range(f64::EPSILON..1.0);
+                *b = rng.gen_range(0.0..1.0);
+            }
+            let mut r = [0.0; NOISE_BATCH];
+            let mut sin = [0.0; NOISE_BATCH];
+            let mut cos = [0.0; NOISE_BATCH];
+            for j in 0..NOISE_BATCH {
+                r[j] = rms * (-2.0 * kernels::ln(u1[j])).sqrt();
+                (sin[j], cos[j]) = kernels::sin_cos_turn(u2[j]);
+            }
+            for (j, pair) in batch.chunks_mut(2).enumerate() {
+                pair[0] += r[j] * cos[j];
+                if let [_, second] = pair {
+                    *second += r[j] * sin[j];
+                }
+            }
+        }
     }
 }
 
@@ -374,6 +457,89 @@ mod tests {
 
     fn synth() -> VibrationSynthesizer {
         VibrationSynthesizer::new(MachineTrain::navy_chiller(MachineId::new(1)), 42)
+    }
+
+    /// The algorithm reference: one `sin` per sample per tone, one `exp`
+    /// and one `sin` per burst sample, and libm's `ln` and `sin_cos` in
+    /// the Box–Muller noise.
+    struct PerSample;
+
+    impl Kernels for PerSample {
+        fn tone(out: &mut [f64], t0: SimTime, dt: f64, freq: f64, amp: f64, phase: f64) {
+            if amp == 0.0 || freq <= 0.0 {
+                return;
+            }
+            let w = 2.0 * PI * freq;
+            let base = t0.as_secs();
+            for (i, s) in out.iter_mut().enumerate() {
+                *s += amp * (w * (base + i as f64 * dt) + phase).sin();
+            }
+        }
+
+        fn bursts(out: &mut [f64], t0: SimTime, dt: f64, rate: f64, res_hz: f64, amp: f64) {
+            if amp == 0.0 || rate <= 0.0 {
+                return;
+            }
+            let period = 1.0 / rate;
+            let tau = period / 8.0;
+            let w = 2.0 * PI * res_hz;
+            let base = t0.as_secs();
+            let block_len = out.len() as f64 * dt;
+            let first = ((base - 6.0 * tau) / period).floor() as i64;
+            let last = ((base + block_len) / period).ceil() as i64;
+            for k in first..=last {
+                let impact = k as f64 * period;
+                let start = (((impact - base) / dt).ceil()).max(0.0) as usize;
+                let end = ((((impact + 6.0 * tau) - base) / dt).ceil()).max(0.0) as usize;
+                for i in start..end.min(out.len()) {
+                    let t = base + i as f64 * dt - impact;
+                    if t >= 0.0 {
+                        out[i] += amp * (-t / tau).exp() * (w * t).sin();
+                    }
+                }
+            }
+        }
+
+        fn noise(out: &mut [f64], rng: &mut StdRng, rms: f64) {
+            if rms <= 0.0 {
+                return;
+            }
+            let mut i = 0;
+            while i < out.len() {
+                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let u2: f64 = rng.gen_range(0.0..1.0);
+                let r = (-2.0 * u1.ln()).sqrt();
+                let (s, c) = (2.0 * PI * u2).sin_cos();
+                out[i] += rms * r * c;
+                if i + 1 < out.len() {
+                    out[i + 1] += rms * r * s;
+                }
+                i += 2;
+            }
+        }
+    }
+
+    /// The largest difference between the synthesizer and the per-sample
+    /// reference over every condition and location, for blocks at `t0`.
+    fn worst_gap_from_reference(t0: SimTime) -> f64 {
+        let s = synth();
+        // Not a multiple of the lane count or the re-anchor interval, and
+        // odd, so the tails of every loop run too.
+        let n = N + 3;
+        let mut reference = vec![0.0; n];
+        let mut worst = 0.0f64;
+        for c in MachineCondition::ALL {
+            let f = active(c);
+            for loc in AccelLocation::ALL {
+                let fast = s.sample_block(loc, t0, n, FS, 0.9, &f);
+                reference.fill(0.0);
+                s.synthesize::<PerSample>(loc, t0, FS, 0.9, &f, &mut reference);
+                for (a, b) in fast.iter().zip(&reference) {
+                    worst = worst.max((a - b).abs());
+                }
+            }
+        }
+        worst
     }
 
     fn active(condition: MachineCondition) -> FaultState {
@@ -617,6 +783,26 @@ mod tests {
             spec_f.amplitude_at_order(shaft, 1.0),
         );
         assert!(af > 1.5 * ah, "full {af} vs half {ah}");
+    }
+
+    #[test]
+    fn phasor_kernels_match_the_per_sample_reference() {
+        // The gap is the reference's own rounding of its phase argument
+        // `ω·(t0 + i·dt)`, one ulp of which grows with `t0`.
+        for (t0, bound) in [
+            (0.0, 1e-11),
+            (30.0, 2e-10),
+            (3_600.0, 2e-8),
+            (86_400.0, 5e-7),
+            (30.0 * 86_400.0, 1e-5),
+        ] {
+            let worst = worst_gap_from_reference(SimTime::from_secs(t0));
+            println!("t0 = {t0} s: worst gap {worst:.2e} g");
+            assert!(
+                worst <= bound,
+                "t0 = {t0} s: gap {worst:e} g over {bound:e}"
+            );
+        }
     }
 
     #[test]

@@ -138,6 +138,8 @@ pub struct DataConcentrator {
     config: DcConfig,
     chain: AcquisitionChain,
     scheduler: Scheduler,
+    /// The tasks due this step, refilled in place by the scheduler.
+    due: Vec<Task>,
     db: DcDatabase,
     dli: DliExpertSystem,
     fuzzy: FuzzyDiagnostics,
@@ -209,6 +211,7 @@ impl DataConcentrator {
             config,
             chain,
             scheduler,
+            due: Vec::new(),
             db: DcDatabase::new(),
             dli: DliExpertSystem::new(),
             fuzzy: FuzzyDiagnostics::new(),
@@ -319,13 +322,15 @@ impl DataConcentrator {
             self.handle_command(cmd)?;
         }
         let mut reports = Vec::new();
-        for task in self.scheduler.due(now) {
-            match task {
-                Task::VibrationSurvey => self.run_survey(workspace, plant, now, &mut reports)?,
-                Task::ProcessSample => self.run_process_sample(plant, now, &mut reports)?,
-                Task::SbfrCycle => self.run_sbfr_cycle(plant, now, &mut reports)?,
-            }
-        }
+        let mut due = std::mem::take(&mut self.due);
+        self.scheduler.due(now, &mut due);
+        let ran = due.iter().try_for_each(|task| match task {
+            Task::VibrationSurvey => self.run_survey(workspace, plant, now, &mut reports),
+            Task::ProcessSample => self.run_process_sample(plant, now, &mut reports),
+            Task::SbfrCycle => self.run_sbfr_cycle(plant, now, &mut reports),
+        });
+        self.due = due;
+        ran?;
         for r in &reports {
             let timer = WallTimer::start();
             self.db.record_diagnosis(DiagnosisRecord {

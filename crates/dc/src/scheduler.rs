@@ -65,13 +65,15 @@ impl Scheduler {
         self.on_demand.push_back(task);
     }
 
-    /// The tasks due at `now`, in a deterministic order (on-demand
-    /// first, then periodic in registration order). A periodic task
-    /// fires at most once per call even if several periods elapsed —
-    /// there is no point re-measuring the past — and re-arms at the
-    /// first future multiple of its period.
-    pub fn due(&mut self, now: SimTime) -> Vec<Task> {
-        let mut out: Vec<Task> = self.on_demand.drain(..).collect();
+    /// Replace `out` with the tasks due at `now`, in a deterministic
+    /// order (on-demand first, then periodic in registration order). A
+    /// periodic task fires at most once per call even if several periods
+    /// elapsed — there is no point re-measuring the past — and re-arms at
+    /// the first future multiple of its period. `out` is a caller-kept
+    /// buffer, so a warm call allocates nothing.
+    pub fn due(&mut self, now: SimTime, out: &mut Vec<Task>) {
+        out.clear();
+        out.extend(self.on_demand.drain(..));
         for p in &mut self.periodic {
             if p.next_due <= now {
                 out.push(p.task);
@@ -81,7 +83,6 @@ impl Scheduler {
                 }
             }
         }
-        out
     }
 
     /// The next instant anything is due, if any periodic task exists.
@@ -101,25 +102,34 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    impl Scheduler {
+        /// [`Scheduler::due`] into a fresh list.
+        fn due_now(&mut self, now: SimTime) -> Vec<Task> {
+            let mut out = Vec::new();
+            self.due(now, &mut out);
+            out
+        }
+    }
+
     #[test]
     fn periodic_tasks_fire_on_schedule() {
         let mut s = Scheduler::new();
         s.schedule_periodic(Task::ProcessSample, SimDuration::from_secs(10.0), secs(0.0));
-        assert_eq!(s.due(secs(0.0)), vec![Task::ProcessSample]);
-        assert!(s.due(secs(5.0)).is_empty());
-        assert_eq!(s.due(secs(10.0)), vec![Task::ProcessSample]);
-        assert_eq!(s.due(secs(20.0)), vec![Task::ProcessSample]);
+        assert_eq!(s.due_now(secs(0.0)), vec![Task::ProcessSample]);
+        assert!(s.due_now(secs(5.0)).is_empty());
+        assert_eq!(s.due_now(secs(10.0)), vec![Task::ProcessSample]);
+        assert_eq!(s.due_now(secs(20.0)), vec![Task::ProcessSample]);
     }
 
     #[test]
     fn missed_periods_collapse_to_one_run() {
         let mut s = Scheduler::new();
         s.schedule_periodic(Task::SbfrCycle, SimDuration::from_secs(1.0), secs(0.0));
-        s.due(secs(0.0));
+        s.due_now(secs(0.0));
         // 100 periods pass unobserved; one catch-up run, re-armed ahead.
-        assert_eq!(s.due(secs(100.5)).len(), 1);
-        assert!(s.due(secs(100.9)).is_empty());
-        assert_eq!(s.due(secs(101.0)).len(), 1);
+        assert_eq!(s.due_now(secs(100.5)).len(), 1);
+        assert!(s.due_now(secs(100.9)).is_empty());
+        assert_eq!(s.due_now(secs(101.0)).len(), 1);
     }
 
     #[test]
@@ -127,9 +137,9 @@ mod tests {
         let mut s = Scheduler::new();
         s.schedule_periodic(Task::ProcessSample, SimDuration::from_secs(10.0), secs(0.0));
         s.request(Task::VibrationSurvey);
-        let due = s.due(secs(0.0));
+        let due = s.due_now(secs(0.0));
         assert_eq!(due, vec![Task::VibrationSurvey, Task::ProcessSample]);
-        assert!(s.due(secs(1.0)).is_empty(), "one-shot does not repeat");
+        assert!(s.due_now(secs(1.0)).is_empty(), "one-shot does not repeat");
     }
 
     #[test]
@@ -145,8 +155,8 @@ mod tests {
             SimDuration::from_secs(5.0),
             secs(2.0),
         );
-        s.due(secs(2.0));
-        assert_eq!(s.due(secs(7.0)), vec![Task::VibrationSurvey]);
+        s.due_now(secs(2.0));
+        assert_eq!(s.due_now(secs(7.0)), vec![Task::VibrationSurvey]);
         assert_eq!(s.periodic.len(), 1);
     }
 

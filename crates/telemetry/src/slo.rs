@@ -15,6 +15,7 @@
 use crate::metrics::Registry;
 use crate::Telemetry;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One declarative objective over the metric registry.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,8 +115,10 @@ impl SloRule {
 /// One rule's outcome within a verdict.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SloCheck {
-    /// The rule's [`SloRule::label`].
-    pub rule: String,
+    /// The rule's [`SloRule::label`], rendered once per watchdog and
+    /// shared by every copy of its verdicts (serialized as the bare
+    /// string).
+    pub rule: Arc<String>,
     /// Whether the objective held.
     pub pass: bool,
     /// Observed value.
@@ -245,7 +248,7 @@ impl SloWatchdog {
             .rules
             .iter()
             .map(|rule| SloCheck {
-                rule: rule.label(),
+                rule: Arc::new(rule.label()),
                 pass: true,
                 value: 0.0,
                 limit: 0.0,

@@ -87,7 +87,7 @@ cargo test -q
 #  - the paper's claims (crates/bench/tests/paper_claims.rs): one test
 #    per EXPERIMENTS.md experiment, one assert per verdict, from the
 #    ≥ 95% DLI agreement (E5) and the 12 FMEA modes (E9) to the seeded
-#    fault campaign (E10) and OOSM push delivery (E12); about 13 s.
+#    fault campaign (E10) and OOSM push delivery (E12); about 6 s.
 echo "==> cargo test --workspace --release -q"
 cargo test --workspace --release -q
 

@@ -340,7 +340,7 @@ fn arb_response() -> impl Strategy<Value = GatewayResponse> {
                         let checks: Vec<SloCheck> = checks
                             .into_iter()
                             .map(|(rule, pass, value, limit)| SloCheck {
-                                rule,
+                                rule: rule.into(),
                                 pass,
                                 value,
                                 limit,

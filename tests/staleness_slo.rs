@@ -44,7 +44,7 @@ fn run(served: bool) -> Vec<(bool, f64, bool)> {
             sim.step(SimDuration::from_secs(1.0)).expect("step");
             let verdict = sim.slo_verdict().expect("watchdog ran");
             let check = &verdict.checks[0];
-            assert_eq!(check.rule, "max(pdme.dc_staleness_max)");
+            assert_eq!(check.rule.as_str(), "max(pdme.dc_staleness_max)");
             let degraded = !sim.pdme().degraded_machines().is_empty();
             (check.pass, check.value, degraded)
         })
